@@ -116,6 +116,15 @@ class OrbitPolygon:
         size = self.orbit.size
         return NewtonPolygon((s / size, w * size) for s, w in self.segments)
 
+    def piece(self) -> NewtonPolygon:
+        """The Newton polygon the orbit and its dual contribute together.
+
+        That is the lambda-scaled polygon, plus its dual when the orbit
+        is not self-dual (the dual orbit then carries the dual path).
+        """
+        piece = self.lambda_scale()
+        return piece if self.orbit.is_self_dual else piece + piece.dual()
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbitPolygon):
             return NotImplemented
@@ -157,10 +166,7 @@ def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:
     dec = decompose(f.m, p)
     total = NewtonPolygon()
     for rep in dec.representatives():
-        piece = mu_ordinary_orbit(rep, f)
-        total = total + piece.lambda_scale()
-        if not rep.is_self_dual:
-            total = total + piece.lambda_scale().dual()
+        total = total + mu_ordinary_orbit(rep, f).piece()
     return total
 
 

@@ -8,6 +8,13 @@ Cartesian product of the factors under the componentwise order.  The
 mu-ordinary element is the unique top; the straight-segment choice in
 every factor is the unique bottom (the basic element).
 
+A Kottwitz set is built by one fold over the factors: each candidate's
+piece of Newton polygon is computed once, and each distinct partial
+total meets each piece of the next factor once, so the polygon
+arithmetic scales with the number of distinct partial totals rather
+than with the number of elements.  The distinct totals (the strata of
+the family) are indexed as the fold finishes.
+
 The second half of the module measures how special a polygon is inside
 the full Siegel moduli space: the stratum codimension as a lattice
 point count, the comparison against dim M_g (condition (U)), and three
@@ -100,24 +107,28 @@ def enumerate_orbit_component(
     if orbit.is_self_dual:
         polys = [q for q in polys if q.is_self_symmetric]
     polys.sort(key=lambda q: q._grid)
-    assert polys and polys[0] == mu, "mu-ordinary polygon must be the lowest candidate"
+    if not polys or polys[0] != mu:
+        raise DomainError("mu-ordinary polygon must be the lowest candidate")
     return tuple(polys)
 
 
 class KottwitzElement:
-    """One choice of admissible polygon per orbit-pair representative."""
+    """One choice of admissible polygon per orbit-pair representative.
+
+    ``total`` is the amalgamation of the components' pieces
+    (`OrbitPolygon.piece`); the Kottwitz set computes it in its fold.
+    """
 
     __slots__ = ("reps", "components", "total")
 
-    def __init__(self, reps: tuple[Orbit, ...], components: tuple[OrbitPolygon, ...]):
+    def __init__(
+        self,
+        reps: tuple[Orbit, ...],
+        components: tuple[OrbitPolygon, ...],
+        total: NewtonPolygon,
+    ):
         self.reps = reps
         self.components = components
-        total = NewtonPolygon()
-        for rep, comp in zip(reps, components):
-            piece = comp.lambda_scale()
-            total = total + piece
-            if not rep.is_self_dual:
-                total = total + piece.dual()
         self.total = total
 
     def component(self, orbit: Orbit) -> OrbitPolygon:
@@ -150,11 +161,20 @@ class KottwitzElement:
 class KottwitzSet:
     """The full poset of Newton polygons for one signature and residue class.
 
-    Elements are materialized eagerly in a deterministic order (the
-    product of the per-factor orders, lowest polygon first), so the
-    first element is the top of the poset.  The length of an element is
-    the longest strictly increasing chain from it up to the top; in a
-    product poset that is the sum of the per-factor lengths.
+    Elements come in a deterministic order, the product of the
+    per-factor orders (lowest polygon first, first factor outermost),
+    so the first element is the top of the poset and the last its
+    bottom.  The length of an element is the longest strictly
+    increasing chain from it up to the top; in a product poset that is
+    the sum of the per-factor lengths.
+
+    Totals and lengths come from one fold over the factors in that
+    order.  Each distinct partial total is summed with each candidate's
+    piece once, and equal totals are interned, so elements with the
+    same total share one polygon.  The fold also indexes the elements
+    by total, in first-appearance order, for `totals` and
+    `elements_with_total`.  The cap bounds the running product of the
+    factor sizes, checked before the next factor is enumerated.
     """
 
     def __init__(self, f: Signature, p: int, cap: int | None = DEFAULT_ENUM_CAP):
@@ -163,26 +183,53 @@ class KottwitzSet:
         self.p_class = dec.p_class
         self.signature = f
         self.reps = dec.representatives()
-        self.factors = tuple(enumerate_orbit_component(o, f, cap) for o in self.reps)
-        count = math.prod(len(c) for c in self.factors)
-        if cap is not None and count > cap:
-            raise EnumerationCapError(
-                f"Kottwitz set would have {count} elements, above the cap {cap}"
-            )
-        factor_lengths = tuple(self._chain_lengths(c) for c in self.factors)
-        elements = []
-        lengths = []
-        for combo in itertools.product(*(range(len(c)) for c in self.factors)):
-            comps = tuple(c[i] for c, i in zip(self.factors, combo))
-            elements.append(KottwitzElement(self.reps, comps))
-            lengths.append(sum(fl[i] for fl, i in zip(factor_lengths, combo)))
-        self.elements = tuple(elements)
+        factors = []
+        count = 1
+        for rep in self.reps:
+            factor = enumerate_orbit_component(rep, f, cap)
+            _check_factor_order(factor)
+            factors.append(factor)
+            count *= len(factor)
+            if cap is not None and count > cap:
+                sizes = " x ".join(str(len(c)) for c in factors)
+                raise EnumerationCapError(
+                    f"Kottwitz set would have more than {cap} elements: the first "
+                    f"{len(factors)} of {len(self.reps)} factors have sizes "
+                    f"{sizes} = {count}; raise the cap"
+                )
+        self.factors = tuple(factors)
+        totals = [NewtonPolygon()]
+        lengths = [0]
+        for factor in self.factors:
+            pieces = [c.piece() for c in factor]
+            steps = self._chain_lengths(factor)
+            interned: dict[NewtonPolygon, NewtonPolygon] = {}
+            # Partial totals are interned and stay alive in `totals`
+            # through the level, so their ids name them.
+            rows: dict[int, list[NewtonPolygon]] = {}
+            folded = []
+            for partial in totals:
+                row = rows.get(id(partial))
+                if row is None:
+                    row = rows[id(partial)] = [
+                        interned.setdefault(t, t) for t in (partial + q for q in pieces)
+                    ]
+                folded.extend(row)
+            totals = folded
+            lengths = [n + s for n in lengths for s in steps]
+        self.elements = tuple(
+            KottwitzElement(self.reps, comps, total)
+            for comps, total in zip(itertools.product(*self.factors), totals)
+        )
         self.lengths = tuple(lengths)
         self._index = {e: i for i, e in enumerate(self.elements)}
+        # Grouping by identity hashes no polygon per element.
+        groups: dict[int, list[int]] = {}
+        for i, total in enumerate(totals):
+            groups.setdefault(id(total), []).append(i)
+        self._by_total = {totals[ix[0]]: ix for ix in groups.values()}
         self.top = self.elements[0]
         self.bottom = self.elements[-1]
-        assert all(e.leq(self.top) for e in self.elements), "top must be maximum"
-        assert all(self.bottom.leq(e) for e in self.elements), "bottom must be minimum"
 
     @staticmethod
     def _chain_lengths(candidates: tuple[OrbitPolygon, ...]) -> tuple[int, ...]:
@@ -200,7 +247,8 @@ class KottwitzSet:
             for j in range(i):
                 if candidates[j] != c and c.lies_on_or_above(candidates[j]):
                     best = max(best, lengths[j])
-            assert best >= 0, "every candidate must lie above the factor top"
+            if best < 0:
+                raise DomainError("every candidate must lie above the factor top")
             lengths.append(best + 1)
         return tuple(lengths)
 
@@ -221,14 +269,10 @@ class KottwitzSet:
 
     def totals(self) -> tuple[NewtonPolygon, ...]:
         """Distinct total polygons, in first-appearance order."""
-        seen = []
-        for e in self.elements:
-            if e.total not in seen:
-                seen.append(e.total)
-        return tuple(seen)
+        return tuple(self._by_total)
 
     def elements_with_total(self, nu: NewtonPolygon) -> tuple[KottwitzElement, ...]:
-        return tuple(e for e in self.elements if e.total == nu)
+        return tuple(self.elements[i] for i in self._by_total.get(nu, ()))
 
     def codim_of_polygon(self, nu: NewtonPolygon) -> int:
         """Smallest length among elements whose total polygon is nu."""
@@ -262,6 +306,20 @@ class KottwitzSet:
             lines.append(f"  e{j} -> e{i};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _check_factor_order(factor: tuple[OrbitPolygon, ...]) -> None:
+    """The first candidate is the factor's top and the last its bottom.
+
+    The order on the product is componentwise, so this is what makes
+    the first element of the Kottwitz set its maximum and the last its
+    minimum.
+    """
+    top, bottom = factor[0], factor[-1]
+    if not all(c.lies_on_or_above(top) for c in factor):
+        raise DomainError("top must be maximum")
+    if not all(bottom.lies_on_or_above(c) for c in factor):
+        raise DomainError("bottom must be minimum")
 
 
 def kottwitz_set_of_signature(

@@ -1,0 +1,129 @@
+"""The Kottwitz fold against the element-by-element construction it replaced.
+
+The oracle sums every element's total on its own, finds the distinct
+totals by a first-appearance list scan and each codimension by a
+linear scan for the least length.  It enumerates its own factors, and
+its Hasse diagram compares every pair of elements.
+"""
+
+import itertools
+import math
+import random
+
+from npcc import (
+    EnumerationCapError,
+    MonodromyDatum,
+    NewtonPolygon,
+    decompose,
+    enumerate_orbit_component,
+    kottwitz_set,
+    signature,
+)
+from npcc.strata import KottwitzSet
+
+MAX_ELEMENTS = 300
+DOT_ELEMENTS = 40  # the oracle's Hasse diagram is cubic in the set size
+
+
+class OracleSet:
+    def __init__(self, datum: MonodromyDatum, p: int):
+        f = signature(datum)
+        reps = decompose(datum.m, p).representatives()
+        factors = [enumerate_orbit_component(o, f, None) for o in reps]
+        factor_lengths = [KottwitzSet._chain_lengths(c) for c in factors]
+        self.components = []
+        self.totals_by_element = []
+        self.lengths = []
+        for combo in itertools.product(*(range(len(c)) for c in factors)):
+            comps = tuple(c[i] for c, i in zip(factors, combo))
+            total = NewtonPolygon()
+            for rep, comp in zip(reps, comps):
+                piece = comp.lambda_scale()
+                total = total + piece
+                if not rep.is_self_dual:
+                    total = total + piece.dual()
+            self.components.append(comps)
+            self.totals_by_element.append(total)
+            self.lengths.append(sum(fl[i] for fl, i in zip(factor_lengths, combo)))
+
+    def totals(self) -> list[NewtonPolygon]:
+        seen = []
+        for t in self.totals_by_element:
+            if t not in seen:
+                seen.append(t)
+        return seen
+
+    def with_total(self, nu: NewtonPolygon) -> list[int]:
+        return [i for i, t in enumerate(self.totals_by_element) if t == nu]
+
+    def codim(self, nu: NewtonPolygon) -> int:
+        return min(self.lengths[i] for i in self.with_total(nu))
+
+    def hasse_dot(self) -> str:
+        n = len(self.components)
+
+        def leq(i, j):
+            pairs = zip(self.components[i], self.components[j])
+            return all(a.lies_on_or_above(b) for a, b in pairs)
+
+        below = [{j for j in range(n) if j != i and leq(j, i)} for i in range(n)]
+        edges = sorted(
+            (j, i)
+            for i in range(n)
+            for j in below[i]
+            if not any(j in below[k] for k in below[i] if k != j)
+        )
+        lines = ["digraph kottwitz {", "  rankdir=BT;"]
+        for i, t in enumerate(self.totals_by_element):
+            lines.append(f'  e{i} [label="{t} (length {self.lengths[i]})"];')
+        lines += [f"  e{j} -> e{i};" for j, i in edges]
+        lines.append("}")
+        return "\n".join(lines)
+
+
+def _sample(seed: int, count: int) -> list[tuple[MonodromyDatum, int, tuple[int, ...]]]:
+    """Seeded data with m <= 16 whose Kottwitz sets have 2 to 300 elements."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        m = rng.randint(5, 16)
+        a = [rng.randint(1, m - 1) for _ in range(rng.randint(3, 6))]
+        a.append(-sum(a) % m)
+        if a[-1] == 0 or math.gcd(m, *a) != 1:
+            continue
+        datum = MonodromyDatum(m, tuple(a))
+        p = rng.choice([c for c in range(1, m) if math.gcd(c, m) == 1])
+        try:
+            ks = kottwitz_set(datum, p, cap=MAX_ELEMENTS)
+        except EnumerationCapError:
+            continue
+        if len(ks) > 1:
+            found.append((datum, p, tuple(len(c) for c in ks.factors)))
+    return found
+
+
+def _assert_agrees(datum: MonodromyDatum, p: int) -> None:
+    ks = kottwitz_set(datum, p)
+    oracle = OracleSet(datum, p)
+    assert [e.components for e in ks.elements] == oracle.components
+    assert [e.total for e in ks.elements] == oracle.totals_by_element
+    assert list(ks.lengths) == oracle.lengths
+    assert list(ks.totals()) == oracle.totals()
+    for t in oracle.totals():
+        assert ks.codim_of_polygon(t) == oracle.codim(t)
+        matches = ks.elements_with_total(t)
+        assert [ks.index_of(e) for e in matches] == oracle.with_total(t)
+    if len(ks) <= DOT_ELEMENTS:
+        assert ks.hasse_dot() == oracle.hasse_dot()
+
+
+def test_fold_matches_oracle_on_worked_example():
+    _assert_agrees(MonodromyDatum(8, (2, 2, 2, 5, 5)), 7)
+
+
+def test_fold_matches_oracle_on_seeded_sample():
+    sample = _sample(20181101, 30)
+    shapes = {max(sizes) * 2 > math.prod(sizes) for _, _, sizes in sample}
+    assert shapes == {True, False}  # one-orbit and many-orbit sets both occur
+    for datum, p, _ in sample:
+        _assert_agrees(datum, p)

@@ -1,9 +1,15 @@
 """Tests for Kottwitz set enumeration and unlikely-intersection bounds."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import npcc
+import npcc.strata as strata
 from npcc import (
     DomainError,
     EnumerationCapError,
@@ -114,6 +120,68 @@ def test_kottwitz_set_of_signature_agrees():
 def test_kottwitz_cap_on_product_size():
     with pytest.raises(EnumerationCapError):
         kottwitz_set(WORKED, 7, cap=3)
+
+
+def test_kottwitz_cap_stops_enumeration(monkeypatch):
+    # factor sizes 39, 14, 3: the product passes 100 at the second
+    # factor, so the third is never enumerated
+    enumerated = []
+
+    def counting(orbit, f, cap):
+        enumerated.append(orbit)
+        return enumerate_orbit_component(orbit, f, cap)
+
+    monkeypatch.setattr(strata, "enumerate_orbit_component", counting)
+    datum = MonodromyDatum(21, (1, 1, 1, 1, 1, 1, 15))
+    with pytest.raises(EnumerationCapError, match=r"sizes 39 x 14 = 546"):
+        kottwitz_set(datum, 2, cap=100)
+    assert len(enumerated) == 2
+    assert len(decompose(21, 2).representatives()) == 3
+
+
+ORDER_CHECKS_UNDER_O = """\
+import npcc.strata as strata
+from npcc import DomainError, MonodromyDatum, decompose, kottwitz_set, signature
+
+assert False, "assert statements run; the interpreter is not under -O"
+enumerate_orbit_component = strata.enumerate_orbit_component
+mu_ordinary_orbit = strata.mu_ordinary_orbit
+
+
+def expect_domain_error(call):
+    try:
+        call()
+    except DomainError as exc:
+        print(exc)
+    else:
+        print("no error")
+
+
+strata.enumerate_orbit_component = lambda o, f, cap: enumerate_orbit_component(o, f, cap)[::-1]
+expect_domain_error(lambda: kottwitz_set(MonodromyDatum(8, (2, 2, 2, 5, 5)), 7))
+strata.enumerate_orbit_component = enumerate_orbit_component
+f = signature(MonodromyDatum(8, (4, 2, 5, 5)))
+orbit = decompose(8, 3).orbit_of(1)
+factor = enumerate_orbit_component(orbit, f)
+expect_domain_error(lambda: strata.KottwitzSet._chain_lengths(factor[::-1]))
+strata.mu_ordinary_orbit = lambda o, f: mu_ordinary_orbit(o, f).dual()
+expect_domain_error(lambda: strata.enumerate_orbit_component(orbit, f))
+"""
+
+
+def test_order_checks_survive_python_O():
+    src = str(Path(npcc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", ORDER_CHECKS_UNDER_O],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "top must be maximum",
+        "every candidate must lie above the factor top",
+        "mu-ordinary polygon must be the lowest candidate",
+    ]
 
 
 def test_kottwitz_singleton_orbits():
