@@ -43,18 +43,33 @@ from .strata import DEFAULT_ENUM_CAP, condition_u, kottwitz_set, omega_count
 JSON_VERSION = 1
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+P_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < P_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 
@@ -62,6 +77,11 @@ def _residue(args: argparse.Namespace, m: int) -> int:
     """Reduce --p or --p-class mod m, validating --p as an actual prime."""
     if getattr(args, "p", None) is not None:
         p = args.p
+        if p >= P_BOUND:
+            raise DomainError(
+                f"p = {p} is too large: --p must be below {P_BOUND},"
+                " where primality is decided exactly; pass --p-class instead"
+            )
         if not _is_prime(p):
             raise DomainError(f"p = {p} is not prime")
         if math.gcd(p, m) != 1:
@@ -264,14 +284,17 @@ def _apply_step(fam, op: str):
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.replay is not None:
-        if args.replay == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.replay, "r", encoding="utf-8") as handle:
-                text = handle.read()
+        try:
+            if args.replay == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.replay, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DomainError(f"cannot read certificate: {exc}") from None
         try:
             cert = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DomainError(f"certificate is not valid JSON: {exc}") from None
         fam = replay(cert)
         report = verify_family(fam)
@@ -429,7 +452,9 @@ def _cmd_clutch_demo(args: argparse.Namespace) -> int:
 
 def _add_residue_group(sp: argparse.ArgumentParser, required: bool = True) -> None:
     group = sp.add_mutually_exclusive_group(required=required)
-    group.add_argument("--p", type=int, help="an actual prime; reduced mod m")
+    group.add_argument(
+        "--p", type=int, help="an actual prime below 3.3*10^24; reduced mod m"
+    )
     group.add_argument(
         "--p-class", type=int, dest="p_class", help="a residue class coprime to m"
     )

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    DomainError,
     NotAdmissibleError,
     UnsupportedPairError,
 )
 from .monodromy import (
     MonodromyDatum,
     Signature,
+    _gcd_m,
     genus,
     pad_first,
     pad_last,
@@ -119,10 +121,6 @@ class ClutchReport:
         return obj
 
 
-def _gcd_m(value: int, m: int) -> int:
-    return math.gcd(value % m, m) or m
-
-
 def _delta_pair(d: int, big_r: int, n: int, m3: int) -> int:
     """The step function that is 1 when d*R*n vanishes mod m3 but d*n does not."""
     return 1 if (d * big_r * n) % m3 == 0 and (d * n) % m3 != 0 else 0
@@ -138,9 +136,11 @@ def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
     r1 = _gcd_m(g1.a[-1], g1.m)
     r2 = _gcd_m(g2.a[0], g2.m)
     r0 = math.gcd(r1, r2)
-    assert d1 * r1 == d2 * r2 == d1 * d2 * r0, "branch-order bookkeeping broke"
+    if not d1 * r1 == d2 * r2 == d1 * d2 * r0:
+        raise DomainError("branch-order bookkeeping broke")
     epsilon = d1 * d2 * r0 - d1 - d2 + 1
-    assert epsilon >= 0, "defect must be nonnegative"
+    if epsilon < 0:
+        raise DomainError("defect must be nonnegative")
 
     entries = tuple((d1 * x) % m3 for x in g1.a[:-1]) + tuple(
         (d2 * x) % m3 for x in g2.a[1:]
@@ -161,7 +161,8 @@ def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
     f3 = Signature(m3, tuple(values))
 
     g3 = d1 * genus(g1) + d2 * genus(g2) + epsilon
-    assert g3 == genus(gamma3), "genus recursion disagrees with Riemann-Hurwitz"
+    if g3 != genus(gamma3):
+        raise DomainError("genus recursion disagrees with Riemann-Hurwitz")
     return ClutchReport(
         gamma1=g1,
         gamma2=g2,
@@ -226,7 +227,8 @@ def compatible_violations(
         orbit_ok = witness is None
         if orbit.is_self_dual:
             mid = comp1.lambda_scale().middle_slope()
-            assert orbit_ok == (mid <= lo), "middle-slope characterization disagrees"
+            if orbit_ok != (mid <= lo):
+                raise DomainError("middle-slope characterization disagrees")
         if not orbit_ok:
             bad.append((orbit, witness))
     return tuple(bad)
@@ -309,10 +311,12 @@ def epsilon_orbits(report: ClutchReport, p: int) -> tuple[tuple[Orbit, int], ...
             - _delta_pair(1, d2, n, m3)
             for n in orbit.members
         )
-        assert rule == summed, f"defect mismatch on orbit {orbit}: {rule} vs {summed}"
+        if rule != summed:
+            raise DomainError(f"defect mismatch on orbit {orbit}: {rule} vs {summed}")
         out.append((orbit, rule))
         total += rule
-    assert total == report.epsilon, "orbit defects must sum to the defect"
+    if total != report.epsilon:
+        raise DomainError("orbit defects must sum to the defect")
     return tuple(out)
 
 

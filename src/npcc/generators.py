@@ -23,9 +23,18 @@ from .errors import (
     BadResidueError,
     DomainError,
     GeneratorError,
+    InvalidDatumError,
     NotABaseCaseError,
+    PolygonSyntaxError,
 )
-from .monodromy import MonodromyDatum, genus, normalize, pad_first, pad_last
+from .monodromy import (
+    MonodromyDatum,
+    _gcd_m,
+    genus,
+    normalize,
+    pad_first,
+    pad_last,
+)
 from .muord import mu_ordinary
 from .polygon import ORD, NewtonPolygon
 from .strata import DEFAULT_ENUM_CAP, kottwitz_set
@@ -100,11 +109,6 @@ class CertifiedFamily:
             "steps": copy.deepcopy(list(self.steps)),
             "assumptions": list(self.assumptions),
         }
-
-
-def _gcd_m(value: int, m: int) -> int:
-    g = math.gcd(value % m, m)
-    return g if g else m
 
 
 def _self_pair(a, m):
@@ -667,51 +671,89 @@ def verify_family(
     return report
 
 
-def replay(cert: dict) -> CertifiedFamily:
+# How deeply double_induction certificates may nest through "other".
+MAX_REPLAY_DEPTH = 16
+
+_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    """obj[key], which must be a JSON value of the given type."""
+    value = obj.get(key)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise GeneratorError(f"{where} needs {key!r} as {_JSON_TYPES[kind]}")
+    return value
+
+
+def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
     """Re-run a certificate's derivation and confirm it reproduces it.
 
-    Raises GeneratorError when the certificate is malformed or when the
-    replayed datum or polygon differ from the recorded ones.
+    Raises GeneratorError when the certificate is malformed (a missing
+    or mistyped field, or double_induction steps nested more than
+    MAX_REPLAY_DEPTH deep) or when the replayed datum or polygon differ
+    from the recorded ones.  _depth counts the enclosing certificates
+    of a nested one.
     """
+    if not isinstance(cert, dict):
+        raise GeneratorError("certificate must be a JSON object")
     if cert.get("version") != 1:
         raise GeneratorError("unsupported certificate version")
+    if _depth > MAX_REPLAY_DEPTH:
+        raise GeneratorError(
+            f"certificates nest more than {MAX_REPLAY_DEPTH} levels deep"
+        )
+    steps = _field(cert, "steps", list, "certificate")
+    expected_datum = _field(cert, "datum", dict, "certificate")
+    expected_polygon = _field(cert, "polygon", list, "certificate")
     fam = None
-    for raw in cert.get("steps", ()):
+    for raw in steps:
+        if not isinstance(raw, dict):
+            raise GeneratorError("step must be a JSON object")
         op = raw.get("op")
+        where = f"step {op!r}"
         if op in ("base_case", "payload_base"):
             if fam is not None:
                 raise GeneratorError("base step must come first")
-            datum = MonodromyDatum.from_json_obj(raw["datum"])
+            p_class = _field(raw, "p_class", int, where)
+            try:
+                datum = MonodromyDatum.from_json_obj(_field(raw, "datum", dict, where))
+                if op == "payload_base":
+                    polygon = NewtonPolygon.from_json_obj(_field(raw, "polygon", list, where))
+            except (InvalidDatumError, PolygonSyntaxError) as exc:
+                raise GeneratorError(f"{where}: {exc}") from None
             if op == "base_case":
-                fam = base_case(datum, raw["p_class"])
+                fam = base_case(datum, p_class)
             else:
-                fam = payload_base(
-                    datum,
-                    raw["p_class"],
-                    NewtonPolygon.from_json_obj(raw["polygon"]),
-                )
+                fam = payload_base(datum, p_class, polygon)
             continue
         if fam is None:
             raise GeneratorError("derivation does not start at a base step")
         if op == "extend_ord":
-            fam = extend_ord(fam, raw["c"])
+            fam = extend_ord(fam, _field(raw, "c", int, where))
         elif op == "self_clutch":
+            n = _field(raw, "n", int, where)
             if raw.get("auto_pad"):
-                fam = self_clutch(fam, raw["n"], auto_pad=True)
+                fam = self_clutch(fam, n, auto_pad=True)
             else:
-                fam = self_clutch(fam, raw["n"], at=tuple(raw["at"]))
+                at = _field(raw, "at", list, where)
+                if len(at) != 2 or not all(type(i) is int for i in at):
+                    raise GeneratorError(f"{where} needs 'at' as two integer labels")
+                fam = self_clutch(fam, n, at=tuple(at))
         elif op == "pad_and_clutch":
-            fam = pad_and_clutch(fam, raw["t"], raw["n"])
+            fam = pad_and_clutch(
+                fam, _field(raw, "t", int, where), _field(raw, "n", int, where)
+            )
         elif op == "double_induction":
+            other = replay(_field(raw, "other", dict, where), _depth + 1)
             fam = double_induction(
-                fam, replay(raw["other"]), raw["n1"], raw["n2"]
+                fam, other, _field(raw, "n1", int, where), _field(raw, "n2", int, where)
             )
         else:
             raise GeneratorError(f"unknown step op {op!r}")
     if fam is None:
         raise GeneratorError("empty derivation")
-    if fam.datum.to_json_obj() != cert["datum"]:
+    if fam.datum.to_json_obj() != expected_datum:
         raise GeneratorError("replay produced a different datum")
-    if fam.claimed_np.to_json_obj() != cert["polygon"]:
+    if fam.claimed_np.to_json_obj() != expected_polygon:
         raise GeneratorError("replay produced a different polygon")
     return fam

@@ -97,9 +97,12 @@ class MonodromyDatum:
     @classmethod
     def from_json_obj(cls, obj) -> "MonodromyDatum":
         try:
-            return cls(int(obj["m"]), tuple(obj["a"]), bool(obj.get("generalized", False)))
-        except (KeyError, TypeError) as exc:
+            m = int(obj["m"])
+            a = tuple(int(x) for x in obj["a"])
+            generalized = bool(obj.get("generalized", False))
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidDatumError(f"bad datum JSON: {obj!r}") from exc
+        return cls(m, a, generalized)
 
     def __str__(self) -> str:
         return self.text()
@@ -148,21 +151,25 @@ def signature(datum: MonodromyDatum) -> Signature:
     When every product n*a(i) vanishes mod m the character is trivial
     on each connected component of the cover and the dimension is 0;
     this only happens for imprimitive (induced) data.
+
+    The fractional parts are summed as integers (-n*a(i)) mod m, so the
+    dimension is (s - m) / m for their sum s.
     """
     datum.validate()
     m = datum.m
     vals = []
     for n in range(1, m):
-        terms = [(-n * ai) % m for ai in datum.a if ai % m]
-        if not any(terms):
+        s = sum((-n * ai) % m for ai in datum.a)
+        if not s:
             vals.append(0)
             continue
-        total = -1 + sum(Fraction(t, m) for t in terms)
-        if total.denominator != 1 or total < 0:
+        q, r = divmod(s - m, m)
+        if r or q < 0:
             raise InvalidDatumError(
-                f"non-integral or negative eigenspace dimension {total} at n = {n}"
+                "non-integral or negative eigenspace dimension"
+                f" {Fraction(s - m, m)} at n = {n}"
             )
-        vals.append(int(total))
+        vals.append(q)
     return Signature(m, tuple(vals))
 
 

@@ -114,7 +114,9 @@ class OrbitPolygon:
     def lambda_scale(self) -> NewtonPolygon:
         """The Newton polygon piece this orbit contributes."""
         size = self.orbit.size
-        return NewtonPolygon((s / size, w * size) for s, w in self.segments)
+        # Validated orbit slopes strictly increase in [0, |o|] with widths
+        # >= 1, so the rescaled segments are already canonical.
+        return NewtonPolygon._trusted(tuple((s / size, w * size) for s, w in self.segments))
 
     def piece(self) -> NewtonPolygon:
         """The Newton polygon the orbit and its dual contribute together.

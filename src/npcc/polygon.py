@@ -69,6 +69,19 @@ class NewtonPolygon:
             merged[s] = merged.get(s, 0) + k
         self._segments = tuple(sorted(merged.items()))
 
+    @classmethod
+    def _trusted(cls, segments: tuple[tuple[Fraction, int], ...]) -> "NewtonPolygon":
+        """Wrap a segment tuple that is already canonical, skipping validation.
+
+        The caller guarantees what ``__init__`` would establish: Fraction
+        slopes in [0, 1], strictly increasing, with positive int
+        multiplicities.  The algebra below keeps these properties on
+        valid operands, so it builds its results this way.
+        """
+        poly = object.__new__(cls)
+        poly._segments = segments
+        return poly
+
     # -- basic structure ------------------------------------------------
 
     @property
@@ -126,7 +139,29 @@ class NewtonPolygon:
 
     def amalgamate(self, other: "NewtonPolygon") -> "NewtonPolygon":
         """Multiset union of the slopes."""
-        return NewtonPolygon(self._segments + other._segments)
+        a, b = self._segments, other._segments
+        if not a:
+            return other
+        if not b:
+            return self
+        merged = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            s, k = a[i]
+            t, n = b[j]
+            if s == t:
+                merged.append((s, k + n))
+                i += 1
+                j += 1
+            elif s < t:
+                merged.append(a[i])
+                i += 1
+            else:
+                merged.append(b[j])
+                j += 1
+        merged += a[i:]
+        merged += b[j:]
+        return NewtonPolygon._trusted(tuple(merged))
 
     def __add__(self, other: "NewtonPolygon") -> "NewtonPolygon":
         if not isinstance(other, NewtonPolygon):
@@ -138,11 +173,15 @@ class NewtonPolygon:
         d = int(d)
         if d < 0:
             raise PolygonSyntaxError(f"negative power {d}")
-        return NewtonPolygon((s, m * d) for s, m in self._segments)
+        if d == 0:
+            return EMPTY
+        return NewtonPolygon._trusted(tuple((s, m * d) for s, m in self._segments))
 
     def dual(self) -> "NewtonPolygon":
         """Image under slope -> 1 - slope."""
-        return NewtonPolygon((1 - s, m) for s, m in self._segments)
+        return NewtonPolygon._trusted(
+            tuple((1 - s, m) for s, m in reversed(self._segments))
+        )
 
     # -- order and shape ---------------------------------------------------
 
@@ -253,9 +292,10 @@ class NewtonPolygon:
     @classmethod
     def from_json_obj(cls, obj) -> "NewtonPolygon":
         try:
-            return cls((Fraction(e["num"], e["den"]), e["mult"]) for e in obj)
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            segments = [(Fraction(e["num"], e["den"]), int(e["mult"])) for e in obj]
+        except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise PolygonSyntaxError(f"bad polygon JSON: {obj!r}") from exc
+        return cls(segments)
 
     # -- dunders -----------------------------------------------------------
 

@@ -102,7 +102,13 @@ def enumerate_orbit_component(
                     continue
                 rec(x2, y2, slope, segs + ((slope, width),))
 
-    rec(0, 0, None, ())
+    try:
+        rec(0, 0, None, ())
+    finally:
+        # rec refers to itself through its closure cell; deleting the name
+        # breaks that cycle, so what it holds is freed at once instead of
+        # waiting for the cycle collector.
+        del rec
     polys = [OrbitPolygon(orbit, segs) for segs in found]
     if orbit.is_self_dual:
         polys = [q for q in polys if q.is_self_symmetric]

@@ -6,10 +6,11 @@ tests already pin down, so these tests are about wiring and formatting.
 """
 
 import json
+import time
 
 import pytest
 
-from npcc.cli import main
+from npcc.cli import P_BOUND, _is_prime, main
 
 
 def run(capsys, argv):
@@ -106,6 +107,65 @@ def test_residue_validation(capsys):
         capsys, ["muord", "--datum", "8:4:4,2,5,5", "--p-class", "2"]
     )
     assert code == 1 and "p = 2 shares a factor with m = 8" in err
+
+
+def _is_prime_by_trial_division(n):
+    """The trial division the CLI used before; the oracle for _is_prime."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    i = 3
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 2
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert all(_is_prime(n) == _is_prime_by_trial_division(n) for n in range(-2, 200_000))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        561,  # Carmichael
+        41041,  # Carmichael
+        2047,  # strong pseudoprime to base 2
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the prime bases 2..31
+        318665857834031151167461,  # strong pseudoprime to the prime bases 2..37
+        (2**61 - 1) * (2**19 - 1),
+    ],
+)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+def test_is_prime_accepts_large_primes():
+    for p in (2**31 - 1, 2**61 - 1, 2**64 - 59, 2**80 - 65):
+        assert _is_prime(p)
+
+
+def test_large_prime_is_answered_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, ["muord", "--datum", "8:4:4,2,5,5", "--p", str(2**61 - 1)]
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0, err
+    assert out.strip() == "ord^2+ss^3"
+
+
+def test_p_above_bound_is_rejected(capsys):
+    code, _, err = run(
+        capsys, ["muord", "--datum", "8:4:4,2,5,5", "--p", str(P_BOUND)]
+    )
+    assert code == 1
+    assert f"--p must be below {P_BOUND}" in err
 
 
 def test_prank_bound(capsys):
@@ -255,6 +315,30 @@ def test_generate_replay_tampered(capsys, tmp_path):
     code, _, err = run(capsys, ["generate", "--replay", str(path)])
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"version":1,"steps":[{"op":"base_case"}]}',
+        '{"version":1,"datum":{"m":7,"a":[1,1,5]},"polygon":[],"steps":[{"op":"base_case"}]}',
+        "[1, 2]",
+        "[" * 100_000,
+    ],
+)
+def test_generate_replay_malformed(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["generate", "--replay", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_generate_replay_missing_file(capsys, tmp_path):
+    code, _, err = run(capsys, ["generate", "--replay", str(tmp_path / "absent.json")])
+    assert code == 1 and err.startswith("error: cannot read certificate")
 
 
 def test_generate_double(capsys):

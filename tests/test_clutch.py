@@ -1,9 +1,14 @@
 """Tests for the clutching bookkeeping on pairs of data."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import npcc
 from npcc import (
     MonodromyDatum,
     NotAdmissibleError,
@@ -140,6 +145,56 @@ def test_epsilon_orbits_sum_to_defect():
     assert sum(e for _, e in rows) == r.epsilon == 2
     support = [o.members for o, e in rows if e]
     assert support == [(2, 6)]
+
+
+CHECKS_UNDER_O = """\
+import dataclasses
+
+import npcc.clutch as clutch
+from npcc import DomainError, MonodromyDatum
+
+assert False, "assert statements run; the interpreter is not under -O"
+G1 = MonodromyDatum(4, (1, 1, 2))
+G2 = MonodromyDatum(8, (4, 2, 5, 5))
+report = clutch.clutch_data(G1, G2)
+
+
+def expect_domain_error(call):
+    try:
+        call()
+    except DomainError as exc:
+        print(exc)
+    else:
+        print("no error")
+
+
+genus, gcd_m, delta_pair = clutch.genus, clutch._gcd_m, clutch._delta_pair
+clutch._gcd_m = lambda value, m: 1
+expect_domain_error(lambda: clutch.clutch_data(G1, G2))
+clutch._gcd_m = gcd_m
+clutch.genus = lambda datum: genus(datum) + 1
+expect_domain_error(lambda: clutch.clutch_data(G1, G2))
+clutch.genus = genus
+expect_domain_error(lambda: clutch.epsilon_orbits(dataclasses.replace(report, epsilon=3), 7))
+clutch._delta_pair = lambda d, big_r, n, m3: 0
+expect_domain_error(lambda: clutch.epsilon_orbits(report, 7))
+"""
+
+
+def test_clutch_checks_survive_python_O():
+    src = str(Path(npcc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", CHECKS_UNDER_O],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "branch-order bookkeeping broke",
+        "genus recursion disagrees with Riemann-Hurwitz",
+        "orbit defects must sum to the defect",
+        "defect mismatch on orbit {2,6}: 2 vs 0",
+    ]
 
 
 def test_clutch_report_with_residue():

@@ -1,5 +1,7 @@
 """Tests for certified inductive families and certificate replay."""
 
+import copy
+
 import pytest
 
 from npcc import (
@@ -20,6 +22,7 @@ from npcc import (
     self_clutch,
     verify_family,
 )
+from npcc.generators import MAX_REPLAY_DEPTH
 
 WORKED = MonodromyDatum(8, (2, 2, 2, 5, 5))
 
@@ -274,3 +277,64 @@ def test_replay_rejects_bad_certificates():
     tampered["polygon"] = parse("ord^2").to_json_obj()
     with pytest.raises(GeneratorError):
         replay(tampered)
+
+
+def _certificate_with_step(**fields):
+    """A valid one-step certificate whose base step gets the given fields."""
+    cert = base_case(MonodromyDatum(5, (1, 1, 3)), 2).certificate()
+    cert["steps"][0].update(fields)
+    return cert
+
+
+@pytest.mark.parametrize(
+    "cert, message",
+    [
+        ({"version": 1, "steps": [{"op": "base_case"}]}, "needs 'datum'"),
+        ([], "must be a JSON object"),
+        ({"version": 1, "steps": "base_case"}, "needs 'steps' as an array"),
+        (_certificate_with_step(datum=None), "needs 'datum' as an object"),
+        (_certificate_with_step(datum={"m": 5}), "bad datum JSON"),
+        (_certificate_with_step(datum={"m": 5, "a": ["x", 1, 3]}), "bad datum JSON"),
+        (_certificate_with_step(p_class="2"), "needs 'p_class' as an integer"),
+        (_certificate_with_step(p_class=True), "needs 'p_class' as an integer"),
+        (_certificate_with_step(op="payload_base"), "needs 'polygon' as an array"),
+        (_certificate_with_step(op="payload_base", polygon=[{"num": 1}]), "bad polygon JSON"),
+        (
+            _certificate_with_step(op="payload_base", polygon=[{"num": 1, "den": 2, "mult": "x"}]),
+            "bad polygon JSON",
+        ),
+    ],
+)
+def test_replay_rejects_malformed_certificates(cert, message):
+    with pytest.raises(GeneratorError, match=message):
+        replay(cert)
+
+
+def test_replay_rejects_malformed_later_steps():
+    f = base_case(MonodromyDatum(5, (1, 1, 3)), 2)
+    cert = f.certificate()
+    for step, message in [
+        ("not a step", "step must be a JSON object"),
+        ({"op": "extend_ord"}, "needs 'c' as an integer"),
+        ({"op": "self_clutch", "n": 2}, "needs 'at' as an array"),
+        ({"op": "self_clutch", "n": 2, "at": [0, 1, 2]}, "needs 'at' as two integer labels"),
+        ({"op": "self_clutch", "n": 2, "at": [0, "1"]}, "needs 'at' as two integer labels"),
+        ({"op": "pad_and_clutch", "t": 5}, "needs 'n' as an integer"),
+        ({"op": "double_induction", "n1": 1, "n2": 1}, "needs 'other' as an object"),
+        ({"op": "double_induction", "n1": 1, "other": cert}, "needs 'n2' as an integer"),
+    ]:
+        bad = f.certificate()
+        bad["steps"].append(step)
+        with pytest.raises(GeneratorError, match=message):
+            replay(bad)
+
+
+def test_replay_bounds_nesting_depth():
+    inner = base_case(MonodromyDatum(5, (1, 1, 3)), 2).certificate()
+    cert = inner
+    for _ in range(MAX_REPLAY_DEPTH + 1):
+        outer = copy.deepcopy(inner)
+        outer["steps"].append({"op": "double_induction", "n1": 1, "n2": 1, "other": cert})
+        cert = outer
+    with pytest.raises(GeneratorError, match=f"more than {MAX_REPLAY_DEPTH} levels"):
+        replay(cert)

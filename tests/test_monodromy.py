@@ -1,9 +1,14 @@
 """Tests for monodromy data and signature arithmetic."""
 
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
 from npcc import (
     DomainError,
+    InvalidDatumError,
     MonodromyDatum,
     Signature,
     genus,
@@ -142,3 +147,70 @@ def test_pad_and_strip():
 def test_signature_rejects_mismatched_values():
     with pytest.raises(DomainError):
         Signature(5, (1, 2, 3))  # needs m - 1 entries
+
+
+def _signature_by_fractions(datum):
+    """The Fraction-per-branch-point signature; the oracle for signature()."""
+    datum.validate()
+    m = datum.m
+    vals = []
+    for n in range(1, m):
+        terms = [(-n * ai) % m for ai in datum.a if ai % m]
+        if not any(terms):
+            vals.append(0)
+            continue
+        total = -1 + sum(Fraction(t, m) for t in terms)
+        if total.denominator != 1 or total < 0:
+            raise InvalidDatumError(
+                f"non-integral or negative eigenspace dimension {total} at n = {n}"
+            )
+        vals.append(int(total))
+    return Signature(m, tuple(vals))
+
+
+def _seeded_data(seed, count):
+    """Primitive, induced (imprimitive) and zero-padded generalized data."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < 3 * count:
+        m = rng.randint(2, 30)
+        a = [rng.randint(1, m - 1) for _ in range(rng.randint(2, 6))]
+        last = -sum(a) % m
+        if last == 0:
+            continue
+        datum = MonodromyDatum(m, tuple(a) + (last,))
+        if math.gcd(m, *datum.a) != 1:
+            continue
+        out.append(datum)
+        out.append(induce(datum, rng.randint(2, 4)))
+        zeros = [0] * rng.randint(1, 3)
+        entries = list(datum.a) + zeros
+        rng.shuffle(entries)
+        out.append(MonodromyDatum(m, tuple(entries), generalized=True))
+    return out
+
+
+def test_signature_matches_fraction_oracle():
+    data = _seeded_data(20260, 150)
+    assert any(math.gcd(d.m, *d.a) > 1 for d in data)
+    assert any(0 in d.a for d in data)
+    for datum in data:
+        assert signature(datum) == _signature_by_fractions(datum), datum
+
+
+class _Unvalidated(MonodromyDatum):
+    """A datum whose validation is skipped, to reach the defensive checks."""
+
+    def validate(self, require_primitive=False):
+        return self
+
+
+@pytest.mark.parametrize("a", [(1,), (1, 1), (1, 1, 1), (2, 3, 4, 4)])
+def test_signature_error_message_matches_fraction_oracle(a):
+    # entries not summing to 0 mod m give a negative or non-integral dimension
+    datum = _Unvalidated(5, a)
+    with pytest.raises(InvalidDatumError) as oracle:
+        _signature_by_fractions(datum)
+    with pytest.raises(InvalidDatumError) as fast:
+        signature(datum)
+    assert str(fast.value) == str(oracle.value)

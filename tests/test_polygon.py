@@ -1,5 +1,6 @@
 """Tests for the exact Newton polygon arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -196,3 +197,27 @@ def test_equality_and_hash():
     assert hash(a) == hash(b)
     assert a != parse("ord^2")
     assert len({a, b}) == 1
+
+
+def _random_polygon(rng):
+    """Up to five slopes from a small pool, so that pairs share slopes."""
+    pool = [F(0), F(1), F(1, 2), F(1, 3), F(2, 3), F(1, 4), F(3, 4), F(2, 5), F(5, 7)]
+    slopes = rng.sample(pool, rng.randint(0, 5))
+    return NewtonPolygon((s, rng.randint(1, 6)) for s in slopes)
+
+
+def _assert_canonical(nu, rebuilt):
+    assert nu.segments == rebuilt.segments
+    assert hash(nu) == hash(rebuilt)
+    assert all(type(s) is Fraction and type(m) is int for s, m in nu.segments)
+
+
+def test_algebra_matches_validating_constructor():
+    rng = random.Random(1811)
+    for _ in range(300):
+        a, b = _random_polygon(rng), _random_polygon(rng)
+        _assert_canonical(a + b, NewtonPolygon(a.segments + b.segments))
+        _assert_canonical(a.amalgamate(b), NewtonPolygon(a.segments + b.segments))
+        for d in range(4):
+            _assert_canonical(a.power(d), NewtonPolygon((s, m * d) for s, m in a.segments))
+        _assert_canonical(a.dual(), NewtonPolygon((1 - s, m) for s, m in a.segments))
