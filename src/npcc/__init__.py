@@ -4,187 +4,25 @@ Everything is computed in exact rational arithmetic: Newton polygons
 as slope multisets, signatures of cyclic covers, Frobenius orbits,
 mu-ordinary polygons, Kottwitz sets with codimensions, clutching
 reports, certified inductive families, and the bundled reference
-tables with their reproduction reports.
+tables with their reproduction reports.  The package exports what each
+module lists in its ``__all__``.
 """
 
-from .errors import (
-    AsymmetricPolygonError,
-    BadResidueError,
-    DomainError,
-    EmptyPolygonError,
-    EndpointMismatchError,
-    EnumerationCapError,
-    GeneratorError,
-    InconsistentSignatureError,
-    InvalidDatumError,
-    NotABaseCaseError,
-    NotAdmissibleError,
-    PolygonSyntaxError,
-    UnsupportedPairError,
-)
-from .polygon import EMPTY, ORD, SS, NewtonPolygon, parse
-from .monodromy import (
-    MonodromyDatum,
-    Signature,
-    genus,
-    induce,
-    normalize,
-    pad_first,
-    pad_last,
-    signature,
-    strip_zeros,
-)
-from .orbits import Orbit, OrbitDecomposition, decompose, g_of_orbit
-from .muord import (
-    OrbitPolygon,
-    beta_of_signature,
-    mu_ordinary,
-    mu_ordinary_of_signature,
-    mu_ordinary_orbit,
-    p_rank_bound,
-)
-from .strata import (
-    DEFAULT_ENUM_CAP,
-    ConditionUReport,
-    KottwitzElement,
-    KottwitzSet,
-    codim_sh,
-    condition_u,
-    dim_moduli,
-    enumerate_orbit_component,
-    kottwitz_set,
-    kottwitz_set_of_signature,
-    omega_count,
-    threshold_half_slope_density,
-    threshold_repeated_summand,
-    threshold_ss_chain,
-)
-from .clutch import (
-    ClutchReport,
-    MuOrdProductCheck,
-    check_admissible,
-    check_balanced,
-    check_compatible,
-    check_self_compatible,
-    clutch_data,
-    clutch_polygon,
-    clutch_report,
-    compatible_violations,
-    epsilon_orbits,
-    find_admissible_reordering,
-    mu_ord_product_check,
-    pad_pair,
-    reorder_at,
-)
-from .generators import (
-    CertifiedFamily,
-    base_case,
-    double_induction,
-    extend_ord,
-    pad_and_clutch,
-    payload_base,
-    replay,
-    self_clutch,
-    verify_family,
-)
-from .catalog import (
-    MoonenFamily,
-    MoonenRow,
-    moonen_base,
-    moonen_families,
-    moonen_family,
-    moonen_payload,
-    reproduce_appendix,
-    reproduce_applications,
-    worked_clutch_example,
-)
+from .errors import *
+from .polygon import *
+from .monodromy import *
+from .orbits import *
+from .muord import *
+from .strata import *
+from .clutch import *
+from .generators import *
+from .catalog import *
+from . import catalog, clutch, errors, generators, monodromy, muord, orbits, polygon, strata
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymmetricPolygonError",
-    "BadResidueError",
-    "DomainError",
-    "EmptyPolygonError",
-    "EndpointMismatchError",
-    "EnumerationCapError",
-    "GeneratorError",
-    "InconsistentSignatureError",
-    "InvalidDatumError",
-    "NotABaseCaseError",
-    "NotAdmissibleError",
-    "PolygonSyntaxError",
-    "UnsupportedPairError",
-    "EMPTY",
-    "ORD",
-    "SS",
-    "NewtonPolygon",
-    "parse",
-    "MonodromyDatum",
-    "Signature",
-    "genus",
-    "induce",
-    "normalize",
-    "pad_first",
-    "pad_last",
-    "signature",
-    "strip_zeros",
-    "Orbit",
-    "OrbitDecomposition",
-    "decompose",
-    "g_of_orbit",
-    "OrbitPolygon",
-    "beta_of_signature",
-    "mu_ordinary",
-    "mu_ordinary_of_signature",
-    "mu_ordinary_orbit",
-    "p_rank_bound",
-    "DEFAULT_ENUM_CAP",
-    "ConditionUReport",
-    "KottwitzElement",
-    "KottwitzSet",
-    "codim_sh",
-    "condition_u",
-    "dim_moduli",
-    "enumerate_orbit_component",
-    "kottwitz_set",
-    "kottwitz_set_of_signature",
-    "omega_count",
-    "threshold_half_slope_density",
-    "threshold_repeated_summand",
-    "threshold_ss_chain",
-    "ClutchReport",
-    "MuOrdProductCheck",
-    "check_admissible",
-    "check_balanced",
-    "check_compatible",
-    "check_self_compatible",
-    "clutch_data",
-    "clutch_polygon",
-    "clutch_report",
-    "compatible_violations",
-    "epsilon_orbits",
-    "find_admissible_reordering",
-    "mu_ord_product_check",
-    "pad_pair",
-    "reorder_at",
-    "CertifiedFamily",
-    "base_case",
-    "double_induction",
-    "extend_ord",
-    "pad_and_clutch",
-    "payload_base",
-    "replay",
-    "self_clutch",
-    "verify_family",
-    "MoonenFamily",
-    "MoonenRow",
-    "moonen_base",
-    "moonen_families",
-    "moonen_family",
-    "moonen_payload",
-    "reproduce_appendix",
-    "reproduce_applications",
-    "worked_clutch_example",
-    "__version__",
-]
+    name
+    for module in (errors, polygon, monodromy, orbits, muord, strata, clutch, generators, catalog)
+    for name in module.__all__
+] + ["__version__"]

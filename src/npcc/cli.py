@@ -25,13 +25,10 @@ from .catalog import (
 from .clutch import clutch_report
 from .errors import DomainError
 from .generators import (
+    CHAIN_OPS,
     base_case,
-    double_induction,
-    extend_ord,
-    pad_and_clutch,
     payload_base,
     replay,
-    self_clutch,
     verify_family,
 )
 from .monodromy import MonodromyDatum, genus, signature
@@ -104,41 +101,37 @@ def _cap(args: argparse.Namespace) -> int:
     return DEFAULT_ENUM_CAP
 
 
-def _emit_json(obj: dict) -> int:
-    payload = {"version": JSON_VERSION}
-    payload.update(obj)
-    print(json.dumps(payload, indent=2))
-    return 0
+def _joined(values) -> str:
+    return ",".join(str(v) for v in values)
 
 
-def _datum(text: str) -> MonodromyDatum:
-    return MonodromyDatum.from_text(text)
+def _datum_text(obj: dict) -> str:
+    return f"{obj['m']}:{len(obj['a'])}:{_joined(obj['a'])}"
 
 
-def _cmd_signature(args: argparse.Namespace) -> int:
-    datum = _datum(args.datum)
-    f = signature(datum)
-    if args.json:
-        return _emit_json(
-            {"datum": datum.to_json_obj(), "f": list(f.values), "genus": genus(datum)}
-        )
-    print(",".join(str(v) for v in f.values))
-    return 0
+def _flagged(polygons, large_p) -> str:
+    return "; ".join(poly + ("*" if flag else "") for poly, flag in zip(polygons, large_p))
 
 
-def _cmd_genus(args: argparse.Namespace) -> int:
-    datum = _datum(args.datum)
-    g = genus(datum)
-    if args.json:
-        return _emit_json({"datum": datum.to_json_obj(), "genus": g})
-    print(g)
-    return 0
+# Each command returns the document --json prints, or raw text to print
+# as is; its text function renders the document as plain text.
 
 
-def _cmd_orbits(args: argparse.Namespace) -> int:
+def _cmd_signature(args: argparse.Namespace) -> dict:
+    datum = MonodromyDatum.from_text(args.datum)
+    f = list(signature(datum).values)
+    return {"datum": datum.to_json_obj(), "f": f, "genus": genus(datum)}
+
+
+def _cmd_genus(args: argparse.Namespace) -> dict:
+    datum = MonodromyDatum.from_text(args.datum)
+    return {"datum": datum.to_json_obj(), "genus": genus(datum)}
+
+
+def _cmd_orbits(args: argparse.Namespace) -> dict:
     f = None
     if args.datum is not None:
-        datum = _datum(args.datum)
+        datum = MonodromyDatum.from_text(args.datum)
         m = datum.m
         f = signature(datum)
     elif args.m is not None:
@@ -160,10 +153,12 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         if f is not None:
             row["g"] = g_of_orbit(o, f)
         rows.append(row)
-    if args.json:
-        return _emit_json({"m": m, "p_class": dec.p_class, "orbits": rows})
-    for row in rows:
-        text = "{" + ",".join(str(n) for n in row["members"]) + "}"
+    return {"m": m, "p_class": dec.p_class, "orbits": rows}
+
+
+def _text_orbits(doc: dict) -> list[str]:
+    lines = []
+    for row in doc["orbits"]:
         notes = [f"size {row['size']}", f"order {row['order']}"]
         if row["self_dual"]:
             notes.append("self-dual")
@@ -171,48 +166,36 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
             notes.append("representative")
         if "g" in row:
             notes.append(f"g {row['g']}")
-        print(f"{text}  " + ", ".join(notes))
-    return 0
+        lines.append("{" + _joined(row["members"]) + "}  " + ", ".join(notes))
+    return lines
 
 
-def _cmd_muord(args: argparse.Namespace) -> int:
-    datum = _datum(args.datum)
+def _cmd_muord(args: argparse.Namespace) -> dict:
+    datum = MonodromyDatum.from_text(args.datum)
     c = _residue(args, datum.m)
     u = mu_ordinary(datum, c)
-    if args.json:
-        return _emit_json(
-            {
-                "datum": datum.to_json_obj(),
-                "p_class": c,
-                "polygon": u.to_json_obj(),
-                "polygon_text": str(u),
-                "p_rank": u.p_rank,
-                "genus": genus(datum),
-            }
-        )
-    print(u)
-    return 0
+    return {
+        "datum": datum.to_json_obj(),
+        "p_class": c,
+        "polygon": u.to_json_obj(),
+        "polygon_text": str(u),
+        "p_rank": u.p_rank,
+        "genus": genus(datum),
+    }
 
 
-def _cmd_prank_bound(args: argparse.Namespace) -> int:
-    datum = _datum(args.datum)
+def _cmd_prank_bound(args: argparse.Namespace) -> dict:
+    datum = MonodromyDatum.from_text(args.datum)
     c = _residue(args, datum.m)
-    bound = p_rank_bound(datum, c)
-    if args.json:
-        return _emit_json(
-            {"datum": datum.to_json_obj(), "p_class": c, "p_rank_bound": bound}
-        )
-    print(bound)
-    return 0
+    return {"datum": datum.to_json_obj(), "p_class": c, "p_rank_bound": p_rank_bound(datum, c)}
 
 
-def _cmd_kottwitz(args: argparse.Namespace) -> int:
-    datum = _datum(args.datum)
+def _cmd_kottwitz(args: argparse.Namespace) -> dict | str:
+    datum = MonodromyDatum.from_text(args.datum)
     c = _residue(args, datum.m)
     ks = kottwitz_set(datum, c, cap=_cap(args))
     if args.dot:
-        print(ks.hasse_dot())
-        return 0
+        return ks.hasse_dot()
     rows = [
         {
             "polygon_text": str(t),
@@ -222,67 +205,68 @@ def _cmd_kottwitz(args: argparse.Namespace) -> int:
         }
         for t in ks.totals()
     ]
-    if args.json:
-        return _emit_json(
-            {
-                "datum": datum.to_json_obj(),
-                "p_class": ks.p_class,
-                "size": len(ks),
-                "totals": rows,
-            }
-        )
-    print(f"{len(ks)} elements, {len(rows)} distinct polygons")
-    for row in rows:
-        print(f"codim {row['codim']}: {row['polygon_text']}  [{row['elements']} element(s)]")
-    return 0
+    return {"datum": datum.to_json_obj(), "p_class": ks.p_class, "size": len(ks), "totals": rows}
 
 
-def _cmd_clutch(args: argparse.Namespace) -> int:
-    g1 = _datum(args.datum1)
-    g2 = _datum(args.datum2)
+def _text_kottwitz(doc: dict) -> list[str]:
+    return [f"{doc['size']} elements, {len(doc['totals'])} distinct polygons"] + [
+        f"codim {row['codim']}: {row['polygon_text']}  [{row['elements']} element(s)]"
+        for row in doc["totals"]
+    ]
+
+
+def _cmd_clutch(args: argparse.Namespace) -> dict:
+    g1 = MonodromyDatum.from_text(args.datum1)
+    g2 = MonodromyDatum.from_text(args.datum2)
     p_class = None
     if args.p is not None or args.p_class is not None:
         p_class = _residue(args, math.lcm(g1.m, g2.m))
-    rep = clutch_report(g1, g2, p=p_class)
-    if args.json:
-        return _emit_json(rep.to_json_obj())
-    print(f"gamma1: {rep.gamma1.text()}")
-    print(f"gamma2: {rep.gamma2.text()}")
-    print(f"gamma3: {rep.gamma3.text()}")
-    print(f"m3 {rep.m3}, d1 {rep.d1}, d2 {rep.d2}, r1 {rep.r1}, r2 {rep.r2}, r0 {rep.r0}")
-    print(f"epsilon {rep.epsilon}, g3 {rep.g3}")
-    print("f3: " + ",".join(str(v) for v in rep.f3.values))
-    print(f"admissible: {rep.admissible}")
-    if rep.p_class is not None:
-        print(f"p_class: {rep.p_class}")
-        print(f"balanced: {rep.balanced}")
-        print(f"compatible: {rep.compatible}")
-        defects = ", ".join(f"{o}:{e}" for o, e in rep.defects if e)
-        print(f"defects: {defects if defects else 'none'}")
-    return 0
+    return clutch_report(g1, g2, p=p_class).to_json_obj()
 
 
-def _apply_step(fam, op: str):
-    parts = op.split(":")
-    kind = parts[0]
-    try:
-        if kind == "pad" and len(parts) == 3:
-            return pad_and_clutch(fam, int(parts[1]), int(parts[2]))
-        if kind == "self" and len(parts) in (2, 3):
-            auto = len(parts) == 3 and parts[2] == "auto"
-            if len(parts) == 3 and not auto:
-                raise ValueError
-            return self_clutch(fam, int(parts[1]), auto_pad=auto)
-        if kind == "extend" and len(parts) == 2:
-            return extend_ord(fam, int(parts[1]))
-    except ValueError:
-        pass
-    raise DomainError(
-        f"unknown step {op!r}; use pad:T:N, self:N[:auto], or extend:C"
-    )
+def _text_clutch(doc: dict) -> list[str]:
+    lines = [f"gamma{k}: {_datum_text(doc[f'gamma{k}'])}" for k in (1, 2, 3)]
+    lines += [
+        "m3 {m3}, d1 {d1}, d2 {d2}, r1 {r1}, r2 {r2}, r0 {r0}".format(**doc),
+        f"epsilon {doc['epsilon']}, g3 {doc['g3']}",
+        "f3: " + _joined(doc["f3"]),
+        f"admissible: {doc['admissible']}",
+    ]
+    if "p_class" in doc:
+        defects = ", ".join(
+            "{" + _joined(d["orbit"]) + "}" + f":{d['epsilon']}"
+            for d in doc["defects"]
+            if d["epsilon"]
+        )
+        lines += [
+            f"p_class: {doc['p_class']}",
+            f"balanced: {doc['balanced']}",
+            f"compatible: {doc['compatible']}",
+            f"defects: {defects if defects else 'none'}",
+        ]
+    return lines
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _step_forms() -> str:
+    """The --step forms of the chain ops, as "A, B, or C"."""
+    *first, last = (op.cli for op in CHAIN_OPS.values() if op.cli)
+    return f"{', '.join(first)}, or {last}"
+
+
+def _apply_step(fam, text: str):
+    for op in CHAIN_OPS.values():
+        keywords = op.parse(text)
+        if keywords is None:
+            continue
+        op.check(fam, keywords)
+        try:
+            return op.run(fam, **keywords)
+        except ValueError:
+            break  # a step the library refuses reports as unknown
+    raise DomainError(f"unknown step {text!r}; use {_step_forms()}")
+
+
+def _cmd_generate(args: argparse.Namespace) -> dict | str:
     if args.replay is not None:
         try:
             if args.replay == "-":
@@ -296,158 +280,139 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             cert = json.loads(text)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DomainError(f"certificate is not valid JSON: {exc}") from None
-        fam = replay(cert)
-        report = verify_family(fam)
-        if args.json:
-            _emit_json({"replayed": True, "verify": report})
-        else:
-            print(f"replayed: {fam.datum.text()} at class {fam.p_class}")
-            print(f"polygon: {fam.claimed_np}")
-            print(f"verified: {report['ok']}")
-        return 0 if report["ok"] else 1
+        return {"replayed": True, "verify": verify_family(replay(cert))}
     if args.datum is None:
         raise DomainError("generate needs --datum (or --replay FILE)")
-    datum = _datum(args.datum)
+    datum = MonodromyDatum.from_text(args.datum)
     c = _residue(args, datum.m)
-    if args.payload is not None:
-        fam = payload_base(datum, c, parse(args.payload), cap=_cap(args))
-    else:
-        fam = base_case(datum, c)
+
+    def start(datum: MonodromyDatum, payload: str | None):
+        if payload is None:
+            return base_case(datum, c)
+        return payload_base(datum, c, parse(payload), cap=_cap(args))
+
+    fam = start(datum, args.payload)
     for op in args.step:
         fam = _apply_step(fam, op)
     if args.double_with is not None:
-        other_datum = _datum(args.double_with)
-        if args.double_payload is not None:
-            other = payload_base(
-                other_datum, c, parse(args.double_payload), cap=_cap(args)
-            )
-        else:
-            other = base_case(other_datum, c)
-        fam = double_induction(fam, other, args.n1, args.n2)
-    print(json.dumps(fam.certificate(), indent=2))
-    return 0
+        other = start(MonodromyDatum.from_text(args.double_with), args.double_payload)
+        crossing = CHAIN_OPS["double_induction"]
+        keywords = {"other": other, "n1": args.n1, "n2": args.n2}
+        crossing.check(fam, keywords)
+        fam = crossing.run(fam, **keywords)
+    return json.dumps(fam.certificate(), indent=2)
 
 
-def _cmd_codim_ag(args: argparse.Namespace) -> int:
+def _text_replay(doc: dict) -> list[str]:
+    report = doc["verify"]
+    return [
+        f"replayed: {report['datum']} at class {report['p_class']}",
+        f"polygon: {report['claimed']}",
+        f"verified: {report['ok']}",
+    ]
+
+
+def _cmd_codim_ag(args: argparse.Namespace) -> dict:
     nu = parse(args.polygon)
-    count = omega_count(nu)
-    if args.json:
-        return _emit_json({"polygon_text": str(nu), "codim_ag": count})
-    print(count)
-    return 0
+    return {"polygon_text": str(nu), "codim_ag": omega_count(nu)}
 
 
-def _cmd_condition_u(args: argparse.Namespace) -> int:
+def _cmd_condition_u(args: argparse.Namespace) -> dict:
     nu = parse(args.polygon)
-    rep = condition_u(nu)
-    if args.json:
-        return _emit_json({"polygon_text": str(nu), **rep.to_json_obj()})
-    print(f"holds={'true' if rep.holds else 'false'}")
-    print(f"genus={rep.genus}")
-    print(f"dim_mg={rep.dim_mg}")
-    print(f"codim_ag={rep.codim_ag}")
-    return 0
+    return {"polygon_text": str(nu), **condition_u(nu).to_json_obj()}
 
 
-def _cmd_moonen(args: argparse.Namespace) -> int:
+def _text_condition_u(doc: dict) -> list[str]:
+    return [
+        f"holds={'true' if doc['holds'] else 'false'}",
+        f"genus={doc['genus']}",
+        f"dim_mg={doc['dim_mg']}",
+        f"codim_ag={doc['codim_ag']}",
+    ]
+
+
+def _cmd_moonen(args: argparse.Namespace) -> dict:
     if args.verify_all:
-        rep = reproduce_appendix()
-        if args.json:
-            _emit_json(rep)
-        else:
-            for fam in rep["families"]:
-                print(f"{fam['label']:<7} {'ok' if fam['ok'] else 'FAIL'}")
-            print("all ok" if rep["ok"] else "mismatches found")
-        return 0 if rep["ok"] else 1
+        return reproduce_appendix()
     if args.family is None:
-        fams = moonen_families()
-        if args.json:
-            return _emit_json(
-                {
-                    "families": [
-                        {
-                            "label": fam.label,
-                            "m": fam.m,
-                            "a": list(fam.a),
-                            "genus": fam.genus,
-                        }
-                        for fam in fams
-                    ]
-                }
-            )
-        for fam in fams:
-            a_text = ",".join(str(x) for x in fam.a)
-            print(f"{fam.label:<7} m={fam.m:<3} a={a_text:<24} genus {fam.genus}")
-        return 0
+        return {
+            "families": [
+                {"label": fam.label, "m": fam.m, "a": list(fam.a), "genus": fam.genus}
+                for fam in moonen_families()
+            ]
+        }
     key = int(args.family) if args.family.isdigit() else args.family
     fam = moonen_family(key)
     if args.p is None and args.p_class is None:
-        if args.json:
-            return _emit_json(
+        return {
+            "label": fam.label,
+            "m": fam.m,
+            "a": list(fam.a),
+            "f": list(fam.f),
+            "genus": fam.genus,
+            "rows": [
                 {
-                    "label": fam.label,
-                    "m": fam.m,
-                    "a": list(fam.a),
-                    "f": list(fam.f),
-                    "genus": fam.genus,
-                    "rows": [
-                        {
-                            "classes": list(row.classes),
-                            "polygons": [str(poly) for poly in row.polygons],
-                            "large_p": list(row.large_p),
-                        }
-                        for row in fam.rows
-                    ],
+                    "classes": list(row.classes),
+                    "polygons": [str(poly) for poly in row.polygons],
+                    "large_p": list(row.large_p),
                 }
-            )
-        print(f"{fam.label}: m={fam.m} a={','.join(str(x) for x in fam.a)} genus {fam.genus}")
-        print("f: " + ",".join(str(v) for v in fam.f))
-        for row in fam.rows:
-            classes = ",".join(str(c) for c in row.classes)
-            polys = "; ".join(
-                str(poly) + ("*" if flag else "")
-                for poly, flag in zip(row.polygons, row.large_p)
-            )
-            print(f"classes {classes} mod {fam.m}: {polys}")
-        return 0
+                for row in fam.rows
+            ],
+        }
     c = _residue(args, fam.m)
-    u = mu_ordinary(fam.datum, c)
-    pairs = fam.polygons_for_class(c)
-    if args.json:
-        return _emit_json(
-            {
-                "label": fam.label,
-                "m": fam.m,
-                "p_class": c,
-                "mu_ordinary": str(u),
-                "polygons": [
-                    {"polygon_text": str(poly), "large_p": flag}
-                    for poly, flag in pairs
-                ],
-            }
-        )
-    print(u)
-    listed = "; ".join(str(poly) + ("*" if flag else "") for poly, flag in pairs)
-    print(f"class {c} mod {fam.m}: {listed}")
-    return 0
+    return {
+        "label": fam.label,
+        "m": fam.m,
+        "p_class": c,
+        "mu_ordinary": str(mu_ordinary(fam.datum, c)),
+        "polygons": [
+            {"polygon_text": str(poly), "large_p": flag}
+            for poly, flag in fam.polygons_for_class(c)
+        ],
+    }
 
 
-def _cmd_clutch_demo(args: argparse.Namespace) -> int:
-    rep = worked_clutch_example()
-    if args.json:
-        _emit_json(rep)
-        return 0 if rep["ok"] else 1
-    print(f"join {rep['datum1']} with {rep['datum2']} at class {rep['p_class']}")
-    for check in rep["checks"]:
+def _text_moonen(doc: dict) -> list[str]:
+    if "ok" in doc:  # --verify-all
+        return [
+            f"{fam['label']:<7} {'ok' if fam['ok'] else 'FAIL'}" for fam in doc["families"]
+        ] + ["all ok" if doc["ok"] else "mismatches found"]
+    if "families" in doc:
+        return [
+            f"{fam['label']:<7} m={fam['m']:<3} a={_joined(fam['a']):<24} genus {fam['genus']}"
+            for fam in doc["families"]
+        ]
+    if "rows" in doc:
+        return [
+            f"{doc['label']}: m={doc['m']} a={_joined(doc['a'])} genus {doc['genus']}",
+            "f: " + _joined(doc["f"]),
+        ] + [
+            f"classes {_joined(row['classes'])} mod {doc['m']}: "
+            + _flagged(row["polygons"], row["large_p"])
+            for row in doc["rows"]
+        ]
+    polygons = doc["polygons"]
+    return [
+        doc["mu_ordinary"],
+        f"class {doc['p_class']} mod {doc['m']}: "
+        + _flagged([p["polygon_text"] for p in polygons], [p["large_p"] for p in polygons]),
+    ]
+
+
+def _cmd_clutch_demo(args: argparse.Namespace) -> dict:
+    return worked_clutch_example()
+
+
+def _text_clutch_demo(doc: dict) -> list[str]:
+    lines = [f"join {doc['datum1']} with {doc['datum2']} at class {doc['p_class']}"]
+    for check in doc["checks"]:
         if check["ok"]:
-            print(f"[ok]   {check['check']}: {check['got']}")
+            lines.append(f"[ok]   {check['check']}: {check['got']}")
         else:
-            print(
-                f"[FAIL] {check['check']}: got {check['got']},"
-                f" expected {check['expected']}"
+            lines.append(
+                f"[FAIL] {check['check']}: got {check['got']}, expected {check['expected']}"
             )
-    print(f"ok={'true' if rep['ok'] else 'false'}")
-    return 0 if rep["ok"] else 1
+    return lines + [f"ok={'true' if doc['ok'] else 'false'}"]
 
 
 def _add_residue_group(sp: argparse.ArgumentParser, required: bool = True) -> None:
@@ -467,43 +432,58 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def new(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def new(name: str, func, text, help_text: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--json", action="store_true", help="emit versioned JSON")
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, text=text)
         return sp
 
-    sp = new("signature", _cmd_signature, "signature values of a datum")
+    sp = new(
+        "signature",
+        _cmd_signature,
+        lambda doc: [_joined(doc["f"])],
+        "signature values of a datum",
+    )
     sp.add_argument("--datum", required=True, help="datum as m:N:a1,...,aN")
 
-    sp = new("genus", _cmd_genus, "genus of a datum")
+    sp = new("genus", _cmd_genus, lambda doc: [str(doc["genus"])], "genus of a datum")
     sp.add_argument("--datum", required=True)
 
-    sp = new("orbits", _cmd_orbits, "orbits of multiplication by p mod m")
+    sp = new("orbits", _cmd_orbits, _text_orbits, "orbits of multiplication by p mod m")
     sp.add_argument("--m", type=int, help="modulus (or derive it from --datum)")
     sp.add_argument("--datum", help="optional datum; adds per-orbit g values")
     _add_residue_group(sp)
 
-    sp = new("muord", _cmd_muord, "mu-ordinary polygon of a datum at a class")
+    sp = new(
+        "muord",
+        _cmd_muord,
+        lambda doc: [doc["polygon_text"]],
+        "mu-ordinary polygon of a datum at a class",
+    )
     sp.add_argument("--datum", required=True)
     _add_residue_group(sp)
 
-    sp = new("prank-bound", _cmd_prank_bound, "largest p-rank in the Kottwitz set")
+    sp = new(
+        "prank-bound",
+        _cmd_prank_bound,
+        lambda doc: [str(doc["p_rank_bound"])],
+        "largest p-rank in the Kottwitz set",
+    )
     sp.add_argument("--datum", required=True)
     _add_residue_group(sp)
 
-    sp = new("kottwitz", _cmd_kottwitz, "enumerate the Kottwitz set")
+    sp = new("kottwitz", _cmd_kottwitz, _text_kottwitz, "enumerate the Kottwitz set")
     sp.add_argument("--datum", required=True)
     sp.add_argument("--cap", type=int, help="enumeration cap (or NPCC_ENUM_CAP)")
     sp.add_argument("--dot", action="store_true", help="emit the Hasse diagram as DOT")
     _add_residue_group(sp)
 
-    sp = new("clutch", _cmd_clutch, "clutching report for a pair of data")
+    sp = new("clutch", _cmd_clutch, _text_clutch, "clutching report for a pair of data")
     sp.add_argument("--datum1", required=True)
     sp.add_argument("--datum2", required=True)
     _add_residue_group(sp, required=False)
 
-    sp = new("generate", _cmd_generate, "build or replay a certified family")
+    sp = new("generate", _cmd_generate, _text_replay, "build or replay a certified family")
     sp.add_argument("--datum", help="base datum as m:N:a1,...,aN")
     sp.add_argument("--payload", help="start from a listed non-generic polygon")
     sp.add_argument(
@@ -511,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="OP",
-        help="pad:T:N, self:N[:auto], or extend:C; repeatable",
+        help=f"{_step_forms()}; repeatable",
     )
     sp.add_argument("--double-with", help="second datum for a crossed chain")
     sp.add_argument("--double-payload", help="non-generic polygon on the second datum")
@@ -521,13 +501,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--replay", metavar="FILE", help="replay a certificate (- for stdin)")
     _add_residue_group(sp, required=False)
 
-    sp = new("codim-ag", _cmd_codim_ag, "ambient stratum codimension of a polygon")
+    sp = new(
+        "codim-ag",
+        _cmd_codim_ag,
+        lambda doc: [str(doc["codim_ag"])],
+        "ambient stratum codimension of a polygon",
+    )
     sp.add_argument("--polygon", required=True, help='e.g. "ss^7+ord^2"')
 
-    sp = new("condition-u", _cmd_condition_u, "unlikely intersection diagnostic")
+    sp = new(
+        "condition-u", _cmd_condition_u, _text_condition_u, "unlikely intersection diagnostic"
+    )
     sp.add_argument("--polygon", required=True)
 
-    sp = new("moonen", _cmd_moonen, "bundled family table and its verification")
+    sp = new("moonen", _cmd_moonen, _text_moonen, "bundled family table and its verification")
     sp.add_argument("--family", help="family number 1..20 or label M[k]")
     sp.add_argument(
         "--verify-all",
@@ -537,7 +524,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_residue_group(sp, required=False)
 
-    sp = new("clutch-demo", _cmd_clutch_demo, "worked clutching example replay")
+    new("clutch-demo", _cmd_clutch_demo, _text_clutch_demo, "worked clutching example replay")
 
     return parser
 
@@ -552,10 +539,20 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        out = args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if isinstance(out, str):
+        print(out)
+        return 0
+    if args.json:
+        print(json.dumps({"version": JSON_VERSION, **out}, indent=2))
+    else:
+        for line in args.text(out):
+            print(line)
+    # A document that carries a check's verdict exits 1 when it failed.
+    return 0 if out.get("verify", out).get("ok", True) else 1
 
 
 def entry() -> None:

@@ -4,6 +4,23 @@ Everything user-facing derives from DomainError so the CLI can map
 domain failures to a single exit code while usage errors stay separate.
 """
 
+__all__ = [
+    "DomainError",
+    "PolygonSyntaxError",
+    "EndpointMismatchError",
+    "EmptyPolygonError",
+    "AsymmetricPolygonError",
+    "InvalidDatumError",
+    "BadResidueError",
+    "InconsistentSignatureError",
+    "NotAdmissibleError",
+    "UnsupportedPairError",
+    "NotABaseCaseError",
+    "GeneratorError",
+    "CertificationError",
+    "EnumerationCapError",
+]
+
 
 class DomainError(ValueError):
     """A mathematically invalid request (bad input, undefined operation)."""
@@ -51,6 +68,10 @@ class NotABaseCaseError(DomainError):
 
 class GeneratorError(DomainError):
     """A hypothesis check failed mid-derivation, or a recipe precondition is unmet."""
+
+
+class CertificationError(GeneratorError):
+    """A derivation's own bookkeeping check failed, so its claim is not certified."""
 
 
 class EnumerationCapError(DomainError):

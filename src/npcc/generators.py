@@ -17,10 +17,12 @@ from __future__ import annotations
 import copy
 import dataclasses
 import math
+from typing import Callable, NamedTuple
 
 from .clutch import check_compatible, check_self_compatible, clutch_report
 from .errors import (
     BadResidueError,
+    CertificationError,
     DomainError,
     GeneratorError,
     InvalidDatumError,
@@ -111,18 +113,23 @@ class CertifiedFamily:
         }
 
 
-def _self_pair(a, m):
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            if (a[i] + a[j]) % m == 0:
-                return i, j
-    return None
+def _extended(f: CertifiedFamily, datum, claim, step: dict, **changes) -> CertifiedFamily:
+    """f after one more chain step; its other fields carry over unless changed."""
+    steps = f.steps + (step,)
+    return dataclasses.replace(f, datum=datum, claimed_np=claim, steps=steps, **changes)
 
 
-def _designated_pair(a1, a2, m):
-    for i in range(len(a1)):
-        for j in range(len(a2)):
-            if (a1[i] + a2[j]) % m == 0:
+def _certify(holds: bool, what: str) -> None:
+    """Raise CertificationError unless a derivation's own check holds."""
+    if not holds:
+        raise CertificationError(f"certification check failed: {what}")
+
+
+def _first_pair(a1, a2, m: int, within: bool):
+    """The first (i, j) with a1[i] + a2[j] = 0 mod m; j > i when within one datum."""
+    for i, x in enumerate(a1):
+        for j in range(i + 1 if within else 0, len(a2)):
+            if (x + a2[j]) % m == 0:
                 return i, j
     return None
 
@@ -155,7 +162,7 @@ def _fold_chain(std: MonodromyDatum, n: int, p: int, r: int) -> MonodromyDatum:
     accum = std
     for _ in range(n - 1):
         rep = clutch_report(accum, std, p=p)
-        assert rep.balanced and rep.epsilon == r - 1
+        _certify(rep.balanced and rep.epsilon == r - 1, "chain joint balanced with defect r - 1")
         accum = rep.gamma3
     return accum
 
@@ -179,10 +186,10 @@ def _chain_parts(datum, claim, mu_claim, p, i, j, n):
     std = _reorder_ends(datum, i, j)
     u = mu_ordinary(std, p)
     if mu_claim:
-        assert u == claim
+        _certify(u == claim, "mu-ordinary claim recomputes on the chained datum")
         chain = _fold_chain(std, n, p, r)
         np3 = claim.power(n) + ORD.power((n - 1) * (r - 1))
-        assert np3 == mu_ordinary(chain, p)
+        _certify(np3 == mu_ordinary(chain, p), "chain claim is mu-ordinary")
         return chain, np3, r
     if not check_self_compatible(datum, p):
         raise GeneratorError(
@@ -191,7 +198,7 @@ def _chain_parts(datum, claim, mu_claim, p, i, j, n):
         )
     twin = _fold_chain(std, n - 1, p, r)
     rep = clutch_report(twin, std, p=p)
-    assert rep.balanced and rep.epsilon == r - 1
+    _certify(rep.balanced and rep.epsilon == r - 1, "payload joint balanced with defect r - 1")
     if rep.compatible is not True:
         raise GeneratorError(
             "hypothesis failure: the joining step fails the direct slope"
@@ -209,23 +216,25 @@ def _extend_parts(datum, claim, c, p, mu_claim):
         raise GeneratorError("c must be nonzero mod m")
     t = math.gcd(c, m)
     g1 = MonodromyDatum(m // t, (c // t, (m - c) // t, 0), generalized=True)
-    assert genus(g1) == 0
+    _certify(genus(g1) == 0, "the extending cover has genus 0")
     rep = clutch_report(g1, pad_first(datum), p=p)
-    assert rep.epsilon == m - t
-    assert rep.balanced and rep.compatible is True
-    assert rep.gamma3.a[:2] == (c, (m - c) % m)
+    _certify(
+        rep.epsilon == m - t and rep.balanced and rep.compatible is True
+        and rep.gamma3.a[:2] == (c, (m - c) % m),
+        "extension is balanced and compatible, with defect m - t and (c, m - c) first",
+    )
     np3 = claim + ORD.power(m - t)
     if mu_claim:
-        assert np3 == mu_ordinary(rep.gamma3, p)
+        _certify(np3 == mu_ordinary(rep.gamma3, p), "extended claim is mu-ordinary")
     return rep.gamma3, np3, t
 
 
-def _padded_chain(datum, claim, p, n):
-    """Mu-ordinary chain of n copies joined at two added unbranched labels."""
+def _padded_chain(datum, claim, mu_claim, p, n):
+    """Datum and claim of n copies chained at two appended unbranched labels."""
     if n == 1:
         return datum, claim
     padded = pad_last(pad_last(datum))
-    return _chain_parts(padded, claim, True, p, padded.N - 2, padded.N - 1, n)[:2]
+    return _chain_parts(padded, claim, mu_claim, p, padded.N - 2, padded.N - 1, n)[:2]
 
 
 def _moonen_match(datum):
@@ -255,54 +264,28 @@ def base_case(datum: MonodromyDatum, p_class: int) -> CertifiedFamily:
     datum.validate()
     u = mu_ordinary(datum, p_class)
     m, big_n = datum.m, datum.N
-    clause = assumption = None
+    label = None if big_n == 3 else _moonen_match(datum)
     if big_n == 3:
-        clause = "N3"
-        assumption = (
-            "mu-ordinary stratum nonempty for the base datum"
-            " (three branch points)"
-        )
-    if clause is None:
-        label = _moonen_match(datum)
-        if label is not None:
-            clause = "catalog:" + label
-            assumption = (
-                "mu-ordinary stratum nonempty for the base datum"
-                f" (matches listed family {label})"
-            )
-    if clause is None:
-        totals = kottwitz_set(datum, p_class).totals()
-        if sum(1 for t in totals if t.p_rank == u.p_rank) == 1:
-            pc = p_class % m
-            if big_n == 4:
-                clause = "unique-max-p-rank:N4"
-                assumption = (
-                    "mu-ordinary stratum nonempty for the base datum"
-                    " (unique maximal p-rank polygon, four branch points)"
-                )
-            elif pc in (1, m - 1):
-                clause = "unique-max-p-rank:pm1"
-                assumption = (
-                    "mu-ordinary stratum nonempty for the base datum"
-                    " (unique maximal p-rank polygon, p is +-1 mod m)"
-                )
-            else:
-                clause = "unique-max-p-rank:large-p"
-                assumption = (
-                    "mu-ordinary stratum nonempty for the base datum"
-                    " (unique maximal p-rank polygon) assuming"
-                    f" p >= {m * (big_n - 3)}"
-                )
-    if clause is None:
+        clause, why = "N3", "(three branch points)"
+    elif label is not None:
+        clause, why = "catalog:" + label, f"(matches listed family {label})"
+    elif sum(1 for t in kottwitz_set(datum, p_class).totals() if t.p_rank == u.p_rank) != 1:
         raise NotABaseCaseError(
             f"no base clause applies to {datum.text()} at class"
             f" {p_class % m} mod {m}"
         )
+    elif big_n == 4:
+        clause = "unique-max-p-rank:N4"
+        why = "(unique maximal p-rank polygon, four branch points)"
+    elif p_class % m in (1, m - 1):
+        clause = "unique-max-p-rank:pm1"
+        why = "(unique maximal p-rank polygon, p is +-1 mod m)"
+    else:
+        clause = "unique-max-p-rank:large-p"
+        why = f"(unique maximal p-rank polygon) assuming p >= {m * (big_n - 3)}"
+    assumption = "mu-ordinary stratum nonempty for the base datum " + why
     step = {
-        "op": "base_case",
-        "datum": datum.to_json_obj(),
-        "p_class": p_class % m,
-        "clause": clause,
+        "op": "base_case", "datum": datum.to_json_obj(), "p_class": p_class % m, "clause": clause
     }
     return CertifiedFamily(datum, p_class, u, True, (step,), (assumption,), 0)
 
@@ -331,9 +314,7 @@ def payload_base(
             f" {datum.text()} at class {p_class % datum.m}"
         ) from None
     step = {
-        "op": "payload_base",
-        "datum": datum.to_json_obj(),
-        "p_class": p_class % datum.m,
+        "op": "payload_base", "datum": datum.to_json_obj(), "p_class": p_class % datum.m,
         "polygon": polygon.to_json_obj(),
     }
     assumption = (
@@ -358,23 +339,10 @@ def extend_ord(f: CertifiedFamily, c: int) -> CertifiedFamily:
         f.datum, f.claimed_np, c, f.p_class, f.mu_ordinary_claim
     )
     step = {
-        "op": "extend_ord",
-        "c": c % m,
-        "t": t,
-        "epsilon": m - t,
-        "admissible": True,
-        "balanced": True,
-        "compatible": True,
+        "op": "extend_ord", "c": c % m, "t": t, "epsilon": m - t,
+        "admissible": True, "balanced": True, "compatible": True,
     }
-    return CertifiedFamily(
-        datum3,
-        f.p_class,
-        np3,
-        f.mu_ordinary_claim,
-        f.steps + (step,),
-        f.assumptions,
-        f.payload_codim,
-    )
+    return _extended(f, datum3, np3, step)
 
 
 def self_clutch(
@@ -395,43 +363,27 @@ def self_clutch(
         raise GeneratorError("n must be a positive integer")
     if n == 1:
         return f
-    base = f.datum
-    padded = False
+    base, mu_claim = f.datum, f.mu_ordinary_claim
     if at is None:
-        at = _self_pair(base.a, base.m)
-        if at is None:
-            if not auto_pad:
-                raise GeneratorError(
-                    "no complementary pair a(i) + a(j) = 0 mod m; pass"
-                    " auto_pad=True to append a pair of unbranched labels"
-                )
-            base = pad_last(pad_last(base))
-            at = (base.N - 2, base.N - 1)
-            padded = True
-    i, j = at
-    datum3, np3, r = _chain_parts(
-        base, f.claimed_np, f.mu_ordinary_claim, f.p_class, i, j, n
-    )
+        at = _first_pair(base.a, base.a, base.m, True)
+    padded = at is None
+    if padded:
+        if not auto_pad:
+            raise GeneratorError(
+                "no complementary pair a(i) + a(j) = 0 mod m; pass"
+                " auto_pad=True to append a pair of unbranched labels"
+            )
+        at, r = (base.N, base.N + 1), base.m
+        datum3, np3 = _padded_chain(base, f.claimed_np, mu_claim, f.p_class, n)
+    else:
+        i, j = at
+        datum3, np3, r = _chain_parts(base, f.claimed_np, mu_claim, f.p_class, i, j, n)
     step = {
-        "op": "self_clutch",
-        "n": n,
-        "at": [i, j],
-        "auto_pad": padded,
-        "r": r,
-        "epsilon": (n - 1) * (r - 1),
-        "admissible": True,
-        "balanced": True,
-        "compatible": None if f.mu_ordinary_claim else True,
+        "op": "self_clutch", "n": n, "at": list(at), "auto_pad": padded, "r": r,
+        "epsilon": (n - 1) * (r - 1), "admissible": True, "balanced": True,
+        "compatible": None if mu_claim else True,
     }
-    return CertifiedFamily(
-        datum3,
-        f.p_class,
-        np3,
-        f.mu_ordinary_claim,
-        f.steps + (step,),
-        f.assumptions,
-        f.payload_codim,
-    )
+    return _extended(f, datum3, np3, step)
 
 
 def pad_and_clutch(f: CertifiedFamily, t: int, n: int) -> CertifiedFamily:
@@ -450,50 +402,28 @@ def pad_and_clutch(f: CertifiedFamily, t: int, n: int) -> CertifiedFamily:
         raise GeneratorError("n must be a positive integer")
     if t < 1 or m % t:
         raise GeneratorError(f"t must be a positive divisor of {m}")
+    if t == m and n == 1:
+        return f
+    mu_claim, p = f.mu_ordinary_claim, f.p_class
     if t == m:
-        if n == 1:
-            return f
-        base = pad_last(pad_last(f.datum))
-        base_claim = f.claimed_np
-        pair = (base.N - 2, base.N - 1)
+        datum3, np3 = _padded_chain(f.datum, f.claimed_np, mu_claim, p, n)
+        r = m
     else:
-        base, base_claim, _ = _extend_parts(
-            f.datum, f.claimed_np, t, f.p_class, f.mu_ordinary_claim
-        )
-        pair = (0, 1)
-    if n == 1:
-        datum3, np3, r = base, base_claim, t
+        datum3, np3, r = _extend_parts(f.datum, f.claimed_np, t, p, mu_claim)
+        if n > 1:
+            datum3, np3, r = _chain_parts(datum3, np3, mu_claim, p, 0, 1, n)
+    _certify(r == t, "the chain joins at labels with gcd t")
+    epsilon = m * n - n - t + 1
+    if mu_claim:
+        expected = f.claimed_np.power(n) + ORD.power(epsilon)
     else:
-        datum3, np3, r = _chain_parts(
-            base, base_claim, f.mu_ordinary_claim, f.p_class, *pair, n
-        )
-    assert r == t
-    if f.mu_ordinary_claim:
-        assert np3 == f.claimed_np.power(n) + ORD.power(m * n - n - t + 1)
-    else:
-        u = mu_ordinary(f.datum, f.p_class)
-        assert np3 == u.power(n - 1) + f.claimed_np + ORD.power(
-            m * n - n - t + 1
-        )
+        expected = mu_ordinary(f.datum, p).power(n - 1) + f.claimed_np + ORD.power(epsilon)
+    _certify(np3 == expected, "the chain's claim is u^n + ord^(mn - n - t + 1)")
     step = {
-        "op": "pad_and_clutch",
-        "t": t,
-        "n": n,
-        "r": r,
-        "epsilon": m * n - n - t + 1,
-        "admissible": True,
-        "balanced": True,
-        "compatible": None if f.mu_ordinary_claim else True,
+        "op": "pad_and_clutch", "t": t, "n": n, "r": r, "epsilon": epsilon,
+        "admissible": True, "balanced": True, "compatible": None if mu_claim else True,
     }
-    return CertifiedFamily(
-        datum3,
-        f.p_class,
-        np3,
-        f.mu_ordinary_claim,
-        f.steps + (step,),
-        f.assumptions,
-        f.payload_codim,
-    )
+    return _extended(f, datum3, np3, step)
 
 
 def double_induction(
@@ -529,38 +459,37 @@ def double_induction(
             " claims ride on the second"
         )
     p = f1.p_class
-    pair = _designated_pair(f1.datum.a, f2.datum.a, m)
+    pair = _first_pair(f1.datum.a, f2.datum.a, m, False)
     if pair is None:
-        raise GeneratorError(
-            "no complementary pair between the two data"
-        )
+        raise GeneratorError("no complementary pair between the two data")
     i0, j0 = pair
     v1 = f1.datum.a[i0] % m
     v2 = f2.datum.a[j0] % m
     r = _gcd_m(v1, m)
-    a_datum, a_np = _padded_chain(f1.datum, f1.claimed_np, p, n1)
+    a_datum, a_np = _padded_chain(f1.datum, f1.claimed_np, True, p, n1)
     assumptions = list(f1.assumptions)
     for note in f2.assumptions:
         if note not in assumptions:
             assumptions.append(note)
 
-    if f2.mu_ordinary_claim:
-        b_datum, b_np = _padded_chain(f2.datum, f2.claimed_np, p, n2)
+    def cross(b_datum):
+        """Join the first chain to b_datum at the designated pair."""
         rep = clutch_report(
             _move_value(a_datum, v1, True), _move_value(b_datum, v2, False), p=p
         )
-        assert rep.epsilon == r - 1
+        _certify(rep.epsilon == r - 1, "crossing defect is r - 1")
+        return rep
+
+    if f2.mu_ordinary_claim:
+        b_datum, b_np = _padded_chain(f2.datum, f2.claimed_np, True, p, n2)
+        rep = cross(b_datum)
         np3 = a_np + b_np + ORD.power(r - 1)
         balanced = bool(rep.balanced)
-        if balanced:
-            assert np3 == mu_ordinary(rep.gamma3, p)
-            mu_claim, codim = True, 0
-        else:
-            assert np3 != mu_ordinary(rep.gamma3, p)
-            mu_claim, codim = False, None
-            assumptions.append(_UNBALANCED_NOTE)
-        datum3 = rep.gamma3
-        compatible = rep.compatible
+        _certify(
+            (np3 == mu_ordinary(rep.gamma3, p)) == balanced,
+            "crossed claim is mu-ordinary exactly when the joint is balanced",
+        )
+        mu_claim, codim, compatible = balanced, 0, rep.compatible
     else:
         if not check_compatible(f1.datum, f2.datum, p):
             raise GeneratorError(
@@ -573,31 +502,21 @@ def double_induction(
                 " mu-ordinary polygon against itself"
             )
         if n2 == 1:
-            rep = clutch_report(
-                _move_value(a_datum, v1, True),
-                _move_value(f2.datum, v2, False),
-                p=p,
-            )
-            assert rep.epsilon == r - 1
+            rep = cross(f2.datum)
             balanced = bool(rep.balanced)
             np3 = a_np + f2.claimed_np + ORD.power(r - 1)
         else:
             u2 = mu_ordinary(f2.datum, p)
-            b_datum, b_np = _padded_chain(f2.datum, u2, p, n2 - 1)
-            rep4 = clutch_report(
-                _move_value(a_datum, v1, True),
-                _move_value(b_datum, v2, False),
-                p=p,
-            )
-            assert rep4.epsilon == r - 1
+            b_datum, b_np = _padded_chain(f2.datum, u2, True, p, n2 - 1)
+            rep4 = cross(b_datum)
             z4_np = a_np + b_np + ORD.power(r - 1)
             balanced = bool(rep4.balanced)
             if balanced:
-                assert z4_np == mu_ordinary(rep4.gamma3, p)
+                _certify(z4_np == mu_ordinary(rep4.gamma3, p), "crossed chain is mu-ordinary")
             rep = clutch_report(
                 pad_last(rep4.gamma3), pad_first(f2.datum), p=p
             )
-            assert rep.epsilon == m - 1
+            _certify(rep.epsilon == m - 1, "payload joint defect is m - 1")
             balanced = balanced and bool(rep.balanced)
             np3 = z4_np + f2.claimed_np + ORD.power(m - 1)
         if rep.compatible is not True:
@@ -605,34 +524,18 @@ def double_induction(
                 "hypothesis failure: the joining step fails the direct"
                 " slope interval test"
             )
-        datum3 = rep.gamma3
-        mu_claim = False
-        compatible = True
-        if balanced:
-            codim = f2.payload_codim
-        else:
-            codim = None
-            assumptions.append(_UNBALANCED_NOTE)
-
+        mu_claim, codim, compatible = False, f2.payload_codim, True
+    if not balanced:
+        codim = None
+        assumptions.append(_UNBALANCED_NOTE)
     step = {
-        "op": "double_induction",
-        "n1": n1,
-        "n2": n2,
-        "at": [i0, j0],
-        "r": r,
-        "admissible": True,
-        "balanced": balanced,
-        "compatible": compatible,
+        "op": "double_induction", "n1": n1, "n2": n2, "at": [i0, j0], "r": r,
+        "admissible": True, "balanced": balanced, "compatible": compatible,
         "other": f2.certificate(),
     }
-    return CertifiedFamily(
-        datum3,
-        p,
-        np3,
-        mu_claim,
-        f1.steps + (step,),
-        tuple(assumptions),
-        codim,
+    return _extended(
+        f1, rep.gamma3, np3, step,
+        mu_ordinary_claim=mu_claim, assumptions=tuple(assumptions), payload_codim=codim,
     )
 
 
@@ -657,9 +560,7 @@ def verify_family(
         "mu_match": u == f.claimed_np,
         "dominates_mu_ordinary": f.claimed_np.lies_on_or_above(u),
     }
-    ok = report["mu_match"] if f.mu_ordinary_claim else report[
-        "dominates_mu_ordinary"
-    ]
+    ok = report["mu_match" if f.mu_ordinary_claim else "dominates_mu_ordinary"]
     if deep and not f.mu_ordinary_claim:
         ks = kottwitz_set(f.datum, f.p_class, cap=cap)
         codim = ks.codim_of_polygon(f.claimed_np)
@@ -674,6 +575,11 @@ def verify_family(
 # How deeply double_induction certificates may nest through "other".
 MAX_REPLAY_DEPTH = 16
 
+# The most branch points a replayed or --step chain step may produce.
+# Work grows quadratically in N: self:340:auto on 7:3:1,1,5 (N = 1022)
+# takes under 2 s.
+MAX_BRANCH_POINTS = 1024
+
 _JSON_TYPES = {dict: "an object", list: "an array", int: "an integer"}
 
 
@@ -685,14 +591,122 @@ def _field(obj: dict, key: str, kind: type, where: str):
     return value
 
 
+class ChainOp(NamedTuple):
+    """A chain op: its certificate "op" name, its --step form, and its work.
+
+    cli is a word, ":X" per integer keyword x and an optional "[:flag]"
+    setting keyword flag, or None.  read(step, where, depth) returns the
+    keywords a certificate step records; size(family, **keywords) counts
+    the result's branch points without building it; run applies the op.
+    """
+
+    name: str
+    cli: str | None
+    read: Callable[[dict, str, int], dict]
+    size: Callable[..., int]
+    run: Callable[..., CertifiedFamily]
+
+    def parse(self, text: str) -> dict | None:
+        """The keywords of a --step text in this op's form, or None."""
+        if self.cli is None:
+            return None
+        form, _, flag = self.cli.partition("[:")
+        word, *keys = form.split(":")
+        given, *values = text.split(":")
+        keywords = {}
+        if flag and len(values) == len(keys) + 1 and values[-1] == flag[:-1]:
+            keywords[values.pop()] = True
+        if given != word or len(values) != len(keys):
+            return None
+        try:
+            return {**keywords, **{k.lower(): int(v) for k, v in zip(keys, values)}}
+        except ValueError:
+            return None
+
+    def check(self, f: CertifiedFamily, keywords: dict) -> None:
+        """Refuse the step if its result would exceed MAX_BRANCH_POINTS."""
+        size = self.size(f, **keywords)
+        if size > MAX_BRANCH_POINTS:
+            raise GeneratorError(
+                f"step {self.name!r} would give {size} branch points, more than"
+                f" MAX_BRANCH_POINTS = {MAX_BRANCH_POINTS}"
+            )
+
+
+def _ints(*keys: str):
+    return lambda step, where, depth: {key: _field(step, key, int, where) for key in keys}
+
+
+def _read_self(step: dict, where: str, depth: int) -> dict:
+    n = _field(step, "n", int, where)
+    if step.get("auto_pad"):
+        return {"n": n, "auto": True}
+    at = _field(step, "at", list, where)
+    if len(at) != 2 or not all(type(i) is int for i in at):
+        raise GeneratorError(f"{where} needs 'at' as two integer labels")
+    return {"n": n, "at": tuple(at)}
+
+
+def _read_double(step: dict, where: str, depth: int) -> dict:
+    other = replay(_field(step, "other", dict, where), depth + 1)
+    return {"other": other, **_ints("n1", "n2")(step, where, depth)}
+
+
+def _padded_size(big_n: int, n: int) -> int:
+    """Branch points of _padded_chain's result."""
+    return big_n if n == 1 else n * big_n + 2
+
+
+def _self_size(f: CertifiedFamily, n: int, at=None, auto: bool = False) -> int:
+    a, m, big_n = f.datum.a, f.datum.m, f.datum.N
+    padded = n > 1 and at is None and auto and _first_pair(a, a, m, True) is None
+    return n * (big_n + 2 * padded) - 2 * (n - 1)
+
+
+def _double_size(f: CertifiedFamily, other: CertifiedFamily, n1: int, n2: int) -> int:
+    big_n = other.datum.N
+    if other.mu_ordinary_claim or n2 == 1:
+        second = _padded_size(big_n, n2)
+    else:  # a chain of n2 - 1 copies, then the payload copy
+        second = _padded_size(big_n, n2 - 1) + big_n
+    return _padded_size(f.datum.N, n1) + second - 2
+
+
+# In the order `npcc generate --step` lists them.  Each entry calls the
+# module's function at call time, so whatever the module binds then runs.
+CHAIN_OPS = {
+    op.name: op
+    for op in (
+        ChainOp(
+            "pad_and_clutch", "pad:T:N", _ints("t", "n"),
+            lambda f, t, n: _padded_size(f.datum.N, n) if t == f.datum.m else n * f.datum.N + 2,
+            lambda f, t, n: pad_and_clutch(f, t, n),
+        ),
+        ChainOp(
+            "self_clutch", "self:N[:auto]", _read_self, _self_size,
+            lambda f, n, at=None, auto=False: self_clutch(f, n, at=at, auto_pad=auto),
+        ),
+        ChainOp(
+            "extend_ord", "extend:C", _ints("c"),
+            lambda f, c: f.datum.N + 2,
+            lambda f, c: extend_ord(f, c),
+        ),
+        ChainOp(
+            "double_induction", None, _read_double, _double_size,
+            lambda f, other, n1, n2: double_induction(f, other, n1, n2),
+        ),
+    )
+}
+
+
 def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
     """Re-run a certificate's derivation and confirm it reproduces it.
 
     Raises GeneratorError when the certificate is malformed (a missing
     or mistyped field, or double_induction steps nested more than
-    MAX_REPLAY_DEPTH deep) or when the replayed datum or polygon differ
-    from the recorded ones.  _depth counts the enclosing certificates
-    of a nested one.
+    MAX_REPLAY_DEPTH deep), when a step would exceed MAX_BRANCH_POINTS,
+    or when the replayed datum or polygon differ from the recorded
+    ones.  _depth counts the enclosing certificates of a nested one.
     """
     if not isinstance(cert, dict):
         raise GeneratorError("certificate must be a JSON object")
@@ -728,28 +742,12 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
             continue
         if fam is None:
             raise GeneratorError("derivation does not start at a base step")
-        if op == "extend_ord":
-            fam = extend_ord(fam, _field(raw, "c", int, where))
-        elif op == "self_clutch":
-            n = _field(raw, "n", int, where)
-            if raw.get("auto_pad"):
-                fam = self_clutch(fam, n, auto_pad=True)
-            else:
-                at = _field(raw, "at", list, where)
-                if len(at) != 2 or not all(type(i) is int for i in at):
-                    raise GeneratorError(f"{where} needs 'at' as two integer labels")
-                fam = self_clutch(fam, n, at=tuple(at))
-        elif op == "pad_and_clutch":
-            fam = pad_and_clutch(
-                fam, _field(raw, "t", int, where), _field(raw, "n", int, where)
-            )
-        elif op == "double_induction":
-            other = replay(_field(raw, "other", dict, where), _depth + 1)
-            fam = double_induction(
-                fam, other, _field(raw, "n1", int, where), _field(raw, "n2", int, where)
-            )
-        else:
+        chain = CHAIN_OPS.get(op) if isinstance(op, str) else None
+        if chain is None:
             raise GeneratorError(f"unknown step op {op!r}")
+        keywords = chain.read(raw, where, _depth)
+        chain.check(fam, keywords)
+        fam = chain.run(fam, **keywords)
     if fam is None:
         raise GeneratorError("empty derivation")
     if fam.datum.to_json_obj() != expected_datum:

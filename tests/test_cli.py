@@ -363,6 +363,34 @@ def test_generate_double(capsys):
     assert cert["steps"][-1]["balanced"] is True
 
 
+def test_generate_refuses_steps_over_the_branch_point_bound(capsys, tmp_path):
+    base = ["generate", "--datum", "7:3:1,1,5", "--p-class", "2"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, base + ["--step", "self:2000:auto"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: step 'self_clutch' would give 6002 branch points,"
+        " more than MAX_BRANCH_POINTS = 1024\n"
+    )
+    code, out, err = run(capsys, base + ["--double-with", "7:3:6,2,6", "--n1", "1000"])
+    assert (code, out) == (1, "")
+    assert "'double_induction' would give 3003 branch points" in err
+    code, out, _ = run(capsys, base + ["--step", "self:2:auto"])
+    cert = json.loads(out)
+    cert["steps"][-1]["n"] = 100_000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["generate", "--replay", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: step 'self_clutch' would give 300002 branch points,"
+        " more than MAX_BRANCH_POINTS = 1024\n"
+    )
+
+
 def test_generate_usage_errors(capsys):
     code, _, err = run(capsys, ["generate", "--p-class", "2"])
     assert code == 1 and "generate needs --datum" in err

@@ -10,7 +10,8 @@ when an output changes on purpose, rewrite it with
 and review the diff.  A second test runs README's command-line tour and
 compares each command's output with the text README shows.  argparse
 wraps usage and help text to the terminal width, so both tests fix
-COLUMNS.
+COLUMNS; its formatting also differs between Python versions, and the
+data file was captured with Python 3.11.
 """
 
 from __future__ import annotations

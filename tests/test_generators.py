@@ -1,11 +1,18 @@
 """Tests for certified inductive families and certificate replay."""
 
 import copy
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import npcc
 from npcc import (
     BadResidueError,
+    CertificationError,
     CertifiedFamily,
     GeneratorError,
     MonodromyDatum,
@@ -22,7 +29,7 @@ from npcc import (
     self_clutch,
     verify_family,
 )
-from npcc.generators import MAX_REPLAY_DEPTH
+from npcc.generators import CHAIN_OPS, MAX_BRANCH_POINTS, MAX_REPLAY_DEPTH
 
 WORKED = MonodromyDatum(8, (2, 2, 2, 5, 5))
 
@@ -338,3 +345,138 @@ def test_replay_bounds_nesting_depth():
         cert = outer
     with pytest.raises(GeneratorError, match=f"more than {MAX_REPLAY_DEPTH} levels"):
         replay(cert)
+
+
+def _sized_steps():
+    """(family, op name, keywords) covering every op and size branch."""
+    n3 = base_case(MonodromyDatum(7, (1, 1, 5)), 2)
+    paired = base_case(MonodromyDatum(4, (1, 2, 2, 3)), 3)
+    payload = payload_base(MonodromyDatum(4, (1, 2, 2, 3)), 3, parse("ss^2"))
+    other = base_case(MonodromyDatum(5, (4, 2, 4)), 4)
+    cases = []
+    for fam in (n3, paired, payload):
+        m = fam.datum.m
+        cases += [(fam, "extend_ord", {"c": c}) for c in range(1, m)]
+        cases += [
+            (fam, "pad_and_clutch", {"t": t, "n": n})
+            for t in range(1, m + 1) if m % t == 0 for n in (1, 2, 3)
+        ]
+        cases += [(fam, "self_clutch", {"n": n, "auto": True}) for n in (1, 2, 3)]
+    cases += [(paired, "self_clutch", {"n": 3, "at": (1, 2)})]
+    five = base_case(MonodromyDatum(5, (1, 1, 3)), 4)
+    cases += [
+        (five, "double_induction", {"other": other, "n1": n1, "n2": n2})
+        for n1 in (1, 2) for n2 in (1, 2, 3)
+    ]
+    crossed_payload = payload_base(MonodromyDatum(3, (1, 1, 2, 2)), 1, parse("ss^2"))
+    three = base_case(MonodromyDatum(3, (1, 1, 1)), 1)
+    cases += [
+        (three, "double_induction", {"other": crossed_payload, "n1": n1, "n2": n2})
+        for n1 in (1, 2) for n2 in (1, 2, 3)
+    ]
+    return cases
+
+
+def test_chain_op_size_is_the_result_size():
+    for fam, name, keywords in _sized_steps():
+        op = CHAIN_OPS[name]
+        assert op.size(fam, **keywords) == op.run(fam, **keywords).datum.N, (name, keywords)
+
+
+def test_chain_steps_are_bounded_before_clutching():
+    fam = base_case(MonodromyDatum(7, (1, 1, 5)), 2)
+    op = CHAIN_OPS["self_clutch"]
+    assert op.size(fam, n=340, auto=True) == 1022 <= MAX_BRANCH_POINTS
+    op.check(fam, {"n": 340, "auto": True})
+    with pytest.raises(GeneratorError, match="1025 branch points.*MAX_BRANCH_POINTS = 1024"):
+        op.check(fam, {"n": 341, "auto": True})
+    cert = self_clutch(fam, 2, auto_pad=True).certificate()
+    for n in (341, 100000):
+        cert["steps"][-1]["n"] = n
+        start = time.perf_counter()
+        with pytest.raises(GeneratorError, match="MAX_BRANCH_POINTS = 1024"):
+            replay(cert)
+        assert time.perf_counter() - start < 1.0
+    big = {"op": "pad_and_clutch", "t": 7, "n": 400}
+    cert = fam.certificate()
+    cert["steps"].append(big)
+    with pytest.raises(GeneratorError, match="'pad_and_clutch' would give 1202 branch points"):
+        replay(cert)
+    other = fam.certificate()
+    cert = fam.certificate()
+    cert["steps"].append({"op": "double_induction", "n1": 300, "n2": 300, "other": other})
+    with pytest.raises(GeneratorError, match="'double_induction' would give 1802 branch"):
+        replay(cert)
+
+
+def test_chain_op_cli_forms():
+    forms = {name: op.cli for name, op in CHAIN_OPS.items()}
+    assert forms == {
+        "pad_and_clutch": "pad:T:N",
+        "self_clutch": "self:N[:auto]",
+        "extend_ord": "extend:C",
+        "double_induction": None,
+    }
+    parsed = {
+        text: [(name, op.parse(text)) for name, op in CHAIN_OPS.items() if op.parse(text)]
+        for text in ("pad:5:3", "self:2", "self:2:auto", "extend:3", "self:2:pad", "pad:5",
+                     "extend:x", "double:1:1", "self:auto")
+    }
+    assert parsed == {
+        "pad:5:3": [("pad_and_clutch", {"t": 5, "n": 3})],
+        "self:2": [("self_clutch", {"n": 2})],
+        "self:2:auto": [("self_clutch", {"n": 2, "auto": True})],
+        "extend:3": [("extend_ord", {"c": 3})],
+        "self:2:pad": [],
+        "pad:5": [],
+        "extend:x": [],
+        "double:1:1": [],
+        "self:auto": [],
+    }
+
+
+CERTIFY_UNDER_O = """\
+import dataclasses
+
+import npcc.generators as gen
+from npcc import EMPTY, CertificationError, MonodromyDatum
+
+assert False, "assert statements run; the interpreter is not under -O"
+fam = gen.base_case(MonodromyDatum(7, (1, 1, 5)), 2)
+
+
+def attempt(name, fake, call):
+    real = getattr(gen, name)
+    setattr(gen, name, fake)
+    try:
+        call()
+    except CertificationError as exc:
+        print(exc)
+    else:
+        print("no error")
+    finally:
+        setattr(gen, name, real)
+
+
+report = gen.clutch_report
+attempt("genus", lambda datum: 1, lambda: gen.extend_ord(fam, 3))
+attempt("mu_ordinary", lambda datum, p: EMPTY, lambda: gen.self_clutch(fam, 2, auto_pad=True))
+unbalanced = lambda *args, **kwargs: dataclasses.replace(report(*args, **kwargs), balanced=False)
+attempt("clutch_report", unbalanced, lambda: gen.pad_and_clutch(fam, 7, 2))
+"""
+
+
+def test_certification_checks_survive_python_O():
+    src = str(Path(npcc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", CERTIFY_UNDER_O],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "certification check failed: the extending cover has genus 0",
+        "certification check failed: mu-ordinary claim recomputes on the chained datum",
+        "certification check failed: chain joint balanced with defect r - 1",
+    ]
+    assert issubclass(CertificationError, GeneratorError)
