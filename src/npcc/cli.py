@@ -72,6 +72,8 @@ def _is_prime(n: int) -> bool:
 
 def _residue(args: argparse.Namespace, m: int) -> int:
     """Reduce --p or --p-class mod m, validating --p as an actual prime."""
+    if m < 2:
+        raise DomainError(f"m = {m} < 2")
     if getattr(args, "p", None) is not None:
         p = args.p
         if p >= P_BOUND:
@@ -113,8 +115,8 @@ def _flagged(polygons, large_p) -> str:
     return "; ".join(poly + ("*" if flag else "") for poly, flag in zip(polygons, large_p))
 
 
-# Each command returns the document --json prints, or raw text to print
-# as is; its text function renders the document as plain text.
+# Each command returns the document --json prints; its text function
+# renders the document as plain text.
 
 
 def _cmd_signature(args: argparse.Namespace) -> dict:
@@ -190,12 +192,13 @@ def _cmd_prank_bound(args: argparse.Namespace) -> dict:
     return {"datum": datum.to_json_obj(), "p_class": c, "p_rank_bound": p_rank_bound(datum, c)}
 
 
-def _cmd_kottwitz(args: argparse.Namespace) -> dict | str:
+def _cmd_kottwitz(args: argparse.Namespace) -> dict:
     datum = MonodromyDatum.from_text(args.datum)
     c = _residue(args, datum.m)
     ks = kottwitz_set(datum, c, cap=_cap(args))
+    head = {"datum": datum.to_json_obj(), "p_class": ks.p_class, "size": len(ks)}
     if args.dot:
-        return ks.hasse_dot()
+        return {**head, "dot": ks.hasse_dot()}
     rows = [
         {
             "polygon_text": str(t),
@@ -205,10 +208,12 @@ def _cmd_kottwitz(args: argparse.Namespace) -> dict | str:
         }
         for t in ks.totals()
     ]
-    return {"datum": datum.to_json_obj(), "p_class": ks.p_class, "size": len(ks), "totals": rows}
+    return {**head, "totals": rows}
 
 
 def _text_kottwitz(doc: dict) -> list[str]:
+    if "dot" in doc:
+        return [doc["dot"]]
     return [f"{doc['size']} elements, {len(doc['totals'])} distinct polygons"] + [
         f"codim {row['codim']}: {row['polygon_text']}  [{row['elements']} element(s)]"
         for row in doc["totals"]
@@ -256,17 +261,13 @@ def _step_forms() -> str:
 def _apply_step(fam, text: str):
     for op in CHAIN_OPS.values():
         keywords = op.parse(text)
-        if keywords is None:
-            continue
-        op.check(fam, keywords)
-        try:
+        if keywords is not None:
+            op.check(fam, keywords)
             return op.run(fam, **keywords)
-        except ValueError:
-            break  # a step the library refuses reports as unknown
     raise DomainError(f"unknown step {text!r}; use {_step_forms()}")
 
 
-def _cmd_generate(args: argparse.Namespace) -> dict | str:
+def _cmd_generate(args: argparse.Namespace) -> dict:
     if args.replay is not None:
         try:
             if args.replay == "-":
@@ -300,10 +301,14 @@ def _cmd_generate(args: argparse.Namespace) -> dict | str:
         keywords = {"other": other, "n1": args.n1, "n2": args.n2}
         crossing.check(fam, keywords)
         fam = crossing.run(fam, **keywords)
-    return json.dumps(fam.certificate(), indent=2)
+    return fam.certificate()
 
 
-def _text_replay(doc: dict) -> list[str]:
+def _text_generate(doc: dict) -> list[str]:
+    if "replayed" not in doc:
+        # The certificate is already a versioned document, so text and
+        # --json print the same bytes.
+        return [json.dumps(doc, indent=2)]
     report = doc["verify"]
     return [
         f"replayed: {report['datum']} at class {report['p_class']}",
@@ -483,7 +488,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--datum2", required=True)
     _add_residue_group(sp, required=False)
 
-    sp = new("generate", _cmd_generate, _text_replay, "build or replay a certified family")
+    sp = new("generate", _cmd_generate, _text_generate, "build or replay a certified family")
     sp.add_argument("--datum", help="base datum as m:N:a1,...,aN")
     sp.add_argument("--payload", help="start from a listed non-generic polygon")
     sp.add_argument(
@@ -543,9 +548,6 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(out, str):
-        print(out)
-        return 0
     if args.json:
         print(json.dumps({"version": JSON_VERSION, **out}, indent=2))
     else:

@@ -89,7 +89,8 @@ class MonodromyDatum:
             raise InvalidDatumError(f"bad datum text {text!r}") from exc
         if len(a) != n:
             raise InvalidDatumError(f"datum text {text!r} lists {len(a)} entries, N = {n}")
-        return cls(m, a, generalized=any(x % m == 0 for x in a))
+        # m < 1 is left for the constructor to refuse.
+        return cls(m, a, generalized=m > 0 and any(x % m == 0 for x in a))
 
     def to_json_obj(self) -> dict:
         return {"m": self.m, "a": list(self.a), "generalized": self.generalized}

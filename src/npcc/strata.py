@@ -40,8 +40,6 @@ __all__ = [
     "KottwitzElement",
     "KottwitzSet",
     "kottwitz_set",
-    "kottwitz_set_of_signature",
-    "codim_sh",
     "omega_count",
     "dim_moduli",
     "ConditionUReport",
@@ -122,20 +120,23 @@ class KottwitzElement:
     """One choice of admissible polygon per orbit-pair representative.
 
     ``total`` is the amalgamation of the components' pieces
-    (`OrbitPolygon.piece`); the Kottwitz set computes it in its fold.
+    (`OrbitPolygon.piece`) and ``index`` the element's position in its
+    Kottwitz set; the set computes both in its fold.
     """
 
-    __slots__ = ("reps", "components", "total")
+    __slots__ = ("reps", "components", "total", "index")
 
     def __init__(
         self,
         reps: tuple[Orbit, ...],
         components: tuple[OrbitPolygon, ...],
         total: NewtonPolygon,
+        index: int,
     ):
         self.reps = reps
         self.components = components
         self.total = total
+        self.index = index
 
     def component(self, orbit: Orbit) -> OrbitPolygon:
         """The normalized polygon on the given orbit, dualizing if needed."""
@@ -172,7 +173,7 @@ class KottwitzSet:
     so the first element is the top of the poset and the last its
     bottom.  The length of an element is the longest strictly
     increasing chain from it up to the top; in a product poset that is
-    the sum of the per-factor lengths.
+    the sum of the per-factor lengths (see `_chain_lengths`).
 
     Totals and lengths come from one fold over the factors in that
     order.  Each distinct partial total is summed with each candidate's
@@ -224,11 +225,10 @@ class KottwitzSet:
             totals = folded
             lengths = [n + s for n in lengths for s in steps]
         self.elements = tuple(
-            KottwitzElement(self.reps, comps, total)
-            for comps, total in zip(itertools.product(*self.factors), totals)
+            KottwitzElement(self.reps, comps, total, i)
+            for i, (comps, total) in enumerate(zip(itertools.product(*self.factors), totals))
         )
         self.lengths = tuple(lengths)
-        self._index = {e: i for i, e in enumerate(self.elements)}
         # Grouping by identity hashes no polygon per element.
         groups: dict[int, list[int]] = {}
         for i, total in enumerate(totals):
@@ -241,22 +241,20 @@ class KottwitzSet:
     def _chain_lengths(candidates: tuple[OrbitPolygon, ...]) -> tuple[int, ...]:
         """Longest chain up to the factor's top, per candidate.
 
-        Candidates come sorted lowest first, so anything above a given
-        candidate appears earlier and its length is already known.
+        That length is a lattice count (Chai, "Newton polygons as
+        lattice points", Amer. J. Math. 122, 2000): the sum of
+        ceil(c(x)) - ceil(top(x)) over x = 0..G, or over x = 0..G // 2
+        on a self-dual orbit, whose polygons are symmetric.  The factor
+        is ranked by it (Hamacher, Duke Math. J. 164, 2015), the same
+        count `omega_count` takes for the Siegel case.
         """
-        lengths: list[int] = []
-        for i, c in enumerate(candidates):
-            if i == 0:
-                lengths.append(0)
-                continue
-            best = -1
-            for j in range(i):
-                if candidates[j] != c and c.lies_on_or_above(candidates[j]):
-                    best = max(best, lengths[j])
-            if best < 0:
-                raise DomainError("every candidate must lie above the factor top")
-            lengths.append(best + 1)
-        return tuple(lengths)
+        top = candidates[0]
+        stop = (top.height // 2 if top.orbit.is_self_dual else top.height) + 1
+        base = _lattice_count(top, stop)
+        lengths = tuple(_lattice_count(c, stop) - base for c in candidates)
+        if any(n < 1 for n in lengths[1:]):
+            raise DomainError("every candidate must lie above the factor top")
+        return lengths
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -265,10 +263,10 @@ class KottwitzSet:
         return iter(self.elements)
 
     def index_of(self, element: KottwitzElement) -> int:
-        try:
-            return self._index[element]
-        except KeyError:
-            raise DomainError(f"element {element} is not in this Kottwitz set") from None
+        i = element.index
+        if 0 <= i < len(self.elements) and self.elements[i] == element:
+            return i
+        raise DomainError(f"element {element} is not in this Kottwitz set")
 
     def length(self, element: KottwitzElement) -> int:
         return self.lengths[self.index_of(element)]
@@ -288,20 +286,20 @@ class KottwitzSet:
         return min(self.length(e) for e in matches)
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
-        """Cover relations as (lower, upper) element indices."""
-        n = len(self.elements)
-        below = [
-            frozenset(
-                j for j in range(n) if j != i and self.elements[j].leq(self.elements[i])
-            )
-            for i in range(n)
-        ]
-        edges = []
-        for i in range(n):
-            for j in below[i]:
-                if not any(j in below[k] for k in below[i] if k != j):
-                    edges.append((j, i))
-        return tuple(sorted(edges))
+        """Cover relations as (lower, upper) element indices.
+
+        The poset is ranked by length, so the covers are the comparable
+        pairs whose lengths differ by one.
+        """
+        by_length: dict[int, list[KottwitzElement]] = {}
+        for e, n in zip(self.elements, self.lengths):
+            by_length.setdefault(n, []).append(e)
+        return tuple(sorted(
+            (lower.index, upper.index)
+            for upper, n in zip(self.elements, self.lengths)
+            for lower in by_length.get(n + 1, ())
+            if lower.leq(upper)
+        ))
 
     def hasse_dot(self) -> str:
         """Hasse diagram in DOT format, top element drawn at the top."""
@@ -328,21 +326,10 @@ def _check_factor_order(factor: tuple[OrbitPolygon, ...]) -> None:
         raise DomainError("bottom must be minimum")
 
 
-def kottwitz_set_of_signature(
-    f: Signature, p: int, cap: int | None = DEFAULT_ENUM_CAP
-) -> KottwitzSet:
-    return KottwitzSet(f, p, cap)
-
-
 def kottwitz_set(
     datum: MonodromyDatum, p: int, cap: int | None = DEFAULT_ENUM_CAP
 ) -> KottwitzSet:
     return KottwitzSet(signature(datum), p, cap)
-
-
-def codim_sh(ks: KottwitzSet, element: KottwitzElement) -> int:
-    """Codimension of the element's stratum inside the family: its length."""
-    return ks.length(element)
 
 
 def omega_count(nu: NewtonPolygon) -> int:
@@ -351,8 +338,12 @@ def omega_count(nu: NewtonPolygon) -> int:
     This equals the codimension of the stratum of nu inside the moduli
     space of g-dimensional principally polarized abelian varieties.
     """
-    g = nu.genus
-    return sum(math.ceil(nu.value_at(x)) for x in range(g + 1))
+    return _lattice_count(nu, nu.genus + 1)
+
+
+def _lattice_count(poly: NewtonPolygon | OrbitPolygon, stop: int) -> int:
+    """Sum of ceil(poly(x)) over x = 0..stop-1."""
+    return sum(math.ceil(poly.value_at(x)) for x in range(stop))
 
 
 def dim_moduli(g: int) -> int:

@@ -210,6 +210,12 @@ def test_kottwitz_dot(capsys):
     assert code == 0
     assert out.startswith("digraph")
     assert "e3 -> e1" in out
+    doc = run_json(
+        capsys,
+        ["kottwitz", "--datum", "8:5:2,2,2,5,5", "--p-class", "7", "--dot", "--json"],
+    )
+    assert doc["dot"] + "\n" == out
+    assert doc["size"] == 4 and doc["p_class"] == 7
 
 
 def test_kottwitz_cap(capsys):
@@ -482,3 +488,17 @@ def test_bad_datum_text(capsys):
     code, _, err = run(capsys, ["genus", "--datum", "nonsense"])
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["signature", "--datum", "0:3:1,1,1"],
+        ["clutch", "--datum1", "4:3:1,1,2", "--datum2", "0:3:1,1,1"],
+        ["orbits", "--m", "0", "--p-class", "1"],
+    ],
+)
+def test_zero_modulus_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: m = ") and err.count("\n") == 1

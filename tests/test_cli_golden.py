@@ -60,6 +60,7 @@ QUERIES = [
 
 OTHERS = [
     ["kottwitz", "--datum", D5, "--p-class", "7", "--dot"],
+    ["kottwitz", "--datum", D5, "--p-class", "7", "--dot", "--json"],
     ["generate", "--datum", "4:4:1,2,2,3", "--p-class", "3", "--step", "self:2"],
     ["generate", "--datum", "7:3:1,1,5", "--p-class", "2",
      "--step", "self:2:auto", "--step", "pad:1:2", "--step", "extend:3"],

@@ -1,9 +1,11 @@
-"""The Kottwitz fold against the element-by-element construction it replaced.
+"""The Kottwitz set against the element-by-element constructions it replaced.
 
 The oracle sums every element's total on its own, finds the distinct
 totals by a first-appearance list scan and each codimension by a
-linear scan for the least length.  It enumerates its own factors, and
-its Hasse diagram compares every pair of elements.
+linear scan for the least length.  It enumerates its own factors, takes
+each candidate's length by a longest-chain search over the candidates
+above it, and its Hasse diagram is the transitive reduction of the
+order, comparing every pair of elements.
 """
 
 import itertools
@@ -25,12 +27,31 @@ MAX_ELEMENTS = 300
 DOT_ELEMENTS = 40  # the oracle's Hasse diagram is cubic in the set size
 
 
+def chain_lengths(candidates) -> list[int]:
+    """Longest chain up to the factor's top, per candidate.
+
+    Candidates come sorted lowest first, so anything above a given
+    candidate appears earlier and its length is already known.
+    """
+    lengths = [0]
+    for i in range(1, len(candidates)):
+        above = [
+            lengths[j]
+            for j in range(i)
+            if candidates[j] != candidates[i]
+            and candidates[i].lies_on_or_above(candidates[j])
+        ]
+        assert above, "every candidate must lie above the factor top"
+        lengths.append(max(above) + 1)
+    return lengths
+
+
 class OracleSet:
     def __init__(self, datum: MonodromyDatum, p: int):
         f = signature(datum)
         reps = decompose(datum.m, p).representatives()
         factors = [enumerate_orbit_component(o, f, None) for o in reps]
-        factor_lengths = [KottwitzSet._chain_lengths(c) for c in factors]
+        factor_lengths = [chain_lengths(c) for c in factors]
         self.components = []
         self.totals_by_element = []
         self.lengths = []
@@ -127,3 +148,28 @@ def test_fold_matches_oracle_on_seeded_sample():
     assert shapes == {True, False}  # one-orbit and many-orbit sets both occur
     for datum, p, _ in sample:
         _assert_agrees(datum, p)
+
+
+def test_lattice_count_matches_longest_chain():
+    # Per factor, so data up to m = 24 stay cheap; the DP is quadratic
+    # in the factor size, which the cap keeps at most 120.
+    rng = random.Random(20001101)
+    checked = set()
+    while len(checked) < 150:
+        m = rng.randint(5, 24)
+        a = [rng.randint(1, m - 1) for _ in range(rng.randint(3, 7))]
+        a.append(-sum(a) % m)
+        if a[-1] == 0 or math.gcd(m, *a) != 1:
+            continue
+        f = signature(MonodromyDatum(m, tuple(a)))
+        p = rng.choice([c for c in range(1, m) if math.gcd(c, m) == 1])
+        for orbit in decompose(m, p).representatives():
+            try:
+                factor = enumerate_orbit_component(orbit, f, cap=120)
+            except EnumerationCapError:
+                continue
+            if len(factor) > 1 and factor not in checked:
+                checked.add(factor)
+                assert KottwitzSet._chain_lengths(factor) == tuple(chain_lengths(factor))
+    self_dual = {factor[0].orbit.is_self_dual for factor in checked}
+    assert self_dual == {True, False}

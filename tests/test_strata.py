@@ -13,14 +13,13 @@ import npcc.strata as strata
 from npcc import (
     DomainError,
     EnumerationCapError,
+    KottwitzSet,
     MonodromyDatum,
-    codim_sh,
     condition_u,
     decompose,
     dim_moduli,
     enumerate_orbit_component,
     kottwitz_set,
-    kottwitz_set_of_signature,
     mu_ordinary,
     omega_count,
     parse,
@@ -85,12 +84,11 @@ def test_worked_kottwitz_set():
         ks.codim_of_polygon(parse("ord^9"))
 
 
-def test_kottwitz_lengths_and_codim_sh():
+def test_kottwitz_lengths_and_index():
     ks = kottwitz_set(WORKED, 7)
-    assert [codim_sh(ks, e) for e in ks] == [0, 1, 1, 2]
-    for e in ks:
-        assert ks.length(e) == codim_sh(ks, e)
-        assert ks.elements[ks.index_of(e)] == e
+    assert [ks.length(e) for e in ks] == [0, 1, 1, 2]
+    for i, e in enumerate(ks):
+        assert ks.index_of(e) == e.index == i
     assert all(e.leq(ks.top) for e in ks)
     assert all(ks.bottom.leq(e) for e in ks)
 
@@ -114,7 +112,16 @@ def test_kottwitz_element_components():
 
 def test_kottwitz_set_of_signature_agrees():
     f = signature(WORKED)
-    assert kottwitz_set_of_signature(f, 7).totals() == kottwitz_set(WORKED, 7).totals()
+    assert KottwitzSet(f, 7).totals() == kottwitz_set(WORKED, 7).totals()
+
+
+def test_index_of_refuses_an_element_of_another_set():
+    big = kottwitz_set(WORKED, 7)
+    small = kottwitz_set(MonodromyDatum(6, (1, 3, 4, 4)), 7)
+    for ks, other in ((big, small), (small, big)):
+        for e in other:  # positions in range of ks and past its end
+            with pytest.raises(DomainError, match="not in this Kottwitz set"):
+                ks.length(e)
 
 
 def test_kottwitz_cap_on_product_size():
