@@ -27,6 +27,7 @@ from .errors import DomainError
 from .generators import (
     CHAIN_OPS,
     base_case,
+    double_induction,
     payload_base,
     replay,
     verify_family,
@@ -262,7 +263,6 @@ def _apply_step(fam, text: str):
     for op in CHAIN_OPS.values():
         keywords = op.parse(text)
         if keywords is not None:
-            op.check(fam, keywords)
             return op.run(fam, **keywords)
     raise DomainError(f"unknown step {text!r}; use {_step_forms()}")
 
@@ -289,7 +289,7 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
 
     def start(datum: MonodromyDatum, payload: str | None):
         if payload is None:
-            return base_case(datum, c)
+            return base_case(datum, c, cap=_cap(args))
         return payload_base(datum, c, parse(payload), cap=_cap(args))
 
     fam = start(datum, args.payload)
@@ -297,10 +297,7 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
         fam = _apply_step(fam, op)
     if args.double_with is not None:
         other = start(MonodromyDatum.from_text(args.double_with), args.double_payload)
-        crossing = CHAIN_OPS["double_induction"]
-        keywords = {"other": other, "n1": args.n1, "n2": args.n2}
-        crossing.check(fam, keywords)
-        fam = crossing.run(fam, **keywords)
+        fam = double_induction(fam, other, args.n1, args.n2)
     return fam.certificate()
 
 

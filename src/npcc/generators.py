@@ -19,7 +19,7 @@ import dataclasses
 import math
 from typing import Callable, NamedTuple
 
-from .clutch import check_compatible, check_self_compatible, clutch_report
+from .clutch import check_compatible, check_self_compatible, clutch_report, reorder_at
 from .errors import (
     BadResidueError,
     CertificationError,
@@ -125,6 +125,37 @@ def _certify(holds: bool, what: str) -> None:
         raise CertificationError(f"certification check failed: {what}")
 
 
+# The most branch points a chain step may produce; each op checks it
+# before it clutches.  Work grows quadratically in N: self:340:auto on
+# 7:3:1,1,5 (N = 1022) takes under 2 s.
+MAX_BRANCH_POINTS = 1024
+
+
+def _bound(name: str, size: int) -> None:
+    """Refuse a chain step whose result would have more than MAX_BRANCH_POINTS."""
+    if size > MAX_BRANCH_POINTS:
+        raise GeneratorError(
+            f"step {name!r} would give {size} branch points, more than"
+            f" MAX_BRANCH_POINTS = {MAX_BRANCH_POINTS}"
+        )
+
+
+def _joint(g1, g2, p, defect, what, balanced=False, direct=False):
+    """The clutch report of one chain joint, certified to have the given defect.
+
+    balanced=True also certifies that the joint is balanced; direct=True
+    refuses a joint that fails the direct slope interval test.
+    """
+    rep = clutch_report(g1, g2, p=p)
+    _certify(rep.epsilon == defect and (rep.balanced or not balanced), what)
+    if direct and rep.compatible is not True:
+        raise GeneratorError(
+            "hypothesis failure: the joining step fails the direct slope"
+            " interval test"
+        )
+    return rep
+
+
 def _first_pair(a1, a2, m: int, within: bool):
     """The first (i, j) with a1[i] + a2[j] = 0 mod m; j > i when within one datum."""
     for i, x in enumerate(a1):
@@ -142,28 +173,11 @@ def _reorder_ends(datum: MonodromyDatum, i: int, j: int) -> MonodromyDatum:
     )
 
 
-def _move_value(datum: MonodromyDatum, value: int, to_end: bool) -> MonodromyDatum:
-    a = list(datum.a)
-    value %= datum.m
-    for k, entry in enumerate(a):
-        if entry % datum.m == value:
-            a.pop(k)
-            break
-    else:
-        raise GeneratorError(
-            f"value {value} not present in datum {datum.text()}"
-        )
-    a = a + [value] if to_end else [value] + a
-    return MonodromyDatum(datum.m, tuple(a), generalized=datum.generalized)
-
-
 def _fold_chain(std: MonodromyDatum, n: int, p: int, r: int) -> MonodromyDatum:
     """Clutch n copies of std end to end and return the folded datum."""
-    accum = std
+    accum, what = std, "chain joint balanced with defect r - 1"
     for _ in range(n - 1):
-        rep = clutch_report(accum, std, p=p)
-        _certify(rep.balanced and rep.epsilon == r - 1, "chain joint balanced with defect r - 1")
-        accum = rep.gamma3
+        accum = _joint(accum, std, p, r - 1, what, balanced=True).gamma3
     return accum
 
 
@@ -197,13 +211,8 @@ def _chain_parts(datum, claim, mu_claim, p, i, j, n):
             " polygon has more than two distinct slopes"
         )
     twin = _fold_chain(std, n - 1, p, r)
-    rep = clutch_report(twin, std, p=p)
-    _certify(rep.balanced and rep.epsilon == r - 1, "payload joint balanced with defect r - 1")
-    if rep.compatible is not True:
-        raise GeneratorError(
-            "hypothesis failure: the joining step fails the direct slope"
-            " interval test"
-        )
+    what = "payload joint balanced with defect r - 1"
+    rep = _joint(twin, std, p, r - 1, what, balanced=True, direct=True)
     np3 = u.power(n - 1) + claim + ORD.power((n - 1) * (r - 1))
     return rep.gamma3, np3, r
 
@@ -217,16 +226,18 @@ def _extend_parts(datum, claim, c, p, mu_claim):
     t = math.gcd(c, m)
     g1 = MonodromyDatum(m // t, (c // t, (m - c) // t, 0), generalized=True)
     _certify(genus(g1) == 0, "the extending cover has genus 0")
-    rep = clutch_report(g1, pad_first(datum), p=p)
-    _certify(
-        rep.epsilon == m - t and rep.balanced and rep.compatible is True
-        and rep.gamma3.a[:2] == (c, (m - c) % m),
-        "extension is balanced and compatible, with defect m - t and (c, m - c) first",
-    )
+    what = "extension is balanced and compatible, with defect m - t and (c, m - c) first"
+    rep = _joint(g1, pad_first(datum), p, m - t, what, balanced=True)
+    _certify(rep.compatible is True and rep.gamma3.a[:2] == (c, (m - c) % m), what)
     np3 = claim + ORD.power(m - t)
     if mu_claim:
         _certify(np3 == mu_ordinary(rep.gamma3, p), "extended claim is mu-ordinary")
     return rep.gamma3, np3, t
+
+
+def _padded_size(big_n: int, n: int) -> int:
+    """Branch points of _padded_chain's result."""
+    return big_n if n == 1 else n * big_n + 2
 
 
 def _padded_chain(datum, claim, mu_claim, p, n):
@@ -250,7 +261,9 @@ def _moonen_match(datum):
     return None
 
 
-def base_case(datum: MonodromyDatum, p_class: int) -> CertifiedFamily:
+def base_case(
+    datum: MonodromyDatum, p_class: int, cap: int = DEFAULT_ENUM_CAP
+) -> CertifiedFamily:
     """Start a certified family at its mu-ordinary polygon.
 
     Succeeds when one of three checks supports the claim: the datum has
@@ -258,7 +271,8 @@ def base_case(datum: MonodromyDatum, p_class: int) -> CertifiedFamily:
     listed special families up to multiplier and relabeling; or the
     mu-ordinary polygon is the unique element of maximal p-rank in the
     Kottwitz set, in which case a prime-size condition is recorded as
-    an assumption unless N = 4 or the class of p is +-1 mod m.  Raises
+    an assumption unless N = 4 or the class of p is +-1 mod m.  cap
+    bounds that Kottwitz set as in kottwitz_set.  Raises
     NotABaseCaseError when no check applies.
     """
     datum.validate()
@@ -269,7 +283,7 @@ def base_case(datum: MonodromyDatum, p_class: int) -> CertifiedFamily:
         clause, why = "N3", "(three branch points)"
     elif label is not None:
         clause, why = "catalog:" + label, f"(matches listed family {label})"
-    elif sum(1 for t in kottwitz_set(datum, p_class).totals() if t.p_rank == u.p_rank) != 1:
+    elif [t.p_rank for t in kottwitz_set(datum, p_class, cap=cap).totals()].count(u.p_rank) != 1:
         raise NotABaseCaseError(
             f"no base clause applies to {datum.text()} at class"
             f" {p_class % m} mod {m}"
@@ -334,6 +348,7 @@ def extend_ord(f: CertifiedFamily, c: int) -> CertifiedFamily:
     by construction, and the interval test is vacuous against the
     genus-zero side, so payload claims pass through unchanged.
     """
+    _bound("extend_ord", f.datum.N + 2)
     m = f.datum.m
     datum3, np3, t = _extend_parts(
         f.datum, f.claimed_np, c, f.p_class, f.mu_ordinary_claim
@@ -361,12 +376,13 @@ def self_clutch(
     """
     if n < 1:
         raise GeneratorError("n must be a positive integer")
-    if n == 1:
-        return f
     base, mu_claim = f.datum, f.mu_ordinary_claim
     if at is None:
         at = _first_pair(base.a, base.a, base.m, True)
     padded = at is None
+    _bound("self_clutch", _padded_size(base.N, n) if padded and auto_pad else n * (base.N - 2) + 2)
+    if n == 1:
+        return f
     if padded:
         if not auto_pad:
             raise GeneratorError(
@@ -400,6 +416,7 @@ def pad_and_clutch(f: CertifiedFamily, t: int, n: int) -> CertifiedFamily:
     m = f.datum.m
     if n < 1:
         raise GeneratorError("n must be a positive integer")
+    _bound("pad_and_clutch", _padded_size(f.datum.N, n) if t == m else n * f.datum.N + 2)
     if t < 1 or m % t:
         raise GeneratorError(f"t must be a positive divisor of {m}")
     if t == m and n == 1:
@@ -446,6 +463,12 @@ def double_induction(
     (u1, u2) and (u2, u2); with n2 copies, the last one carries the
     payload and is joined through a pair of added unbranched labels.
     """
+    big_n = f2.datum.N
+    if f2.mu_ordinary_claim or n2 == 1:
+        second = _padded_size(big_n, n2)
+    else:  # a chain of n2 - 1 copies, then the payload copy
+        second = _padded_size(big_n, n2 - 1) + big_n
+    _bound("double_induction", _padded_size(f1.datum.N, n1) + second - 2)
     if n1 < 1 or n2 < 1:
         raise GeneratorError("n1 and n2 must be positive integers")
     m = f1.datum.m
@@ -472,13 +495,10 @@ def double_induction(
         if note not in assumptions:
             assumptions.append(note)
 
-    def cross(b_datum):
+    def cross(b_datum, direct=False):
         """Join the first chain to b_datum at the designated pair."""
-        rep = clutch_report(
-            _move_value(a_datum, v1, True), _move_value(b_datum, v2, False), p=p
-        )
-        _certify(rep.epsilon == r - 1, "crossing defect is r - 1")
-        return rep
+        g1, g2 = reorder_at(a_datum, b_datum, a_datum.a.index(v1), b_datum.a.index(v2))
+        return _joint(g1, g2, p, r - 1, "crossing defect is r - 1", direct=direct)
 
     if f2.mu_ordinary_claim:
         b_datum, b_np = _padded_chain(f2.datum, f2.claimed_np, True, p, n2)
@@ -502,7 +522,7 @@ def double_induction(
                 " mu-ordinary polygon against itself"
             )
         if n2 == 1:
-            rep = cross(f2.datum)
+            rep = cross(f2.datum, direct=True)
             balanced = bool(rep.balanced)
             np3 = a_np + f2.claimed_np + ORD.power(r - 1)
         else:
@@ -513,17 +533,10 @@ def double_induction(
             balanced = bool(rep4.balanced)
             if balanced:
                 _certify(z4_np == mu_ordinary(rep4.gamma3, p), "crossed chain is mu-ordinary")
-            rep = clutch_report(
-                pad_last(rep4.gamma3), pad_first(f2.datum), p=p
-            )
-            _certify(rep.epsilon == m - 1, "payload joint defect is m - 1")
+            what = "payload joint defect is m - 1"
+            rep = _joint(pad_last(rep4.gamma3), pad_first(f2.datum), p, m - 1, what, direct=True)
             balanced = balanced and bool(rep.balanced)
             np3 = z4_np + f2.claimed_np + ORD.power(m - 1)
-        if rep.compatible is not True:
-            raise GeneratorError(
-                "hypothesis failure: the joining step fails the direct"
-                " slope interval test"
-            )
         mu_claim, codim, compatible = False, f2.payload_codim, True
     if not balanced:
         codim = None
@@ -575,11 +588,6 @@ def verify_family(
 # How deeply double_induction certificates may nest through "other".
 MAX_REPLAY_DEPTH = 16
 
-# The most branch points a replayed or --step chain step may produce.
-# Work grows quadratically in N: self:340:auto on 7:3:1,1,5 (N = 1022)
-# takes under 2 s.
-MAX_BRANCH_POINTS = 1024
-
 _JSON_TYPES = {dict: "an object", list: "an array", int: "an integer"}
 
 
@@ -596,14 +604,12 @@ class ChainOp(NamedTuple):
 
     cli is a word, ":X" per integer keyword x and an optional "[:flag]"
     setting keyword flag, or None.  read(step, where, depth) returns the
-    keywords a certificate step records; size(family, **keywords) counts
-    the result's branch points without building it; run applies the op.
+    keywords a certificate step records; run applies the op.
     """
 
     name: str
     cli: str | None
     read: Callable[[dict, str, int], dict]
-    size: Callable[..., int]
     run: Callable[..., CertifiedFamily]
 
     def parse(self, text: str) -> dict | None:
@@ -622,15 +628,6 @@ class ChainOp(NamedTuple):
             return {**keywords, **{k.lower(): int(v) for k, v in zip(keys, values)}}
         except ValueError:
             return None
-
-    def check(self, f: CertifiedFamily, keywords: dict) -> None:
-        """Refuse the step if its result would exceed MAX_BRANCH_POINTS."""
-        size = self.size(f, **keywords)
-        if size > MAX_BRANCH_POINTS:
-            raise GeneratorError(
-                f"step {self.name!r} would give {size} branch points, more than"
-                f" MAX_BRANCH_POINTS = {MAX_BRANCH_POINTS}"
-            )
 
 
 def _ints(*keys: str):
@@ -652,26 +649,6 @@ def _read_double(step: dict, where: str, depth: int) -> dict:
     return {"other": other, **_ints("n1", "n2")(step, where, depth)}
 
 
-def _padded_size(big_n: int, n: int) -> int:
-    """Branch points of _padded_chain's result."""
-    return big_n if n == 1 else n * big_n + 2
-
-
-def _self_size(f: CertifiedFamily, n: int, at=None, auto: bool = False) -> int:
-    a, m, big_n = f.datum.a, f.datum.m, f.datum.N
-    padded = n > 1 and at is None and auto and _first_pair(a, a, m, True) is None
-    return n * (big_n + 2 * padded) - 2 * (n - 1)
-
-
-def _double_size(f: CertifiedFamily, other: CertifiedFamily, n1: int, n2: int) -> int:
-    big_n = other.datum.N
-    if other.mu_ordinary_claim or n2 == 1:
-        second = _padded_size(big_n, n2)
-    else:  # a chain of n2 - 1 copies, then the payload copy
-        second = _padded_size(big_n, n2 - 1) + big_n
-    return _padded_size(f.datum.N, n1) + second - 2
-
-
 # In the order `npcc generate --step` lists them.  Each entry calls the
 # module's function at call time, so whatever the module binds then runs.
 CHAIN_OPS = {
@@ -679,20 +656,18 @@ CHAIN_OPS = {
     for op in (
         ChainOp(
             "pad_and_clutch", "pad:T:N", _ints("t", "n"),
-            lambda f, t, n: _padded_size(f.datum.N, n) if t == f.datum.m else n * f.datum.N + 2,
             lambda f, t, n: pad_and_clutch(f, t, n),
         ),
         ChainOp(
-            "self_clutch", "self:N[:auto]", _read_self, _self_size,
+            "self_clutch", "self:N[:auto]", _read_self,
             lambda f, n, at=None, auto=False: self_clutch(f, n, at=at, auto_pad=auto),
         ),
         ChainOp(
             "extend_ord", "extend:C", _ints("c"),
-            lambda f, c: f.datum.N + 2,
             lambda f, c: extend_ord(f, c),
         ),
         ChainOp(
-            "double_induction", None, _read_double, _double_size,
+            "double_induction", None, _read_double,
             lambda f, other, n1, n2: double_induction(f, other, n1, n2),
         ),
     )
@@ -745,9 +720,7 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
         chain = CHAIN_OPS.get(op) if isinstance(op, str) else None
         if chain is None:
             raise GeneratorError(f"unknown step op {op!r}")
-        keywords = chain.read(raw, where, _depth)
-        chain.check(fam, keywords)
-        fam = chain.run(fam, **keywords)
+        fam = chain.run(fam, **chain.read(raw, where, _depth))
     if fam is None:
         raise GeneratorError("empty derivation")
     if fam.datum.to_json_obj() != expected_datum:

@@ -29,6 +29,7 @@ from npcc import (
     self_clutch,
     verify_family,
 )
+import npcc.generators as generators
 from npcc.generators import CHAIN_OPS, MAX_BRANCH_POINTS, MAX_REPLAY_DEPTH
 
 WORKED = MonodromyDatum(8, (2, 2, 2, 5, 5))
@@ -377,36 +378,55 @@ def _sized_steps():
     return cases
 
 
-def test_chain_op_size_is_the_result_size():
+def test_each_chain_op_refuses_results_over_the_bound(monkeypatch):
     for fam, name, keywords in _sized_steps():
         op = CHAIN_OPS[name]
-        assert op.size(fam, **keywords) == op.run(fam, **keywords).datum.N, (name, keywords)
+        size = op.run(fam, **keywords).datum.N
+        monkeypatch.setattr(generators, "MAX_BRANCH_POINTS", size - 1)
+        with pytest.raises(GeneratorError, match=f"'{name}' would give {size} branch points"):
+            op.run(fam, **keywords)
+        monkeypatch.setattr(generators, "MAX_BRANCH_POINTS", size)
+        assert op.run(fam, **keywords).datum.N == size, (name, keywords)
+        monkeypatch.undo()
 
 
-def test_chain_steps_are_bounded_before_clutching():
+def _refused_quickly(call, message):
+    start = time.perf_counter()
+    with pytest.raises(GeneratorError, match=message):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
+def test_chain_steps_are_bounded_before_clutching(monkeypatch):
     fam = base_case(MonodromyDatum(7, (1, 1, 5)), 2)
-    op = CHAIN_OPS["self_clutch"]
-    assert op.size(fam, n=340, auto=True) == 1022 <= MAX_BRANCH_POINTS
-    op.check(fam, {"n": 340, "auto": True})
-    with pytest.raises(GeneratorError, match="1025 branch points.*MAX_BRANCH_POINTS = 1024"):
-        op.check(fam, {"n": 341, "auto": True})
+    # A joint clutched before the bound is checked would fail loudly.
+    monkeypatch.setattr(generators, "clutch_report", None)
+    _refused_quickly(
+        lambda: self_clutch(fam, 2000, auto_pad=True),
+        "^step 'self_clutch' would give 6002 branch points, more than MAX_BRANCH_POINTS = 1024$",
+    )
+    _refused_quickly(lambda: self_clutch(fam, 341, auto_pad=True), "1025 branch points")
+    _refused_quickly(lambda: pad_and_clutch(fam, 7, 400), "'pad_and_clutch' would give 1202")
+    _refused_quickly(lambda: pad_and_clutch(fam, 1, 400), "'pad_and_clutch' would give 1202")
+    _refused_quickly(
+        lambda: double_induction(fam, fam, 300, 300), "'double_induction' would give 1802"
+    )
+    wide = MonodromyDatum(7, (1,) * 1021 + (3, 5))
+    big = CertifiedFamily(wide, 2, mu_ordinary(wide, 2), True)
+    _refused_quickly(lambda: extend_ord(big, 1), "'extend_ord' would give 1025 branch points")
+    monkeypatch.undo()
+    assert self_clutch(fam, 2, auto_pad=True).datum.N == 8 <= MAX_BRANCH_POINTS
     cert = self_clutch(fam, 2, auto_pad=True).certificate()
     for n in (341, 100000):
         cert["steps"][-1]["n"] = n
-        start = time.perf_counter()
-        with pytest.raises(GeneratorError, match="MAX_BRANCH_POINTS = 1024"):
-            replay(cert)
-        assert time.perf_counter() - start < 1.0
-    big = {"op": "pad_and_clutch", "t": 7, "n": 400}
+        _refused_quickly(lambda: replay(cert), f"would give {3 * n + 2} branch points")
     cert = fam.certificate()
-    cert["steps"].append(big)
-    with pytest.raises(GeneratorError, match="'pad_and_clutch' would give 1202 branch points"):
-        replay(cert)
+    cert["steps"].append({"op": "pad_and_clutch", "t": 7, "n": 400})
+    _refused_quickly(lambda: replay(cert), "'pad_and_clutch' would give 1202 branch points")
     other = fam.certificate()
     cert = fam.certificate()
     cert["steps"].append({"op": "double_induction", "n1": 300, "n2": 300, "other": other})
-    with pytest.raises(GeneratorError, match="'double_induction' would give 1802 branch"):
-        replay(cert)
+    _refused_quickly(lambda: replay(cert), "'double_induction' would give 1802 branch")
 
 
 def test_chain_op_cli_forms():
