@@ -32,7 +32,7 @@ from .generators import (
     replay,
     verify_family,
 )
-from .monodromy import MonodromyDatum, genus, signature
+from .monodromy import MonodromyDatum, check_modulus, genus, signature
 from .muord import mu_ordinary, p_rank_bound
 from .orbits import decompose, g_of_orbit
 from .polygon import parse
@@ -138,7 +138,7 @@ def _cmd_orbits(args: argparse.Namespace) -> dict:
         m = datum.m
         f = signature(datum)
     elif args.m is not None:
-        m = args.m
+        m = check_modulus(args.m)
     else:
         raise DomainError("orbits needs --m or --datum")
     c = _residue(args, m)

@@ -27,6 +27,7 @@ from .monodromy import (
     MonodromyDatum,
     Signature,
     _gcd_m,
+    check_modulus,
     genus,
     pad_first,
     pad_last,
@@ -133,6 +134,7 @@ def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
             f"{g1} and {g2} do not cancel at the clutching point"
         )
     m3, d1, d2 = _lcm_split(g1, g2)
+    check_modulus(m3, "m3")
     r1 = _gcd_m(g1.a[-1], g1.m)
     r2 = _gcd_m(g2.a[0], g2.m)
     r0 = math.gcd(r1, r2)

@@ -502,3 +502,34 @@ def test_zero_modulus_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error: m = ") and err.count("\n") == 1
+
+
+def _one_error_line_quickly(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_generate_cap_bounds_the_base_case(capsys):
+    argv = ["generate", "--datum", "20:6:14,9,19,19,8,11", "--p-class", "1", "--cap", "60",
+            "--step", "pad:1:3"]
+    _one_error_line_quickly(
+        capsys, argv,
+        "Kottwitz set would have more than 60 elements: the first 3 of 10 factors have"
+        " sizes 4 x 4 x 5 = 80; raise the cap",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, m",
+    [
+        (["signature", "--datum", "1000000:3:1,1,999998"], "m = 1000000"),
+        (["clutch", "--datum1", "199:3:1,198,0", "--datum2", "211:3:0,1,210", "--p-class", "3"],
+         "m3 = 41989"),
+        (["orbits", "--m", "1000000000", "--p-class", "3"], "m = 1000000000"),
+    ],
+)
+def test_modulus_above_the_bound_is_one_error_line(capsys, argv, m):
+    _one_error_line_quickly(capsys, argv, f"{m} is above MAX_MODULUS = 1200")

@@ -31,9 +31,18 @@ from npcc import (
     reorder_at,
     signature,
 )
+from npcc.errors import InvalidDatumError
 
 G1 = MonodromyDatum(4, (1, 1, 2))
 G2 = MonodromyDatum(8, (4, 2, 5, 5))
+
+
+def test_glued_modulus_is_bounded():
+    # 199 * 211 = 41989; each side alone is well under MAX_MODULUS
+    g1 = MonodromyDatum(199, (1, 198, 0), generalized=True)
+    g2 = MonodromyDatum(211, (0, 1, 210), generalized=True)
+    with pytest.raises(InvalidDatumError, match="m3 = 41989 is above MAX_MODULUS"):
+        clutch_report(g1, g2, p=3)
 
 
 def test_check_admissible():

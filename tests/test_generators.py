@@ -14,6 +14,7 @@ from npcc import (
     BadResidueError,
     CertificationError,
     CertifiedFamily,
+    EnumerationCapError,
     GeneratorError,
     MonodromyDatum,
     NotABaseCaseError,
@@ -335,6 +336,19 @@ def test_replay_rejects_malformed_later_steps():
         bad["steps"].append(step)
         with pytest.raises(GeneratorError, match=message):
             replay(bad)
+
+
+def test_replay_refuses_a_modulus_above_the_bound():
+    cert = base_case(MonodromyDatum(5, (1, 1, 3)), 2).certificate()
+    cert["steps"][0]["datum"] = {"m": 100003, "a": [1, 1, 100001], "generalized": False}
+    with pytest.raises(GeneratorError, match="m = 100003 is above MAX_MODULUS"):
+        replay(cert)
+
+
+def test_base_case_honours_the_cap():
+    datum = MonodromyDatum(20, (14, 9, 19, 19, 8, 11))
+    with pytest.raises(EnumerationCapError, match="more than 60 elements"):
+        base_case(datum, 1, cap=60)
 
 
 def test_replay_bounds_nesting_depth():

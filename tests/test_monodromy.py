@@ -19,6 +19,7 @@ from npcc import (
     signature,
     strip_zeros,
 )
+from npcc.monodromy import MAX_MODULUS
 
 
 def test_datum_basics():
@@ -34,6 +35,18 @@ def test_datum_basics():
 def test_datum_json_round_trip():
     d = MonodromyDatum(8, (4, 2, 5, 5))
     assert MonodromyDatum.from_json_obj(d.to_json_obj()) == d
+
+
+def test_read_data_are_bounded_by_the_modulus_bound():
+    top = MonodromyDatum(MAX_MODULUS, (1, 1, MAX_MODULUS - 2))
+    assert MonodromyDatum.from_text(top.text()) == top
+    assert MonodromyDatum.from_json_obj(top.to_json_obj()) == top
+    above = MonodromyDatum(MAX_MODULUS + 1, (1, 1, MAX_MODULUS - 1))
+    message = f"m = {MAX_MODULUS + 1} is above MAX_MODULUS = {MAX_MODULUS}"
+    with pytest.raises(InvalidDatumError, match=message):
+        MonodromyDatum.from_text(above.text())
+    with pytest.raises(InvalidDatumError, match=message):
+        MonodromyDatum.from_json_obj(above.to_json_obj())
 
 
 def test_datum_validation():

@@ -44,3 +44,16 @@ def test_names_the_tests_import_resolve():
     assert ("npcc", "MonodromyDatum") in imported and ("npcc.cli", "main") in imported
     for module, name in sorted(imported):
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_no_assert_statements_in_the_library():
+    # python -O strips assert statements, so no check may be one.
+    src = Path(npcc.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(src.glob("*.py"))) >= 10
+    assert found == []
