@@ -8,12 +8,15 @@ Cartesian product of the factors under the componentwise order.  The
 mu-ordinary element is the unique top; the straight-segment choice in
 every factor is the unique bottom (the basic element).
 
-A Kottwitz set is built by one fold over the factors: each candidate's
-piece of Newton polygon is computed once, and each distinct partial
-total meets each piece of the next factor once, so the polygon
-arithmetic scales with the number of distinct partial totals rather
-than with the number of elements.  The distinct totals (the strata of
-the family) are indexed as the fold finishes.
+An element is an index into that product, decoded into its tuple of
+per-factor candidates only on demand.  A Kottwitz set is built by one
+fold over the factors that keeps each element's total polygon and
+length by index: each candidate's piece of Newton polygon is computed
+once, and each distinct partial total meets each piece of the next
+factor once, so the polygon arithmetic scales with the number of
+distinct partial totals rather than with the number of elements.  The
+distinct totals (the strata of the family) are indexed as the fold
+finishes.
 
 The second half of the module measures how special a polygon is inside
 the full Siegel moduli space: the stratum codimension as a lattice
@@ -37,7 +40,6 @@ from .polygon import NewtonPolygon
 __all__ = [
     "DEFAULT_ENUM_CAP",
     "enumerate_orbit_component",
-    "KottwitzElement",
     "KottwitzSet",
     "kottwitz_set",
     "omega_count",
@@ -116,70 +118,24 @@ def enumerate_orbit_component(
     return tuple(polys)
 
 
-class KottwitzElement:
-    """One choice of admissible polygon per orbit-pair representative.
-
-    ``total`` is the amalgamation of the components' pieces
-    (`OrbitPolygon.piece`) and ``index`` the element's position in its
-    Kottwitz set; the set computes both in its fold.
-    """
-
-    __slots__ = ("reps", "components", "total", "index")
-
-    def __init__(
-        self,
-        reps: tuple[Orbit, ...],
-        components: tuple[OrbitPolygon, ...],
-        total: NewtonPolygon,
-        index: int,
-    ):
-        self.reps = reps
-        self.components = components
-        self.total = total
-        self.index = index
-
-    def component(self, orbit: Orbit) -> OrbitPolygon:
-        """The normalized polygon on the given orbit, dualizing if needed."""
-        for rep, comp in zip(self.reps, self.components):
-            if rep == orbit:
-                return comp
-            if rep.dual() == orbit:
-                return comp.dual()
-        raise DomainError(f"orbit {orbit} does not belong to this element")
-
-    def leq(self, other: "KottwitzElement") -> bool:
-        """Componentwise order; smaller means every component lies higher."""
-        return all(
-            a.lies_on_or_above(b) for a, b in zip(self.components, other.components)
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KottwitzElement):
-            return NotImplemented
-        return self.reps == other.reps and self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash((self.reps, self.components))
-
-    def __str__(self) -> str:
-        return str(self.total)
-
-
 class KottwitzSet:
     """The full poset of Newton polygons for one signature and residue class.
 
-    Elements come in a deterministic order, the product of the
-    per-factor orders (lowest polygon first, first factor outermost),
-    so the first element is the top of the poset and the last its
-    bottom.  The length of an element is the longest strictly
-    increasing chain from it up to the top; in a product poset that is
-    the sum of the per-factor lengths (see `_chain_lengths`).
+    An element is one candidate per factor, named by its index in the
+    product of the per-factor orders (lowest polygon first, first factor
+    outermost, last factor varying fastest), so index 0 is the top of
+    the poset and the last index its bottom.  Iteration yields the
+    elements' candidate tuples in that order, and ``ks[i]`` decodes one
+    index.  The length of an element is the longest strictly increasing
+    chain from it up to the top; in a product poset that is the sum of
+    the per-factor lengths (see `_chain_lengths`).
 
     Totals and lengths come from one fold over the factors in that
-    order.  Each distinct partial total is summed with each candidate's
-    piece once, and equal totals are interned, so elements with the
-    same total share one polygon.  The fold also indexes the elements
-    by total, in first-appearance order, for `totals` and
+    order and are kept as tuples aligned by index, ``element_totals``
+    and ``lengths``.  Each distinct partial total is summed with each
+    candidate's piece once, and equal totals are interned, so elements
+    with the same total share one polygon.  The fold also indexes the
+    elements by total, in first-appearance order, for `totals` and
     `elements_with_total`.  The cap bounds the running product of the
     factor sizes, checked before the next factor is enumerated.
     """
@@ -224,18 +180,13 @@ class KottwitzSet:
                 folded.extend(row)
             totals = folded
             lengths = [n + s for n in lengths for s in steps]
-        self.elements = tuple(
-            KottwitzElement(self.reps, comps, total, i)
-            for i, (comps, total) in enumerate(zip(itertools.product(*self.factors), totals))
-        )
+        self.element_totals = tuple(totals)
         self.lengths = tuple(lengths)
         # Grouping by identity hashes no polygon per element.
         groups: dict[int, list[int]] = {}
         for i, total in enumerate(totals):
             groups.setdefault(id(total), []).append(i)
         self._by_total = {totals[ix[0]]: ix for ix in groups.values()}
-        self.top = self.elements[0]
-        self.bottom = self.elements[-1]
 
     @staticmethod
     def _chain_lengths(candidates: tuple[OrbitPolygon, ...]) -> tuple[int, ...]:
@@ -257,55 +208,66 @@ class KottwitzSet:
         return lengths
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.lengths)
 
     def __iter__(self):
-        return iter(self.elements)
+        return itertools.product(*self.factors)
 
-    def index_of(self, element: KottwitzElement) -> int:
-        i = element.index
-        if 0 <= i < len(self.elements) and self.elements[i] == element:
-            return i
-        raise DomainError(f"element {element} is not in this Kottwitz set")
+    def _checked(self, i: int) -> int:
+        if not 0 <= i < len(self.lengths):
+            raise DomainError(f"index {i} is not in this Kottwitz set of {len(self)} elements")
+        return i
 
-    def length(self, element: KottwitzElement) -> int:
-        return self.lengths[self.index_of(element)]
+    def __getitem__(self, i: int) -> tuple[OrbitPolygon, ...]:
+        """The element at index i, decoded in mixed radix over the factors."""
+        i = self._checked(i)
+        comps = []
+        for factor in reversed(self.factors):
+            i, r = divmod(i, len(factor))
+            comps.append(factor[r])
+        return tuple(reversed(comps))
+
+    def length(self, i: int) -> int:
+        return self.lengths[self._checked(i)]
 
     def totals(self) -> tuple[NewtonPolygon, ...]:
         """Distinct total polygons, in first-appearance order."""
         return tuple(self._by_total)
 
-    def elements_with_total(self, nu: NewtonPolygon) -> tuple[KottwitzElement, ...]:
-        return tuple(self.elements[i] for i in self._by_total.get(nu, ()))
+    def elements_with_total(self, nu: NewtonPolygon) -> tuple[int, ...]:
+        """Indices of the elements whose total polygon is nu, ascending."""
+        return tuple(self._by_total.get(nu, ()))
 
     def codim_of_polygon(self, nu: NewtonPolygon) -> int:
         """Smallest length among elements whose total polygon is nu."""
         matches = self.elements_with_total(nu)
         if not matches:
             raise DomainError(f"polygon {nu} does not occur in this Kottwitz set")
-        return min(self.length(e) for e in matches)
+        return min(self.length(i) for i in matches)
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Cover relations as (lower, upper) element indices.
 
         The poset is ranked by length, so the covers are the comparable
-        pairs whose lengths differ by one.
+        pairs whose lengths differ by one; comparable means every
+        component of the lower lies on or above the upper's.
         """
-        by_length: dict[int, list[KottwitzElement]] = {}
-        for e, n in zip(self.elements, self.lengths):
-            by_length.setdefault(n, []).append(e)
+        elements = list(self)
+        by_length: dict[int, list[int]] = {}
+        for i, n in enumerate(self.lengths):
+            by_length.setdefault(n, []).append(i)
         return tuple(sorted(
-            (lower.index, upper.index)
-            for upper, n in zip(self.elements, self.lengths)
+            (lower, upper)
+            for upper, n in enumerate(self.lengths)
             for lower in by_length.get(n + 1, ())
-            if lower.leq(upper)
+            if all(a.lies_on_or_above(b) for a, b in zip(elements[lower], elements[upper]))
         ))
 
     def hasse_dot(self) -> str:
         """Hasse diagram in DOT format, top element drawn at the top."""
         lines = ["digraph kottwitz {", "  rankdir=BT;"]
-        for i, e in enumerate(self.elements):
-            lines.append(f'  e{i} [label="{e.total} (length {self.lengths[i]})"];')
+        for i, (total, n) in enumerate(zip(self.element_totals, self.lengths)):
+            lines.append(f'  e{i} [label="{total} (length {n})"];')
         for j, i in self.hasse_edges():
             lines.append(f"  e{j} -> e{i};")
         lines.append("}")

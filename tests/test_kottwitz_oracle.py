@@ -12,7 +12,10 @@ import itertools
 import math
 import random
 
+import pytest
+
 from npcc import (
+    DomainError,
     EnumerationCapError,
     MonodromyDatum,
     NewtonPolygon,
@@ -126,14 +129,19 @@ def _sample(seed: int, count: int) -> list[tuple[MonodromyDatum, int, tuple[int,
 def _assert_agrees(datum: MonodromyDatum, p: int) -> None:
     ks = kottwitz_set(datum, p)
     oracle = OracleSet(datum, p)
-    assert [e.components for e in ks.elements] == oracle.components
-    assert [e.total for e in ks.elements] == oracle.totals_by_element
+    assert list(ks) == oracle.components
+    assert [ks[i] for i in range(len(ks))] == oracle.components
+    assert list(ks.element_totals) == oracle.totals_by_element
     assert list(ks.lengths) == oracle.lengths
     assert list(ks.totals()) == oracle.totals()
     for t in oracle.totals():
         assert ks.codim_of_polygon(t) == oracle.codim(t)
-        matches = ks.elements_with_total(t)
-        assert [ks.index_of(e) for e in matches] == oracle.with_total(t)
+        assert list(ks.elements_with_total(t)) == oracle.with_total(t)
+    for i in (-1, len(ks)):
+        with pytest.raises(DomainError):
+            ks[i]
+        with pytest.raises(DomainError):
+            ks.length(i)
     if len(ks) <= DOT_ELEMENTS:
         assert ks.hasse_dot() == oracle.hasse_dot()
 

@@ -13,8 +13,7 @@ InvalidDatumError NotABaseCaseError NotAdmissibleError PolygonSyntaxError
 UnsupportedPairError EMPTY ORD SS NewtonPolygon parse MonodromyDatum Signature genus
 induce normalize pad_first pad_last signature strip_zeros Orbit OrbitDecomposition
 decompose g_of_orbit OrbitPolygon beta_of_signature mu_ordinary mu_ordinary_of_signature
-mu_ordinary_orbit p_rank_bound DEFAULT_ENUM_CAP ConditionUReport KottwitzElement
-KottwitzSet condition_u dim_moduli enumerate_orbit_component kottwitz_set
+mu_ordinary_orbit p_rank_bound DEFAULT_ENUM_CAP ConditionUReport KottwitzSet condition_u dim_moduli enumerate_orbit_component kottwitz_set
 omega_count threshold_half_slope_density
 threshold_repeated_summand threshold_ss_chain ClutchReport MuOrdProductCheck
 check_admissible check_balanced check_compatible check_self_compatible clutch_data
@@ -28,7 +27,7 @@ __version__
 
 
 def test_exports_are_listed_once_and_resolve():
-    assert len(EXPORTS) == 83
+    assert len(EXPORTS) == 82
     assert len(npcc.__all__) == len(set(npcc.__all__))
     assert set(npcc.__all__) == set(EXPORTS) | {"CertificationError"}
     for name in npcc.__all__:

@@ -72,25 +72,28 @@ def test_enumerate_orbit_component_respects_cap():
 def test_worked_kottwitz_set():
     ks = kottwitz_set(WORKED, 7)
     assert len(ks) == 4
-    assert ks.top.total == parse("ord^4+ss^5")
-    assert ks.top.total == mu_ordinary(WORKED, 7)
-    assert ks.bottom.total == parse("ss^9")
+    assert ks.element_totals[0] == parse("ord^4+ss^5")
+    assert ks.element_totals[0] == mu_ordinary(WORKED, 7)
+    assert ks.element_totals[-1] == parse("ss^9")
     assert ks.totals() == (parse("ord^4+ss^5"), parse("ord^2+ss^7"), parse("ss^9"))
     assert ks.codim_of_polygon(parse("ord^4+ss^5")) == 0
     assert ks.codim_of_polygon(parse("ord^2+ss^7")) == 1
     assert ks.codim_of_polygon(parse("ss^9")) == 2
-    assert len(ks.elements_with_total(parse("ord^2+ss^7"))) == 2
+    assert ks.elements_with_total(parse("ord^2+ss^7")) == (1, 2)
+    assert ks.elements_with_total(parse("ord^9")) == ()
     with pytest.raises(DomainError):
         ks.codim_of_polygon(parse("ord^9"))
 
 
 def test_kottwitz_lengths_and_index():
     ks = kottwitz_set(WORKED, 7)
-    assert [ks.length(e) for e in ks] == [0, 1, 1, 2]
-    for i, e in enumerate(ks):
-        assert ks.index_of(e) == e.index == i
-    assert all(e.leq(ks.top) for e in ks)
-    assert all(ks.bottom.leq(e) for e in ks)
+    assert [ks.length(i) for i in range(len(ks))] == list(ks.lengths) == [0, 1, 1, 2]
+    elements = list(ks)
+    assert [ks[i] for i in range(len(ks))] == elements
+    top, bottom = elements[0], elements[-1]
+    for e in elements:  # componentwise order: top above all, bottom below all
+        assert all(a.lies_on_or_above(b) for a, b in zip(e, top))
+        assert all(a.lies_on_or_above(b) for a, b in zip(bottom, e))
 
 
 def test_kottwitz_hasse_diagram():
@@ -104,10 +107,11 @@ def test_kottwitz_hasse_diagram():
 def test_kottwitz_element_components():
     ks = kottwitz_set(WORKED, 7)
     dec = decompose(8, 7)
-    e = ks.top
-    assert e.component(dec.orbit_of(3)).segments == ((F(1), 3),)
-    with pytest.raises(DomainError):
-        e.component(decompose(8, 3).orbit_of(1))
+    assert ks.reps == dec.representatives()
+    top = ks[0]
+    assert len(top) == len(ks.reps)
+    assert top[ks.reps.index(dec.orbit_of(3))].segments == ((F(1), 3),)
+    assert [c.orbit for c in top] == list(ks.reps)
 
 
 def test_kottwitz_set_of_signature_agrees():
@@ -115,13 +119,13 @@ def test_kottwitz_set_of_signature_agrees():
     assert KottwitzSet(f, 7).totals() == kottwitz_set(WORKED, 7).totals()
 
 
-def test_index_of_refuses_an_element_of_another_set():
-    big = kottwitz_set(WORKED, 7)
-    small = kottwitz_set(MonodromyDatum(6, (1, 3, 4, 4)), 7)
-    for ks, other in ((big, small), (small, big)):
-        for e in other:  # positions in range of ks and past its end
+def test_indices_outside_the_set_are_refused():
+    for ks in (kottwitz_set(WORKED, 7), kottwitz_set(MonodromyDatum(6, (1, 3, 4, 4)), 7)):
+        for i in (-1, len(ks), len(ks) + 5):
             with pytest.raises(DomainError, match="not in this Kottwitz set"):
-                ks.length(e)
+                ks[i]
+            with pytest.raises(DomainError, match="not in this Kottwitz set"):
+                ks.length(i)
 
 
 def test_kottwitz_cap_on_product_size():
