@@ -187,16 +187,19 @@ def clutch_polygon(nu1: NewtonPolygon, nu2: NewtonPolygon, report: ClutchReport)
 
 
 def check_balanced(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> bool:
-    """No orbit carries residues that the two induced signatures order oppositely."""
-    m3, d1, d2 = _lcm_split(g1, g2)
-    f1d = signature(g1).induced(d1)
-    f2d = signature(g2).induced(d2)
-    for orbit in decompose(m3, p).orbits:
-        members = orbit.members
-        for i, w in enumerate(members):
-            for t in members[i + 1 :]:
-                if (f1d(w) - f1d(t)) * (f2d(w) - f2d(t)) < 0:
-                    return False
+    """No orbit carries residues that the two induced signatures order oppositely.
+
+    A signature reads its argument mod its own m, so each side's induced
+    value at w is its value at w.  Sorted by (f1, f2), an orbit's values
+    are ordered oppositely by some pair exactly when f2 falls between
+    two neighbours: ties in f1 are sorted by f2, so a fall has f1
+    strictly rising, and an opposite pair forces a fall between them.
+    """
+    f1, f2 = signature(g1), signature(g2)
+    for orbit in decompose(math.lcm(g1.m, g2.m), p).orbits:
+        pairs = sorted((f1(w), f2(w)) for w in orbit.members)
+        if any(b < a for (_, a), (_, b) in zip(pairs, pairs[1:])):
+            return False
     return True
 
 

@@ -32,11 +32,13 @@ __all__ = [
 
 # The largest modulus of a datum read from text or JSON, of `npcc orbits
 # --m`, and of a clutching.  Work per call grows with m: per-residue
-# loops are O(m), and a joint's balance check is quadratic in the size
-# of an orbit.  At m = 1193 with p a primitive root (one orbit of size
-# m - 1), the slowest one-step call, `npcc generate --step pad:1:2`
-# (three joints), takes 1.9 s on a 2-core Xeon host and `npcc clutch`
-# takes 0.75 s.  A longer chain takes about that much per joint.
+# loops are O(m), and a joint's balance check sorts each orbit's values,
+# O(m log m).  At m = 1193 with p a primitive root (one orbit of size
+# m - 1), on a 2-core Xeon host, `npcc generate --step pad:1:2` (three
+# joints) takes 0.23 s, `--step pad:1193:6` (five joints) 0.3 s and
+# `npcc clutch` 0.2 s.  A joint also recomputes the signature of the
+# datum glued so far, O(m N), so a long chain costs more per joint:
+# `--step self:340:auto`, near MAX_BRANCH_POINTS, takes about 90 s.
 MAX_MODULUS = 1200
 
 

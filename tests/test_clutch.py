@@ -1,6 +1,8 @@
 """Tests for the clutching bookkeeping on pairs of data."""
 
+import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +23,7 @@ from npcc import (
     clutch_polygon,
     clutch_report,
     compatible_violations,
+    decompose,
     epsilon_orbits,
     find_admissible_reordering,
     genus,
@@ -96,6 +99,43 @@ def test_check_balanced_failing_pair():
     m19 = MonodromyDatum(9, (3, 5, 5, 5))
     for p in (4, 7):
         assert not check_balanced(z9, m19, p)
+
+
+def _balanced_by_pairs(g1, g2, p):
+    """The pairwise form of the balance check: no two members of an
+    orbit are ordered oppositely by the two induced signatures."""
+    m3 = math.lcm(g1.m, g2.m)
+    f1d = signature(g1).induced(m3 // g1.m)
+    f2d = signature(g2).induced(m3 // g2.m)
+    for orbit in decompose(m3, p).orbits:
+        members = orbit.members
+        for i, w in enumerate(members):
+            for t in members[i + 1 :]:
+                if (f1d(w) - f1d(t)) * (f2d(w) - f2d(t)) < 0:
+                    return False
+    return True
+
+
+def test_check_balanced_matches_the_pairwise_form():
+    rng = random.Random(20181102)
+
+    def datum(m):
+        a = [rng.randrange(m) for _ in range(rng.randint(2, 5))]
+        a.append(-sum(a) % m)
+        return MonodromyDatum(m, tuple(a), generalized=True)
+
+    seen = set()
+    for k in range(2100):
+        kind = k % 3  # m1 = m2, m1 | m2, unrelated moduli
+        m1 = rng.randint(2, 16)
+        m2 = (m1, m1 * rng.randint(2, 4), rng.randint(2, 16))[kind]
+        g1, g2 = datum(m1), datum(m2)
+        m3 = math.lcm(m1, m2)
+        p = rng.choice([c for c in range(1, m3) if math.gcd(c, m3) == 1])
+        expected = _balanced_by_pairs(g1, g2, p)
+        assert check_balanced(g1, g2, p) == expected, (g1, g2, p)
+        seen.add((kind, expected))
+    assert len(seen) == 6  # both answers occur for every kind of moduli
 
 
 def test_balanced_iff_product_formula():
