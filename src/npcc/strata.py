@@ -304,8 +304,45 @@ def omega_count(nu: NewtonPolygon) -> int:
 
 
 def _lattice_count(poly: NewtonPolygon | OrbitPolygon, stop: int) -> int:
-    """Sum of ceil(poly(x)) over x = 0..stop-1."""
-    return sum(math.ceil(poly.value_at(x)) for x in range(stop))
+    """Sum of ceil(poly(x)) over x = 0..stop-1, for stop <= height + 1.
+
+    The polygon is 0 at x = 0.  On a segment of slope a/b starting at
+    height y = c/e, ceil(y + a*k/b) = floor((a*e*k + c*b + e*b - 1) / (e*b)),
+    so each segment's share is one floor sum.
+    """
+    total, run, y = 0, 0, Fraction(0)
+    for slope, width in poly.segments:
+        n = min(width, stop - 1 - run)
+        if n <= 0:
+            break
+        d = y.denominator * slope.denominator
+        a = slope.numerator * y.denominator
+        b = y.numerator * slope.denominator + d - 1
+        total += _floor_sum(n, d, a, a + b)  # k = 1..n is i = 0..n-1 shifted
+        run += width
+        y += slope * width
+    return total
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of (a*i + b) // m over i = 0..n-1, for n, a, b >= 0 and m > 0.
+
+    Euclid-like reduction in O(log m) steps: Graham, Knuth and
+    Patashnik, *Concrete Mathematics*, section 3.5.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        top = a * n + b
+        if top < m:
+            return total
+        n, b = divmod(top, m)
+        m, a = a, m
 
 
 def dim_moduli(g: int) -> int:

@@ -5,12 +5,14 @@ totals by a first-appearance list scan and each codimension by a
 linear scan for the least length.  It enumerates its own factors, takes
 each candidate's length by a longest-chain search over the candidates
 above it, and its Hasse diagram is the transitive reduction of the
-order, comparing every pair of elements.
+order, comparing every pair of elements.  The closed-form lattice
+count is checked against the per-x sum of ceilings it replaced.
 """
 
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +26,7 @@ from npcc import (
     kottwitz_set,
     signature,
 )
-from npcc.strata import KottwitzSet
+from npcc.strata import KottwitzSet, _lattice_count
 
 MAX_ELEMENTS = 300
 DOT_ELEMENTS = 40  # the oracle's Hasse diagram is cubic in the set size
@@ -181,3 +183,38 @@ def test_lattice_count_matches_longest_chain():
                 assert KottwitzSet._chain_lengths(factor) == tuple(chain_lengths(factor))
     self_dual = {factor[0].orbit.is_self_dual for factor in checked}
     assert self_dual == {True, False}
+
+
+def lattice_prefix_counts(poly) -> list[int]:
+    """Per-x sums of ceilings: entry k is the sum of ceil(poly(x)) over x < k."""
+    counts = [0]
+    for x in range(poly.height + 1):
+        counts.append(counts[-1] + math.ceil(poly.value_at(x)))
+    return counts
+
+
+def _assert_lattice_counts_agree(poly, stops) -> None:
+    counts = lattice_prefix_counts(poly)
+    for stop in stops:
+        assert _lattice_count(poly, stop) == counts[stop], (poly, stop)
+
+
+def test_lattice_count_matches_per_x_sum_on_seeded_polygons():
+    rng = random.Random(20001102)
+    for _ in range(2000):
+        segments = [
+            (Fraction(rng.randint(0, q), q), rng.randint(1, 12))
+            for q in (rng.randint(1, 9) for _ in range(rng.randint(1, 5)))
+        ]
+        poly = NewtonPolygon(segments)
+        height = poly.height
+        stops = {0, 1, height + 1, height // 2 + 1, rng.randint(0, height + 1)}
+        _assert_lattice_counts_agree(poly, stops)
+
+
+def test_lattice_count_matches_per_x_sum_on_factor_candidates():
+    for datum, p, _ in _sample(20181101, 30):
+        ks = kottwitz_set(datum, p)
+        for factor in ks.factors:
+            for c in factor:
+                _assert_lattice_counts_agree(c, range(c.height + 2))
