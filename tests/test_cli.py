@@ -413,6 +413,24 @@ def test_codim_ag(capsys):
     assert out.strip() == "16"
 
 
+def test_codim_ag_of_a_huge_genus_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["codim-ag", "--polygon", "ss^1000000000"])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (0, "250000000500000000\n")
+
+
+def test_balance_check_at_the_modulus_bound_is_quick(capsys):
+    # one orbit of size 1192, and five joints
+    argv = ["generate", "--datum", "1193:3:1,1,1191", "--p-class", "3", "--step", "pad:1193:6"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1.5
+    assert code == 0, err
+    step = json.loads(out)["steps"][-1]
+    assert (step["op"], step["n"], step["balanced"]) == ("pad_and_clutch", 6, True)
+
+
 def test_condition_u_holds(capsys):
     code, out, _ = run(capsys, ["condition-u", "--polygon", "ss^34+ord^66"])
     assert code == 0

@@ -7,13 +7,16 @@ and arbitrary integers for ``--p``, residue classes, every ``--step``
 form and small caps.  The modulus stays at most 40 and the polygon
 exponents small: work still grows with m (a per-residue loop over
 every class mod m) and with a polygon's genus, so huge values would
-test those open costs rather than the CLI's error handling.
+test those open costs rather than the CLI's error handling.  A second
+draw takes moduli above MAX_MODULUS, up to 10^12, through every
+subcommand that reads a datum: each must be refused at once.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import random
 import time
@@ -206,3 +209,64 @@ def test_random_argv_exit_cleanly():
     # every subcommand succeeds at least once, and all three codes occur
     assert {command for command, code in seen if code == 0} == set(SUBCOMMANDS)
     assert {code for _, code in seen} == {0, 1, 2}
+
+
+BIG_CALLS = 60
+BIG_KINDS = (
+    "signature", "genus", "muord", "prank-bound", "kottwitz", "orbits --m", "orbits --datum",
+    "clutch", "clutch glued", "generate --datum", "generate --double-with", "generate --replay",
+)
+
+
+def _big_m(rng: random.Random) -> int:
+    """A modulus drawn log-uniformly from just above MAX_MODULUS = 1200 to 10^12."""
+    return round(math.exp(rng.uniform(math.log(1201), math.log(10**12))))
+
+
+def _big_argv(rng: random.Random, kind: str, certificate: dict, tmp_path) -> list[str]:
+    m = _big_m(rng)
+    datum = _text(m, _entries(rng, m))
+    residue = rng.choice([["--p-class", str(rng.randrange(1, 100, 2))], ["--p", "3"]])
+    command, _, option = kind.partition(" ")
+    if command in ("signature", "genus"):
+        argv = ["--datum", datum]
+    elif kind == "orbits --m":
+        argv = ["--m", str(m)] + residue
+    elif command in ("muord", "prank-bound", "kottwitz", "orbits"):
+        argv = ["--datum", datum] + residue
+    elif kind == "clutch":
+        small = rng.choice(BASES)[0]
+        pair = [small, datum] if rng.random() < 0.5 else [datum, small]
+        argv = ["--datum1", pair[0], "--datum2", pair[1]] + residue
+    elif kind == "clutch glued":
+        # each modulus is under the bound, their lcm is above it
+        primes = [q for q in range(37, 1200) if all(q % d for d in range(2, q))]
+        m1, m2 = rng.sample(primes, 2)
+        argv = ["--datum1", f"{m1}:3:1,{m1 - 1},0", "--datum2", f"{m2}:3:0,1,{m2 - 1}"]
+        argv += ["--p-class", "1"] if rng.random() < 0.5 else []
+    elif option == "--datum":
+        argv = ["--datum", datum] + residue + ["--step", "pad:1:2"]
+    elif option == "--double-with":
+        base, c = rng.choice(BASES)
+        argv = ["--datum", base, "--p-class", str(c), "--double-with", datum]
+    else:
+        doc = json.loads(json.dumps(certificate))
+        doc["datum"]["m"] = doc["steps"][0]["datum"]["m"] = m
+        path = tmp_path / f"certificate-{m}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--replay", str(path)]
+    return [command] + argv + (["--json"] if rng.random() < 0.5 else [])
+
+
+def test_moduli_above_the_bound_are_refused_at_once(tmp_path):
+    code, out, _, _ = _call(["generate", "--datum", "7:3:1,1,5", "--p-class", "2"])
+    assert code == 0
+    certificate = json.loads(out)
+    rng = random.Random(SEED + 1)
+    for i in range(BIG_CALLS):
+        argv = _big_argv(rng, BIG_KINDS[i % len(BIG_KINDS)], certificate, tmp_path)
+        code, out, err, seconds = _call(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "is above MAX_MODULUS = 1200" in err, (argv, err)
+        assert seconds < 1.0, argv

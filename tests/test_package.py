@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import npcc
@@ -56,3 +57,19 @@ def test_no_assert_statements_in_the_library():
     ]
     assert len(list(src.glob("*.py"))) >= 10
     assert found == []
+
+
+def test_benchmark_traced_names_resolve():
+    # The benchmark's tracer wraps these by name; a rename would leave
+    # a traced layer silently empty.
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert "strata.length" in spans.TARGETS
+    for span, (module, attribute) in spans.TARGETS.items():
+        owner = importlib.import_module(module)
+        for name in attribute.split("."):
+            assert hasattr(owner, name), f"{span}: {module}.{attribute}"
+            owner = getattr(owner, name)
+        assert callable(owner), span
