@@ -11,6 +11,7 @@ f(n) of the corresponding character eigenspace of differentials.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,10 +36,11 @@ __all__ = [
 # loops are O(m), and a joint's balance check sorts each orbit's values,
 # O(m log m).  At m = 1193 with p a primitive root (one orbit of size
 # m - 1), on a 2-core Xeon host, `npcc generate --step pad:1:2` (three
-# joints) takes 0.23 s, `--step pad:1193:6` (five joints) 0.3 s and
-# `npcc clutch` 0.2 s.  A joint also recomputes the signature of the
-# datum glued so far, O(m N), so a long chain costs more per joint:
-# `--step self:340:auto`, near MAX_BRANCH_POINTS, takes about 90 s.
+# joints) takes 0.09 s, `--step pad:1193:6` (five joints) 0.1 s and
+# `npcc clutch` 0.07 s, interpreter start included.  A joint also
+# computes the signature of the datum glued so far, O(m N), so a long
+# chain costs more per joint: `--step self:340:auto`, near
+# MAX_BRANCH_POINTS, takes about 13 s.
 MAX_MODULUS = 1200
 
 
@@ -164,6 +166,12 @@ class Signature:
         return "(" + ",".join(str(v) for v in self.values) + ")"
 
 
+# A chain joint asks for the signature of the datum glued so far three
+# times (clutch data, balance, slope span), and replay and verify_family
+# ask again.  An invalid datum raises, so it is never cached; bounded
+# because a key holds up to MAX_BRANCH_POINTS entries and a value up to
+# MAX_MODULUS - 1.
+@functools.lru_cache(maxsize=32)
 def signature(datum: MonodromyDatum) -> Signature:
     """Eigenspace dimensions of a validated datum.
 

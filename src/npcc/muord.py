@@ -14,6 +14,7 @@ attained, and the greatest element of the Kottwitz partial order.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable
 
@@ -151,9 +152,18 @@ def mu_ordinary_orbit(orbit: Orbit, f: Signature) -> OrbitPolygon:
     the slopes, each occupying the width between consecutive levels.
     """
     g_o = g_of_orbit(orbit, f)
+    return _lowest_orbit_polygon(orbit, tuple(f(n) for n in orbit.members), g_o)
+
+
+# The clutch checks ask for the same orbit polygons at every joint of a
+# chain, and again in replay and verify_family.  Bounded: at most 64
+# polygons, each with a grid of g(o) + 1 <= N - 1 points, so at most
+# about MAX_BRANCH_POINTS on a chain.
+@functools.lru_cache(maxsize=64)
+def _lowest_orbit_polygon(orbit: Orbit, values: tuple[int, ...], g_o: int) -> OrbitPolygon:
+    """mu_ordinary_orbit given f's values on the orbit's members and g(o)."""
     if g_o == 0:
         return OrbitPolygon(orbit, [])
-    values = [f(n) for n in orbit.members]
     levels = sorted({v for v in values if 1 <= v <= g_o - 1}, reverse=True)
     bounds = [g_o] + levels + [0]
     segments = []

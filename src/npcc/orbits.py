@@ -8,6 +8,7 @@ f(m - n) many slopes, a quantity constant on the orbit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,6 +85,15 @@ def decompose(m: int, p: int) -> OrbitDecomposition:
     q = p % m
     if math.gcd(q, m) != 1:
         raise BadResidueError(f"p = {p} shares a factor with m = {m}")
+    return _decompose(m, q)
+
+
+# Chain checks decompose the same few moduli over and over.  Keyed by
+# the residue, so a huge p costs no entry of its own; bounded because a
+# decomposition holds up to MAX_MODULUS - 1 members.
+@functools.lru_cache(maxsize=16)
+def _decompose(m: int, q: int) -> OrbitDecomposition:
+    """decompose for a unit q mod m, already reduced."""
     seen: set[int] = set()
     orbits: list[Orbit] = []
     for n in range(1, m):

@@ -198,8 +198,24 @@ class NewtonPolygon:
                 f"endpoints differ: ({self.height}, {self.degree}) vs "
                 f"({other.height}, {other.degree})"
             )
-        xs = {x for x, _ in self.breakpoints()} | {x for x, _ in other.breakpoints()}
-        return all(self.value_at(x) >= other.value_at(x) for x in xs)
+        # One sweep over both segment lists: between consecutive
+        # breakpoints of either graph both are linear, so the gap (self
+        # minus other) only needs checking at those breakpoints.
+        left, right = iter(self._segments), iter(other._segments)
+        (s, k), (t, n) = next(left, (0, 0)), next(right, (0, 0))
+        gap = Fraction(0)
+        while k:
+            step = min(k, n)
+            gap += (s - t) * step
+            if gap < 0:
+                return False
+            k -= step
+            n -= step
+            if not k:
+                s, k = next(left, (0, 0))
+            if not n:
+                t, n = next(right, (0, 0))
+        return True
 
     @property
     def is_symmetric(self) -> bool:

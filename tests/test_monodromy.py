@@ -227,3 +227,16 @@ def test_signature_error_message_matches_fraction_oracle(a):
     with pytest.raises(InvalidDatumError) as fast:
         signature(datum)
     assert str(fast.value) == str(oracle.value)
+
+
+def test_signature_cache_matches_its_body():
+    for datum in _seeded_data(20261, 40):
+        assert signature(datum) == signature.__wrapped__(datum), datum
+        assert signature(datum) is signature(datum)
+
+
+def test_signature_errors_are_not_cached():
+    for bad in (MonodromyDatum(5, (1, 1, 1)), MonodromyDatum(5, (1, 4, 0))):
+        for _ in range(2):
+            with pytest.raises(InvalidDatumError):
+                signature(bad)

@@ -1,16 +1,21 @@
 """Tests for orbit polygons and the mu-ordinary Newton polygon."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from npcc import (
     EndpointMismatchError,
+    InconsistentSignatureError,
     MonodromyDatum,
     OrbitPolygon,
     PolygonSyntaxError,
+    Signature,
     beta_of_signature,
     decompose,
+    g_of_orbit,
     induce,
     mu_ordinary,
     mu_ordinary_of_signature,
@@ -19,6 +24,7 @@ from npcc import (
     parse,
     signature,
 )
+from npcc.muord import _lowest_orbit_polygon
 
 F = Fraction
 
@@ -154,3 +160,30 @@ def test_mu_ordinary_of_signature_matches_datum_path():
     d = MonodromyDatum(9, (3, 5, 5, 5))
     f = signature(d)
     assert mu_ordinary_of_signature(f, 2) == mu_ordinary(d, 2)
+
+
+def test_mu_ordinary_orbit_cache_matches_its_body():
+    rng = random.Random(7081)
+    for _ in range(120):
+        m = rng.randint(3, 40)
+        a = [rng.randint(1, m - 1) for _ in range(rng.randint(2, 5))]
+        if sum(a) % m == 0:
+            continue
+        f = signature(MonodromyDatum(m, tuple(a) + (-sum(a) % m,)))
+        p = rng.choice([q for q in range(1, m) if math.gcd(q, m) == 1])
+        for o in decompose(m, p):
+            values = tuple(f(n) for n in o.members)
+            body = _lowest_orbit_polygon.__wrapped__(o, values, g_of_orbit(o, f))
+            assert mu_ordinary_orbit(o, f) == body
+            assert mu_ordinary_orbit(o, f) is mu_ordinary_orbit(o, f)
+
+
+def test_mu_ordinary_orbit_never_caches_an_inconsistent_signature():
+    good = signature(MonodromyDatum(7, (1, 1, 5)))  # values (1,1,1,0,0,0)
+    o = _orbit(7, 2, 1)  # {1,2,4}, values (1,1,0) and g(o) = 1
+    assert mu_ordinary_orbit(o, good).segments == ((F(2), 1),)
+    # the same values on {1,2,4}, but f(1) + f(6) = 2 and f(2) + f(5) = 1
+    bad = Signature(7, (1, 1, 1, 0, 0, 1))
+    for _ in range(2):
+        with pytest.raises(InconsistentSignatureError):
+            mu_ordinary_orbit(o, bad)

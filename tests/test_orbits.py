@@ -1,5 +1,8 @@
 """Tests for the multiplication-by-p orbit decomposition."""
 
+import math
+import random
+
 import pytest
 
 from npcc import (
@@ -11,6 +14,7 @@ from npcc import (
     g_of_orbit,
     signature,
 )
+from npcc.orbits import _decompose
 
 
 def test_decompose_covers_all_residues():
@@ -110,3 +114,23 @@ def test_orbit_sorting_is_by_min():
     assert [o.min for o in dec] == sorted(o.min for o in dec)
     # 3*4 = 12 = 3 mod 9, a fixed point
     assert dec.orbit_of(3).members == (3,)
+
+
+def test_decompose_cache_matches_its_body_and_keys_by_residue():
+    rng = random.Random(1807)
+    for _ in range(300):
+        m, p = rng.randint(2, 80), rng.randint(1, 10**12)
+        if math.gcd(m, p) == 1:
+            assert decompose(m, p) == _decompose.__wrapped__(m, p % m)
+    assert decompose(7, 3) is decompose(7, 10)
+    _decompose.cache_clear()
+    assert decompose(7, 2**61 - 1) is decompose(7, 1)  # 2**61 = 2 mod 7
+    assert _decompose.cache_info().currsize == 1
+
+
+def test_decompose_errors_are_not_cached():
+    for _ in range(2):
+        with pytest.raises(BadResidueError):
+            decompose(6, 3)
+        with pytest.raises(BadResidueError):
+            decompose(1, 1)

@@ -73,3 +73,68 @@ def test_benchmark_traced_names_resolve():
             assert hasattr(owner, name), f"{span}: {module}.{attribute}"
             owner = getattr(owner, name)
         assert callable(owner), span
+
+
+def _memo_problems(path):
+    """Unbounded or unsized memos in one module, and its count of sized ones."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    problems, sized = [], 0
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names = sorted({a.name for a in node.names} & {"cache", "lru_cache"})
+            if names:
+                problems.append(f"{where} imports {names} by name")
+        if not (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            continue
+        if node.attr == "cache":
+            problems.append(f"{where} functools.cache has no bound")
+        elif node.attr == "lru_cache":
+            call = calls.get(id(node))
+            given = [] if call is None else [
+                k.value for k in call.keywords if k.arg == "maxsize"
+            ] + call.args[:1]
+            size = given[0].value if given and isinstance(given[0], ast.Constant) else None
+            if type(size) is int:
+                sized += 1
+            else:
+                problems.append(f"{where} lru_cache without an integer maxsize")
+    return problems, sized
+
+
+def test_library_memos_are_bounded():
+    # A memo without a bound grows with every distinct input a long run
+    # sees, so each is a functools.lru_cache with an integer maxsize.
+    src = Path(npcc.__file__).resolve().parent
+    problems, sized = [], 0
+    for path in sorted(src.glob("*.py")):
+        found, count = _memo_problems(path)
+        problems += found
+        sized += count
+    assert problems == []
+    assert sized >= 4
+
+
+def test_memo_scan_flags_unbounded_and_unsized_memos(tmp_path):
+    path = tmp_path / "memos.py"
+    path.write_text(
+        "import functools\n"
+        "from functools import cache\n"
+        "@functools.cache\ndef a(x): return x\n"
+        "@functools.lru_cache(maxsize=None)\ndef b(x): return x\n"
+        "@functools.lru_cache\ndef c(x): return x\n"
+        "@functools.lru_cache()\ndef d(x): return x\n"
+        "@functools.lru_cache(8)\ndef e(x): return x\n"
+        "@functools.lru_cache(maxsize=16)\ndef f(x): return x\n",
+        encoding="utf-8",
+    )
+    problems, sized = _memo_problems(path)
+    assert {p.split(" ", 1)[0] for p in problems} == {
+        "memos.py:2", "memos.py:3", "memos.py:5", "memos.py:7", "memos.py:9"
+    }
+    assert sized == 2

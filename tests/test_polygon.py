@@ -164,6 +164,48 @@ def test_lies_on_or_above():
         ORD.lies_on_or_above(SS.power(2))
 
 
+def _lies_on_or_above_oracle(a, b):
+    """The former comparison: value_at at every breakpoint of either polygon."""
+    xs = {x for x, _ in a.breakpoints()} | {x for x, _ in b.breakpoints()}
+    return all(a.value_at(x) >= b.value_at(x) for x in xs)
+
+
+def _spread(units):
+    """Sorted units with the least lowered and the greatest raised by one:
+    the same endpoints and a graph below in between."""
+    u = sorted(units)
+    u[0] -= 1
+    u[-1] += 1
+    return u
+
+
+def test_lies_on_or_above_matches_breakpoint_oracle():
+    # Slopes are units of 1/(2e): a low block inside (0, 1/2) and a high
+    # block inside (1/2, 1), whose graphs meet at the block boundary.
+    # Spreading a block keeps it on its side of 1/2 and lowers the graph
+    # over that block only, so spreading neither, one, or each block on a
+    # different side gives equal, nested and crossing pairs.
+    rng = random.Random(20181)
+    kinds = {"equal": 0, "nested": 0, "crossing": 0}
+    for n in range(2400):
+        e = rng.randint(2, 5)
+        low = [rng.randint(1, e - 1) for _ in range(rng.randint(2, 6))]
+        high = [rng.randint(e + 1, 2 * e - 1) for _ in range(rng.randint(2, 6))]
+        ua, ub = [
+            (low + high, low + high),
+            (low + high, _spread(low) + high),
+            (low + high, low + _spread(high)),
+            (_spread(low) + high, low + _spread(high)),
+        ][n % 4]
+        a = NewtonPolygon((F(v, 2 * e), 1) for v in ua)
+        b = NewtonPolygon((F(v, 2 * e), 1) for v in ub)
+        above, below = _lies_on_or_above_oracle(a, b), _lies_on_or_above_oracle(b, a)
+        assert a.lies_on_or_above(b) is above
+        assert b.lies_on_or_above(a) is below
+        kinds["equal" if a == b else "nested" if above or below else "crossing"] += 1
+    assert kinds == {"equal": 600, "nested": 1200, "crossing": 600}
+
+
 def test_first_last_middle_slope():
     nu = parse("ord+(1/3,2/3)")
     assert nu.first_slope() == F(0)
