@@ -226,16 +226,17 @@ def compatible_violations(
         comp2 = mu_ordinary_orbit(orbit, f2)
         if comp1.is_empty or comp2.is_empty:
             continue
-        lo = comp2.lambda_slopes()[0]
-        hi = comp2.lambda_slopes()[-1]
-        witness = next((s for s in comp1.lambda_slopes() if lo < s < hi), None)
+        # Slopes on one orbit share the divisor |o| of the lambda scale,
+        # so they compare on the orbit scale.
+        lo, hi = comp2.segments[0][0], comp2.segments[-1][0]
+        witness = next((s for s, _ in comp1.segments if lo < s < hi), None)
         orbit_ok = witness is None
         if orbit.is_self_dual:
-            mid = comp1.lambda_scale().middle_slope()
+            mid = comp1.lambda_scale().middle_slope() * orbit.size
             if orbit_ok != (mid <= lo):
                 raise DomainError("middle-slope characterization disagrees")
         if not orbit_ok:
-            bad.append((orbit, witness))
+            bad.append((orbit, witness / orbit.size))
     return tuple(bad)
 
 

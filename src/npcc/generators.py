@@ -69,7 +69,9 @@ class CertifiedFamily:
     every construction step.  payload_codim, when not None, is the
     codimension of the claimed polygon inside the Kottwitz set where it
     was first certified; the clutching steps transport that codimension
-    unchanged, so it can be rechecked on the final datum.
+    unchanged, so it can be rechecked on the final datum.  The datum
+    must be primitive: an imprimitive one is a disconnected cover, whose
+    Riemann-Hurwitz genus is not the genus its polygon has.
     """
 
     datum: MonodromyDatum
@@ -81,7 +83,7 @@ class CertifiedFamily:
     payload_codim: int | None = None
 
     def __post_init__(self):
-        self.datum.validate()
+        self.datum.validate(require_primitive=True)
         m = self.datum.m
         p = self.p_class % m
         if math.gcd(p, m) != 1:
@@ -275,7 +277,7 @@ def base_case(
     bounds that Kottwitz set as in kottwitz_set.  Raises
     NotABaseCaseError when no check applies.
     """
-    datum.validate()
+    datum.validate(require_primitive=True)
     u = mu_ordinary(datum, p_class)
     m, big_n = datum.m, datum.N
     label = None if big_n == 3 else _moonen_match(datum)
@@ -318,7 +320,7 @@ def payload_base(
     assumption, in the usual reading that the prime is sufficiently
     large within its class.
     """
-    datum.validate()
+    datum.validate(require_primitive=True)
     ks = kottwitz_set(datum, p_class, cap=cap)
     try:
         codim = ks.codim_of_polygon(polygon)

@@ -107,11 +107,6 @@ class OrbitPolygon:
         backward = tuple((size - s, w) for s, w in reversed(forward))
         return forward == backward
 
-    def lambda_slopes(self) -> tuple[Fraction, ...]:
-        """Distinct slopes on the lambda scale, ascending."""
-        size = self.orbit.size
-        return tuple(s / size for s, _ in self.segments)
-
     def lambda_scale(self) -> NewtonPolygon:
         """The Newton polygon piece this orbit contributes."""
         size = self.orbit.size

@@ -9,14 +9,15 @@ mu-ordinary element is the unique top; the straight-segment choice in
 every factor is the unique bottom (the basic element).
 
 An element is an index into that product, decoded into its tuple of
-per-factor candidates only on demand.  A Kottwitz set is built by one
-fold over the factors that keeps each element's total polygon and
-length by index: each candidate's piece of Newton polygon is computed
-once, and each distinct partial total meets each piece of the next
-factor once, so the polygon arithmetic scales with the number of
-distinct partial totals rather than with the number of elements.  The
-distinct totals (the strata of the family) are indexed as the fold
-finishes.
+per-factor candidates only on demand, and all structure of the set
+comes from the small factors.  One fold over the factors maps each
+distinct total polygon (a stratum of the family) to the indices of the
+elements reaching it: each candidate's piece of Newton polygon is
+computed once, and each distinct partial total meets each piece of the
+next factor once, so the polygon arithmetic scales with the number of
+distinct partial totals rather than with the number of elements.  An
+element's length is the sum of its candidates' lengths, and the
+covers of the set are the factors' covers lifted by index arithmetic.
 
 The second half of the module measures how special a polygon is inside
 the full Siegel moduli space: the stratum codimension as a lattice
@@ -128,16 +129,15 @@ class KottwitzSet:
     elements' candidate tuples in that order, and ``ks[i]`` decodes one
     index.  The length of an element is the longest strictly increasing
     chain from it up to the top; in a product poset that is the sum of
-    the per-factor lengths (see `_chain_lengths`).
+    the per-factor lengths (see `_chain_lengths`), kept in ``lengths``.
 
-    Totals and lengths come from one fold over the factors in that
-    order and are kept as tuples aligned by index, ``element_totals``
-    and ``lengths``.  Each distinct partial total is summed with each
-    candidate's piece once, and equal totals are interned, so elements
-    with the same total share one polygon.  The fold also indexes the
-    elements by total, in first-appearance order, for `totals` and
-    `elements_with_total`.  The cap bounds the running product of the
-    factor sizes, checked before the next factor is enumerated.
+    No polygon is kept per element.  One fold over the factors maps
+    each distinct partial total to the indices reaching it: each partial
+    meets each candidate k of the next factor once, giving the indices
+    i * len(factor) + k.  Partials are visited in first-appearance order
+    and k < len(factor), so the dict keeps the totals in first-appearance
+    order.  The cap bounds the running product of the factor sizes,
+    checked before the next factor is enumerated.
     """
 
     def __init__(self, f: Signature, p: int, cap: int | None = DEFAULT_ENUM_CAP):
@@ -161,32 +161,21 @@ class KottwitzSet:
                     f"{sizes} = {count}; raise the cap"
                 )
         self.factors = tuple(factors)
-        totals = [NewtonPolygon()]
+        self._factor_lengths = tuple(self._chain_lengths(c) for c in self.factors)
+        by_total = {NewtonPolygon(): [0]}
         lengths = [0]
-        for factor in self.factors:
+        for factor, steps in zip(self.factors, self._factor_lengths):
             pieces = [c.piece() for c in factor]
-            steps = self._chain_lengths(factor)
-            interned: dict[NewtonPolygon, NewtonPolygon] = {}
-            # Partial totals are interned and stay alive in `totals`
-            # through the level, so their ids name them.
-            rows: dict[int, list[NewtonPolygon]] = {}
-            folded = []
-            for partial in totals:
-                row = rows.get(id(partial))
-                if row is None:
-                    row = rows[id(partial)] = [
-                        interned.setdefault(t, t) for t in (partial + q for q in pieces)
-                    ]
-                folded.extend(row)
-            totals = folded
+            size = len(factor)
+            folded: dict[NewtonPolygon, list[int]] = {}
+            for partial, indices in by_total.items():
+                base = [i * size for i in indices]
+                for k, piece in enumerate(pieces):
+                    folded.setdefault(partial + piece, []).extend([b + k for b in base])
+            by_total = folded
             lengths = [n + s for n in lengths for s in steps]
-        self.element_totals = tuple(totals)
+        self._by_total = {total: sorted(ix) for total, ix in by_total.items()}
         self.lengths = tuple(lengths)
-        # Grouping by identity hashes no polygon per element.
-        groups: dict[int, list[int]] = {}
-        for i, total in enumerate(totals):
-            groups.setdefault(id(total), []).append(i)
-        self._by_total = {totals[ix[0]]: ix for ix in groups.values()}
 
     @staticmethod
     def _chain_lengths(candidates: tuple[OrbitPolygon, ...]) -> tuple[int, ...]:
@@ -248,26 +237,32 @@ class KottwitzSet:
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Cover relations as (lower, upper) element indices.
 
-        The poset is ranked by length, so the covers are the comparable
-        pairs whose lengths differ by one; comparable means every
-        component of the lower lies on or above the upper's.
+        A cover in a product of ranked posets moves one coordinate by
+        one cover of its factor and keeps the rest equal.  A factor's
+        covers are its comparable pairs one length apart (comparable
+        means the lower lies on or above the upper); each lifts to every
+        element whose digit there is the upper candidate, the digit's
+        place value being the product of the later factors' sizes.
         """
-        elements = list(self)
-        by_length: dict[int, list[int]] = {}
-        for i, n in enumerate(self.lengths):
-            by_length.setdefault(n, []).append(i)
-        return tuple(sorted(
-            (lower, upper)
-            for upper, n in enumerate(self.lengths)
-            for lower in by_length.get(n + 1, ())
-            if all(a.lies_on_or_above(b) for a, b in zip(elements[lower], elements[upper]))
-        ))
+        edges = []
+        place = len(self)
+        for factor, steps in zip(self.factors, self._factor_lengths):
+            place //= len(factor)
+            for up, lo in itertools.product(range(len(factor)), repeat=2):
+                if steps[lo] == steps[up] + 1 and factor[lo].lies_on_or_above(factor[up]):
+                    shift = (lo - up) * place
+                    for start in range(up * place, len(self), len(factor) * place):
+                        edges.extend((i + shift, i) for i in range(start, start + place))
+        return tuple(sorted(edges))
 
     def hasse_dot(self) -> str:
         """Hasse diagram in DOT format, top element drawn at the top."""
+        labels = {}
+        for total, indices in self._by_total.items():
+            labels.update(dict.fromkeys(indices, str(total)))
         lines = ["digraph kottwitz {", "  rankdir=BT;"]
-        for i, (total, n) in enumerate(zip(self.element_totals, self.lengths)):
-            lines.append(f'  e{i} [label="{total} (length {n})"];')
+        for i, n in enumerate(self.lengths):
+            lines.append(f'  e{i} [label="{labels[i]} (length {n})"];')
         for j, i in self.hasse_edges():
             lines.append(f"  e{j} -> e{i};")
         lines.append("}")

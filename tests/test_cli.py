@@ -540,6 +540,12 @@ def test_generate_cap_bounds_the_base_case(capsys):
     )
 
 
+@pytest.mark.parametrize("extra", [[], ["--payload", "ord^6"]])
+def test_generate_refuses_imprimitive_data(capsys, extra):
+    argv = ["generate", "--datum", "18:3:6,10,2", "--p-class", "5", *extra]
+    _one_error_line_quickly(capsys, argv, "datum (6, 10, 2) mod 18 is imprimitive")
+
+
 @pytest.mark.parametrize(
     "argv, m",
     [

@@ -17,6 +17,7 @@ data file was captured with Python 3.11.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -78,6 +79,10 @@ OTHERS = [
     ["generate", "--datum", "7:3:1,1,5", "--p-class", "2", "--step", "pad:2:1"],
 ]
 
+# Too large to keep as text: 1638 elements and 8181 lines, pinned by digest.
+BIG_DOT = ["kottwitz", "--datum", "21:7:1,1,1,1,1,1,15", "--p-class", "2", "--dot"]
+BIG_DOT_SHA256 = "b8f0d73eb2469f8b0d3936b07e220bbfceeb50212f64c3c37798647c10f88ec9"
+
 CASES = [q + extra for q in QUERIES for extra in ([], ["--json"])] + OTHERS
 
 
@@ -127,6 +132,13 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("index", range(len(CASES)), ids=[" ".join(c) for c in CASES])
 def test_cli_output_matches_golden(index, golden, files):
     assert run_case(CASES[index], files) == golden[index]
+
+
+def test_large_dot_output_matches_digest():
+    result = run(BIG_DOT)
+    assert (result["code"], result["stderr"]) == (0, "")
+    assert result["stdout"].count("\n") == 8181
+    assert hashlib.sha256(result["stdout"].encode()).hexdigest() == BIG_DOT_SHA256
 
 
 def readme_tour() -> list[tuple[str, str]]:

@@ -16,6 +16,7 @@ from npcc import (
     CertifiedFamily,
     EnumerationCapError,
     GeneratorError,
+    InvalidDatumError,
     MonodromyDatum,
     NotABaseCaseError,
     base_case,
@@ -79,6 +80,20 @@ def test_certified_family_validation():
         CertifiedFamily(MonodromyDatum(4, (1, 1, 2)), 2, parse("ss"), True)
     with pytest.raises(GeneratorError):
         CertifiedFamily(MonodromyDatum(4, (1, 1, 2)), 3, parse("ss^2"), True)
+
+
+def test_certified_families_refuse_imprimitive_data():
+    # 18:3:6,10,2 is two copies of a genus-3 cover: Riemann-Hurwitz says
+    # genus 5, its signature sums to 6.  Each entry point refuses it first.
+    datum = MonodromyDatum(18, (6, 10, 2))
+    message = r"^datum \(6, 10, 2\) mod 18 is imprimitive$"
+    for start in (
+        lambda: base_case(datum, 5),
+        lambda: payload_base(datum, 5, parse("ord^6")),
+        lambda: CertifiedFamily(datum, 5, parse("ord^6"), True),
+    ):
+        with pytest.raises(InvalidDatumError, match=message):
+            start()
 
 
 def test_payload_base():

@@ -62,7 +62,6 @@ def test_orbit_polygon_geometry():
 def test_orbit_polygon_lambda_scale():
     o = _orbit(8, 3, 1)  # size 2
     q = OrbitPolygon(o, [(F(1, 2), 2), (F(3, 2), 2)])
-    assert q.lambda_slopes() == (F(1, 4), F(3, 4))
     assert q.lambda_scale() == parse("(1/4,3/4)")
 
 

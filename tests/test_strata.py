@@ -72,9 +72,9 @@ def test_enumerate_orbit_component_respects_cap():
 def test_worked_kottwitz_set():
     ks = kottwitz_set(WORKED, 7)
     assert len(ks) == 4
-    assert ks.element_totals[0] == parse("ord^4+ss^5")
-    assert ks.element_totals[0] == mu_ordinary(WORKED, 7)
-    assert ks.element_totals[-1] == parse("ss^9")
+    assert ks.elements_with_total(parse("ord^4+ss^5")) == (0,)  # the top
+    assert parse("ord^4+ss^5") == mu_ordinary(WORKED, 7)
+    assert ks.elements_with_total(parse("ss^9")) == (len(ks) - 1,)  # the bottom
     assert ks.totals() == (parse("ord^4+ss^5"), parse("ord^2+ss^7"), parse("ss^9"))
     assert ks.codim_of_polygon(parse("ord^4+ss^5")) == 0
     assert ks.codim_of_polygon(parse("ord^2+ss^7")) == 1
