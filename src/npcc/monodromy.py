@@ -11,6 +11,7 @@ f(n) of the corresponding character eigenspace of differentials.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -36,11 +37,11 @@ __all__ = [
 # loops are O(m), and a joint's balance check sorts each orbit's values,
 # O(m log m).  At m = 1193 with p a primitive root (one orbit of size
 # m - 1), on a 2-core Xeon host, `npcc generate --step pad:1:2` (three
-# joints) takes 0.09 s, `--step pad:1193:6` (five joints) 0.1 s and
-# `npcc clutch` 0.07 s, interpreter start included.  A joint also
-# computes the signature of the datum glued so far, O(m N), so a long
-# chain costs more per joint: `--step self:340:auto`, near
-# MAX_BRANCH_POINTS, takes about 13 s.
+# joints) takes 0.15 s, `--step pad:1193:6` (five joints) 0.17 s and
+# `npcc clutch` 0.18 s, interpreter start included.  The signature of a
+# glued datum sums over its distinct entries, so a joint's per-residue
+# work stays O(m) however long the chain: `--step self:340:auto`, near
+# MAX_BRANCH_POINTS, takes about 3 s.
 MAX_MODULUS = 1200
 
 
@@ -166,11 +167,11 @@ class Signature:
         return "(" + ",".join(str(v) for v in self.values) + ")"
 
 
-# A chain joint asks for the signature of the datum glued so far three
-# times (clutch data, balance, slope span), and replay and verify_family
-# ask again.  An invalid datum raises, so it is never cached; bounded
-# because a key holds up to MAX_BRANCH_POINTS entries and a value up to
-# MAX_MODULUS - 1.
+# A chain joint asks for the signature of the datum glued so far in
+# clutch_data, check_balanced and the slope-span check, and the next
+# joint asks for it again as one side of its pair.  An invalid datum
+# raises, so it is never cached; bounded because a key holds up to
+# MAX_BRANCH_POINTS entries and a value up to MAX_MODULUS - 1.
 @functools.lru_cache(maxsize=32)
 def signature(datum: MonodromyDatum) -> Signature:
     """Eigenspace dimensions of a validated datum.
@@ -182,13 +183,16 @@ def signature(datum: MonodromyDatum) -> Signature:
     this only happens for imprimitive (induced) data.
 
     The fractional parts are summed as integers (-n*a(i)) mod m, so the
-    dimension is (s - m) / m for their sum s.
+    dimension is (s - m) / m for their sum s.  Equal entries contribute
+    equal parts, so the sum runs over the distinct entries with their
+    counts: a glued chain datum has three, whatever its N.
     """
     datum.validate()
     m = datum.m
+    counts = collections.Counter(datum.a).items()
     vals = []
     for n in range(1, m):
-        s = sum((-n * ai) % m for ai in datum.a)
+        s = sum(k * ((-n * ai) % m) for ai, k in counts)
         if not s:
             vals.append(0)
             continue
@@ -203,13 +207,20 @@ def signature(datum: MonodromyDatum) -> Signature:
 
 
 def genus(datum: MonodromyDatum) -> int:
-    """Genus by Riemann-Hurwitz: 2g - 2 = (N - 2) m - sum gcd(a(i), m)."""
+    """Dimension of the differentials, by Riemann-Hurwitz.
+
+    An imprimitive datum with d = gcd(m, a) describes d disjoint copies
+    of one curve, and Riemann-Hurwitz for the disjoint union reads
+    2g - 2d = (N - 2) m - sum gcd(a(i), m), with g the sum of the
+    copies' genera.  That g is the total of the signature; d = 1 is the
+    usual genus of a connected cover.
+    """
     datum.validate()
     m = datum.m
     rhs = (datum.N - 2) * m - sum(_gcd_m(ai, m) for ai in datum.a)
     if rhs % 2:
         raise InvalidDatumError(f"odd Riemann-Hurwitz total {rhs} for {datum}")
-    return 1 + rhs // 2
+    return math.gcd(m, *datum.a) + rhs // 2
 
 
 def induce(datum: MonodromyDatum, d: int) -> MonodromyDatum:

@@ -40,7 +40,9 @@ class OrbitPolygon:
     [0, |orbit|]; widths are positive integers and every segment rises
     by an integer, so all vertices are lattice points.  Values on the
     integer grid are precomputed because enumeration compares these
-    polygons pointwise very often.
+    polygons pointwise very often.  They are ints at the vertices and
+    along integral slopes, and Fractions elsewhere; an int equals and
+    hashes like the Fraction of the same value.
     """
 
     __slots__ = ("orbit", "segments", "_grid")
@@ -61,10 +63,12 @@ class OrbitPolygon:
             prev = s
         self.orbit = orbit
         self.segments = segs
-        grid = [Fraction(0)]
+        grid = [0]
         for s, w in segs:
-            for _ in range(w):
-                grid.append(grid[-1] + s)
+            y = grid[-1]
+            step = s.numerator if s.denominator == 1 else s
+            grid.extend(y + step * k for k in range(1, w))
+            grid.append(y + int(s * w))
         self._grid = tuple(grid)
 
     @property
@@ -170,9 +174,20 @@ def _lowest_orbit_polygon(orbit: Orbit, values: tuple[int, ...], g_o: int) -> Or
 
 def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:
     """Assemble the mu-ordinary polygon from orbit contributions."""
-    dec = decompose(f.m, p)
+    return _assemble(f, p % f.m)
+
+
+# A chain step recomputes the mu-ordinary polygon of each datum it
+# certifies, and replay and verify_family recompute the same ones.
+# Signature and NewtonPolygon are immutable, so a cached polygon is
+# shared safely; an inconsistent signature raises and is never cached.
+# Bounded: at most 64 entries, each a key of up to MAX_MODULUS - 1
+# values and a polygon with fewer segments than its height.
+@functools.lru_cache(maxsize=64)
+def _assemble(f: Signature, p_class: int) -> NewtonPolygon:
+    """mu_ordinary_of_signature for the class of p mod f.m."""
     total = NewtonPolygon()
-    for rep in dec.representatives():
+    for rep in decompose(f.m, p_class).representatives():
         total = total + mu_ordinary_orbit(rep, f).piece()
     return total
 

@@ -5,6 +5,7 @@ and the exit status. Expected numbers repeat values that the library
 tests already pin down, so these tests are about wiring and formatting.
 """
 
+import hashlib
 import json
 import time
 
@@ -557,3 +558,26 @@ def test_generate_refuses_imprimitive_data(capsys, extra):
 )
 def test_modulus_above_the_bound_is_one_error_line(capsys, argv, m):
     _one_error_line_quickly(capsys, argv, f"{m} is above MAX_MODULUS = 1200")
+
+
+def test_clutch_of_imprimitive_data_is_one_error_line(capsys):
+    argv = ["clutch", "--datum1", "6:3:2,2,2", "--datum2", "6:3:4,4,4", "--p-class", "5"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: datum (2, 2, 2) mod 6 is imprimitive\n"
+
+
+def test_long_chain_at_the_modulus_bound_is_pinned_and_quick(capsys):
+    # 340 copies (1022 branch points) at m = 1193, where class 3 is a
+    # primitive root: every joint clutches a datum of three distinct
+    # entries, so each costs O(m) whatever the chain's length.  The run
+    # takes about 3 s on a 2-core host; an O(m N) joint takes about 30 s.
+    argv = ["generate", "--datum", "1193:3:1,1,1191", "--p-class", "3",
+            "--step", "self:340:auto"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 15.0
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ecad61fc999de1fe3fb170782955803bb19b61b97328e49252914596d7c924b3"
+    )

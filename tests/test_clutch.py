@@ -310,3 +310,40 @@ def test_self_clutch_defect_counts_toric_rank():
     assert r.epsilon == r.r0 - 1
     glued = clutch_polygon(mu_ordinary(d, 2), mu_ordinary(MonodromyDatum(5, (2, 1, 2)), 2), r)
     assert glued.p_rank >= r.epsilon
+
+
+def test_check_compatible_decides_on_dual_pair_representatives():
+    # check_compatible reads one orbit of each dual pair; that is sound
+    # because the failing orbits, all of which compatible_violations
+    # lists, are closed under o -> -o
+    rng = random.Random(20181103)
+
+    def datum(m):
+        a = [rng.randrange(1, m) for _ in range(rng.randint(2, 5))]
+        a.append(-sum(a) % m)
+        return MonodromyDatum(m, tuple(a), generalized=True)
+
+    outcomes = []
+    for _ in range(2100):
+        m1 = rng.randint(2, 30)
+        m2 = m1 * rng.randint(1, 60 // m1)
+        g1, g2 = datum(m1), datum(m2)
+        p = rng.choice([c for c in range(1, m2 + 1) if math.gcd(c, m2) == 1])
+        bad = compatible_violations(g1, g2, p)
+        assert check_compatible(g1, g2, p) == (not bad), (g1, g2, p)
+        orbits = {o for o, _ in bad}
+        assert {o.dual() for o in orbits} == orbits, (g1, g2, p)
+        outcomes.append(bool(bad))
+    assert 500 < sum(outcomes) < len(outcomes) - 500
+
+
+def test_clutch_refuses_imprimitive_data():
+    # the genus recursion holds for connected covers only
+    for g1, g2 in (
+        (MonodromyDatum(6, (2, 2, 2)), MonodromyDatum(6, (4, 4, 4))),
+        (G1, MonodromyDatum(8, (4, 2, 6, 4))),
+    ):
+        with pytest.raises(InvalidDatumError, match="imprimitive"):
+            clutch_data(g1, g2)
+        with pytest.raises(InvalidDatumError, match="imprimitive"):
+            clutch_report(g1, g2, p=5)

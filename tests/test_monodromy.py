@@ -11,14 +11,17 @@ from npcc import (
     InvalidDatumError,
     MonodromyDatum,
     Signature,
+    base_case,
     genus,
     induce,
     normalize,
     pad_first,
     pad_last,
+    self_clutch,
     signature,
     strip_zeros,
 )
+from npcc.generators import MAX_BRANCH_POINTS
 from npcc.monodromy import MAX_MODULUS
 
 
@@ -240,3 +243,51 @@ def test_signature_errors_are_not_cached():
         for _ in range(2):
             with pytest.raises(InvalidDatumError):
                 signature(bad)
+
+
+def _signature_all_entries(datum):
+    """The integer loop over all N entries; the oracle for the counted sum."""
+    datum.validate()
+    m = datum.m
+    vals = []
+    for n in range(1, m):
+        s = sum((-n * ai) % m for ai in datum.a)
+        if not s:
+            vals.append(0)
+            continue
+        q, r = divmod(s - m, m)
+        if r or q < 0:
+            raise InvalidDatumError(
+                "non-integral or negative eigenspace dimension"
+                f" {Fraction(s - m, m)} at n = {n}"
+            )
+        vals.append(q)
+    return Signature(m, tuple(vals))
+
+
+def _chain_glued_data():
+    """Glued data of seeded self-clutched chains, N up to MAX_BRANCH_POINTS."""
+    rng = random.Random(20262)
+    out = []
+    for m, a, p in ((7, (1, 1, 5), 2), (12, (1, 4, 7), 5), (25, (3, 9, 13), 2)):
+        fam = base_case(MonodromyDatum(m, a), p)
+        for n in (2, rng.randint(3, 40), (MAX_BRANCH_POINTS - 2) // 3):
+            out.append(self_clutch(fam, n, auto_pad=True).datum)
+    assert max(d.N for d in out) == MAX_BRANCH_POINTS - 2
+    return out
+
+
+def test_signature_matches_the_all_entries_loop():
+    data = _seeded_data(20263, 60) + _chain_glued_data()
+    for datum in data:
+        assert signature.__wrapped__(datum) == _signature_all_entries(datum), datum
+
+
+def test_genus_is_the_signature_total_on_induced_data():
+    # an induced datum is gcd(m, a) disjoint copies of one curve, and its
+    # genus is the dimension of the differentials of their union
+    rng = random.Random(20264)
+    for datum in _seeded_data(20264, 60):
+        big = induce(datum, rng.randint(2, 5))
+        assert genus(big) == signature(big).total, big
+    assert genus(MonodromyDatum(18, (6, 10, 2))) == 6 == 2 * genus(MonodromyDatum(9, (3, 5, 1)))

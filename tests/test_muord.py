@@ -24,7 +24,7 @@ from npcc import (
     parse,
     signature,
 )
-from npcc.muord import _lowest_orbit_polygon
+from npcc.muord import _assemble, _lowest_orbit_polygon
 
 F = Fraction
 
@@ -186,3 +186,54 @@ def test_mu_ordinary_orbit_never_caches_an_inconsistent_signature():
     for _ in range(2):
         with pytest.raises(InconsistentSignatureError):
             mu_ordinary_orbit(o, bad)
+
+
+def _fraction_grid(poly):
+    """Values on the integer grid as a running Fraction sum; the grid's oracle."""
+    grid = [F(0)]
+    for s, w in poly.segments:
+        for _ in range(w):
+            grid.append(grid[-1] + s)
+    return grid
+
+
+def test_orbit_polygon_grid_matches_the_fraction_sum():
+    rng = random.Random(7082)
+    polys = []
+    for _ in range(150):
+        m = rng.randint(3, 40)
+        a = [rng.randint(1, m - 1) for _ in range(rng.randint(2, 5))]
+        if sum(a) % m == 0:
+            continue
+        f = signature(MonodromyDatum(m, tuple(a) + (-sum(a) % m,)))
+        p = rng.choice([q for q in range(1, m) if math.gcd(q, m) == 1])
+        polys += [mu_ordinary_orbit(o, f) for o in decompose(m, p)]
+    o = _orbit(8, 3, 1)
+    polys += [OrbitPolygon(o, [(F(1, 2), 2), (F(3, 2), 2)]), OrbitPolygon(o, [(F(2, 3), 3)])]
+    for poly in polys:
+        grid = [poly.value_at(x) for x in range(poly.height + 1)]
+        assert grid == _fraction_grid(poly), poly
+        assert [hash(v) for v in grid] == [hash(v) for v in _fraction_grid(poly)]
+        # every vertex is a lattice point, and integral slopes stay integral
+        x = 0
+        for s, w in poly.segments:
+            x += w
+            assert type(poly.value_at(x)) is int
+            if s.denominator == 1:
+                assert all(type(poly.value_at(x - k)) is int for k in range(w))
+
+
+def test_mu_ordinary_cache_matches_a_fresh_assembly():
+    rng = random.Random(7083)
+    for _ in range(150):
+        m = rng.randint(3, 60)
+        a = [rng.randint(1, m - 1) for _ in range(rng.randint(2, 6))]
+        if sum(a) % m == 0:
+            continue
+        d = MonodromyDatum(m, tuple(a) + (-sum(a) % m,))
+        if rng.random() < 0.3:
+            d = induce(d, rng.randint(2, 3))
+        p = rng.choice([q for q in range(1, 3 * d.m) if math.gcd(q, d.m) == 1])
+        fresh = _assemble.__wrapped__(signature(d), p % d.m)
+        assert mu_ordinary(d, p) == fresh, (d, p)
+        assert mu_ordinary(d, p) is mu_ordinary(d, p + d.m)
