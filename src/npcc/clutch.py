@@ -209,38 +209,6 @@ def check_balanced(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> bool:
     return True
 
 
-def _span_inputs(g1: MonodromyDatum, g2: MonodromyDatum, p: int):
-    """The induced first signature, the second, and the orbits of m2."""
-    if g2.m % g1.m != 0:
-        raise UnsupportedPairError(
-            f"slope-span check needs m1 | m2, got {g1.m} and {g2.m}"
-        )
-    f1d = signature(g1).induced(g2.m // g1.m)
-    return f1d, signature(g2), decompose(g2.m, p)
-
-
-def _span_witness(orbit: Orbit, f1d: Signature, f2: Signature) -> Fraction | None:
-    """An orbit-scale slope of f1d's component strictly inside f2's span, or None.
-
-    An orbit where either component is empty is vacuously fine.  On a
-    self-dual orbit the answer is cross-checked against the middle
-    slope of f1d's component.
-    """
-    comp1 = mu_ordinary_orbit(orbit, f1d)
-    comp2 = mu_ordinary_orbit(orbit, f2)
-    if comp1.is_empty or comp2.is_empty:
-        return None
-    # Slopes on one orbit share the divisor |o| of the lambda scale,
-    # so they compare on the orbit scale.
-    lo, hi = comp2.segments[0][0], comp2.segments[-1][0]
-    witness = next((s for s, _ in comp1.segments if lo < s < hi), None)
-    if orbit.is_self_dual:
-        mid = comp1.lambda_scale().middle_slope() * orbit.size
-        if (witness is None) != (mid <= lo):
-            raise DomainError("middle-slope characterization disagrees")
-    return witness
-
-
 def compatible_violations(
     g1: MonodromyDatum, g2: MonodromyDatum, p: int
 ) -> tuple[tuple[Orbit, Fraction], ...]:
@@ -251,26 +219,40 @@ def compatible_violations(
     between the first and last slopes of the second's; orbits where
     either component is empty are vacuously fine.
     """
-    f1d, f2, dec = _span_inputs(g1, g2, p)
-    bad = []
-    for orbit in dec.orbits:
-        witness = _span_witness(orbit, f1d, f2)
-        if witness is not None:
-            bad.append((orbit, witness / orbit.size))
-    return tuple(bad)
+    if g2.m % g1.m != 0:
+        raise UnsupportedPairError(
+            f"slope-span check needs m1 | m2, got {g1.m} and {g2.m}"
+        )
+    d = g2.m // g1.m
+    f1d = signature(g1).induced(d)
+    f2 = signature(g2)
+    dec = decompose(g2.m, p)
+    bad = {}
+    for orbit in dec.representatives():
+        comp1 = mu_ordinary_orbit(orbit, f1d)
+        comp2 = mu_ordinary_orbit(orbit, f2)
+        if comp1.is_empty or comp2.is_empty:
+            continue
+        # Slopes on one orbit share the divisor |o| of the lambda scale,
+        # so they compare on the orbit scale.
+        lo, hi = comp2.segments[0][0], comp2.segments[-1][0]
+        inside = [s for s, _ in comp1.segments if lo < s < hi]
+        if orbit.is_self_dual:
+            mid = comp1.lambda_scale().middle_slope() * orbit.size
+            if (not inside) != (mid <= lo):
+                raise DomainError("middle-slope characterization disagrees")
+        if inside:
+            bad[orbit] = inside[0] / orbit.size
+            if not orbit.is_self_dual:
+                # On -o both components dualize, s -> |o| - s, so the
+                # first slope inside its span mirrors the last one here.
+                bad[orbit.dual()] = 1 - inside[-1] / orbit.size
+    return tuple((o, bad[o]) for o in dec.orbits if o in bad)
 
 
 def check_compatible(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> bool:
-    """Slope-span compatibility of the pair at p (defined for m1 | m2).
-
-    The failing orbits are closed under o -> -o: both components
-    dualize, s -> |o| - s, which maps the open span (lo, hi) onto
-    (|o| - hi, |o| - lo).  So one orbit of each dual pair decides.  All
-    of them are checked, so every self-dual orbit gets its cross-check.
-    """
-    f1d, f2, dec = _span_inputs(g1, g2, p)
-    witnesses = [_span_witness(o, f1d, f2) for o in dec.representatives()]
-    return all(w is None for w in witnesses)
+    """Slope-span compatibility of the pair at p (defined for m1 | m2)."""
+    return not compatible_violations(g1, g2, p)
 
 
 def check_self_compatible(datum: MonodromyDatum, p: int) -> bool:

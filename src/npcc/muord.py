@@ -174,7 +174,7 @@ def _lowest_orbit_polygon(orbit: Orbit, values: tuple[int, ...], g_o: int) -> Or
 
 def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:
     """Assemble the mu-ordinary polygon from orbit contributions."""
-    return _assemble(f, p % f.m)
+    return _assemble(f, decompose(f.m, p).p_class)
 
 
 # A chain step recomputes the mu-ordinary polygon of each datum it

@@ -29,6 +29,7 @@ from npcc import (
     genus,
     mu_ord_product_check,
     mu_ordinary,
+    mu_ordinary_orbit,
     pad_pair,
     parse,
     reorder_at,
@@ -312,10 +313,27 @@ def test_self_clutch_defect_counts_toric_rank():
     assert glued.p_rank >= r.epsilon
 
 
-def test_check_compatible_decides_on_dual_pair_representatives():
-    # check_compatible reads one orbit of each dual pair; that is sound
-    # because the failing orbits, all of which compatible_violations
-    # lists, are closed under o -> -o
+def _violations_on_every_orbit(g1, g2, p):
+    """compatible_violations read off every orbit; the test's oracle."""
+    f1d = signature(g1).induced(g2.m // g1.m)
+    f2 = signature(g2)
+    bad = []
+    for orbit in decompose(g2.m, p).orbits:
+        comp1 = mu_ordinary_orbit(orbit, f1d)
+        comp2 = mu_ordinary_orbit(orbit, f2)
+        if comp1.is_empty or comp2.is_empty:
+            continue
+        lo, hi = comp2.segments[0][0], comp2.segments[-1][0]
+        witness = next((s for s, _ in comp1.segments if lo < s < hi), None)
+        if witness is not None:
+            bad.append((orbit, witness / orbit.size))
+    return tuple(bad)
+
+
+def test_compatible_violations_match_every_orbit_oracle():
+    # compatible_violations reads one orbit of each dual pair and mirrors
+    # a failure onto the dual; the oracle reads both, and its failing
+    # orbits are closed under o -> -o
     rng = random.Random(20181103)
 
     def datum(m):
@@ -324,17 +342,21 @@ def test_check_compatible_decides_on_dual_pair_representatives():
         return MonodromyDatum(m, tuple(a), generalized=True)
 
     outcomes = []
+    mirrored = 0
     for _ in range(2100):
         m1 = rng.randint(2, 30)
         m2 = m1 * rng.randint(1, 60 // m1)
         g1, g2 = datum(m1), datum(m2)
         p = rng.choice([c for c in range(1, m2 + 1) if math.gcd(c, m2) == 1])
-        bad = compatible_violations(g1, g2, p)
+        bad = _violations_on_every_orbit(g1, g2, p)
+        assert compatible_violations(g1, g2, p) == bad, (g1, g2, p)
         assert check_compatible(g1, g2, p) == (not bad), (g1, g2, p)
         orbits = {o for o, _ in bad}
         assert {o.dual() for o in orbits} == orbits, (g1, g2, p)
         outcomes.append(bool(bad))
+        mirrored += sum(not o.is_self_dual for o in orbits)
     assert 500 < sum(outcomes) < len(outcomes) - 500
+    assert mirrored > 1000
 
 
 def test_clutch_refuses_imprimitive_data():

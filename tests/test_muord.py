@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from npcc import (
+    BadResidueError,
     EndpointMismatchError,
     InconsistentSignatureError,
     MonodromyDatum,
@@ -237,3 +238,9 @@ def test_mu_ordinary_cache_matches_a_fresh_assembly():
         fresh = _assemble.__wrapped__(signature(d), p % d.m)
         assert mu_ordinary(d, p) == fresh, (d, p)
         assert mu_ordinary(d, p) is mu_ordinary(d, p + d.m)
+
+
+def test_mu_ordinary_names_the_callers_p_in_a_bad_residue_error():
+    d = MonodromyDatum(8, (1, 3, 4))
+    with pytest.raises(BadResidueError, match=r"^p = 10 shares a factor with m = 8$"):
+        mu_ordinary(d, 10)
