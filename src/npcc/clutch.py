@@ -165,7 +165,7 @@ def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
             + _delta_pair(d1, d2, n, m3)
             - _delta_pair(1, d2, n, m3)
         )
-        values.append(f1d(n) + f2d(n) + delta)
+        values.append(f1d.values[n - 1] + f2d.values[n - 1] + delta)
     f3 = Signature(m3, tuple(values))
 
     g3 = d1 * genus(g1) + d2 * genus(g2) + epsilon

@@ -151,7 +151,8 @@ def mu_ordinary_orbit(orbit: Orbit, f: Signature) -> OrbitPolygon:
     the slopes, each occupying the width between consecutive levels.
     """
     g_o = g_of_orbit(orbit, f)
-    return _lowest_orbit_polygon(orbit, tuple(f(n) for n in orbit.members), g_o)
+    values = tuple(f.values[n - 1] for n in orbit.members)
+    return _lowest_orbit_polygon(orbit, values, g_o)
 
 
 # The clutch checks ask for the same orbit polygons at every joint of a

@@ -116,7 +116,10 @@ def g_of_orbit(orbit: Orbit, f: Signature) -> int:
     A signature that is not constant this way cannot come from a datum
     at this residue class, so the mismatch is reported as an error.
     """
-    vals = {f(n) + f(orbit.m - n) for n in orbit.members}
+    v, m = f.values, orbit.m
+    if f.m != m:
+        raise InconsistentSignatureError(f"signature mod {f.m} read on orbit {orbit} mod {m}")
+    vals = {v[n - 1] + v[m - n - 1] for n in orbit.members}
     if len(vals) != 1:
         raise InconsistentSignatureError(
             f"f(n) + f(m - n) takes values {sorted(vals)} on orbit {orbit}"

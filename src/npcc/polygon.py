@@ -53,7 +53,9 @@ _TERM_RE = re.compile(
 class NewtonPolygon:
     """A multiset of rational slopes in [0, 1] with integer multiplicities."""
 
-    __slots__ = ("_segments",)
+    # _hash is filled on first use: totals are dict keys looked up many
+    # times, and hashing their Fraction slopes again each time is slow.
+    __slots__ = ("_segments", "_hash")
 
     def __init__(self, segments: Iterable[tuple[Fraction | int, int]] = ()):
         merged: dict[Fraction, int] = {}
@@ -321,7 +323,11 @@ class NewtonPolygon:
         return self._segments == other._segments
 
     def __hash__(self) -> int:
-        return hash(self._segments)
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(self._segments)
+            return self._hash
 
     def __iter__(self) -> Iterator[tuple[Fraction, int]]:
         return iter(self._segments)

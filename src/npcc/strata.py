@@ -12,12 +12,14 @@ An element is an index into that product, decoded into its tuple of
 per-factor candidates only on demand, and all structure of the set
 comes from the small factors.  One fold over the factors maps each
 distinct total polygon (a stratum of the family) to the indices of the
-elements reaching it: each candidate's piece of Newton polygon is
-computed once, and each distinct partial total meets each piece of the
-next factor once, so the polygon arithmetic scales with the number of
-distinct partial totals rather than with the number of elements.  An
-element's length is the sum of its candidates' lengths, and the
+elements reaching it.  The fold is integer arithmetic: each
+candidate's piece of Newton polygon is coded once as an int holding one
+multiplicity per slope, a partial total is the sum of its pieces'
+codes, and each distinct total's polygon is built once, at the end.
+An element's length is the sum of its candidates' lengths, and the
 covers of the set are the factors' covers lifted by index arithmetic.
+The factors come from a lattice path search whose bounds are integer
+floor divisions.
 
 The second half of the module measures how special a polygon is inside
 the full Siegel moduli space: the stratum codimension as a lattice
@@ -67,16 +69,21 @@ def enumerate_orbit_component(
     Vertex enumeration is exhaustive: between vertices the path is
     linear and the mu-ordinary polygon convex, so their difference is
     concave and endpoint checks imply pointwise domination.
+
+    The search is integer arithmetic: the last slope is carried as its
+    rise over its width, and each condition on the next vertex (x2, y2)
+    is a bound on y2.  The bounds are exact, so every vertex tried lies
+    on some path found: the straight segment on to (G, D) completes it.
     """
     mu = mu_ordinary_orbit(orbit, f)
     big_g = mu.height
     big_d = mu.degree
-    size = orbit.size
     if big_g == 0:
         return (mu,)
+    lowest_y = [math.ceil(v) for v in mu._grid]
     found: list[tuple[tuple[Fraction, int], ...]] = []
 
-    def rec(x: int, y: int, last: Fraction | None, segs: tuple) -> None:
+    def rec(x: int, y: int, rise: int, run: int, segs: tuple) -> None:
         if x == big_g:
             found.append(segs)
             if cap is not None and len(found) > cap:
@@ -84,27 +91,23 @@ def enumerate_orbit_component(
                     f"more than {cap} candidates on orbit {orbit}; raise the cap"
                 )
             return
+        left = big_g - x
         for x2 in range(x + 1, big_g + 1):
-            width = x2 - x
-            start = y if last is None else math.floor(y + last * width) + 1
-            for y2 in range(start, big_d + 1):
-                slope = Fraction(y2 - y, width)
-                if last is not None and slope <= last:
-                    continue
-                if slope > size:
-                    break
-                if y2 < mu.value_at(x2):
-                    continue
-                rest_w, rest_r = big_g - x2, big_d - y2
-                if rest_w == 0:
-                    if rest_r != 0:
-                        continue
-                elif not slope * rest_w < rest_r <= size * rest_w:
-                    continue
-                rec(x2, y2, slope, segs + ((slope, width),))
+            width, rest_w = x2 - x, big_g - x2
+            # Steeper than the last slope rise/run (run = 0 before the
+            # first segment) and on or above mu.  At x2 = G this leaves
+            # y2 = D alone.
+            lo = max(y + rise * width // run + 1 if run else y, lowest_y[x2])
+            # Before G, less steep than the chord on to (G, D), so that
+            # steeper slopes can follow: (y2 - y) * rest_w < (D - y2) * width.
+            # The slopes of mu are at most |o|, so no slope of a path on or
+            # above it that meets these bounds exceeds |o|.
+            hi = (big_d * width + y * rest_w - 1) // left if rest_w else big_d
+            for y2 in range(lo, hi + 1):
+                rec(x2, y2, y2 - y, width, segs + ((Fraction(y2 - y, width), width),))
 
     try:
-        rec(0, 0, None, ())
+        rec(0, 0, 0, 0, ())
     finally:
         # rec refers to itself through its closure cell; deleting the name
         # breaks that cycle, so what it holds is freed at once instead of
@@ -136,8 +139,12 @@ class KottwitzSet:
     meets each candidate k of the next factor once, giving the indices
     i * len(factor) + k.  Partials are visited in first-appearance order
     and k < len(factor), so the dict keeps the totals in first-appearance
-    order.  The cap bounds the running product of the factor sizes,
-    checked before the next factor is enumerated.
+    order.  A partial total is an int: the pieces' slopes form a finite
+    alphabet, each slope owns a digit wide enough for the whole height,
+    and adding two codes amalgamates their polygons.  So the fold hashes
+    and adds ints, and each distinct total's polygon is decoded once.
+    The cap bounds the running product of the factor sizes, checked
+    before the next factor is enumerated.
     """
 
     def __init__(self, f: Signature, p: int, cap: int | None = DEFAULT_ENUM_CAP):
@@ -162,19 +169,30 @@ class KottwitzSet:
                 )
         self.factors = tuple(factors)
         self._factor_lengths = tuple(self._chain_lengths(c) for c in self.factors)
-        by_total = {NewtonPolygon(): [0]}
+        # Each slope of the pieces owns a digit of `bits` bits holding its
+        # multiplicity, handed out as slopes first appear (setdefault
+        # reads len(shift) before it inserts).  No multiplicity in a total
+        # exceeds the total height, so codes add without carry, and adding
+        # codes amalgamates polygons.
+        height = sum(factor[0].piece().height for factor in self.factors)
+        bits = height.bit_length()
+        shift: dict[Fraction, int] = {}
+        by_code = {0: [0]}
         lengths = [0]
         for factor, steps in zip(self.factors, self._factor_lengths):
-            pieces = [c.piece() for c in factor]
+            codes = [
+                sum(k << shift.setdefault(s, len(shift) * bits) for s, k in c.piece())
+                for c in factor
+            ]
             size = len(factor)
-            folded: dict[NewtonPolygon, list[int]] = {}
-            for partial, indices in by_total.items():
+            folded: dict[int, list[int]] = {}
+            for partial, indices in by_code.items():
                 base = [i * size for i in indices]
-                for k, piece in enumerate(pieces):
-                    folded.setdefault(partial + piece, []).extend([b + k for b in base])
-            by_total = folded
+                for k, code in enumerate(codes):
+                    folded.setdefault(partial + code, []).extend([b + k for b in base])
+            by_code = folded
             lengths = [n + s for n in lengths for s in steps]
-        self._by_total = {total: sorted(ix) for total, ix in by_total.items()}
+        self._by_total = _decode_totals(by_code, sorted(shift.items()), bits, height)
         self.lengths = tuple(lengths)
 
     @staticmethod
@@ -267,6 +285,35 @@ class KottwitzSet:
             lines.append(f"  e{j} -> e{i};")
         lines.append("}")
         return "\n".join(lines)
+
+
+def _decode_totals(
+    by_code: dict[int, list[int]], digits: list[tuple[Fraction, int]], bits: int, height: int
+) -> dict[NewtonPolygon, list[int]]:
+    """Each distinct total's polygon, built once, with its indices sorted.
+
+    ``digits`` lists each slope with the lowest bit of its digit, by
+    increasing slope, and totals share their (slope, multiplicity)
+    pairs.  A digit that overflowed would carry into the next one or
+    out of the mask and lose height, so every total must have the set's
+    height.  The index lists are sorted in place.
+    """
+    mask = (1 << bits) - 1
+    shared: list[dict[int, tuple[Fraction, int]]] = [{} for _ in digits]
+    by_total = {}
+    for code, indices in by_code.items():
+        segments = []
+        decoded = 0
+        for (slope, at), pairs in zip(digits, shared):
+            k = code >> at & mask
+            if k:
+                segments.append(pairs.setdefault(k, (slope, k)))
+                decoded += k
+        if decoded != height:
+            raise DomainError(f"a total decoded to height {decoded}, not {height}")
+        indices.sort()
+        by_total[NewtonPolygon._trusted(tuple(segments))] = indices
+    return by_total
 
 
 def _check_factor_order(factor: tuple[OrbitPolygon, ...]) -> None:

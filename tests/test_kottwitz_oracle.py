@@ -9,12 +9,16 @@ order, comparing every pair of elements.  The covers lifted from the
 factors are checked against the scan of all comparable pairs one
 length apart that they replaced, on sets too large for the transitive
 reduction.  The closed-form lattice count is checked against the per-x
-sum of ceilings it replaced.
+sum of ceilings it replaced.  The fold over int-coded partial totals
+is checked against the fold over polygon partial totals it replaced,
+and the integer path search against the Fraction-slope search it
+replaced.
 """
 
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,12 +28,15 @@ from npcc import (
     EnumerationCapError,
     MonodromyDatum,
     NewtonPolygon,
+    OrbitPolygon,
     decompose,
     enumerate_orbit_component,
     kottwitz_set,
+    mu_ordinary_orbit,
     signature,
 )
-from npcc.strata import KottwitzSet, _lattice_count
+from npcc.monodromy import MAX_MODULUS
+from npcc.strata import KottwitzSet, _decode_totals, _lattice_count
 
 MAX_ELEMENTS = 300
 DOT_ELEMENTS = 40  # the oracle's Hasse diagram is cubic in the set size
@@ -240,3 +247,194 @@ def test_lattice_count_matches_per_x_sum_on_factor_candidates():
         for factor in ks.factors:
             for c in factor:
                 _assert_lattice_counts_agree(c, range(c.height + 2))
+
+
+def polygon_fold(ks: KottwitzSet) -> tuple[dict, list[int]]:
+    """Totals to sorted indices, and lengths, by amalgamating polygons.
+
+    This is the fold the int-coded partial totals replaced: every
+    partial total is a polygon and each meets every piece of the next
+    factor by `NewtonPolygon.amalgamate`.
+    """
+    by_total = {NewtonPolygon(): [0]}
+    lengths = [0]
+    for factor, steps in zip(ks.factors, ks._factor_lengths):
+        pieces = [c.piece() for c in factor]
+        folded: dict = {}
+        for partial, indices in by_total.items():
+            base = [i * len(factor) for i in indices]
+            for k, piece in enumerate(pieces):
+                folded.setdefault(partial + piece, []).extend(b + k for b in base)
+        by_total = folded
+        lengths = [n + s for n in lengths for s in steps]
+    return {t: sorted(ix) for t, ix in by_total.items()}, lengths
+
+
+def _assert_fold_agrees(ks: KottwitzSet) -> None:
+    by_total, lengths = polygon_fold(ks)
+    assert list(ks.totals()) == list(by_total)
+    for t, indices in by_total.items():
+        assert list(ks.elements_with_total(t)) == indices
+    assert list(ks.lengths) == lengths
+
+
+def _all_on_half(poly: NewtonPolygon) -> bool:
+    return poly.segments == ((Fraction(1, 2), poly.height),)
+
+
+def test_int_coded_fold_matches_polygon_fold_on_seeded_sets():
+    # p = -1 mod m makes every orbit self-dual of size at most 2, so the
+    # bottom element is supersingular: its total puts the whole height
+    # on slope 1/2, the largest value one digit of a code has to hold.
+    rng = random.Random(20260101)
+    sizes, half_bottoms, checked = [], 0, 0
+    while checked < 220:
+        m = rng.randint(5, 24)
+        a = [rng.randint(1, m - 1) for _ in range(rng.randint(3, 6))]
+        a.append(-sum(a) % m)
+        if a[-1] == 0 or math.gcd(m, *a) != 1:
+            continue
+        units = [c for c in range(1, m) if math.gcd(c, m) == 1]
+        p = m - 1 if rng.random() < 0.25 else rng.choice(units)
+        try:
+            ks = kottwitz_set(MonodromyDatum(m, tuple(a)), p, cap=20_000)
+        except EnumerationCapError:
+            continue
+        _assert_fold_agrees(ks)
+        checked += 1
+        sizes.append(len(ks))
+        half_bottoms += _all_on_half(ks.totals()[-1])
+    assert max(sizes) > 5_000 and sum(n > 1 for n in sizes) > 150
+    assert half_bottoms >= 20
+
+
+def test_int_coded_fold_near_the_modulus_bound():
+    # 1193 at p = -1 puts the whole height 1192 on slope 1/2, one 11-bit
+    # digit; 1187 at 729 has one orbit with 195 candidates.
+    half = kottwitz_set(MonodromyDatum.from_text("1193:3:1,1,1191"), 1192)
+    assert half.totals() == (NewtonPolygon([(Fraction(1, 2), 1192)]),)
+    wide = kottwitz_set(MonodromyDatum.from_text("1187:4:7,693,136,351"), 729)
+    assert len(wide) > 100
+    for ks in (half, wide):
+        assert MAX_MODULUS - ks.m < 20
+        _assert_fold_agrees(ks)
+
+
+def test_decode_refuses_a_total_that_lost_height():
+    half = Fraction(1, 2)
+    digits = [(Fraction(0), 0), (half, 2)]  # two bits per digit
+    assert _decode_totals({4: [0]}, digits, 2, 1) == {NewtonPolygon([(half, 1)]): [0]}
+    # A multiplicity of 4 carries into the next digit, or out of the last.
+    with pytest.raises(DomainError):
+        _decode_totals({4: [0]}, digits, 2, 4)
+    with pytest.raises(DomainError):
+        _decode_totals({16: [0]}, digits, 2, 4)
+
+
+def fraction_search(orbit, f) -> tuple[tuple, list]:
+    """Candidates of one orbit, and the paths found before the self-dual
+    filter, by the Fraction-slope search the integer bounds replaced:
+    each (x2, y2) is tried and tested one condition at a time.
+    """
+    mu = mu_ordinary_orbit(orbit, f)
+    big_g, big_d, size = mu.height, mu.degree, orbit.size
+    if big_g == 0:
+        return (mu,), [()]
+    found = []
+
+    def rec(x, y, last, segs):
+        if x == big_g:
+            found.append(segs)
+            return
+        for x2 in range(x + 1, big_g + 1):
+            width = x2 - x
+            start = y if last is None else math.floor(y + last * width) + 1
+            for y2 in range(start, big_d + 1):
+                slope = Fraction(y2 - y, width)
+                if last is not None and slope <= last:
+                    continue
+                if slope > size:
+                    break
+                if y2 < mu.value_at(x2):
+                    continue
+                rest_w, rest_r = big_g - x2, big_d - y2
+                if rest_w == 0:
+                    if rest_r != 0:
+                        continue
+                elif not slope * rest_w < rest_r <= size * rest_w:
+                    continue
+                rec(x2, y2, slope, segs + ((slope, width),))
+
+    rec(0, 0, None, ())
+    polys = [OrbitPolygon(orbit, segs) for segs in found]
+    if orbit.is_self_dual:
+        polys = [q for q in polys if q.is_self_symmetric]
+    polys.sort(key=lambda q: q._grid)
+    return tuple(polys), found
+
+
+def _search_cases(seed: int, count: int) -> list:
+    """Distinct (orbit, signature) pairs from seeded data with m <= 30
+    whose Fraction-slope search finds at most 400 paths."""
+    rng = random.Random(seed)
+    cases: dict = {}
+    while len(cases) < count:
+        m = rng.randint(3, 30)
+        a = [rng.randint(1, m - 1) for _ in range(rng.randint(3, 7))]
+        a.append(-sum(a) % m)
+        if a[-1] == 0 or math.gcd(m, *a) != 1:
+            continue
+        f = signature(MonodromyDatum(m, tuple(a)))
+        p = rng.choice([c for c in range(1, m) if math.gcd(c, m) == 1])
+        for orbit in decompose(m, p).representatives():
+            if (orbit, f) not in cases:
+                expected, paths = fraction_search(orbit, f)
+                if len(paths) <= 400:
+                    cases[orbit, f] = expected, paths
+    return [(orbit, f, *found) for (orbit, f), found in cases.items()]
+
+
+def test_integer_search_matches_fraction_search_and_keeps_the_cap():
+    kinds = set()
+    for orbit, f, expected, paths in _search_cases(20260102, 510):
+        assert enumerate_orbit_component(orbit, f, cap=None) == expected
+        # The cap counts paths before the self-dual filter and fires
+        # only when they exceed it.
+        assert enumerate_orbit_component(orbit, f, cap=len(paths)) == expected
+        if mu_ordinary_orbit(orbit, f).height:
+            with pytest.raises(EnumerationCapError):
+                enumerate_orbit_component(orbit, f, cap=len(paths) - 1)
+        kinds.add((orbit.is_self_dual, len(expected) > 1, len(paths) > len(expected)))
+    # Self-dual orbits whose filter drops paths, and other orbits with
+    # several candidates, both occur.
+    assert {(True, True, True), (False, True, False)} <= kinds
+
+
+def test_integer_search_tries_no_dead_end():
+    """Every vertex the search tries lies on some path it finds.
+
+    The bounds on y2 are exact, so its inner search is called once per
+    distinct prefix of the paths found, the empty prefix included; a
+    bound one too loose would only add calls that find nothing.
+    """
+    (rec,) = [
+        c for c in enumerate_orbit_component.__code__.co_consts
+        if getattr(c, "co_name", None) == "rec"
+    ]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is rec:
+            calls += 1
+
+    for orbit, f, _, paths in _search_cases(20260103, 150):
+        if not mu_ordinary_orbit(orbit, f).height:
+            continue
+        calls = 0
+        sys.setprofile(count)
+        try:
+            enumerate_orbit_component(orbit, f, cap=None)
+        finally:
+            sys.setprofile(None)
+        assert calls == len({segs[:k] for segs in paths for k in range(len(segs) + 1)})

@@ -109,6 +109,13 @@ def test_g_of_orbit_rejects_inconsistent_signature():
     assert g_of_orbit(dec.orbit_of(1), f) == 1
 
 
+def test_g_of_orbit_rejects_a_signature_of_another_modulus():
+    f = signature(MonodromyDatum(8, (4, 2, 5, 5)))
+    for m, p in [(16, 7), (4, 3)]:
+        with pytest.raises(InconsistentSignatureError):
+            g_of_orbit(decompose(m, p).orbit_of(1), f)
+
+
 def test_orbit_sorting_is_by_min():
     dec = decompose(9, 4)
     assert [o.min for o in dec] == sorted(o.min for o in dec)

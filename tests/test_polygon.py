@@ -1,5 +1,7 @@
 """Tests for the exact Newton polygon arithmetic."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -263,3 +265,38 @@ def test_algebra_matches_validating_constructor():
         for d in range(4):
             _assert_canonical(a.power(d), NewtonPolygon((s, m * d) for s, m in a.segments))
         _assert_canonical(a.dual(), NewtonPolygon((1 - s, m) for s, m in a.segments))
+
+
+def test_cached_hash_is_the_segments_hash():
+    rng = random.Random(1812)
+    for _ in range(200):
+        a, b = _random_polygon(rng), _random_polygon(rng)
+        d = rng.randint(0, 3)
+        terms = ("ord", "ss", "(1/3,2/3)", "(1/4,3/4)", "(2/5,3/5)")
+        text = "+".join(f"{rng.choice(terms)}^{rng.randint(1, 3)}" for _ in range(d + 1))
+        built = {
+            "parse": parse(text),
+            "__init__": NewtonPolygon(a.segments),
+            "_trusted": NewtonPolygon._trusted(a.segments),
+            "amalgamate": a.amalgamate(b),
+            "dual": a.dual(),
+            "power": a.power(d),
+        }
+        for how, nu in built.items():
+            first = hash(nu)
+            assert first == hash(nu) == hash(nu.segments), how
+        # Equal polygons built different ways hash equal, whichever was
+        # hashed first.
+        same = [
+            NewtonPolygon(a.segments + b.segments),
+            b.amalgamate(a),
+            NewtonPolygon._trusted((a + b).segments),
+            a.dual().amalgamate(b.dual()).dual(),
+        ]
+        for nu in same:
+            assert nu == same[0] and hash(nu) == hash(same[0])
+        for nu in (a, a + b, a.power(d)):
+            if rng.random() < 0.5:
+                hash(nu)  # the copies then carry the filled cache along
+            for twin in (copy.copy(nu), copy.deepcopy(nu), pickle.loads(pickle.dumps(nu))):
+                assert twin == nu and hash(twin) == hash(nu) == hash(nu.segments)
