@@ -105,7 +105,6 @@ class MoonenFamily:
 def moonen_families() -> tuple[MoonenFamily, ...]:
     """Parse and validate the bundled family table."""
     text = resources.files(__package__).joinpath("data/moonen.txt").read_text("utf-8")
-    order: list[str] = []
     grouped: dict[str, dict] = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -125,7 +124,6 @@ def moonen_families() -> tuple[MoonenFamily, ...]:
             raise DomainError(f"polygon/flag count mismatch on line: {line!r}")
         if label not in grouped:
             grouped[label] = {"m": m, "a": a, "f": f, "rows": []}
-            order.append(label)
         else:
             head = grouped[label]
             if (head["m"], head["a"], head["f"]) != (m, a, f):
@@ -133,7 +131,7 @@ def moonen_families() -> tuple[MoonenFamily, ...]:
         grouped[label]["rows"].append(MoonenRow(classes, polygons, flags))
     families = tuple(
         MoonenFamily(label, d["m"], d["a"], d["f"], tuple(d["rows"]))
-        for label, d in ((lab, grouped[lab]) for lab in order)
+        for label, d in grouped.items()
     )
     for fam in families:
         fam.datum.validate(require_primitive=True)

@@ -108,10 +108,6 @@ def _joined(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _datum_text(obj: dict) -> str:
-    return f"{obj['m']}:{len(obj['a'])}:{_joined(obj['a'])}"
-
-
 def _flagged(polygons, large_p) -> str:
     return "; ".join(poly + ("*" if flag else "") for poly, flag in zip(polygons, large_p))
 
@@ -231,7 +227,9 @@ def _cmd_clutch(args: argparse.Namespace) -> dict:
 
 
 def _text_clutch(doc: dict) -> list[str]:
-    lines = [f"gamma{k}: {_datum_text(doc[f'gamma{k}'])}" for k in (1, 2, 3)]
+    lines = [
+        f"gamma{k}: {MonodromyDatum.from_json_obj(doc[f'gamma{k}']).text()}" for k in (1, 2, 3)
+    ]
     lines += [
         "m3 {m3}, d1 {d1}, d2 {d2}, r1 {r1}, r2 {r2}, r0 {r0}".format(**doc),
         f"epsilon {doc['epsilon']}, g3 {doc['g3']}",
@@ -269,6 +267,11 @@ def _apply_step(fam, text: str):
 
 def _cmd_generate(args: argparse.Namespace) -> dict:
     if args.replay is not None:
+        # Flags that build a family; --n1 and --n2 have defaults, so they pass.
+        names = "datum payload step double_with double_payload p p_class cap".split()
+        clash = ["--" + n.replace("_", "-") for n in names if getattr(args, n) not in (None, [])]
+        if clash:
+            raise DomainError(f"--replay takes none of {', '.join(clash)}")
         try:
             if args.replay == "-":
                 text = sys.stdin.read()
@@ -282,6 +285,8 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DomainError(f"certificate is not valid JSON: {exc}") from None
         return {"replayed": True, "verify": verify_family(replay(cert))}
+    if args.double_payload is not None and args.double_with is None:
+        raise DomainError("--double-payload needs --double-with")
     if args.datum is None:
         raise DomainError("generate needs --datum (or --replay FILE)")
     datum = MonodromyDatum.from_text(args.datum)
@@ -555,7 +560,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at
+        # interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -127,6 +127,11 @@ def _delta_pair(d: int, big_r: int, n: int, m3: int) -> int:
     return 1 if (d * big_r * n) % m3 == 0 and (d * n) % m3 != 0 else 0
 
 
+def _defect_at(d1: int, d2: int, r0: int, n: int, m3: int) -> int:
+    """The glued signature's defect term at the residue n mod m3."""
+    return _delta_pair(d1 * d2, r0, n, m3) + _delta_pair(d1, d2, n, m3) - _delta_pair(1, d2, n, m3)
+
+
 def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
     """Derived datum, signature, defect, and genus of an admissible pair.
 
@@ -155,18 +160,9 @@ def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
     )
     gamma3 = MonodromyDatum(m3, entries, generalized=any(e == 0 for e in entries))
 
-    f1d = signature(g1).induced(d1)
-    f2d = signature(g2).induced(d2)
-    d = d1 * d2
-    values = []
-    for n in range(1, m3):
-        delta = (
-            _delta_pair(d, r0, n, m3)
-            + _delta_pair(d1, d2, n, m3)
-            - _delta_pair(1, d2, n, m3)
-        )
-        values.append(f1d.values[n - 1] + f2d.values[n - 1] + delta)
-    f3 = Signature(m3, tuple(values))
+    f1d, f2d = signature(g1).induced(d1).values, signature(g2).induced(d2).values
+    defect = (_defect_at(d1, d2, r0, n, m3) for n in range(1, m3))
+    f3 = Signature(m3, tuple(a + b + e for a, b, e in zip(f1d, f2d, defect)))
 
     g3 = d1 * genus(g1) + d2 * genus(g2) + epsilon
     if g3 != genus(gamma3):
@@ -195,15 +191,15 @@ def clutch_polygon(nu1: NewtonPolygon, nu2: NewtonPolygon, report: ClutchReport)
 def check_balanced(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> bool:
     """No orbit carries residues that the two induced signatures order oppositely.
 
-    A signature reads its argument mod its own m, so each side's induced
-    value at w is its value at w.  Sorted by (f1, f2), an orbit's values
-    are ordered oppositely by some pair exactly when f2 falls between
-    two neighbours: ties in f1 are sorted by f2, so a fall has f1
-    strictly rising, and an opposite pair forces a fall between them.
+    Sorted by (f1, f2), an orbit's values are ordered oppositely by some
+    pair exactly when f2 falls between two neighbours: ties in f1 are
+    sorted by f2, so a fall has f1 strictly rising, and an opposite pair
+    forces a fall between them.
     """
-    f1, f2 = signature(g1), signature(g2)
-    for orbit in decompose(math.lcm(g1.m, g2.m), p).orbits:
-        pairs = sorted((f1(w), f2(w)) for w in orbit.members)
+    m3, d1, d2 = _lcm_split(g1, g2)
+    f1, f2 = signature(g1).induced(d1).values, signature(g2).induced(d2).values
+    for orbit in decompose(m3, p).orbits:
+        pairs = sorted((f1[w - 1], f2[w - 1]) for w in orbit.members)
         if any(b < a for (_, a), (_, b) in zip(pairs, pairs[1:])):
             return False
     return True
@@ -259,14 +255,9 @@ def check_self_compatible(datum: MonodromyDatum, p: int) -> bool:
     """Does every orbit component of the datum have at most two distinct slopes?
 
     This is the condition letting a family be clutched with itself
-    repeatedly; it equals the slope-span check of the datum against
-    itself.
+    repeatedly: the slope-span check of the datum against itself.
     """
-    f = signature(datum)
-    return all(
-        len(mu_ordinary_orbit(o, f).segments) <= 2
-        for o in decompose(datum.m, p).representatives()
-    )
+    return check_compatible(datum, datum, p)
 
 
 @dataclass(frozen=True)
@@ -315,18 +306,12 @@ def epsilon_orbits(report: ClutchReport, p: int) -> tuple[tuple[Orbit, int], ...
     are compared, and the total must be the defect.
     """
     m3, d1, d2, r0 = report.m3, report.d1, report.d2, report.r0
-    d = d1 * d2
     out = []
     total = 0
     for orbit in decompose(m3, p).orbits:
         e = orbit.e
-        rule = orbit.size if (d * r0) % e == 0 and d1 % e and d2 % e else 0
-        summed = sum(
-            _delta_pair(d, r0, n, m3)
-            + _delta_pair(d1, d2, n, m3)
-            - _delta_pair(1, d2, n, m3)
-            for n in orbit.members
-        )
+        rule = orbit.size if (d1 * d2 * r0) % e == 0 and d1 % e and d2 % e else 0
+        summed = sum(_defect_at(d1, d2, r0, n, m3) for n in orbit.members)
         if rule != summed:
             raise DomainError(f"defect mismatch on orbit {orbit}: {rule} vs {summed}")
         out.append((orbit, rule))
@@ -375,16 +360,26 @@ def reorder_at(
     return h1, h2
 
 
+def _cancelling_pair(
+    g1: MonodromyDatum, g2: MonodromyDatum, within: bool = False
+) -> tuple[int, int] | None:
+    """The first (i, j), lexicographic, whose entries cancel; j > i within one datum."""
+    m3, d1, d2 = _lcm_split(g1, g2)
+    for i, x in enumerate(g1.a):
+        for j in range(i + 1 if within else 0, g2.N):
+            if (d1 * x + d2 * g2.a[j]) % m3 == 0:
+                return i, j
+    return None
+
+
 def find_admissible_reordering(
     g1: MonodromyDatum, g2: MonodromyDatum
 ) -> tuple[MonodromyDatum, MonodromyDatum]:
     """First index pair (lexicographic) whose entries cancel, reordered."""
-    m3, d1, d2 = _lcm_split(g1, g2)
-    for i, x in enumerate(g1.a):
-        for j, y in enumerate(g2.a):
-            if (d1 * x + d2 * y) % m3 == 0:
-                return reorder_at(g1, g2, i, j)
-    raise NotAdmissibleError(f"no admissible label pair between {g1} and {g2}")
+    pair = _cancelling_pair(g1, g2)
+    if pair is None:
+        raise NotAdmissibleError(f"no admissible label pair between {g1} and {g2}")
+    return reorder_at(g1, g2, *pair)
 
 
 def pad_pair(

@@ -19,7 +19,7 @@ import dataclasses
 import math
 from typing import Callable, NamedTuple
 
-from .clutch import check_compatible, check_self_compatible, clutch_report, reorder_at
+from .clutch import _cancelling_pair, check_compatible, clutch_report, reorder_at
 from .errors import (
     BadResidueError,
     CertificationError,
@@ -127,11 +127,17 @@ def _certify(holds: bool, what: str) -> None:
         raise CertificationError(f"certification check failed: {what}")
 
 
+def _hypothesis(holds: bool, failure: str) -> None:
+    """Raise GeneratorError, naming the failure, unless a step's hypothesis holds."""
+    if not holds:
+        raise GeneratorError(f"hypothesis failure: {failure}")
+
+
 # The most branch points a chain step may produce; each op checks it
 # before it clutches.  A joint builds the glued datum, O(N), and its
 # signature and checks, O(m), so a chain of n copies costs O(n (N + m)):
-# self:340:auto (N = 1022) takes about 0.3 s on 7:3:1,1,5 and about 3 s
-# on 1193:3:1,1,1191 at class 3, on a 2-core Xeon host.
+# self:340:auto (N = 1022) takes about 0.1 s on 7:3:1,1,5 and about 0.75 s
+# on 1193:3:1,1,1191 at class 3, in process on a 2-core Xeon host.
 MAX_BRANCH_POINTS = 1024
 
 
@@ -152,21 +158,11 @@ def _joint(g1, g2, p, defect, what, balanced=False, direct=False):
     """
     rep = clutch_report(g1, g2, p=p)
     _certify(rep.epsilon == defect and (rep.balanced or not balanced), what)
-    if direct and rep.compatible is not True:
-        raise GeneratorError(
-            "hypothesis failure: the joining step fails the direct slope"
-            " interval test"
-        )
+    _hypothesis(
+        rep.compatible is True or not direct,
+        "the joining step fails the direct slope interval test",
+    )
     return rep
-
-
-def _first_pair(a1, a2, m: int, within: bool):
-    """The first (i, j) with a1[i] + a2[j] = 0 mod m; j > i when within one datum."""
-    for i, x in enumerate(a1):
-        for j in range(i + 1 if within else 0, len(a2)):
-            if (x + a2[j]) % m == 0:
-                return i, j
-    return None
 
 
 def _reorder_ends(datum: MonodromyDatum, i: int, j: int) -> MonodromyDatum:
@@ -209,11 +205,10 @@ def _chain_parts(datum, claim, mu_claim, p, i, j, n):
         np3 = claim.power(n) + ORD.power((n - 1) * (r - 1))
         _certify(np3 == mu_ordinary(chain, p), "chain claim is mu-ordinary")
         return chain, np3, r
-    if not check_self_compatible(datum, p):
-        raise GeneratorError(
-            "hypothesis failure: an orbit component of the mu-ordinary"
-            " polygon has more than two distinct slopes"
-        )
+    _hypothesis(
+        check_compatible(datum, datum, p),
+        "an orbit component of the mu-ordinary polygon has more than two distinct slopes",
+    )
     twin = _fold_chain(std, n - 1, p, r)
     what = "payload joint balanced with defect r - 1"
     rep = _joint(twin, std, p, r - 1, what, balanced=True, direct=True)
@@ -382,7 +377,7 @@ def self_clutch(
         raise GeneratorError("n must be a positive integer")
     base, mu_claim = f.datum, f.mu_ordinary_claim
     if at is None:
-        at = _first_pair(base.a, base.a, base.m, True)
+        at = _cancelling_pair(base, base, within=True)
     padded = at is None
     _bound("self_clutch", _padded_size(base.N, n) if padded and auto_pad else n * (base.N - 2) + 2)
     if n == 1:
@@ -486,7 +481,7 @@ def double_induction(
             " claims ride on the second"
         )
     p = f1.p_class
-    pair = _first_pair(f1.datum.a, f2.datum.a, m, False)
+    pair = _cancelling_pair(f1.datum, f2.datum)
     if pair is None:
         raise GeneratorError("no complementary pair between the two data")
     i0, j0 = pair
@@ -515,16 +510,14 @@ def double_induction(
         )
         mu_claim, codim, compatible = balanced, 0, rep.compatible
     else:
-        if not check_compatible(f1.datum, f2.datum, p):
-            raise GeneratorError(
-                "hypothesis failure: interval test for the pair of"
-                " mu-ordinary polygons"
-            )
-        if not check_self_compatible(f2.datum, p):
-            raise GeneratorError(
-                "hypothesis failure: interval test of the second"
-                " mu-ordinary polygon against itself"
-            )
+        _hypothesis(
+            check_compatible(f1.datum, f2.datum, p),
+            "interval test for the pair of mu-ordinary polygons",
+        )
+        _hypothesis(
+            check_compatible(f2.datum, f2.datum, p),
+            "interval test of the second mu-ordinary polygon against itself",
+        )
         if n2 == 1:
             rep = cross(f2.datum, direct=True)
             balanced = bool(rep.balanced)

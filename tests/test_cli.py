@@ -7,10 +7,15 @@ tests already pin down, so these tests are about wiring and formatting.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import npcc
 from npcc.cli import P_BOUND, _is_prime, main
 
 
@@ -348,6 +353,65 @@ def test_generate_replay_missing_file(capsys, tmp_path):
     assert code == 1 and err.startswith("error: cannot read certificate")
 
 
+REPLAY_CLASHES = [
+    ["--datum", "7:3:1,1,5"],
+    ["--payload", "ss^3"],
+    ["--step", "pad:7:2"],
+    ["--double-with", "7:3:1,1,5"],
+    ["--double-payload", "ss^3"],
+    ["--p", "2"],
+    ["--p-class", "2"],
+    ["--cap", "5"],
+]
+
+
+@pytest.mark.parametrize("extra", REPLAY_CLASHES, ids=lambda extra: extra[0])
+def test_generate_replay_refuses_flags_that_build_a_family(capsys, tmp_path, extra):
+    # each flag would be dropped without a word: the certificate is valid
+    code, out, _ = run(capsys, ["generate", "--datum", "7:3:1,1,5", "--p-class", "2"])
+    assert code == 0
+    path = tmp_path / "cert.json"
+    path.write_text(out, encoding="utf-8")
+    code, out, err = run(capsys, ["generate", "--replay", str(path), *extra])
+    assert (code, out) == (1, "")
+    assert err == f"error: --replay takes none of {extra[0]}\n"
+    code, out, err = run(capsys, ["generate", "--replay", str(path), "--n1", "1", "--n2", "1"])
+    assert (code, err) == (0, "")
+
+
+def test_generate_replay_names_every_clashing_flag(capsys):
+    argv = ["generate", "--replay", "cert.json", "--step", "pad:5:9", "--datum", "7:3:1,1,5"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: --replay takes none of --datum, --step\n"
+
+
+def test_generate_double_payload_needs_double_with(capsys):
+    argv = ["generate", "--datum", "7:3:1,1,5", "--p-class", "2", "--double-payload", "ss^3"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", "error: --double-payload needs --double-with\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_pipe_exits_1_without_a_traceback(buffered):
+    # the pipe's read end is closed before the child starts, so its
+    # first write fails whatever the timing; a buffered stdout writes
+    # only when it is flushed
+    src = str(Path(npcc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="" if buffered else "1")
+    argv = ["signature", "--datum", "8:4:4,2,5,5"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from npcc.cli import entry; entry()", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_generate_double(capsys):
     code, out, _ = run(
         capsys,
@@ -571,7 +635,7 @@ def test_long_chain_at_the_modulus_bound_is_pinned_and_quick(capsys):
     # 340 copies (1022 branch points) at m = 1193, where class 3 is a
     # primitive root: every joint clutches a datum of three distinct
     # entries, so each costs O(m) whatever the chain's length.  The run
-    # takes about 3 s on a 2-core host; an O(m N) joint takes about 30 s.
+    # takes about 0.8 s on a 2-core host; an O(m N) joint takes about 30 s.
     argv = ["generate", "--datum", "1193:3:1,1,1191", "--p-class", "3",
             "--step", "self:340:auto"]
     start = time.perf_counter()

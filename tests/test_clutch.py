@@ -369,3 +369,82 @@ def test_clutch_refuses_imprimitive_data():
             clutch_data(g1, g2)
         with pytest.raises(InvalidDatumError, match="imprimitive"):
             clutch_report(g1, g2, p=5)
+
+
+def _at_most_two_slopes_everywhere(datum, p):
+    """The former check_self_compatible loop; the test's oracle."""
+    f = signature(datum)
+    return all(
+        len(mu_ordinary_orbit(o, f).segments) <= 2
+        for o in decompose(datum.m, p).representatives()
+    )
+
+
+def test_self_compatibility_is_the_slope_span_check_against_itself():
+    # a slope strictly inside an orbit component's own span is a third
+    # distinct slope, so the two readings agree on every datum
+    rng = random.Random(20181104)
+    outcomes = []
+    while len(outcomes) < 3500:
+        m = rng.randint(2, 40)
+        a = [rng.randrange(1, m) for _ in range(rng.randint(2, 6))]
+        a.append(-sum(a) % m)
+        if 0 in a or math.gcd(m, *a) != 1:
+            continue
+        datum = MonodromyDatum(m, tuple(a))
+        p = rng.choice([c for c in range(1, m + 1) if math.gcd(c, m) == 1])
+        expected = _at_most_two_slopes_everywhere(datum, p)
+        assert check_self_compatible(datum, p) == expected, (datum, p)
+        assert check_compatible(datum, datum, p) == expected, (datum, p)
+        outcomes.append(expected)
+    assert 200 < sum(outcomes) < len(outcomes) - 200
+
+
+def _first_pair(a1, a2, m, within):
+    """The former generators._first_pair; the test's oracle."""
+    for i, x in enumerate(a1):
+        for j in range(i + 1 if within else 0, len(a2)):
+            if (x + a2[j]) % m == 0:
+                return i, j
+    return None
+
+
+def _first_admissible_pair(g1, g2):
+    """The former find_admissible_reordering search; the test's oracle."""
+    m3 = math.lcm(g1.m, g2.m)
+    d1, d2 = m3 // g1.m, m3 // g2.m
+    for i, x in enumerate(g1.a):
+        for j, y in enumerate(g2.a):
+            if (d1 * x + d2 * y) % m3 == 0:
+                return i, j
+    return None
+
+
+def test_one_cancelling_pair_search_serves_every_caller():
+    rng = random.Random(20181105)
+
+    def datum(m):
+        a = [rng.randrange(0, m) for _ in range(rng.randint(2, 6))]
+        a.append(-sum(a) % m)
+        return MonodromyDatum(m, tuple(a), generalized=True)
+
+    found = {"within": 0, "across": 0, "lcm": 0}
+    for _ in range(1500):
+        m = rng.randint(2, 30)
+        g1, g2 = datum(m), datum(m)
+        within = npcc.clutch._cancelling_pair(g1, g1, within=True)
+        assert within == _first_pair(g1.a, g1.a, m, True), g1
+        across = npcc.clutch._cancelling_pair(g1, g2)
+        assert across == _first_pair(g1.a, g2.a, m, False), (g1, g2)
+        h2 = datum(rng.randint(2, 30))
+        pair = npcc.clutch._cancelling_pair(g1, h2)
+        assert pair == _first_admissible_pair(g1, h2), (g1, h2)
+        if pair is None:
+            with pytest.raises(NotAdmissibleError):
+                find_admissible_reordering(g1, h2)
+        else:
+            assert find_admissible_reordering(g1, h2) == reorder_at(g1, h2, *pair)
+        found["within"] += within is not None
+        found["across"] += across is not None
+        found["lcm"] += pair is not None
+    assert all(300 < n < 1200 for n in found.values()), found

@@ -291,3 +291,23 @@ def test_genus_is_the_signature_total_on_induced_data():
         big = induce(datum, rng.randint(2, 5))
         assert genus(big) == signature(big).total, big
     assert genus(MonodromyDatum(18, (6, 10, 2))) == 6 == 2 * genus(MonodromyDatum(9, (3, 5, 1)))
+
+
+def test_induced_values_match_the_call_form():
+    # the former induced() read each value through Signature.__call__;
+    # that form is the oracle for the tuple-repeat form
+    rng = random.Random(20181106)
+    for _ in range(300):
+        m = rng.randint(2, 40)
+        a = [rng.randrange(1, m) for _ in range(rng.randint(2, 6))]
+        a.append(-sum(a) % m)
+        if 0 in a:
+            continue
+        f = signature(MonodromyDatum(m, tuple(a)))
+        for d in range(1, 7):
+            fd = f.induced(d)
+            assert fd.m == d * m
+            assert fd.values == tuple(f(n % f.m) for n in range(1, d * f.m)), (a, m, d)
+    for d in (0, -1):
+        with pytest.raises(InvalidDatumError, match="induction factor"):
+            f.induced(d)
