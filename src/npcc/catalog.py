@@ -162,14 +162,10 @@ def moonen_base(key: int | str, p_class: int) -> CertifiedFamily:
     return base_case(moonen_family(key).datum, p_class)
 
 
-def moonen_payload(
-    key: int | str, p_class: int, polygon: NewtonPolygon | None = None
-) -> CertifiedFamily:
+def moonen_payload(key: int | str, p_class: int) -> CertifiedFamily:
     """Certified family carrying a listed non-generic polygon."""
     fam = moonen_family(key)
-    if polygon is None:
-        polygon = fam.payload_polygon(p_class)
-    return payload_base(fam.datum, p_class, polygon)
+    return payload_base(fam.datum, p_class, fam.payload_polygon(p_class))
 
 
 def reproduce_appendix() -> dict:
@@ -236,20 +232,15 @@ def _same_cover(datum: MonodromyDatum, expected: MonodromyDatum) -> bool:
     return got.m == expected.m and tuple(sorted(got.a)) == tuple(sorted(expected.a))
 
 
-def reproduce_applications(
-    chain_n: int = 6,
-    ss_chain_n: int = 10,
-    double_n: int = 4,
-    example_n: int = 4,
-    deep: bool = True,
-) -> dict:
+def reproduce_applications() -> dict:
     """Rebuild the application tables through the generator operations.
 
     Each check row records the construction parameters, the closed-form
     polygon and genus from the table, the generated values, and the
     verified-replay flag.  Rows that claim a codimension are verified
-    inside the Kottwitz set of the final datum when deep is true.
+    inside the Kottwitz set of the final datum.
     """
+    chain_n, ss_chain_n, double_n, example_n = 6, 10, 4, 4
     checks: list[dict] = []
 
     def run(
@@ -263,7 +254,7 @@ def reproduce_applications(
         expect_mu_claim: bool | None = None,
         expect_note: bool = False,
     ) -> None:
-        ver = verify_family(fam, deep=deep and expected_codim is not None)
+        ver = verify_family(fam, deep=expected_codim is not None)
         ok = (
             fam.claimed_np == expected_np
             and genus(fam.datum) == expected_genus

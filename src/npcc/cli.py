@@ -93,15 +93,7 @@ def _residue(args: argparse.Namespace, m: int) -> int:
 
 
 def _cap(args: argparse.Namespace) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
-    env = os.environ.get("NPCC_ENUM_CAP")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise DomainError(f"NPCC_ENUM_CAP = {env!r} is not an integer") from None
-    return DEFAULT_ENUM_CAP
+    return DEFAULT_ENUM_CAP if args.cap is None else args.cap
 
 
 def _joined(values) -> str:
@@ -267,8 +259,8 @@ def _apply_step(fam, text: str):
 
 def _cmd_generate(args: argparse.Namespace) -> dict:
     if args.replay is not None:
-        # Flags that build a family; --n1 and --n2 have defaults, so they pass.
-        names = "datum payload step double_with double_payload p p_class cap".split()
+        # Flags that build a family.
+        names = "datum payload step double_with double_payload n1 n2 p p_class cap".split()
         clash = ["--" + n.replace("_", "-") for n in names if getattr(args, n) not in (None, [])]
         if clash:
             raise DomainError(f"--replay takes none of {', '.join(clash)}")
@@ -285,8 +277,10 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise DomainError(f"certificate is not valid JSON: {exc}") from None
         return {"replayed": True, "verify": verify_family(replay(cert))}
-    if args.double_payload is not None and args.double_with is None:
-        raise DomainError("--double-payload needs --double-with")
+    if args.double_with is None:
+        for name in ("double_payload", "n1", "n2"):
+            if getattr(args, name) is not None:
+                raise DomainError(f"--{name.replace('_', '-')} needs --double-with")
     if args.datum is None:
         raise DomainError("generate needs --datum (or --replay FILE)")
     datum = MonodromyDatum.from_text(args.datum)
@@ -302,7 +296,8 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
         fam = _apply_step(fam, op)
     if args.double_with is not None:
         other = start(MonodromyDatum.from_text(args.double_with), args.double_payload)
-        fam = double_induction(fam, other, args.n1, args.n2)
+        n1, n2 = (1 if n is None else n for n in (args.n1, args.n2))
+        fam = double_induction(fam, other, n1, n2)
     return fam.certificate()
 
 
@@ -481,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = new("kottwitz", _cmd_kottwitz, _text_kottwitz, "enumerate the Kottwitz set")
     sp.add_argument("--datum", required=True)
-    sp.add_argument("--cap", type=int, help="enumeration cap (or NPCC_ENUM_CAP)")
+    sp.add_argument("--cap", type=int, help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
     sp.add_argument("--dot", action="store_true", help="emit the Hasse diagram as DOT")
     _add_residue_group(sp)
 
@@ -502,9 +497,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--double-with", help="second datum for a crossed chain")
     sp.add_argument("--double-payload", help="non-generic polygon on the second datum")
-    sp.add_argument("--n1", type=int, default=1, help="copies of the first family")
-    sp.add_argument("--n2", type=int, default=1, help="copies of the second family")
-    sp.add_argument("--cap", type=int, help="enumeration cap (or NPCC_ENUM_CAP)")
+    sp.add_argument("--n1", type=int, help="copies of the first family")
+    sp.add_argument("--n2", type=int, help="copies of the second family")
+    sp.add_argument("--cap", type=int, help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
     sp.add_argument("--replay", metavar="FILE", help="replay a certificate (- for stdin)")
     _add_residue_group(sp, required=False)
 

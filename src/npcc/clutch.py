@@ -46,7 +46,6 @@ __all__ = [
     "check_balanced",
     "check_compatible",
     "compatible_violations",
-    "check_self_compatible",
     "MuOrdProductCheck",
     "mu_ord_product_check",
     "epsilon_orbits",
@@ -249,15 +248,6 @@ def compatible_violations(
 def check_compatible(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> bool:
     """Slope-span compatibility of the pair at p (defined for m1 | m2)."""
     return not compatible_violations(g1, g2, p)
-
-
-def check_self_compatible(datum: MonodromyDatum, p: int) -> bool:
-    """Does every orbit component of the datum have at most two distinct slopes?
-
-    This is the condition letting a family be clutched with itself
-    repeatedly: the slope-span check of the datum against itself.
-    """
-    return check_compatible(datum, datum, p)
 
 
 @dataclass(frozen=True)

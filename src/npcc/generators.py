@@ -549,9 +549,7 @@ def double_induction(
     )
 
 
-def verify_family(
-    f: CertifiedFamily, deep: bool = False, cap: int = DEFAULT_ENUM_CAP
-) -> dict:
+def verify_family(f: CertifiedFamily, deep: bool = False) -> dict:
     """Recheck a family's claim against freshly computed invariants.
 
     Always recomputes the mu-ordinary polygon of the final datum: a
@@ -572,7 +570,7 @@ def verify_family(
     }
     ok = report["mu_match" if f.mu_ordinary_claim else "dominates_mu_ordinary"]
     if deep and not f.mu_ordinary_claim:
-        ks = kottwitz_set(f.datum, f.p_class, cap=cap)
+        ks = kottwitz_set(f.datum, f.p_class)
         codim = ks.codim_of_polygon(f.claimed_np)
         report["codim"] = codim
         if f.payload_codim is not None:
@@ -677,8 +675,9 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
     Raises GeneratorError when the certificate is malformed (a missing
     or mistyped field, or double_induction steps nested more than
     MAX_REPLAY_DEPTH deep), when a step would exceed MAX_BRANCH_POINTS,
-    or when the replayed datum or polygon differ from the recorded
-    ones.  _depth counts the enclosing certificates of a nested one.
+    or when the replayed certificate differs from the recorded one in
+    any field it writes.  _depth counts the enclosing certificates of a
+    nested one.
     """
     if not isinstance(cert, dict):
         raise GeneratorError("certificate must be a JSON object")
@@ -724,4 +723,7 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
         raise GeneratorError("replay produced a different datum")
     if fam.claimed_np.to_json_obj() != expected_polygon:
         raise GeneratorError("replay produced a different polygon")
+    for key, value in fam.certificate().items():
+        if cert.get(key) != value:
+            raise GeneratorError(f"replay produced a different {key}")
     return fam

@@ -256,9 +256,6 @@ class NewtonPolygon:
         slopes = [s for s, _ in self._segments]
         return slopes[(len(slopes) + 1) // 2 - 1]
 
-    def first_last_middle(self) -> tuple[Fraction, Fraction, Fraction]:
-        return self.first_slope(), self.last_slope(), self.middle_slope()
-
     # -- text and JSON -----------------------------------------------------
 
     def canonical_text(self) -> str:

@@ -13,6 +13,7 @@ from npcc import (
     mu_ordinary,
     normalize,
     parse,
+    payload_base,
     reproduce_appendix,
     reproduce_applications,
     signature,
@@ -100,7 +101,7 @@ def test_moonen_base_and_payload():
     g = moonen_payload(16, 4)
     assert g.claimed_np == parse("ss^6")
     assert g.payload_codim is not None and g.payload_codim >= 1
-    h = moonen_payload(17, 3, parse("ss^6"))
+    h = payload_base(moonen_family(17).datum, 3, parse("ss^6"))
     assert h.claimed_np == parse("ss^6")
 
 
@@ -123,10 +124,8 @@ def test_reproduce_appendix():
             assert check["printed"][0] == check["computed"][0]
 
 
-def test_reproduce_applications_small():
-    report = reproduce_applications(
-        chain_n=2, ss_chain_n=2, double_n=1, example_n=1, deep=True
-    )
+def test_reproduce_applications_every_row_checks():
+    report = reproduce_applications()
     assert report["ok"]
     assert report["count"] == len(report["checks"])
     assert report["count"] > 0
@@ -137,9 +136,7 @@ def test_reproduce_applications_small():
 
 
 def test_reproduce_applications_tables_present():
-    report = reproduce_applications(
-        chain_n=2, ss_chain_n=2, double_n=1, example_n=1, deep=False
-    )
+    report = reproduce_applications()
     tables = {check["table"] for check in report["checks"]}
     assert "ss-chain" in tables
     assert "crossed-chains" in tables

@@ -32,6 +32,7 @@ from npcc import (
     pad_and_clutch,
     parse,
     payload_base,
+    replay,
     self_clutch,
     verify_family,
 )
@@ -183,6 +184,14 @@ def test_chain_op_matches_golden(index, golden):
 
 def test_base_refusals_match_golden(golden):
     assert base_refusals() == golden["base_refusals"]
+
+
+def test_every_golden_certificate_replays_to_itself(golden):
+    certs = list(golden["families"].values())
+    certs += [entry["certificate"] for entry in golden["cases"] if "certificate" in entry]
+    assert len(certs) > 50
+    for cert in certs:
+        assert replay(cert).certificate() == cert
 
 
 if __name__ == "__main__":

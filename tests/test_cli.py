@@ -233,15 +233,6 @@ def test_kottwitz_cap(capsys):
     assert "error:" in err
 
 
-def test_enum_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("NPCC_ENUM_CAP", "abc")
-    code, _, err = run(
-        capsys, ["kottwitz", "--datum", "8:5:2,2,2,5,5", "--p-class", "7"]
-    )
-    assert code == 1
-    assert "NPCC_ENUM_CAP" in err
-
-
 def test_clutch_text(capsys):
     code, out, _ = run(
         capsys,
@@ -329,6 +320,17 @@ def test_generate_replay_tampered(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_generate_replay_refuses_deleted_assumptions(capsys, tmp_path):
+    code, out, _ = run(capsys, ["generate", "--datum", "7:3:1,1,5", "--p-class", "2"])
+    assert code == 0
+    cert = json.loads(out)
+    cert["assumptions"] = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    code, out, err = run(capsys, ["generate", "--replay", str(path)])
+    assert (code, out, err) == (1, "", "error: replay produced a different assumptions\n")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -362,6 +364,8 @@ REPLAY_CLASHES = [
     ["--p", "2"],
     ["--p-class", "2"],
     ["--cap", "5"],
+    ["--n1", "1"],
+    ["--n2", "1"],
 ]
 
 
@@ -376,7 +380,7 @@ def test_generate_replay_refuses_flags_that_build_a_family(capsys, tmp_path, ext
     assert (code, out) == (1, "")
     assert err == f"error: --replay takes none of {extra[0]}\n"
     code, out, err = run(capsys, ["generate", "--replay", str(path), "--n1", "1", "--n2", "1"])
-    assert (code, err) == (0, "")
+    assert (code, out, err) == (1, "", "error: --replay takes none of --n1, --n2\n")
 
 
 def test_generate_replay_names_every_clashing_flag(capsys):
@@ -390,6 +394,30 @@ def test_generate_double_payload_needs_double_with(capsys):
     argv = ["generate", "--datum", "7:3:1,1,5", "--p-class", "2", "--double-payload", "ss^3"]
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (1, "", "error: --double-payload needs --double-with\n")
+
+
+@pytest.mark.parametrize("flag", ["--n1", "--n2"])
+def test_generate_copy_counts_need_double_with(capsys, flag):
+    argv = ["generate", "--datum", "7:3:1,1,5", "--p-class", "2", flag, "5"]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {flag} needs --double-with\n")
+
+
+def test_generate_copy_counts_stay_positive(capsys):
+    argv = ["generate", "--datum", "7:3:1,1,5", "--p-class", "2", "--double-with", "7:3:6,2,6"]
+    code, out, err = run(capsys, argv + ["--n1", "0"])
+    assert (code, out, err) == (1, "", "error: n1 and n2 must be positive integers\n")
+    # an absent count is one copy
+    absent = run(capsys, argv)
+    assert absent[0] == 0
+    assert absent == run(capsys, argv + ["--n1", "1", "--n2", "1"])
+
+
+def test_generate_needs_a_residue(capsys):
+    code, out, err = run(capsys, ["generate", "--datum", "7:3:1,1,5"])
+    assert (code, out, err) == (
+        1, "", "error: a residue class is required: pass --p or --p-class\n"
+    )
 
 
 @pytest.mark.parametrize("buffered", [True, False])

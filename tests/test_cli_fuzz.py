@@ -185,7 +185,6 @@ def _cases() -> list[list[str]]:
 @pytest.fixture(autouse=True)
 def _fixed_environment(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("NPCC_ENUM_CAP", raising=False)
 
 
 def _call(argv: list[str]) -> tuple[int, str, str, float]:

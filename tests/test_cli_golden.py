@@ -112,7 +112,6 @@ def run_case(argv: list[str], files: dict[str, str]) -> dict:
 @pytest.fixture(autouse=True)
 def _fixed_environment(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.delenv("NPCC_ENUM_CAP", raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +184,6 @@ if __name__ == "__main__":
     import tempfile
 
     os.environ["COLUMNS"] = "80"
-    os.environ.pop("NPCC_ENUM_CAP", None)
     with tempfile.TemporaryDirectory() as tmp:
         paths = certificates(Path(tmp))
         entries = [run_case(argv, paths) for argv in CASES]

@@ -18,7 +18,6 @@ from npcc import (
     check_admissible,
     check_balanced,
     check_compatible,
-    check_self_compatible,
     clutch_data,
     clutch_polygon,
     clutch_report,
@@ -183,10 +182,12 @@ def test_compatible_needs_divisible_moduli():
 
 def test_check_self_compatible():
     # three-branch-point chain bases have one slope per orbit
-    assert check_self_compatible(MonodromyDatum(5, (1, 1, 3)), 2)
-    assert check_self_compatible(G1, 3)
+    d = MonodromyDatum(5, (1, 1, 3))
+    assert check_compatible(d, d, 2)
+    assert check_compatible(G1, G1, 3)
     # this five-point family has a three-slope orbit component at p = 4
-    assert not check_self_compatible(MonodromyDatum(5, (2, 2, 2, 2, 2)), 4)
+    d = MonodromyDatum(5, (2, 2, 2, 2, 2))
+    assert not check_compatible(d, d, 4)
 
 
 def test_epsilon_orbits_sum_to_defect():
@@ -372,7 +373,7 @@ def test_clutch_refuses_imprimitive_data():
 
 
 def _at_most_two_slopes_everywhere(datum, p):
-    """The former check_self_compatible loop; the test's oracle."""
+    """Every orbit component has at most two slopes; the test's oracle."""
     f = signature(datum)
     return all(
         len(mu_ordinary_orbit(o, f).segments) <= 2
@@ -394,7 +395,6 @@ def test_self_compatibility_is_the_slope_span_check_against_itself():
         datum = MonodromyDatum(m, tuple(a))
         p = rng.choice([c for c in range(1, m + 1) if math.gcd(c, m) == 1])
         expected = _at_most_two_slopes_everywhere(datum, p)
-        assert check_self_compatible(datum, p) == expected, (datum, p)
         assert check_compatible(datum, datum, p) == expected, (datum, p)
         outcomes.append(expected)
     assert 200 < sum(outcomes) < len(outcomes) - 200

@@ -63,6 +63,16 @@ def test_base_case_unique_max_p_rank():
     assert g.claimed_np == parse("ord^4+ss^5")
 
 
+def test_base_case_records_the_large_p_assumption():
+    # five branch points, p neither 1 nor -1 mod 5: the clause holds for p >= m (N - 3)
+    f = base_case(MonodromyDatum(5, (1, 1, 1, 3, 4)), 2)
+    assert f.steps[0]["clause"] == "unique-max-p-rank:large-p"
+    assert f.assumptions == (
+        "mu-ordinary stratum nonempty for the base datum"
+        " (unique maximal p-rank polygon) assuming p >= 10",
+    )
+
+
 def test_base_case_catalog_beats_p_rank_clause():
     # a four-point catalog family reports its catalog label, not N4
     f = base_case(MonodromyDatum(6, (1, 3, 4, 4)), 7)
@@ -301,6 +311,72 @@ def test_replay_rejects_bad_certificates():
     tampered["polygon"] = parse("ord^2").to_json_obj()
     with pytest.raises(GeneratorError):
         replay(tampered)
+
+
+def _chain_certificate() -> dict:
+    return pad_and_clutch(base_case(MonodromyDatum(7, (1, 1, 5)), 2), 7, 2).certificate()
+
+
+# (step index or None for the certificate itself, field, tampered value)
+TAMPERINGS = [
+    (None, "assumptions", []),
+    (None, "mu_ordinary_claim", False),
+    (None, "payload_codim", None),
+    (None, "polygon_text", "ord^24"),
+    (None, "p_class", 9),
+    (1, "epsilon", 999),
+    (1, "balanced", False),
+    (0, "clause", "made-up"),
+    (0, "note", "extra"),
+]
+
+
+@pytest.mark.parametrize("step, field, value", TAMPERINGS, ids=[t[1] for t in TAMPERINGS])
+def test_replay_refuses_each_tampered_field(step, field, value):
+    cert = _chain_certificate()
+    (cert if step is None else cert["steps"][step])[field] = value
+    key = field if step is None else "steps"
+    with pytest.raises(GeneratorError, match=f"^replay produced a different {key}$"):
+        replay(cert)
+
+
+def test_replay_names_the_first_tampered_field():
+    cert = _chain_certificate()
+    cert["assumptions"] = []
+    cert["mu_ordinary_claim"] = False
+    cert["steps"][1]["epsilon"] = 999
+    cert["steps"][0]["clause"] = "made-up"
+    with pytest.raises(GeneratorError, match="^replay produced a different mu_ordinary_claim$"):
+        replay(cert)
+
+
+def test_replay_refuses_a_tampered_nested_certificate():
+    z = base_case(MonodromyDatum(5, (2, 2, 1)), 3)
+    m11 = base_case(MonodromyDatum(5, (1, 3, 3, 3)), 3)
+    cert = double_induction(z, m11, 1, 2).certificate()
+    cert["steps"][-1]["other"]["assumptions"].append("made-up")
+    with pytest.raises(GeneratorError, match="^replay produced a different assumptions$"):
+        replay(cert)
+
+
+def test_replay_refuses_a_different_datum():
+    cert = _chain_certificate()
+    cert["datum"] = MonodromyDatum(7, (1, 1, 5)).to_json_obj()
+    with pytest.raises(GeneratorError, match="^replay produced a different datum$"):
+        replay(cert)
+
+
+def test_replay_refuses_a_misordered_derivation():
+    cert = _chain_certificate()
+    base, chain = cert["steps"]
+    for steps, message in [
+        ([base, base], "base step must come first"),
+        ([chain, base], "derivation does not start at a base step"),
+        ([base, {**chain, "op": "fold"}], "unknown step op 'fold'"),
+        ([], "empty derivation"),
+    ]:
+        with pytest.raises(GeneratorError, match=f"^{message}$"):
+            replay({**cert, "steps": steps})
 
 
 def _certificate_with_step(**fields):

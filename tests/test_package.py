@@ -17,7 +17,7 @@ decompose g_of_orbit OrbitPolygon beta_of_signature mu_ordinary mu_ordinary_of_s
 mu_ordinary_orbit p_rank_bound DEFAULT_ENUM_CAP ConditionUReport KottwitzSet condition_u dim_moduli enumerate_orbit_component kottwitz_set
 omega_count threshold_half_slope_density
 threshold_repeated_summand threshold_ss_chain ClutchReport MuOrdProductCheck
-check_admissible check_balanced check_compatible check_self_compatible clutch_data
+check_admissible check_balanced check_compatible clutch_data
 clutch_polygon clutch_report compatible_violations epsilon_orbits
 find_admissible_reordering mu_ord_product_check pad_pair reorder_at CertifiedFamily
 base_case double_induction extend_ord pad_and_clutch payload_base replay self_clutch
@@ -28,7 +28,7 @@ __version__
 
 
 def test_exports_are_listed_once_and_resolve():
-    assert len(EXPORTS) == 82
+    assert len(EXPORTS) == 81
     assert len(npcc.__all__) == len(set(npcc.__all__))
     assert set(npcc.__all__) == set(EXPORTS) | {"CertificationError"}
     for name in npcc.__all__:

@@ -214,7 +214,6 @@ def test_first_last_middle_slope():
     assert nu.last_slope() == F(1)
     # distinct slopes are 0, 1/3, 2/3, 1; the middle one is the 2nd
     assert nu.middle_slope() == F(1, 3)
-    assert nu.first_last_middle() == (F(0), F(1), F(1, 3))
     odd = NewtonPolygon([(F(1, 2), 3)])
     assert odd.middle_slope() == F(1, 2)
     with pytest.raises(EmptyPolygonError):
