@@ -11,6 +11,7 @@ domain error, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -343,7 +344,14 @@ def _cmd_moonen(args: argparse.Namespace) -> dict:
                 for fam in moonen_families()
             ]
         }
-    key = int(args.family) if args.family.isdigit() else args.family
+    key = args.family
+    if key.isdecimal():
+        # Families are numbered 1..20, so a longer number names none;
+        # refusing it here also keeps int() within its digit limit.
+        digits = key.lstrip("0")
+        if len(digits) > 3:
+            raise DomainError(f"unknown family: {len(digits)}-digit number")
+        key = int(digits or "0")
     fam = moonen_family(key)
     if args.p is None and args.p_class is None:
         return {
@@ -427,6 +435,12 @@ def _add_residue_group(sp: argparse.ArgumentParser, required: bool = True) -> No
     )
 
 
+# Building the parser (13 ArgumentParsers, their arguments, gettext and
+# terminal-size lookups) costs about 40 times what parsing one argv does,
+# so main() builds it on its first call and reuses it.  Reuse leaks no
+# state: parse_args copies --step's list default before appending, and
+# help and usage text is formatted when printed.  Bounded: one parser.
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npcc",

@@ -594,6 +594,17 @@ def _field(obj: dict, key: str, kind: type, where: str):
     return value
 
 
+def _same_json(a, b) -> bool:
+    """a == b with JSON types kept apart, so 1, 1.0 and true all differ."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_json(v, b[k]) for k, v in a.items())
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same_json, a, b))
+    return a == b
+
+
 class ChainOp(NamedTuple):
     """A chain op: its certificate "op" name, its --step form, and its work.
 
@@ -676,7 +687,7 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
     or mistyped field, or double_induction steps nested more than
     MAX_REPLAY_DEPTH deep), when a step would exceed MAX_BRANCH_POINTS,
     or when the replayed certificate differs from the recorded one in
-    any field it writes.  _depth counts the enclosing certificates of a
+    any field it writes, JSON types included.  _depth counts the enclosing certificates of a
     nested one.
     """
     if not isinstance(cert, dict):
@@ -724,6 +735,6 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
     if fam.claimed_np.to_json_obj() != expected_polygon:
         raise GeneratorError("replay produced a different polygon")
     for key, value in fam.certificate().items():
-        if cert.get(key) != value:
+        if not _same_json(cert.get(key), value):
             raise GeneratorError(f"replay produced a different {key}")
     return fam

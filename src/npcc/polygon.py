@@ -267,11 +267,12 @@ class NewtonPolygon:
         if self.is_empty:
             return "0"
         rem = dict(self._segments)
-        units: list[tuple[Fraction, str, int]] = []
-        k = min(rem.get(Fraction(0), 0), rem.get(Fraction(1), 0))
+        units: list[tuple[Fraction | int, str, int]] = []
+        # The ints 0 and 1 hash and compare equal to the slopes 0 and 1.
+        k = min(rem.get(0, 0), rem.get(1, 0))
         if k:
-            units.append((Fraction(0), "ord", k))
-            for s in (Fraction(0), Fraction(1)):
+            units.append((0, "ord", k))
+            for s in (0, 1):
                 rem[s] -= k
                 if rem[s] == 0:
                     del rem[s]
@@ -284,11 +285,11 @@ class NewtonPolygon:
         for s in sorted(rem):
             if s >= HALF:
                 continue
-            t = s.denominator
-            if rem[s] % t or rem.get(1 - s, 0) != rem[s]:
+            t, dual = s.denominator, 1 - s
+            if rem[s] % t or rem.get(dual, 0) != rem[s]:
                 return self._bracket_text()
-            units.append((s, f"({s.numerator}/{t},{(1 - s).numerator}/{t})", rem[s] // t))
-            del rem[1 - s]
+            units.append((s, f"({s.numerator}/{t},{dual.numerator}/{t})", rem[s] // t))
+            del rem[dual]
             del rem[s]
         if rem:
             return self._bracket_text()

@@ -5,6 +5,7 @@ and the exit status. Expected numbers repeat values that the library
 tests already pin down, so these tests are about wiring and formatting.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -16,7 +17,9 @@ from pathlib import Path
 import pytest
 
 import npcc
+from npcc import MonodromyDatum, base_case
 from npcc.cli import P_BOUND, _is_prime, main
+from test_cli_golden import CASES, DATA, certificates, run_case
 
 
 def run(capsys, argv):
@@ -567,6 +570,23 @@ def test_moonen_family_at_class(capsys):
     assert lines[1] == "class 3 mod 7: (1/3,2/3)^2; ss^6*"
 
 
+def test_moonen_family_number_may_have_leading_zeros(capsys):
+    assert run(capsys, ["moonen", "--family", "01"]) == run(capsys, ["moonen", "--family", "1"])
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        ("\u00b2", "unknown family \u00b2"),  # a digit that is not a decimal
+        ("9" * 5000, "unknown family: 5000-digit number"),  # past int()'s digit limit
+    ],
+    ids=["superscript-two", "5000-digits"],
+)
+def test_moonen_family_that_names_none_is_one_error_line(capsys, family, message):
+    code, out, err = run(capsys, ["moonen", "--family", family])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_moonen_verify_all(capsys):
     code, out, _ = run(capsys, ["moonen", "--verify-all"])
     assert code == 0
@@ -673,3 +693,41 @@ def test_long_chain_at_the_modulus_bound_is_pinned_and_quick(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ecad61fc999de1fe3fb170782955803bb19b61b97328e49252914596d7c924b3"
     )
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("COLUMNS", "80")
+    main(["moonen"])
+    files = certificates(tmp_path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in CASES:
+        run_case(argv, files)
+    assert built == []
+    # the count is live: building a parser afresh is seen
+    npcc.cli._build_parser.__wrapped__()
+    assert "npcc" in built
+
+
+def test_golden_cases_in_reverse_order_give_the_golden_output(monkeypatch, tmp_path):
+    # One parser serves every call, so no call may leave state behind
+    # for the next; running the cases backwards changes what precedes each.
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads(DATA.read_text(encoding="utf-8"))
+    files = certificates(tmp_path)
+    assert [run_case(argv, files) for argv in reversed(CASES)] == golden[::-1]
+
+
+def test_steps_of_one_call_do_not_reach_the_next(capsys):
+    argv = ["generate", "--datum", "7:3:1,1,5", "--p-class", "2"]
+    code, out, _ = run(capsys, argv + ["--step", "pad:1:2"])
+    assert code == 0 and len(json.loads(out)["steps"]) == 2
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == base_case(MonodromyDatum(7, (1, 1, 5)), 2).certificate()

@@ -1,6 +1,7 @@
 """Tests for certified inductive families and certificate replay."""
 
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -335,6 +336,27 @@ TAMPERINGS = [
 def test_replay_refuses_each_tampered_field(step, field, value):
     cert = _chain_certificate()
     (cert if step is None else cert["steps"][step])[field] = value
+    key = field if step is None else "steps"
+    with pytest.raises(GeneratorError, match=f"^replay produced a different {key}$"):
+        replay(cert)
+
+
+# Values equal to the recorded ones under Python ==, of another JSON type.
+RETYPINGS = [
+    (None, "mu_ordinary_claim", 1),
+    (None, "payload_codim", 0.0),
+    (1, "balanced", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "step, field, value", RETYPINGS, ids=[f"{t[1]}-{t[2]!r}" for t in RETYPINGS]
+)
+def test_replay_refuses_each_retyped_field(step, field, value):
+    cert = json.loads(json.dumps(_chain_certificate()))
+    target = cert if step is None else cert["steps"][step]
+    assert target[field] == value
+    target[field] = value
     key = field if step is None else "steps"
     with pytest.raises(GeneratorError, match=f"^replay produced a different {key}$"):
         replay(cert)
