@@ -161,6 +161,8 @@ def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
 
     f1d, f2d = signature(g1).induced(d1).values, signature(g2).induced(d2).values
     defect = (_defect_at(d1, d2, r0, n, m3) for n in range(1, m3))
+    if d1 == d2 == 1:  # a fold joint: the last two terms cancel, and n is not 0 mod m3
+        defect = (1 if r0 * n % m3 == 0 else 0 for n in range(1, m3))
     f3 = Signature(m3, tuple(a + b + e for a, b, e in zip(f1d, f2d, defect)))
 
     g3 = d1 * genus(g1) + d2 * genus(g2) + epsilon
@@ -229,19 +231,20 @@ def compatible_violations(
         if comp1.is_empty or comp2.is_empty:
             continue
         # Slopes on one orbit share the divisor |o| of the lambda scale,
-        # so they compare on the orbit scale.
-        lo, hi = comp2.segments[0][0], comp2.segments[-1][0]
-        inside = [s for s, _ in comp1.segments if lo < s < hi]
+        # so they compare on the orbit scale, as (rise, width) pairs.
+        (lo_r, lo_w), (hi_r, hi_w) = comp2._pairs[0], comp2._pairs[-1]
+        inside = [Fraction(r, w * orbit.size) for r, w in comp1._pairs
+                  if lo_r * w < r * lo_w and r * hi_w < hi_r * w]
         if orbit.is_self_dual:
             mid = comp1.lambda_scale().middle_slope() * orbit.size
-            if (not inside) != (mid <= lo):
+            if (not inside) != (mid * lo_w <= lo_r):
                 raise DomainError("middle-slope characterization disagrees")
         if inside:
-            bad[orbit] = inside[0] / orbit.size
+            bad[orbit] = inside[0]
             if not orbit.is_self_dual:
                 # On -o both components dualize, s -> |o| - s, so the
                 # first slope inside its span mirrors the last one here.
-                bad[orbit.dual()] = 1 - inside[-1] / orbit.size
+                bad[orbit.dual()] = 1 - inside[-1]
     return tuple((o, bad[o]) for o in dec.orbits if o in bad)
 
 

@@ -39,7 +39,7 @@ from .monodromy import (
 )
 from .muord import mu_ordinary
 from .polygon import ORD, NewtonPolygon
-from .strata import DEFAULT_ENUM_CAP, kottwitz_set
+from .strata import DEFAULT_ENUM_CAP, _check_cap, kottwitz_set
 
 __all__ = [
     "CertifiedFamily",
@@ -275,6 +275,7 @@ def base_case(
     NotABaseCaseError when no check applies.
     """
     datum.validate(require_primitive=True)
+    _check_cap(cap)  # also where the clauses below never read it
     u = mu_ordinary(datum, p_class)
     m, big_n = datum.m, datum.N
     label = None if big_n == 3 else _moonen_match(datum)

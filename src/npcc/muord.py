@@ -3,9 +3,9 @@
 Each orbit o of multiplication by p carries a convex polygon drawn on
 a normalized scale: a path from (0, 0) to (g(o), sum of f over o)
 whose slopes lie in [0, |o|] and whose vertices sit on the integer
-lattice.  Rescaling slopes by 1/|o| and widths by |o| (the lambda
-scale) turns it into a piece of an honest Newton polygon; the pieces
-of all orbits amalgamate to the polygon of the whole family.
+lattice, so it is held in ints.  Rescaling slopes by 1/|o| and widths
+by |o| (the lambda scale) turns it into a piece of an honest Newton
+polygon; the pieces of all orbits amalgamate to the whole family's.
 
 The lowest admissible orbit polygon, computed here directly from the
 signature, assembles into the mu-ordinary polygon: the one generically
@@ -15,6 +15,7 @@ attained, and the greatest element of the Kottwitz partial order.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -36,40 +37,49 @@ __all__ = [
 class OrbitPolygon:
     """Convex polygon on the normalized scale of one orbit.
 
-    Stored as (slope, width) pairs with strictly increasing slopes in
-    [0, |orbit|]; widths are positive integers and every segment rises
-    by an integer, so all vertices are lattice points.  Values on the
-    integer grid are precomputed because enumeration compares these
-    polygons pointwise very often.  They are ints at the vertices and
-    along integral slopes, and Fractions elsewhere; an int equals and
-    hashes like the Fraction of the same value.
+    Stored as (rise, width) int pairs with positive widths: a segment of
+    slope s and width w rises by the integer s*w, so all vertices are
+    lattice points, and slopes strictly increase in [0, |orbit|].  Values
+    on the integer grid are precomputed, because enumeration compares
+    these polygons pointwise very often, as ints scaled by the lcm of the
+    slopes' denominators (1 when all slopes are integral, as mu-ordinary
+    ones are).  Slopes and scaled grids compare by cross-multiplying.
     """
 
-    __slots__ = ("orbit", "segments", "_grid")
+    __slots__ = ("orbit", "_pairs", "_grid", "_scale")
 
     def __init__(self, orbit: Orbit, segments: Iterable[tuple[Fraction | int, int]]):
-        segs = tuple((Fraction(s), int(w)) for s, w in segments)
+        pairs = [(Fraction(s) * int(w), int(w)) for s, w in segments]
+        for rise, w in pairs:
+            if rise.denominator != 1:
+                raise PolygonSyntaxError(f"segment {rise / w}x{w} has a non-lattice vertex")
+        self._fill(orbit, tuple((rise.numerator, w) for rise, w in pairs))
+
+    @classmethod
+    def _of_pairs(cls, orbit: Orbit, pairs: tuple[tuple[int, int], ...]) -> "OrbitPolygon":
+        """The polygon of (rise, width) int pairs, checked as __init__ checks."""
+        return object.__new__(cls)._fill(orbit, pairs)
+
+    def _fill(self, orbit: Orbit, pairs: tuple[tuple[int, int], ...]) -> "OrbitPolygon":
         size = orbit.size
-        prev = None
-        for s, w in segs:
+        for (prev_r, prev_w), (r, w) in zip(((-1, 1),) + pairs, pairs):  # -1: below any slope
             if w < 1:
                 raise PolygonSyntaxError(f"orbit polygon width {w} < 1")
-            if not 0 <= s <= size:
-                raise PolygonSyntaxError(f"orbit slope {s} outside [0, {size}]")
-            if prev is not None and s <= prev:
+            if not 0 <= r <= size * w:
+                raise PolygonSyntaxError(f"orbit slope {Fraction(r, w)} outside [0, {size}]")
+            if r * prev_w <= prev_r * w:
                 raise PolygonSyntaxError("orbit slopes must strictly increase")
-            if (s * w).denominator != 1:
-                raise PolygonSyntaxError(f"segment {s}x{w} has a non-lattice vertex")
-            prev = s
-        self.orbit = orbit
-        self.segments = segs
+        scale = math.lcm(*(w // math.gcd(r, w) for r, w in pairs))
         grid = [0]
-        for s, w in segs:
-            y = grid[-1]
-            step = s.numerator if s.denominator == 1 else s
-            grid.extend(y + step * k for k in range(1, w))
-            grid.append(y + int(s * w))
-        self._grid = tuple(grid)
+        for r, w in pairs:
+            y, step = grid[-1], r * scale // w
+            grid.extend(range(y + step, y + step * w + 1, step) if step else [y] * w)
+        self.orbit, self._pairs, self._grid, self._scale = orbit, pairs, tuple(grid), scale
+        return self
+
+    @property
+    def segments(self) -> tuple[tuple[Fraction, int], ...]:
+        return tuple((Fraction(r, w), w) for r, w in self._pairs)
 
     @property
     def height(self) -> int:
@@ -77,14 +87,15 @@ class OrbitPolygon:
 
     @property
     def degree(self) -> int:
-        return int(self._grid[-1])
+        return self._grid[-1] // self._scale
 
     @property
     def is_empty(self) -> bool:
-        return not self.segments
+        return not self._pairs
 
-    def value_at(self, x: int) -> Fraction:
-        return self._grid[x]
+    def value_at(self, x: int) -> Fraction | int:
+        v, scale = self._grid[x], self._scale
+        return v // scale if v % scale == 0 else Fraction(v, scale)
 
     def lies_on_or_above(self, other: "OrbitPolygon") -> bool:
         """Pointwise comparison; integer grid points suffice since all
@@ -94,29 +105,27 @@ class OrbitPolygon:
                 f"orbit polygon endpoints differ: ({self.height}, {self.degree})"
                 f" vs ({other.height}, {other.degree})"
             )
-        return all(a >= b for a, b in zip(self._grid, other._grid))
+        a, b = self._scale, other._scale
+        return all(u * b >= v * a for u, v in zip(self._grid, other._grid))
+
+    def _dual_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((self.orbit.size * w - r, w) for r, w in reversed(self._pairs))
 
     def dual(self) -> "OrbitPolygon":
         """The polygon of the dual orbit, slopes s -> |o| - s."""
-        size = self.orbit.size
-        return OrbitPolygon(
-            self.orbit.dual(), [(size - s, w) for s, w in reversed(self.segments)]
-        )
+        return OrbitPolygon._of_pairs(self.orbit.dual(), self._dual_pairs())
 
     @property
     def is_self_symmetric(self) -> bool:
         """Invariance of the slope multiset under s -> |o| - s."""
-        size = self.orbit.size
-        forward = self.segments
-        backward = tuple((size - s, w) for s, w in reversed(forward))
-        return forward == backward
+        return self._pairs == self._dual_pairs()
 
     def lambda_scale(self) -> NewtonPolygon:
         """The Newton polygon piece this orbit contributes."""
-        size = self.orbit.size
+        n = self.orbit.size
         # Validated orbit slopes strictly increase in [0, |o|] with widths
         # >= 1, so the rescaled segments are already canonical.
-        return NewtonPolygon._trusted(tuple((s / size, w * size) for s, w in self.segments))
+        return NewtonPolygon._trusted(tuple((Fraction(r, w * n), w * n) for r, w in self._pairs))
 
     def piece(self) -> NewtonPolygon:
         """The Newton polygon the orbit and its dual contribute together.
@@ -130,10 +139,10 @@ class OrbitPolygon:
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbitPolygon):
             return NotImplemented
-        return self.orbit == other.orbit and self.segments == other.segments
+        return self.orbit == other.orbit and self._pairs == other._pairs
 
     def __hash__(self) -> int:
-        return hash((self.orbit, self.segments))
+        return hash((self.orbit, self._pairs))
 
     def __str__(self) -> str:
         inner = ", ".join(f"{s}x{w}" for s, w in self.segments)
@@ -163,14 +172,12 @@ def mu_ordinary_orbit(orbit: Orbit, f: Signature) -> OrbitPolygon:
 def _lowest_orbit_polygon(orbit: Orbit, values: tuple[int, ...], g_o: int) -> OrbitPolygon:
     """mu_ordinary_orbit given f's values on the orbit's members and g(o)."""
     if g_o == 0:
-        return OrbitPolygon(orbit, [])
+        return OrbitPolygon._of_pairs(orbit, ())
     levels = sorted({v for v in values if 1 <= v <= g_o - 1}, reverse=True)
     bounds = [g_o] + levels + [0]
-    segments = []
-    for t in range(len(bounds) - 1):
-        slope = sum(1 for v in values if v >= bounds[t])
-        segments.append((Fraction(slope), bounds[t] - bounds[t + 1]))
-    return OrbitPolygon(orbit, segments)
+    cuts = zip(bounds, bounds[1:])
+    pairs = tuple(((hi - lo) * sum(v >= hi for v in values), hi - lo) for hi, lo in cuts)
+    return OrbitPolygon._of_pairs(orbit, pairs)
 
 
 def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BadResidueError, InconsistentSignatureError
 from .monodromy import Signature
@@ -18,12 +18,14 @@ from .monodromy import Signature
 __all__ = ["Orbit", "OrbitDecomposition", "decompose", "g_of_orbit"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Orbit:
     """One orbit of multiplication by p on nonzero residues mod m."""
 
     m: int
     members: tuple[int, ...]
+    # The dual orbit, shared with it: a self-dual orbit is its own dual.
+    _dual: "Orbit | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(self.members)))
@@ -42,11 +44,15 @@ class Orbit:
         return self.m // math.gcd(self.min, self.m)
 
     def dual(self) -> "Orbit":
-        return Orbit(self.m, tuple((self.m - n) % self.m for n in self.members))
+        if self._dual is None:
+            dual = Orbit(self.m, tuple((self.m - n) % self.m for n in self.members))
+            object.__setattr__(self, "_dual", self if dual == self else dual)
+            object.__setattr__(self._dual, "_dual", self)
+        return self._dual
 
     @property
     def is_self_dual(self) -> bool:
-        return self.dual() == self
+        return self.dual() is self
 
     def __contains__(self, n: int) -> bool:
         return n % self.m in self.members

@@ -13,8 +13,8 @@ per-factor candidates only on demand, and all structure of the set
 comes from the small factors.  One fold over the factors maps each
 distinct total polygon (a stratum of the family) to the indices of the
 elements reaching it.  The fold is integer arithmetic: each
-candidate's piece of Newton polygon is coded once as an int holding one
-multiplicity per slope, a partial total is the sum of its pieces'
+candidate's piece is coded once, from its int pairs, as an int holding
+one multiplicity per slope, a partial total is the sum of its pieces'
 codes, and each distinct total's polygon is built once, at the end.
 An element's length is the sum of its candidates' lengths, and the
 covers of the set are the factors' covers lifted by index arithmetic.
@@ -57,6 +57,11 @@ __all__ = [
 DEFAULT_ENUM_CAP = 1_000_000
 
 
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 1:  # no factor is empty, so such a cap never passes
+        raise EnumerationCapError(f"the cap must be at least 1, not {cap}")
+
+
 def enumerate_orbit_component(
     orbit: Orbit, f: Signature, cap: int | None = DEFAULT_ENUM_CAP
 ) -> tuple[OrbitPolygon, ...]:
@@ -75,13 +80,14 @@ def enumerate_orbit_component(
     is a bound on y2.  The bounds are exact, so every vertex tried lies
     on some path found: the straight segment on to (G, D) completes it.
     """
+    _check_cap(cap)
     mu = mu_ordinary_orbit(orbit, f)
     big_g = mu.height
     big_d = mu.degree
     if big_g == 0:
         return (mu,)
-    lowest_y = [math.ceil(v) for v in mu._grid]
-    found: list[tuple[tuple[Fraction, int], ...]] = []
+    lowest_y = mu._grid  # unscaled: the slopes of mu are integral
+    found: list[tuple[tuple[int, int], ...]] = []
 
     def rec(x: int, y: int, rise: int, run: int, segs: tuple) -> None:
         if x == big_g:
@@ -104,7 +110,7 @@ def enumerate_orbit_component(
             # above it that meets these bounds exceeds |o|.
             hi = (big_d * width + y * rest_w - 1) // left if rest_w else big_d
             for y2 in range(lo, hi + 1):
-                rec(x2, y2, y2 - y, width, segs + ((Fraction(y2 - y, width), width),))
+                rec(x2, y2, y2 - y, width, segs + ((y2 - y, width),))
 
     try:
         rec(0, 0, 0, 0, ())
@@ -113,10 +119,11 @@ def enumerate_orbit_component(
         # breaks that cycle, so what it holds is freed at once instead of
         # waiting for the cycle collector.
         del rec
-    polys = [OrbitPolygon(orbit, segs) for segs in found]
+    polys = [OrbitPolygon._of_pairs(orbit, segs) for segs in found]
     if orbit.is_self_dual:
         polys = [q for q in polys if q.is_self_symmetric]
-    polys.sort(key=lambda q: q._grid)
+    scale = math.lcm(*(q._scale for q in polys))  # grids on one scale sort by value
+    polys.sort(key=lambda q: tuple(v * (scale // q._scale) for v in q._grid))
     if not polys or polys[0] != mu:
         raise DomainError("mu-ordinary polygon must be the lowest candidate")
     return tuple(polys)
@@ -139,10 +146,10 @@ class KottwitzSet:
     meets each candidate k of the next factor once, giving the indices
     i * len(factor) + k.  Partials are visited in first-appearance order
     and k < len(factor), so the dict keeps the totals in first-appearance
-    order.  A partial total is an int: the pieces' slopes form a finite
-    alphabet, each slope owns a digit wide enough for the whole height,
-    and adding two codes amalgamates their polygons.  So the fold hashes
-    and adds ints, and each distinct total's polygon is decoded once.
+    order.  A partial total is an int: each slope of the pieces, keyed
+    by its reduced int pair, owns a digit wide enough for the whole
+    height, and adding two codes amalgamates their polygons.  So the fold
+    hashes and adds only ints, and each total's polygon is decoded once.
     The cap bounds the running product of the factor sizes, checked
     before the next factor is enumerated.
     """
@@ -171,19 +178,22 @@ class KottwitzSet:
         self._factor_lengths = tuple(self._chain_lengths(c) for c in self.factors)
         # Each slope of the pieces owns a digit of `bits` bits holding its
         # multiplicity, handed out as slopes first appear (setdefault
-        # reads len(shift) before it inserts).  No multiplicity in a total
-        # exceeds the total height, so codes add without carry, and adding
-        # codes amalgamates polygons.
+        # reads len(shift) before it inserts) and sorted by slope at the
+        # end.  No multiplicity in a total exceeds the total height, so
+        # codes add without carry, and adding codes amalgamates polygons.
         height = sum(factor[0].piece().height for factor in self.factors)
         bits = height.bit_length()
-        shift: dict[Fraction, int] = {}
+        shift: dict[tuple[int, int], int] = {}
         by_code = {0: [0]}
         lengths = [0]
         for factor, steps in zip(self.factors, self._factor_lengths):
-            codes = [
-                sum(k << shift.setdefault(s, len(shift) * bits) for s, k in c.piece())
-                for c in factor
-            ]
+            codes = []
+            for c in factor:  # c.piece(): slope r/(w*n), w*n times, keyed by its reduced pair
+                n, code = c.orbit.size, 0
+                for r, w in c._pairs if c.orbit.is_self_dual else c._pairs + c._dual_pairs():
+                    g = math.gcd(r, w * n)
+                    code += w * n << shift.setdefault((r // g, w * n // g), len(shift) * bits)
+                codes.append(code)
             size = len(factor)
             folded: dict[int, list[int]] = {}
             for partial, indices in by_code.items():
@@ -192,7 +202,8 @@ class KottwitzSet:
                     folded.setdefault(partial + code, []).extend([b + k for b in base])
             by_code = folded
             lengths = [n + s for n in lengths for s in steps]
-        self._by_total = _decode_totals(by_code, sorted(shift.items()), bits, height)
+        digits = sorted((Fraction(*slope), at) for slope, at in shift.items())
+        self._by_total = _decode_totals(by_code, digits, bits, height)
         self.lengths = tuple(lengths)
 
     @staticmethod
@@ -352,6 +363,8 @@ def _lattice_count(poly: NewtonPolygon | OrbitPolygon, stop: int) -> int:
     height y = c/e, ceil(y + a*k/b) = floor((a*e*k + c*b + e*b - 1) / (e*b)),
     so each segment's share is one floor sum.
     """
+    if isinstance(poly, OrbitPolygon):  # its values are in its scaled int grid
+        return sum(-(-v // poly._scale) for v in poly._grid[:stop])
     total, run, y = 0, 0, Fraction(0)
     for slope, width in poly.segments:
         n = min(width, stop - 1 - run)

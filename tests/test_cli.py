@@ -731,3 +731,19 @@ def test_steps_of_one_call_do_not_reach_the_next(capsys):
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert json.loads(out) == base_case(MonodromyDatum(7, (1, 1, 5)), 2).certificate()
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kottwitz", "--datum", "7:3:1,1,5", "--p-class", "2"],
+        # a three-point base case, which reads no Kottwitz set
+        ["generate", "--datum", "7:3:1,1,5", "--p-class", "2"],
+        ["generate", "--datum", "8:5:2,2,2,5,5", "--p-class", "7", "--payload", "ss^9"],
+    ],
+)
+def test_cap_below_one_is_refused(capsys, argv, cap):
+    code, out, err = run(capsys, argv + ["--cap", cap])
+    assert code == 1 and out == ""
+    assert err == f"error: the cap must be at least 1, not {cap}\n"

@@ -448,3 +448,37 @@ def test_one_cancelling_pair_search_serves_every_caller():
         found["across"] += across is not None
         found["lcm"] += pair is not None
     assert all(300 < n < 1200 for n in found.values()), found
+
+
+def test_closed_form_defect_matches_the_three_step_functions():
+    # clutch_data reads the defect in closed form when d1 = d2 = 1 (every
+    # fold joint); the oracle sums the three step functions on every residue.
+    rng = random.Random(20261022)
+
+    def datum(m):
+        while True:
+            a = [rng.randrange(1, m) for _ in range(rng.randint(2, 5))]
+            a.append(-sum(a) % m)
+            if a[-1] and math.gcd(m, *a) == 1:
+                return MonodromyDatum(m, tuple(a))
+
+    kinds = {True: 0, False: 0}
+    defective = {True: 0, False: 0}
+    while min(kinds.values()) < 150:
+        m1 = rng.randint(2, 30)
+        m2 = m1 if rng.random() < 0.5 else rng.randint(2, 30)
+        try:
+            g1, g2 = find_admissible_reordering(datum(m1), datum(m2))
+        except NotAdmissibleError:
+            continue
+        r = clutch_data(g1, g2)
+        f1d = signature(g1).induced(r.d1).values
+        f2d = signature(g2).induced(r.d2).values
+        expected = tuple(
+            a + b + npcc.clutch._defect_at(r.d1, r.d2, r.r0, n, r.m3)
+            for n, a, b in zip(range(1, r.m3), f1d, f2d)
+        )
+        assert r.f3.values == expected, (g1, g2)
+        kinds[r.d1 == r.d2 == 1] += 1
+        defective[r.d1 == r.d2 == 1] += r.epsilon > 0
+    assert min(defective.values()) >= 30

@@ -369,7 +369,7 @@ def fraction_search(orbit, f) -> tuple[tuple, list]:
     polys = [OrbitPolygon(orbit, segs) for segs in found]
     if orbit.is_self_dual:
         polys = [q for q in polys if q.is_self_symmetric]
-    polys.sort(key=lambda q: q._grid)
+    polys.sort(key=lambda q: [q.value_at(x) for x in range(q.height + 1)])
     return tuple(polys), found
 
 

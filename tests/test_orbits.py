@@ -141,3 +141,42 @@ def test_decompose_errors_are_not_cached():
             decompose(6, 3)
         with pytest.raises(BadResidueError):
             decompose(1, 1)
+
+
+def _rebuilt_dual(o):
+    """The dual built afresh from the members, as Orbit.dual once did."""
+    return Orbit(o.m, tuple((o.m - n) % o.m for n in o.members))
+
+
+def test_orbits_know_their_duals_for_every_unit_class():
+    self_dual = paired = 0
+    for m in range(2, 61):
+        for p in range(1, m):
+            if math.gcd(p, m) != 1:
+                continue
+            dec = decompose(m, p)
+            for o in dec:
+                d = o.dual()
+                assert d == _rebuilt_dual(o), (m, p, o)
+                assert d.dual() is o
+                assert d in dec.orbits
+                assert o.is_self_dual == (_rebuilt_dual(o) == o)
+                assert o.is_self_dual == (d is o)
+                self_dual += o.is_self_dual
+                paired += not o.is_self_dual
+            rebuilt = tuple(o for o in dec if o.min <= _rebuilt_dual(o).min)
+            assert dec.representatives() == rebuilt, (m, p)
+    assert self_dual > 1000 and paired > 1000
+
+
+def test_an_orbit_built_by_hand_finds_its_dual_once():
+    o = Orbit(12, (5, 1))
+    d = o.dual()
+    assert d.members == (7, 11)
+    assert o.dual() is d and d.dual() is o
+    assert not o.is_self_dual and not d.is_self_dual
+    both = Orbit(8, (6, 2))
+    assert both.dual() is both and both.is_self_dual
+    # The cached dual takes no part in equality, hashing or repr.
+    assert o == Orbit(12, (1, 5)) and hash(o) == hash(Orbit(12, (1, 5)))
+    assert repr(o) == "Orbit(m=12, members=(1, 5))"
