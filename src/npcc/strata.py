@@ -16,8 +16,10 @@ elements reaching it.  The fold is integer arithmetic: each
 candidate's piece is coded once, from its int pairs, as an int holding
 one multiplicity per slope, a partial total is the sum of its pieces'
 codes, and each distinct total's polygon is built once, at the end.
-An element's length is the sum of its candidates' lengths, and the
-covers of the set are the factors' covers lifted by index arithmetic.
+A polygon finds its row of that map by int work alone: a total the set
+handed out by its identity, any other polygon by its code.  An
+element's length is the sum of its candidates' lengths, and the covers
+of the set are the factors' covers lifted by index arithmetic.
 The factors come from a lattice path search whose bounds are integer
 floor divisions.
 
@@ -150,6 +152,9 @@ class KottwitzSet:
     by its reduced int pair, owns a digit wide enough for the whole
     height, and adding two codes amalgamates their polygons.  So the fold
     hashes and adds only ints, and each total's polygon is decoded once.
+    `totals` hands out the decoded totals, and a lookup finds a total's
+    row by int work alone (see `elements_with_total`), so it hashes no
+    Fraction.
     The cap bounds the running product of the factor sizes, checked
     before the next factor is enumerated.
     """
@@ -176,12 +181,15 @@ class KottwitzSet:
                 )
         self.factors = tuple(factors)
         self._factor_lengths = tuple(self._chain_lengths(c) for c in self.factors)
+        # A top's piece has height |o| * G(o), doubled by the dual path
+        # when the orbit is not self-dual.
+        tops = [factor[0] for factor in self.factors]
+        height = sum(t.orbit.size * t.height * (1 if t.orbit.is_self_dual else 2) for t in tops)
         # Each slope of the pieces owns a digit of `bits` bits holding its
         # multiplicity, handed out as slopes first appear (setdefault
         # reads len(shift) before it inserts) and sorted by slope at the
         # end.  No multiplicity in a total exceeds the total height, so
         # codes add without carry, and adding codes amalgamates polygons.
-        height = sum(factor[0].piece().height for factor in self.factors)
         bits = height.bit_length()
         shift: dict[tuple[int, int], int] = {}
         by_code = {0: [0]}
@@ -203,7 +211,10 @@ class KottwitzSet:
             by_code = folded
             lengths = [n + s for n in lengths for s in steps]
         digits = sorted((Fraction(*slope), at) for slope, at in shift.items())
-        self._by_total = _decode_totals(by_code, digits, bits, height)
+        self._totals, self._rows = _decode_totals(by_code, digits, bits, height)
+        self._row_of_id = {id(t): row for row, t in enumerate(self._totals)}
+        self._rows_by_code = dict(zip(by_code, self._rows))
+        self._shift, self._height = shift, height
         self.lengths = tuple(lengths)
 
     @staticmethod
@@ -250,11 +261,33 @@ class KottwitzSet:
 
     def totals(self) -> tuple[NewtonPolygon, ...]:
         """Distinct total polygons, in first-appearance order."""
-        return tuple(self._by_total)
+        return self._totals
 
     def elements_with_total(self, nu: NewtonPolygon) -> tuple[int, ...]:
-        """Indices of the elements whose total polygon is nu, ascending."""
-        return tuple(self._by_total.get(nu, ()))
+        """Indices of the elements whose total polygon is nu, ascending.
+
+        A total handed out by `totals` is found by its id: the set holds
+        every total, so no other live object has that id.  The id is
+        still confirmed, since a copy of the set keeps the original's
+        ids.  Any other polygon is coded as the fold codes a total.  A
+        slope no piece has, or another height, makes it no total;
+        otherwise its multiplicities sum to the height, which fits in
+        one digit, so no digit carries and equal codes mean equal
+        polygons.
+        """
+        row = self._row_of_id.get(id(nu))
+        if row is not None and self._totals[row] is nu:
+            return self._rows[row]
+        if not isinstance(nu, NewtonPolygon):
+            return ()
+        code = height = 0
+        for slope, k in nu.segments:
+            at = self._shift.get((slope.numerator, slope.denominator))
+            if at is None:
+                return ()
+            code += k << at
+            height += k
+        return self._rows_by_code.get(code, ()) if height == self._height else ()
 
     def codim_of_polygon(self, nu: NewtonPolygon) -> int:
         """Smallest length among elements whose total polygon is nu."""
@@ -287,7 +320,7 @@ class KottwitzSet:
     def hasse_dot(self) -> str:
         """Hasse diagram in DOT format, top element drawn at the top."""
         labels = {}
-        for total, indices in self._by_total.items():
+        for total, indices in zip(self._totals, self._rows):
             labels.update(dict.fromkeys(indices, str(total)))
         lines = ["digraph kottwitz {", "  rankdir=BT;"]
         for i, n in enumerate(self.lengths):
@@ -300,18 +333,18 @@ class KottwitzSet:
 
 def _decode_totals(
     by_code: dict[int, list[int]], digits: list[tuple[Fraction, int]], bits: int, height: int
-) -> dict[NewtonPolygon, list[int]]:
-    """Each distinct total's polygon, built once, with its indices sorted.
+) -> tuple[tuple[NewtonPolygon, ...], tuple[tuple[int, ...], ...]]:
+    """Each distinct total's polygon, built once, and its sorted indices.
 
-    ``digits`` lists each slope with the lowest bit of its digit, by
-    increasing slope, and totals share their (slope, multiplicity)
-    pairs.  A digit that overflowed would carry into the next one or
-    out of the mask and lose height, so every total must have the set's
-    height.  The index lists are sorted in place.
+    Both tuples follow the order of ``by_code``.  ``digits`` lists each
+    slope with the lowest bit of its digit, by increasing slope, and
+    totals share their (slope, multiplicity) pairs.  A digit that
+    overflowed would carry into the next one or out of the mask and
+    lose height, so every total must have the set's height.
     """
     mask = (1 << bits) - 1
     shared: list[dict[int, tuple[Fraction, int]]] = [{} for _ in digits]
-    by_total = {}
+    totals, rows = [], []
     for code, indices in by_code.items():
         segments = []
         decoded = 0
@@ -322,9 +355,9 @@ def _decode_totals(
                 decoded += k
         if decoded != height:
             raise DomainError(f"a total decoded to height {decoded}, not {height}")
-        indices.sort()
-        by_total[NewtonPolygon._trusted(tuple(segments))] = indices
-    return by_total
+        totals.append(NewtonPolygon._trusted(tuple(segments)))
+        rows.append(tuple(sorted(indices)))
+    return tuple(totals), tuple(rows)
 
 
 def _check_factor_order(factor: tuple[OrbitPolygon, ...]) -> None:

@@ -12,11 +12,15 @@ reduction.  The closed-form lattice count is checked against the per-x
 sum of ceilings it replaced.  The fold over int-coded partial totals
 is checked against the fold over polygon partial totals it replaced,
 and the integer path search against the Fraction-slope search it
-replaced.
+replaced.  A polygon's row is checked to be found without hashing a
+Fraction, and equal polygons to find the same rows as the totals
+handed out.
 """
 
+import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -323,12 +327,127 @@ def test_int_coded_fold_near_the_modulus_bound():
 def test_decode_refuses_a_total_that_lost_height():
     half = Fraction(1, 2)
     digits = [(Fraction(0), 0), (half, 2)]  # two bits per digit
-    assert _decode_totals({4: [0]}, digits, 2, 1) == {NewtonPolygon([(half, 1)]): [0]}
+    assert _decode_totals({4: [0]}, digits, 2, 1) == ((NewtonPolygon([(half, 1)]),), ((0,),))
     # A multiplicity of 4 carries into the next digit, or out of the last.
     with pytest.raises(DomainError):
         _decode_totals({4: [0]}, digits, 2, 4)
     with pytest.raises(DomainError):
         _decode_totals({16: [0]}, digits, 2, 4)
+
+
+def _seeded_sets() -> list[tuple[MonodromyDatum, int]]:
+    return [(datum, p) for datum, p, _ in _sample(20181101, 30)]
+
+
+def test_rows_are_found_without_hashing_a_fraction(monkeypatch):
+    cases = [(MonodromyDatum.from_text("20:6:14,9,19,19,8,11"), c) for c in (3, 11)]
+    cases += _seeded_sets()
+    calls = 0
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        nonlocal calls
+        calls += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    hash(Fraction(1, 3))
+    assert calls == 1  # the count sees every hash
+    calls = 0
+    for datum, p in cases:
+        ks = kottwitz_set(datum, p)
+        for t in ks.totals():
+            ks.codim_of_polygon(t)
+            ks.elements_with_total(t)
+    assert calls == 0
+
+
+def test_a_handed_out_total_is_found_without_reading_its_segments(monkeypatch):
+    reads = 0
+    segments = NewtonPolygon.segments
+
+    def counting_segments(self):
+        nonlocal reads
+        reads += 1
+        return segments.fget(self)
+
+    for datum, p in _seeded_sets():
+        ks = kottwitz_set(datum, p)
+        equal = [NewtonPolygon(t.segments) for t in ks.totals()]
+        with monkeypatch.context() as patch:
+            patch.setattr(NewtonPolygon, "segments", property(counting_segments))
+            for t in ks.totals():
+                ks.codim_of_polygon(t)
+                ks.elements_with_total(t)
+            assert reads == 0
+            ks.elements_with_total(equal[0])
+            assert reads == 1  # an equal polygon is coded from its segments
+        reads = 0
+
+
+def _not_totals(ks: KottwitzSet) -> list:
+    """Arguments that name no total of ks: polygons of each kind, and others."""
+    totals = list(ks.totals())
+    height = totals[0].height
+    slopes = sorted({s for t in totals for s, _ in t.segments})
+    outside = next(Fraction(1, q) for q in itertools.count(2) if Fraction(1, q) not in slopes)
+    first_with = {s: next(t for t in totals if s in dict(t.segments)) for s in slopes}
+
+    def moved(t, s, k, into, n):
+        """t with k units of slope s taken away and n units of slope into added."""
+        mults = dict(t.segments)
+        mults[s] -= k
+        mults[into] = mults.get(into, 0) + n
+        return NewtonPolygon(mults.items())
+
+    polys = [NewtonPolygon([(outside, height)])]
+    polys += [moved(first_with[s], s, 1, outside, 1) for s in slopes]
+    # The set's slopes in multiplicities that are no total.
+    polys += [NewtonPolygon([(s, height)]) for s in slopes]
+    polys += [moved(first_with[s], s, 1, r, 1) for s in slopes for r in slopes if r != s]
+    # Other heights, among them codes that carry: 2**bits units of one
+    # slope in place of one unit of another, whose digit may be next.
+    bits = height.bit_length()
+    polys += [moved(t, s, 0, s, 1) for t in totals for s, _ in t.segments]
+    polys += [moved(first_with[s], s, 1, r, 2 ** bits) for s in slopes for r in slopes if r != s]
+    polys += [t.power(2) for t in totals]
+    polys.append(NewtonPolygon())
+    polys = [q for q in polys if q not in totals]
+    others = [str(totals[0]), totals[0].segments, ks[0][0], None, 0]
+    return polys + others
+
+
+def test_equal_polygons_find_the_same_rows_and_no_total_finds_none():
+    for datum, p in _seeded_sets():
+        ks = kottwitz_set(datum, p)
+        for t in ks.totals():
+            equal = NewtonPolygon(t.segments)
+            assert equal is not t
+            assert ks.elements_with_total(equal) == ks.elements_with_total(t)
+            assert ks.codim_of_polygon(equal) == ks.codim_of_polygon(t)
+        for nu in _not_totals(ks):
+            assert ks.elements_with_total(nu) == ()
+            with pytest.raises(DomainError):
+                ks.codim_of_polygon(nu)
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.deepcopy, lambda ks: pickle.loads(pickle.dumps(ks))], ids=["deepcopy", "pickle"]
+)
+def test_a_copied_set_finds_its_rows_once_the_original_is_gone(clone):
+    """A copy keeps the ids of the original's totals, which other objects
+    may take once the original is freed; none of them names a row."""
+    ks = kottwitz_set(MonodromyDatum.from_text("20:6:14,9,19,19,8,11"), 3)
+    rows = [(NewtonPolygon(t.segments), ks.elements_with_total(t)) for t in ks.totals()]
+    freed = {id(t) for t in ks.totals()}
+    copied = clone(ks)
+    del ks
+    assert [(t, copied.elements_with_total(t)) for t in copied.totals()] == rows
+    probes = []
+    while len(probes) < 10_000 and not (probes and id(probes[-1]) in freed):
+        probes.append(NewtonPolygon._trusted(()))
+    for nu in probes:
+        assert copied.elements_with_total(nu) == ()
 
 
 def fraction_search(orbit, f) -> tuple[tuple, list]:
