@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    AsymmetricPolygonError,
     DomainError,
     NotAdmissibleError,
     UnsupportedPairError,
@@ -233,18 +234,23 @@ def compatible_violations(
         # Slopes on one orbit share the divisor |o| of the lambda scale,
         # so they compare on the orbit scale, as (rise, width) pairs.
         (lo_r, lo_w), (hi_r, hi_w) = comp2._pairs[0], comp2._pairs[-1]
-        inside = [Fraction(r, w * orbit.size) for r, w in comp1._pairs
-                  if lo_r * w < r * lo_w and r * hi_w < hi_r * w]
+        inside = [(r, w) for r, w in comp1._pairs if lo_r * w < r * lo_w and r * hi_w < hi_r * w]
         if orbit.is_self_dual:
-            mid = comp1.lambda_scale().middle_slope() * orbit.size
-            if (not inside) != (mid * lo_w <= lo_r):
+            # The middle slope of comp1's lambda-scaled piece, read on the
+            # orbit scale: the pieces' slopes are comp1's divided by |o|.
+            if not comp1.is_self_symmetric:
+                raise AsymmetricPolygonError(f"middle slope of asymmetric {comp1.lambda_scale()}")
+            mid_r, mid_w = comp1._pairs[(len(comp1._pairs) + 1) // 2 - 1]
+            if (not inside) != (mid_r * lo_w <= lo_r * mid_w):
                 raise DomainError("middle-slope characterization disagrees")
         if inside:
-            bad[orbit] = inside[0]
+            r, w = inside[0]
+            bad[orbit] = Fraction(r, w * orbit.size)
             if not orbit.is_self_dual:
                 # On -o both components dualize, s -> |o| - s, so the
                 # first slope inside its span mirrors the last one here.
-                bad[orbit.dual()] = 1 - inside[-1]
+                r, w = inside[-1]
+                bad[orbit.dual()] = Fraction(w * orbit.size - r, w * orbit.size)
     return tuple((o, bad[o]) for o in dec.orbits if o in bad)
 
 

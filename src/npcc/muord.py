@@ -124,8 +124,13 @@ class OrbitPolygon:
         """The Newton polygon piece this orbit contributes."""
         n = self.orbit.size
         # Validated orbit slopes strictly increase in [0, |o|] with widths
-        # >= 1, so the rescaled segments are already canonical.
-        return NewtonPolygon._trusted(tuple((Fraction(r, w * n), w * n) for r, w in self._pairs))
+        # >= 1, so the rescaled slopes r/(w*n), put in lowest terms, are
+        # already canonical.
+        triples = []
+        for r, w in self._pairs:
+            g = math.gcd(r, w * n)
+            triples.append((r // g, w * n // g, w * n))
+        return NewtonPolygon._trusted(tuple(triples))
 
     def piece(self) -> NewtonPolygon:
         """The Newton polygon the orbit and its dual contribute together.

@@ -1,10 +1,16 @@
 """Exact arithmetic for Newton polygons.
 
-A Newton polygon is a finite multiset of rational slopes in [0, 1],
-stored as (slope, multiplicity) pairs with strictly increasing slopes.
+A Newton polygon is a finite multiset of rational slopes in [0, 1].
+It is stored as (num, den, mult) int triples: the slope num/den in
+lowest terms and its multiplicity, by strictly increasing slope.
 Drawn as a lower convex graph it runs from (0, 0) to (height, degree),
-picking up each slope in increasing order.  All arithmetic is exact:
-slopes are `fractions.Fraction` and nothing is ever rounded.
+picking up each slope in increasing order.  All arithmetic is exact
+and in ints: slopes compare by cross-multiplying, and heights along
+the graph are counted in units of one over the lcm of the
+denominators.  The accessors that hand out slopes or heights
+(``segments``, ``degree``, ``breakpoints``, ``value_at`` and the
+first, last and middle slopes) build them as `fractions.Fraction`
+when asked for.
 
 Text grammar (canonical form is produced by ``str``)::
 
@@ -26,7 +32,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     AsymmetricPolygonError,
@@ -37,7 +43,7 @@ from .errors import (
 
 __all__ = ["NewtonPolygon", "parse", "EMPTY", "ORD", "SS"]
 
-HALF = Fraction(1, 2)
+Triple = tuple[int, int, int]
 
 _TERM_RE = re.compile(
     r"""^(?:
@@ -50,63 +56,92 @@ _TERM_RE = re.compile(
 )
 
 
+def _slope_text(num: int, den: int) -> str:
+    """The slope num/den as ``str(Fraction(num, den))`` prints it."""
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _ratio(slope) -> tuple[int, int]:
+    """(num, den) of a slope in lowest terms with den > 0."""
+    if not isinstance(slope, (int, Fraction)):
+        slope = Fraction(slope)
+    return slope.numerator, slope.denominator
+
+
+def _slope_order(slopes: Iterable[tuple[int, int]]) -> Callable[[tuple[int, int]], int]:
+    """Sort key for (num, den) slopes: num/den counted on the lcm of the denominators."""
+    scale = math.lcm(*(den for _, den in slopes))
+    return lambda slope: slope[0] * (scale // slope[1])
+
+
+def _canonical(triples: Iterable[tuple[int, int, object]]) -> tuple[Triple, ...]:
+    """The validating constructor's work on (num, den, mult) triples.
+
+    Each num/den must be in lowest terms with den > 0.  Every triple is
+    checked, equal slopes merge, and the result is sorted by slope.
+    """
+    merged: dict[tuple[int, int], int] = {}
+    for num, den, mult in triples:
+        k = int(mult)
+        if k < 0:
+            raise PolygonSyntaxError(f"negative multiplicity {k}")
+        if k == 0:
+            continue
+        if not 0 <= num <= den:
+            raise PolygonSyntaxError(f"slope {_slope_text(num, den)} outside [0, 1]")
+        merged[num, den] = merged.get((num, den), 0) + k
+    order = _slope_order(merged)
+    return tuple((*slope, merged[slope]) for slope in sorted(merged, key=order))
+
+
 class NewtonPolygon:
     """A multiset of rational slopes in [0, 1] with integer multiplicities."""
 
     # _hash is filled on first use: totals are dict keys looked up many
     # times, and hashing their Fraction slopes again each time is slow.
-    __slots__ = ("_segments", "_hash")
+    __slots__ = ("_triples", "_hash")
 
     def __init__(self, segments: Iterable[tuple[Fraction | int, int]] = ()):
-        merged: dict[Fraction, int] = {}
-        for slope, mult in segments:
-            s = Fraction(slope)
-            k = int(mult)
-            if k < 0:
-                raise PolygonSyntaxError(f"negative multiplicity {k}")
-            if k == 0:
-                continue
-            if not 0 <= s <= 1:
-                raise PolygonSyntaxError(f"slope {s} outside [0, 1]")
-            merged[s] = merged.get(s, 0) + k
-        self._segments = tuple(sorted(merged.items()))
+        self._triples = _canonical((*_ratio(slope), mult) for slope, mult in segments)
 
     @classmethod
-    def _trusted(cls, segments: tuple[tuple[Fraction, int], ...]) -> "NewtonPolygon":
-        """Wrap a segment tuple that is already canonical, skipping validation.
+    def _trusted(cls, triples: tuple[Triple, ...]) -> "NewtonPolygon":
+        """Wrap (num, den, mult) triples that are already canonical, skipping validation.
 
-        The caller guarantees what ``__init__`` would establish: Fraction
-        slopes in [0, 1], strictly increasing, with positive int
-        multiplicities.  The algebra below keeps these properties on
-        valid operands, so it builds its results this way.
+        The caller guarantees what ``__init__`` would establish: each
+        slope num/den in lowest terms with 0 <= num <= den, slopes
+        strictly increasing, and positive int multiplicities.  The
+        algebra below keeps these properties on valid operands, so it
+        builds its results this way.
         """
         poly = object.__new__(cls)
-        poly._segments = segments
+        poly._triples = triples
         return poly
 
     # -- basic structure ------------------------------------------------
 
     @property
     def segments(self) -> tuple[tuple[Fraction, int], ...]:
-        return self._segments
+        """(slope, multiplicity) pairs, by increasing slope."""
+        return tuple((Fraction(num, den), mult) for num, den, mult in self._triples)
 
     @property
     def is_empty(self) -> bool:
-        return not self._segments
+        return not self._triples
 
     @property
     def height(self) -> int:
-        return sum(m for _, m in self._segments)
+        return sum(mult for _, _, mult in self._triples)
 
     @property
     def degree(self) -> Fraction:
-        return sum((s * m for s, m in self._segments), Fraction(0))
+        return sum((s * m for s, m in self.segments), Fraction(0))
 
     def multiplicity(self, slope) -> int:
-        s = Fraction(slope)
-        for t, m in self._segments:
-            if t == s:
-                return m
+        key = _ratio(slope)
+        for num, den, mult in self._triples:
+            if (num, den) == key:
+                return mult
         return 0
 
     @property
@@ -118,7 +153,7 @@ class NewtonPolygon:
         """Vertices of the lower convex graph, endpoints included."""
         pts = [(0, Fraction(0))]
         x, y = 0, Fraction(0)
-        for s, m in self._segments:
+        for s, m in self.segments:
             x += m
             y += s * m
             pts.append((x, y))
@@ -130,7 +165,7 @@ class NewtonPolygon:
         if not 0 <= q <= self.height:
             raise EndpointMismatchError(f"x = {q} outside [0, {self.height}]")
         run, y = 0, Fraction(0)
-        for s, m in self._segments:
+        for s, m in self.segments:
             if q <= run + m:
                 return y + s * (q - run)
             run += m
@@ -141,7 +176,7 @@ class NewtonPolygon:
 
     def amalgamate(self, other: "NewtonPolygon") -> "NewtonPolygon":
         """Multiset union of the slopes."""
-        a, b = self._segments, other._segments
+        a, b = self._triples, other._triples
         if not a:
             return other
         if not b:
@@ -149,17 +184,17 @@ class NewtonPolygon:
         merged = []
         i = j = 0
         while i < len(a) and j < len(b):
-            s, k = a[i]
-            t, n = b[j]
-            if s == t:
-                merged.append((s, k + n))
+            s, t = a[i], b[j]
+            cross = s[0] * t[1] - t[0] * s[1]  # lowest terms: 0 exactly when s == t
+            if not cross:
+                merged.append((s[0], s[1], s[2] + t[2]))
                 i += 1
                 j += 1
-            elif s < t:
-                merged.append(a[i])
+            elif cross < 0:
+                merged.append(s)
                 i += 1
             else:
-                merged.append(b[j])
+                merged.append(t)
                 j += 1
         merged += a[i:]
         merged += b[j:]
@@ -177,12 +212,12 @@ class NewtonPolygon:
             raise PolygonSyntaxError(f"negative power {d}")
         if d == 0:
             return EMPTY
-        return NewtonPolygon._trusted(tuple((s, m * d) for s, m in self._segments))
+        return NewtonPolygon._trusted(tuple((n, den, m * d) for n, den, m in self._triples))
 
     def dual(self) -> "NewtonPolygon":
-        """Image under slope -> 1 - slope."""
+        """Image under slope -> 1 - slope; (den - num)/den is in lowest terms too."""
         return NewtonPolygon._trusted(
-            tuple((1 - s, m) for s, m in reversed(self._segments))
+            tuple((den - num, den, m) for num, den, m in reversed(self._triples))
         )
 
     # -- order and shape ---------------------------------------------------
@@ -195,7 +230,16 @@ class NewtonPolygon:
         mu-ordinary one lowest, so "a lies on or above b" means a is
         closer to supersingular than b.
         """
-        if self.height != other.height or self.degree != other.degree:
+        # Slopes and heights are counted in units of 1/scale, as ints.
+        a, b = self._triples, other._triples
+        scale = math.lcm(*(den for _, den, _ in a), *(den for _, den, _ in b))
+        mine = [(num * (scale // den), m) for num, den, m in a]
+        theirs = [(num * (scale // den), m) for num, den, m in b]
+
+        def end(scaled):  # (height, scale * degree)
+            return sum(m for _, m in scaled), sum(s * m for s, m in scaled)
+
+        if end(mine) != end(theirs):
             raise EndpointMismatchError(
                 f"endpoints differ: ({self.height}, {self.degree}) vs "
                 f"({other.height}, {other.degree})"
@@ -203,9 +247,9 @@ class NewtonPolygon:
         # One sweep over both segment lists: between consecutive
         # breakpoints of either graph both are linear, so the gap (self
         # minus other) only needs checking at those breakpoints.
-        left, right = iter(self._segments), iter(other._segments)
+        left, right = iter(mine), iter(theirs)
         (s, k), (t, n) = next(left, (0, 0)), next(right, (0, 0))
-        gap = Fraction(0)
+        gap = 0
         while k:
             step = min(k, n)
             gap += (s - t) * step
@@ -226,7 +270,10 @@ class NewtonPolygon:
 
     @property
     def has_integral_breakpoints(self) -> bool:
-        return all(y.denominator == 1 for _, y in self.breakpoints())
+        # The breakpoints' heights are the partial sums of num*mult/den.
+        # All are integers exactly when every term is, and as num/den is
+        # in lowest terms, a term is an integer exactly when den | mult.
+        return all(mult % den == 0 for _, den, mult in self._triples)
 
     @property
     def genus(self) -> int:
@@ -240,12 +287,12 @@ class NewtonPolygon:
     def first_slope(self) -> Fraction:
         if self.is_empty:
             raise EmptyPolygonError("first slope of the empty polygon")
-        return self._segments[0][0]
+        return Fraction(*self._triples[0][:2])
 
     def last_slope(self) -> Fraction:
         if self.is_empty:
             raise EmptyPolygonError("last slope of the empty polygon")
-        return self._segments[-1][0]
+        return Fraction(*self._triples[-1][:2])
 
     def middle_slope(self) -> Fraction:
         """The ceil(q/2)-th of the q distinct slopes; needs a symmetric polygon."""
@@ -253,8 +300,7 @@ class NewtonPolygon:
             raise EmptyPolygonError("middle slope of the empty polygon")
         if not self.is_symmetric:
             raise AsymmetricPolygonError(f"middle slope of asymmetric {self}")
-        slopes = [s for s, _ in self._segments]
-        return slopes[(len(slopes) + 1) // 2 - 1]
+        return Fraction(*self._triples[(len(self._triples) + 1) // 2 - 1][:2])
 
     # -- text and JSON -----------------------------------------------------
 
@@ -266,78 +312,82 @@ class NewtonPolygon:
         """
         if self.is_empty:
             return "0"
-        rem = dict(self._segments)
-        units: list[tuple[Fraction | int, str, int]] = []
-        # The ints 0 and 1 hash and compare equal to the slopes 0 and 1.
-        k = min(rem.get(0, 0), rem.get(1, 0))
+        # Keyed by slope, in increasing order.
+        rem = {(num, den): mult for num, den, mult in self._triples}
+        units: list[tuple[str, int]] = []
+        k = min(rem.get((0, 1), 0), rem.get((1, 1), 0))
         if k:
-            units.append((0, "ord", k))
-            for s in (0, 1):
+            units.append(("ord", k))
+            for s in ((0, 1), (1, 1)):
                 rem[s] -= k
                 if rem[s] == 0:
                     del rem[s]
-        half = rem.get(HALF, 0)
-        if half:
-            if half % 2:
+        half = rem.pop((1, 2), 0)
+        if half % 2:
+            return self._bracket_text()
+        for num, den in [s for s in rem if 2 * s[0] < s[1]]:
+            mult = rem.pop((num, den))
+            if mult % den or rem.pop((den - num, den), 0) != mult:
                 return self._bracket_text()
-            units.append((HALF, "ss", half // 2))
-            del rem[HALF]
-        for s in sorted(rem):
-            if s >= HALF:
-                continue
-            t, dual = s.denominator, 1 - s
-            if rem[s] % t or rem.get(dual, 0) != rem[s]:
-                return self._bracket_text()
-            units.append((s, f"({s.numerator}/{t},{dual.numerator}/{t})", rem[s] // t))
-            del rem[dual]
-            del rem[s]
+            units.append((f"({num}/{den},{den - num}/{den})", mult // den))
         if rem:
             return self._bracket_text()
-        units.sort(key=lambda u: u[0])
-        return "+".join(name if k == 1 else f"{name}^{k}" for _, name, k in units)
+        if half:
+            units.append(("ss", half // 2))
+        return "+".join(name if k == 1 else f"{name}^{k}" for name, k in units)
 
     def _bracket_text(self) -> str:
-        return "[" + ", ".join(f"{s}:{m}" for s, m in self._segments) + "]"
+        return "[" + ", ".join(f"{_slope_text(n, d)}:{m}" for n, d, m in self._triples) + "]"
 
     def to_json_obj(self) -> list[dict[str, int]]:
-        return [
-            {"num": s.numerator, "den": s.denominator, "mult": m}
-            for s, m in self._segments
-        ]
+        return [{"num": n, "den": d, "mult": m} for n, d, m in self._triples]
 
     @classmethod
     def from_json_obj(cls, obj) -> "NewtonPolygon":
+        """The polygon of a list of {"num", "den", "mult"} objects.
+
+        Each value must be a JSON integer (a bool is not one) and den
+        nonzero; anything else is refused with PolygonSyntaxError.
+        """
         try:
-            segments = [(Fraction(e["num"], e["den"]), int(e["mult"])) for e in obj]
-        except (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
+            rows = [(e["num"], e["den"], e["mult"]) for e in obj]
+        except (KeyError, TypeError) as exc:
             raise PolygonSyntaxError(f"bad polygon JSON: {obj!r}") from exc
-        return cls(segments)
+        if any(type(v) is not int for row in rows for v in row) or any(d == 0 for _, d, _ in rows):
+            raise PolygonSyntaxError(f"bad polygon JSON: {obj!r}")
+        return cls._trusted(_canonical((*_lowest_terms(n, d), m) for n, d, m in rows))
 
     # -- dunders -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NewtonPolygon):
             return NotImplemented
-        return self._segments == other._segments
+        return self._triples == other._triples
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(self._segments)
+            self._hash = hash(self.segments)
             return self._hash
 
     def __iter__(self) -> Iterator[tuple[Fraction, int]]:
-        return iter(self._segments)
+        return iter(self.segments)
 
     def __str__(self) -> str:
         return self.canonical_text()
 
     def __repr__(self) -> str:
-        return f"NewtonPolygon({list(self._segments)!r})"
+        return f"NewtonPolygon({list(self.segments)!r})"
 
 
-def _parse_term(term: str, acc: list[tuple[Fraction, int]]) -> None:
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms with a positive denominator, for den != 0."""
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
+
+
+def _parse_term(term: str, acc: list[Triple]) -> None:
     m = _TERM_RE.match(term)
     if m is None:
         raise PolygonSyntaxError(f"cannot parse term {term!r}")
@@ -345,11 +395,11 @@ def _parse_term(term: str, acc: list[tuple[Fraction, int]]) -> None:
     if exp < 1:
         raise PolygonSyntaxError(f"exponent must be >= 1 in {term!r}")
     if m.group("ord"):
-        acc.append((Fraction(0), exp))
-        acc.append((Fraction(1), exp))
+        acc.append((0, 1, exp))
+        acc.append((1, 1, exp))
         return
     if m.group("ss"):
-        acc.append((HALF, 2 * exp))
+        acc.append((1, 2, 2 * exp))
         return
     s_num, s_den = int(m.group("n1")), int(m.group("d1"))
     u_num, u_den = int(m.group("n2")), int(m.group("d2"))
@@ -364,8 +414,9 @@ def _parse_term(term: str, acc: list[tuple[Fraction, int]]) -> None:
         raise PolygonSyntaxError(f"pair slopes out of order in {term!r}")
     if math.gcd(s_num, t) != 1:
         raise PolygonSyntaxError(f"pair (s/t, u/t) needs gcd(s, t) = 1 in {term!r}")
-    acc.append((Fraction(s_num, t), t * exp))
-    acc.append((Fraction(u_num, t), t * exp))
+    # gcd(s, t) = 1 puts s/t, and so u/t = 1 - s/t, in lowest terms.
+    acc.append((s_num, t, t * exp))
+    acc.append((u_num, t, t * exp))
 
 
 def parse(text: str) -> NewtonPolygon:
@@ -375,13 +426,13 @@ def parse(text: str) -> NewtonPolygon:
         return NewtonPolygon()
     if not body:
         raise PolygonSyntaxError("empty polygon string")
-    acc: list[tuple[Fraction, int]] = []
+    acc: list[Triple] = []
     for raw in body.split("+"):
         term = raw.strip().replace(" ", "")
         if not term:
             raise PolygonSyntaxError(f"empty term in {text!r}")
         _parse_term(term, acc)
-    return NewtonPolygon(acc)
+    return NewtonPolygon._trusted(_canonical(acc))
 
 
 EMPTY = NewtonPolygon()

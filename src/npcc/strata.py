@@ -40,7 +40,7 @@ from .errors import DomainError, EnumerationCapError
 from .monodromy import MonodromyDatum, Signature, signature
 from .muord import OrbitPolygon, mu_ordinary_orbit
 from .orbits import Orbit, decompose
-from .polygon import NewtonPolygon
+from .polygon import NewtonPolygon, _slope_order
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -210,7 +210,8 @@ class KottwitzSet:
                     folded.setdefault(partial + code, []).extend([b + k for b in base])
             by_code = folded
             lengths = [n + s for n in lengths for s in steps]
-        digits = sorted((Fraction(*slope), at) for slope, at in shift.items())
+        order = _slope_order(shift)
+        digits = sorted(shift.items(), key=lambda digit: order(digit[0]))
         self._totals, self._rows = _decode_totals(by_code, digits, bits, height)
         self._row_of_id = {id(t): row for row, t in enumerate(self._totals)}
         self._rows_by_code = dict(zip(by_code, self._rows))
@@ -281,8 +282,8 @@ class KottwitzSet:
         if not isinstance(nu, NewtonPolygon):
             return ()
         code = height = 0
-        for slope, k in nu.segments:
-            at = self._shift.get((slope.numerator, slope.denominator))
+        for num, den, k in nu._triples:
+            at = self._shift.get((num, den))
             if at is None:
                 return ()
             code += k << at
@@ -332,30 +333,34 @@ class KottwitzSet:
 
 
 def _decode_totals(
-    by_code: dict[int, list[int]], digits: list[tuple[Fraction, int]], bits: int, height: int
+    by_code: dict[int, list[int]],
+    digits: list[tuple[tuple[int, int], int]],
+    bits: int,
+    height: int,
 ) -> tuple[tuple[NewtonPolygon, ...], tuple[tuple[int, ...], ...]]:
     """Each distinct total's polygon, built once, and its sorted indices.
 
     Both tuples follow the order of ``by_code``.  ``digits`` lists each
-    slope with the lowest bit of its digit, by increasing slope, and
-    totals share their (slope, multiplicity) pairs.  A digit that
-    overflowed would carry into the next one or out of the mask and
-    lose height, so every total must have the set's height.
+    slope, as its reduced (num, den) pair, with the lowest bit of its
+    digit, by increasing slope, and totals share their (num, den,
+    multiplicity) triples.  A digit that overflowed would carry into
+    the next one or out of the mask and lose height, so every total
+    must have the set's height.
     """
     mask = (1 << bits) - 1
-    shared: list[dict[int, tuple[Fraction, int]]] = [{} for _ in digits]
+    shared: list[dict[int, tuple[int, int, int]]] = [{} for _ in digits]
     totals, rows = [], []
     for code, indices in by_code.items():
-        segments = []
+        triples = []
         decoded = 0
-        for (slope, at), pairs in zip(digits, shared):
+        for ((num, den), at), known in zip(digits, shared):
             k = code >> at & mask
             if k:
-                segments.append(pairs.setdefault(k, (slope, k)))
+                triples.append(known.setdefault(k, (num, den, k)))
                 decoded += k
         if decoded != height:
             raise DomainError(f"a total decoded to height {decoded}, not {height}")
-        totals.append(NewtonPolygon._trusted(tuple(segments)))
+        totals.append(NewtonPolygon._trusted(tuple(triples)))
         rows.append(tuple(sorted(indices)))
     return tuple(totals), tuple(rows)
 
@@ -392,23 +397,23 @@ def omega_count(nu: NewtonPolygon) -> int:
 def _lattice_count(poly: NewtonPolygon | OrbitPolygon, stop: int) -> int:
     """Sum of ceil(poly(x)) over x = 0..stop-1, for stop <= height + 1.
 
-    The polygon is 0 at x = 0.  On a segment of slope a/b starting at
-    height y = c/e, ceil(y + a*k/b) = floor((a*e*k + c*b + e*b - 1) / (e*b)),
+    The polygon is 0 at x = 0.  Heights are counted in units of 1/L,
+    L the lcm of the slopes' denominators.  On a segment of slope a/L
+    starting at height y/L, ceil((y + a*k)/L) = floor((a*k + y + L - 1) / L),
     so each segment's share is one floor sum.
     """
     if isinstance(poly, OrbitPolygon):  # its values are in its scaled int grid
         return sum(-(-v // poly._scale) for v in poly._grid[:stop])
-    total, run, y = 0, 0, Fraction(0)
-    for slope, width in poly.segments:
+    scale = math.lcm(*(den for _, den, _ in poly._triples))
+    total = run = y = 0
+    for num, den, width in poly._triples:
         n = min(width, stop - 1 - run)
         if n <= 0:
             break
-        d = y.denominator * slope.denominator
-        a = slope.numerator * y.denominator
-        b = y.numerator * slope.denominator + d - 1
-        total += _floor_sum(n, d, a, a + b)  # k = 1..n is i = 0..n-1 shifted
+        a = num * (scale // den)
+        total += _floor_sum(n, scale, a, a + y + scale - 1)  # k = 1..n is i = 0..n-1 shifted
         run += width
-        y += slope * width
+        y += a * width
     return total
 
 

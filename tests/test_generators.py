@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from npcc import (
     self_clutch,
     verify_family,
 )
+import npcc.clutch as clutch
 import npcc.generators as generators
 from npcc.generators import CHAIN_OPS, MAX_REPLAY_DEPTH
 
@@ -430,6 +432,61 @@ def _certificate_with_step(**fields):
 def test_replay_rejects_malformed_certificates(cert, message):
     with pytest.raises(GeneratorError, match=message):
         replay(cert)
+
+
+@pytest.mark.parametrize("mult", [True, 2.9, 2.0, "2", None], ids=repr)
+def test_replay_refuses_a_payload_polygon_of_non_integer_json(mult):
+    """A multiplicity that is not a JSON integer is refused where the step
+    is read, not turned into another polygon that then fails to occur."""
+    cert = payload_base(MonodromyDatum.from_text("2:4:1,1,1,1"), 1, parse("ss")).certificate()
+    assert replay(copy.deepcopy(cert)).claimed_np == parse("ss")
+    cert["steps"][0]["polygon"] = [{"num": 1, "den": 2, "mult": mult}]
+    with pytest.raises(GeneratorError, match=r"^step 'payload_base': bad polygon JSON"):
+        replay(cert)
+
+
+# Mu-ordinary chains, each a datum, a class and its --step forms.
+FRACTION_FREE_CHAINS = [
+    ("7:3:1,1,5", 2, ["self:3:auto"]),
+    ("7:3:1,1,5", 2, ["pad:1:2", "extend:2"]),
+    ("12:3:1,4,7", 5, ["pad:3:2", "self:2"]),
+]
+
+
+def test_mu_ordinary_chains_build_no_fraction_but_witness_slopes(monkeypatch):
+    """Building, dumping, replaying and verifying a mu-ordinary chain does
+    its polygon arithmetic in ints: the only Fractions made are the
+    witness slopes that compatible_violations returns."""
+    made = witnesses = 0
+    fraction_new = Fraction.__new__
+    violations = clutch.compatible_violations
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    def counting_violations(*args):
+        nonlocal witnesses
+        found = violations(*args)
+        witnesses += len(found)
+        return found
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(clutch, "compatible_violations", counting_violations)
+    Fraction(1, 3)
+    assert made == 1  # the count sees every construction
+    made = 0
+    for text, p, forms in FRACTION_FREE_CHAINS:
+        fam = base_case(MonodromyDatum.from_text(text), p)
+        for form in forms:
+            (op,) = [op for op in CHAIN_OPS.values() if op.parse(form) is not None]
+            fam = op.run(fam, **op.parse(form))
+        assert fam.mu_ordinary_claim and len(fam.steps) == len(forms) + 1
+        back = replay(json.loads(json.dumps(fam.certificate())))
+        assert back.claimed_np == fam.claimed_np
+        assert verify_family(back)["ok"]
+    assert made == witnesses
 
 
 def test_replay_rejects_malformed_later_steps():

@@ -326,7 +326,7 @@ def test_int_coded_fold_near_the_modulus_bound():
 
 def test_decode_refuses_a_total_that_lost_height():
     half = Fraction(1, 2)
-    digits = [(Fraction(0), 0), (half, 2)]  # two bits per digit
+    digits = [((0, 1), 0), ((1, 2), 2)]  # two bits per digit
     assert _decode_totals({4: [0]}, digits, 2, 1) == ((NewtonPolygon([(half, 1)]),), ((0,),))
     # A multiplicity of 4 carries into the next digit, or out of the last.
     with pytest.raises(DomainError):
@@ -381,7 +381,7 @@ def test_a_handed_out_total_is_found_without_reading_its_segments(monkeypatch):
                 ks.elements_with_total(t)
             assert reads == 0
             ks.elements_with_total(equal[0])
-            assert reads == 1  # an equal polygon is coded from its segments
+            assert reads == 0  # an equal polygon is coded from its int triples
         reads = 0
 
 

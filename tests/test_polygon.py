@@ -227,6 +227,33 @@ def test_json_round_trip():
         assert NewtonPolygon.from_json_obj(obj) == nu
 
 
+@pytest.mark.parametrize("value", [2.9, 2.0, True, False, "1", None, [1]], ids=repr)
+@pytest.mark.parametrize("key", ["num", "den", "mult"])
+def test_json_reader_takes_only_json_integers(key, value):
+    entry = {"num": 1, "den": 2, "mult": 2}
+    assert NewtonPolygon.from_json_obj([entry]) == SS
+    with pytest.raises(PolygonSyntaxError, match="^bad polygon JSON"):
+        NewtonPolygon.from_json_obj([{**entry, key: value}])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [{"num": 1, "den": 0, "mult": 1}],
+        [{"num": 1, "den": 2}],
+        [[1, 2, 2]],
+        ["ss"],
+        [None],
+        7,
+        None,
+    ],
+    ids=repr,
+)
+def test_json_reader_refuses_what_is_no_list_of_segments(obj):
+    with pytest.raises(PolygonSyntaxError, match="^bad polygon JSON"):
+        NewtonPolygon.from_json_obj(obj)
+
+
 def test_bracket_text_for_non_grammar_polygons():
     skew = NewtonPolygon([(F(1, 4), 1), (F(1, 2), 1)])
     text = str(skew)
@@ -276,7 +303,7 @@ def test_cached_hash_is_the_segments_hash():
         built = {
             "parse": parse(text),
             "__init__": NewtonPolygon(a.segments),
-            "_trusted": NewtonPolygon._trusted(a.segments),
+            "_trusted": NewtonPolygon._trusted(a._triples),
             "amalgamate": a.amalgamate(b),
             "dual": a.dual(),
             "power": a.power(d),
@@ -289,7 +316,7 @@ def test_cached_hash_is_the_segments_hash():
         same = [
             NewtonPolygon(a.segments + b.segments),
             b.amalgamate(a),
-            NewtonPolygon._trusted((a + b).segments),
+            NewtonPolygon._trusted((a + b)._triples),
             a.dual().amalgamate(b.dual()).dual(),
         ]
         for nu in same:
