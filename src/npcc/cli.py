@@ -275,7 +275,7 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
             raise DomainError(f"cannot read certificate: {exc}") from None
         try:
             cert = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
             raise DomainError(f"certificate is not valid JSON: {exc}") from None
         return {"replayed": True, "verify": verify_family(replay(cert))}
     if args.double_with is None:

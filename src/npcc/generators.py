@@ -700,8 +700,8 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
             f"certificates nest more than {MAX_REPLAY_DEPTH} levels deep"
         )
     steps = _field(cert, "steps", list, "certificate")
-    expected_datum = _field(cert, "datum", dict, "certificate")
-    expected_polygon = _field(cert, "polygon", list, "certificate")
+    _field(cert, "datum", dict, "certificate")
+    _field(cert, "polygon", list, "certificate")
     fam = None
     for raw in steps:
         if not isinstance(raw, dict):
@@ -731,10 +731,6 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
         fam = chain.run(fam, **chain.read(raw, where, _depth))
     if fam is None:
         raise GeneratorError("empty derivation")
-    if fam.datum.to_json_obj() != expected_datum:
-        raise GeneratorError("replay produced a different datum")
-    if fam.claimed_np.to_json_obj() != expected_polygon:
-        raise GeneratorError("replay produced a different polygon")
     for key, value in fam.certificate().items():
         if not _same_json(cert.get(key), value):
             raise GeneratorError(f"replay produced a different {key}")

@@ -387,11 +387,19 @@ def _lowest_terms(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
+def _numeral(digits: str) -> int:
+    """The int a run of decimal digits names, refused past int()'s digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolygonSyntaxError(f"number too long: {len(digits)} digits") from None
+
+
 def _parse_term(term: str, acc: list[Triple]) -> None:
     m = _TERM_RE.match(term)
     if m is None:
         raise PolygonSyntaxError(f"cannot parse term {term!r}")
-    exp = int(m.group("exp")) if m.group("exp") else 1
+    exp = _numeral(m.group("exp")) if m.group("exp") else 1
     if exp < 1:
         raise PolygonSyntaxError(f"exponent must be >= 1 in {term!r}")
     if m.group("ord"):
@@ -401,8 +409,7 @@ def _parse_term(term: str, acc: list[Triple]) -> None:
     if m.group("ss"):
         acc.append((1, 2, 2 * exp))
         return
-    s_num, s_den = int(m.group("n1")), int(m.group("d1"))
-    u_num, u_den = int(m.group("n2")), int(m.group("d2"))
+    s_num, s_den, u_num, u_den = map(_numeral, m.group("n1", "d1", "n2", "d2"))
     if s_den == 0 or u_den == 0:
         raise PolygonSyntaxError(f"zero denominator in {term!r}")
     if s_den != u_den:

@@ -16,10 +16,10 @@ elements reaching it.  The fold is integer arithmetic: each
 candidate's piece is coded once, from its int pairs, as an int holding
 one multiplicity per slope, a partial total is the sum of its pieces'
 codes, and each distinct total's polygon is built once, at the end.
-A polygon finds its row of that map by int work alone: a total the set
-handed out by its identity, any other polygon by its code.  An
-element's length is the sum of its candidates' lengths, and the covers
-of the set are the factors' covers lifted by index arithmetic.
+The rows of that map are keyed by each total's int triples, so a
+polygon finds its row by hashing ints alone.  An element's length is
+the sum of its candidates' lengths, and the covers of the set are the
+factors' covers lifted by index arithmetic.
 The factors come from a lattice path search whose bounds are integer
 floor divisions.
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import DomainError, EnumerationCapError
@@ -59,13 +59,15 @@ __all__ = [
 DEFAULT_ENUM_CAP = 1_000_000
 
 
-def _check_cap(cap: int | None) -> None:
-    if cap is not None and cap < 1:  # no factor is empty, so such a cap never passes
+def _check_cap(cap: int) -> None:
+    # No factor is empty, so a cap below 1 never passes; a non-int such as
+    # None would leave the enumeration unbounded.
+    if not isinstance(cap, int) or cap < 1:
         raise EnumerationCapError(f"the cap must be at least 1, not {cap}")
 
 
 def enumerate_orbit_component(
-    orbit: Orbit, f: Signature, cap: int | None = DEFAULT_ENUM_CAP
+    orbit: Orbit, f: Signature, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple[OrbitPolygon, ...]:
     """All admissible normalized polygons of one orbit, lowest first.
 
@@ -94,7 +96,7 @@ def enumerate_orbit_component(
     def rec(x: int, y: int, rise: int, run: int, segs: tuple) -> None:
         if x == big_g:
             found.append(segs)
-            if cap is not None and len(found) > cap:
+            if len(found) > cap:
                 raise EnumerationCapError(
                     f"more than {cap} candidates on orbit {orbit}; raise the cap"
                 )
@@ -152,14 +154,13 @@ class KottwitzSet:
     by its reduced int pair, owns a digit wide enough for the whole
     height, and adding two codes amalgamates their polygons.  So the fold
     hashes and adds only ints, and each total's polygon is decoded once.
-    `totals` hands out the decoded totals, and a lookup finds a total's
-    row by int work alone (see `elements_with_total`), so it hashes no
-    Fraction.
+    `totals` hands out the decoded totals, and each total's row is keyed
+    by its int triples, so a lookup hashes no Fraction.
     The cap bounds the running product of the factor sizes, checked
     before the next factor is enumerated.
     """
 
-    def __init__(self, f: Signature, p: int, cap: int | None = DEFAULT_ENUM_CAP):
+    def __init__(self, f: Signature, p: int, cap: int = DEFAULT_ENUM_CAP):
         dec = decompose(f.m, p)
         self.m = f.m
         self.p_class = dec.p_class
@@ -172,7 +173,7 @@ class KottwitzSet:
             _check_factor_order(factor)
             factors.append(factor)
             count *= len(factor)
-            if cap is not None and count > cap:
+            if count > cap:
                 sizes = " x ".join(str(len(c)) for c in factors)
                 raise EnumerationCapError(
                     f"Kottwitz set would have more than {cap} elements: the first "
@@ -212,10 +213,8 @@ class KottwitzSet:
             lengths = [n + s for n in lengths for s in steps]
         order = _slope_order(shift)
         digits = sorted(shift.items(), key=lambda digit: order(digit[0]))
-        self._totals, self._rows = _decode_totals(by_code, digits, bits, height)
-        self._row_of_id = {id(t): row for row, t in enumerate(self._totals)}
-        self._rows_by_code = dict(zip(by_code, self._rows))
-        self._shift, self._height = shift, height
+        self._totals, rows = _decode_totals(by_code, digits, bits, height)
+        self._rows = {t._triples: indices for t, indices in zip(self._totals, rows)}
         self.lengths = tuple(lengths)
 
     @staticmethod
@@ -265,30 +264,10 @@ class KottwitzSet:
         return self._totals
 
     def elements_with_total(self, nu: NewtonPolygon) -> tuple[int, ...]:
-        """Indices of the elements whose total polygon is nu, ascending.
-
-        A total handed out by `totals` is found by its id: the set holds
-        every total, so no other live object has that id.  The id is
-        still confirmed, since a copy of the set keeps the original's
-        ids.  Any other polygon is coded as the fold codes a total.  A
-        slope no piece has, or another height, makes it no total;
-        otherwise its multiplicities sum to the height, which fits in
-        one digit, so no digit carries and equal codes mean equal
-        polygons.
-        """
-        row = self._row_of_id.get(id(nu))
-        if row is not None and self._totals[row] is nu:
-            return self._rows[row]
+        """Indices of the elements whose total polygon is nu, ascending."""
         if not isinstance(nu, NewtonPolygon):
             return ()
-        code = height = 0
-        for num, den, k in nu._triples:
-            at = self._shift.get((num, den))
-            if at is None:
-                return ()
-            code += k << at
-            height += k
-        return self._rows_by_code.get(code, ()) if height == self._height else ()
+        return self._rows.get(nu._triples, ())
 
     def codim_of_polygon(self, nu: NewtonPolygon) -> int:
         """Smallest length among elements whose total polygon is nu."""
@@ -321,7 +300,7 @@ class KottwitzSet:
     def hasse_dot(self) -> str:
         """Hasse diagram in DOT format, top element drawn at the top."""
         labels = {}
-        for total, indices in zip(self._totals, self._rows):
+        for total, indices in zip(self._totals, self._rows.values()):
             labels.update(dict.fromkeys(indices, str(total)))
         lines = ["digraph kottwitz {", "  rankdir=BT;"]
         for i, n in enumerate(self.lengths):
@@ -380,7 +359,7 @@ def _check_factor_order(factor: tuple[OrbitPolygon, ...]) -> None:
 
 
 def kottwitz_set(
-    datum: MonodromyDatum, p: int, cap: int | None = DEFAULT_ENUM_CAP
+    datum: MonodromyDatum, p: int, cap: int = DEFAULT_ENUM_CAP
 ) -> KottwitzSet:
     return KottwitzSet(signature(datum), p, cap)
 
@@ -455,12 +434,7 @@ class ConditionUReport:
     holds: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "genus": self.genus,
-            "dim_mg": self.dim_mg,
-            "codim_ag": self.codim_ag,
-            "holds": self.holds,
-        }
+        return asdict(self)
 
 
 def condition_u(nu: NewtonPolygon) -> ConditionUReport:

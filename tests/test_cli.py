@@ -587,6 +587,36 @@ def test_moonen_family_that_names_none_is_one_error_line(capsys, family, message
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+LONG = "9" * 5000  # past int()'s digit limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codim-ag", "--polygon", f"ss^{LONG}"],
+        ["condition-u", "--polygon", f"({LONG}/7,1/7)"],
+        ["generate", "--datum", "7:3:1,1,5", "--p-class", "2", "--payload", f"(1/{LONG},6/7)"],
+        [
+            "generate", "--datum", "7:3:1,1,5", "--p-class", "2",
+            "--double-with", "7:3:1,1,5", "--double-payload", f"ss^{LONG}",
+        ],
+    ],
+    ids=["codim-ag", "condition-u", "payload", "double-payload"],
+)
+def test_polygon_with_an_over_long_number_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", "error: number too long: 5000 digits\n")
+
+
+def test_generate_replay_refuses_an_over_long_json_integer(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"version": 1, "p_class": ' + LONG + "}", encoding="utf-8")
+    code, out, err = run(capsys, ["generate", "--replay", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: certificate is not valid JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_moonen_verify_all(capsys):
     code, out, _ = run(capsys, ["moonen", "--verify-all"])
     assert code == 0

@@ -87,6 +87,16 @@ def test_parse_rejects_garbage():
             parse(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["ss^{n}", "({n}/7,1/7)", "(1/{n},6/7)", "(1/7,{n}/7)", "(1/7,6/{n})"],
+    ids=["exponent", "first-numerator", "first-denominator", "second-numerator", "second-denominator"],
+)
+def test_parse_refuses_a_number_past_the_int_digit_limit(text):
+    with pytest.raises(PolygonSyntaxError, match="^number too long: 5000 digits$"):
+        parse(text.format(n="9" * 5000))
+
+
 def test_pair_term_semantics():
     # (s/t,(t-s)/t) contributes each slope with multiplicity t
     nu = parse("(1/3,2/3)")
