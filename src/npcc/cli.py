@@ -559,11 +559,15 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps({"version": JSON_VERSION, **out}, indent=2))
-    else:
-        for line in args.text(out):
-            print(line)
+    doc = {"version": JSON_VERSION, **out}
+    try:  # every line is made before any is printed
+        lines = [json.dumps(doc, indent=2)] if args.json else args.text(out)
+    except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has more than {limit} digits", file=sys.stderr)
+        return 1
+    for line in lines:
+        print(line)
     # A document that carries a check's verdict exits 1 when it failed.
     return 0 if out.get("verify", out).get("ok", True) else 1
 

@@ -207,16 +207,8 @@ def check_balanced(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> bool:
     return True
 
 
-def compatible_violations(
-    g1: MonodromyDatum, g2: MonodromyDatum, p: int
-) -> tuple[tuple[Orbit, Fraction], ...]:
-    """Orbits (with a witness slope) where the slope-span condition fails.
-
-    Requires m1 | m2.  On each orbit of the larger modulus, the first
-    family's induced orbit component must have no slope strictly
-    between the first and last slopes of the second's; orbits where
-    either component is empty are vacuously fine.
-    """
+def _witness_slopes(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> dict:
+    """compatible_violations with each witness slope as an int (num, den) pair."""
     if g2.m % g1.m != 0:
         raise UnsupportedPairError(
             f"slope-span check needs m1 | m2, got {g1.m} and {g2.m}"
@@ -245,18 +237,31 @@ def compatible_violations(
                 raise DomainError("middle-slope characterization disagrees")
         if inside:
             r, w = inside[0]
-            bad[orbit] = Fraction(r, w * orbit.size)
+            bad[orbit] = (r, w * orbit.size)
             if not orbit.is_self_dual:
                 # On -o both components dualize, s -> |o| - s, so the
                 # first slope inside its span mirrors the last one here.
                 r, w = inside[-1]
-                bad[orbit.dual()] = Fraction(w * orbit.size - r, w * orbit.size)
-    return tuple((o, bad[o]) for o in dec.orbits if o in bad)
+                bad[orbit.dual()] = (w * orbit.size - r, w * orbit.size)
+    return {o: bad[o] for o in dec.orbits if o in bad}
+
+
+def compatible_violations(
+    g1: MonodromyDatum, g2: MonodromyDatum, p: int
+) -> tuple[tuple[Orbit, Fraction], ...]:
+    """Orbits (with a witness slope) where the slope-span condition fails.
+
+    Requires m1 | m2.  On each orbit of the larger modulus, the first
+    family's induced orbit component must have no slope strictly
+    between the first and last slopes of the second's; orbits where
+    either component is empty are vacuously fine.
+    """
+    return tuple((o, Fraction(*slope)) for o, slope in _witness_slopes(g1, g2, p).items())
 
 
 def check_compatible(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> bool:
     """Slope-span compatibility of the pair at p (defined for m1 | m2)."""
-    return not compatible_violations(g1, g2, p)
+    return not _witness_slopes(g1, g2, p)
 
 
 @dataclass(frozen=True)

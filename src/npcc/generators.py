@@ -14,9 +14,9 @@ plain assumption strings instead of being silently trusted.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .clutch import _cancelling_pair, check_compatible, clutch_report, reorder_at
@@ -72,6 +72,10 @@ class CertifiedFamily:
     unchanged, so it can be rechecked on the final datum.  The datum
     must be primitive: an imprimitive one is a disconnected cover, whose
     Riemann-Hurwitz genus is not the genus its polygon has.
+
+    steps holds one read-only record of immutable values per step, keyed
+    by its op's layout in BASE_OPS or CHAIN_OPS; certificate() renders
+    them as new JSON, so editing a certificate never changes the family.
     """
 
     datum: MonodromyDatum
@@ -95,8 +99,7 @@ class CertifiedFamily:
         object.__setattr__(self, "assumptions", tuple(self.assumptions))
         if self.claimed_np.genus != genus(self.datum):
             raise GeneratorError(
-                "claimed polygon has genus"
-                f" {self.claimed_np.genus}, datum has genus"
+                f"claimed polygon has genus {self.claimed_np.genus}, datum has genus"
                 f" {genus(self.datum)}"
             )
 
@@ -110,14 +113,23 @@ class CertifiedFamily:
             "polygon_text": str(self.claimed_np),
             "mu_ordinary_claim": self.mu_ordinary_claim,
             "payload_codim": self.payload_codim,
-            "steps": copy.deepcopy(list(self.steps)),
+            "steps": [{key: _json(value) for key, value in step.items()} for step in self.steps],
             "assumptions": list(self.assumptions),
         }
 
 
-def _extended(f: CertifiedFamily, datum, claim, step: dict, **changes) -> CertifiedFamily:
-    """f after one more chain step; its other fields carry over unless changed."""
-    steps = f.steps + (step,)
+def _json(value):
+    """A step record's value as a new JSON value."""
+    if isinstance(value, CertifiedFamily):
+        return value.certificate()
+    if isinstance(value, (MonodromyDatum, NewtonPolygon)):
+        return value.to_json_obj()
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _extended(f: CertifiedFamily, op: str, values, datum, claim, **changes) -> CertifiedFamily:
+    """f plus one step of CHAIN_OPS[op] holding values; other fields carry over unless changed."""
+    steps = f.steps + (CHAIN_OPS[op].record(*values),)
     return dataclasses.replace(f, datum=datum, claimed_np=claim, steps=steps, **changes)
 
 
@@ -285,8 +297,7 @@ def base_case(
         clause, why = "catalog:" + label, f"(matches listed family {label})"
     elif [t.p_rank for t in kottwitz_set(datum, p_class, cap=cap).totals()].count(u.p_rank) != 1:
         raise NotABaseCaseError(
-            f"no base clause applies to {datum.text()} at class"
-            f" {p_class % m} mod {m}"
+            f"no base clause applies to {datum.text()} at class {p_class % m} mod {m}"
         )
     elif big_n == 4:
         clause = "unique-max-p-rank:N4"
@@ -298,9 +309,7 @@ def base_case(
         clause = "unique-max-p-rank:large-p"
         why = f"(unique maximal p-rank polygon) assuming p >= {m * (big_n - 3)}"
     assumption = "mu-ordinary stratum nonempty for the base datum " + why
-    step = {
-        "op": "base_case", "datum": datum.to_json_obj(), "p_class": p_class % m, "clause": clause
-    }
+    step = BASE_OPS["base_case"].record(datum, p_class % m, clause)
     return CertifiedFamily(datum, p_class, u, True, (step,), (assumption,), 0)
 
 
@@ -327,17 +336,12 @@ def payload_base(
             f"{polygon} does not occur in the Kottwitz set of"
             f" {datum.text()} at class {p_class % datum.m}"
         ) from None
-    step = {
-        "op": "payload_base", "datum": datum.to_json_obj(), "p_class": p_class % datum.m,
-        "polygon": polygon.to_json_obj(),
-    }
+    step = BASE_OPS["payload_base"].record(datum, p_class % datum.m, polygon)
     assumption = (
         f"stratum {polygon} nonempty on the base family for sufficiently"
         " large p in its class"
     )
-    return CertifiedFamily(
-        datum, p_class, polygon, codim == 0, (step,), (assumption,), codim
-    )
+    return CertifiedFamily(datum, p_class, polygon, codim == 0, (step,), (assumption,), codim)
 
 
 def extend_ord(f: CertifiedFamily, c: int) -> CertifiedFamily:
@@ -350,19 +354,11 @@ def extend_ord(f: CertifiedFamily, c: int) -> CertifiedFamily:
     """
     _bound("extend_ord", f.datum.N + 2)
     m = f.datum.m
-    datum3, np3, t = _extend_parts(
-        f.datum, f.claimed_np, c, f.p_class, f.mu_ordinary_claim
-    )
-    step = {
-        "op": "extend_ord", "c": c % m, "t": t, "epsilon": m - t,
-        "admissible": True, "balanced": True, "compatible": True,
-    }
-    return _extended(f, datum3, np3, step)
+    datum3, np3, t = _extend_parts(f.datum, f.claimed_np, c, f.p_class, f.mu_ordinary_claim)
+    return _extended(f, "extend_ord", (c % m, t, m - t, True, True, True), datum3, np3)
 
 
-def self_clutch(
-    f: CertifiedFamily, n: int, at=None, auto_pad: bool = False
-) -> CertifiedFamily:
+def self_clutch(f: CertifiedFamily, n: int, at=None, auto_pad: bool = False) -> CertifiedFamily:
     """Clutch n copies of the family with itself at a complementary pair.
 
     The pair of labels (i, j) must satisfy a(i) + a(j) = 0 mod m; the
@@ -394,12 +390,9 @@ def self_clutch(
     else:
         i, j = at
         datum3, np3, r = _chain_parts(base, f.claimed_np, mu_claim, f.p_class, i, j, n)
-    step = {
-        "op": "self_clutch", "n": n, "at": list(at), "auto_pad": padded, "r": r,
-        "epsilon": (n - 1) * (r - 1), "admissible": True, "balanced": True,
-        "compatible": None if mu_claim else True,
-    }
-    return _extended(f, datum3, np3, step)
+    epsilon, compatible = (n - 1) * (r - 1), None if mu_claim else True
+    values = (n, tuple(at), padded, r, epsilon, True, True, compatible)
+    return _extended(f, "self_clutch", values, datum3, np3)
 
 
 def pad_and_clutch(f: CertifiedFamily, t: int, n: int) -> CertifiedFamily:
@@ -436,11 +429,8 @@ def pad_and_clutch(f: CertifiedFamily, t: int, n: int) -> CertifiedFamily:
     else:
         expected = mu_ordinary(f.datum, p).power(n - 1) + f.claimed_np + ORD.power(epsilon)
     _certify(np3 == expected, "the chain's claim is u^n + ord^(mn - n - t + 1)")
-    step = {
-        "op": "pad_and_clutch", "t": t, "n": n, "r": r, "epsilon": epsilon,
-        "admissible": True, "balanced": True, "compatible": None if mu_claim else True,
-    }
-    return _extended(f, datum3, np3, step)
+    values = (t, n, r, epsilon, True, True, None if mu_claim else True)
+    return _extended(f, "pad_and_clutch", values, datum3, np3)
 
 
 def double_induction(
@@ -539,13 +529,9 @@ def double_induction(
     if not balanced:
         codim = None
         assumptions.append(_UNBALANCED_NOTE)
-    step = {
-        "op": "double_induction", "n1": n1, "n2": n2, "at": [i0, j0], "r": r,
-        "admissible": True, "balanced": balanced, "compatible": compatible,
-        "other": f2.certificate(),
-    }
+    values = (n1, n2, (i0, j0), r, True, balanced, compatible, f2)
     return _extended(
-        f1, rep.gamma3, np3, step,
+        f1, "double_induction", values, rep.gamma3, np3,
         mu_ordinary_claim=mu_claim, assumptions=tuple(assumptions), payload_codim=codim,
     )
 
@@ -584,7 +570,7 @@ def verify_family(f: CertifiedFamily, deep: bool = False) -> dict:
 # How deeply double_induction certificates may nest through "other".
 MAX_REPLAY_DEPTH = 16
 
-_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer"}
+_JSON_TYPES = {dict: "an object", list: "an array", int: "an integer", bool: "a boolean"}
 
 
 def _field(obj: dict, key: str, kind: type, where: str):
@@ -606,79 +592,104 @@ def _same_json(a, b) -> bool:
     return a == b
 
 
-class ChainOp(NamedTuple):
-    """A chain op: its certificate "op" name, its --step form, and its work.
+def _read(step: dict, key: str, kind: type, where: str, depth: int):
+    """step[key] read back as a step value of the given kind; a tuple is two labels."""
+    json_type = {tuple: list, NewtonPolygon: list, MonodromyDatum: dict, CertifiedFamily: dict}
+    value = _field(step, key, json_type.get(kind, kind), where)
+    if kind is tuple and (len(value) != 2 or not all(type(i) is int for i in value)):
+        raise GeneratorError(f"{where} needs {key!r} as two integer labels")
+    if kind is CertifiedFamily:
+        return replay(value, depth + 1)
+    try:
+        return kind(value) if kind in (int, bool, tuple) else kind.from_json_obj(value)
+    except (InvalidDatumError, PolygonSyntaxError) as exc:
+        raise GeneratorError(f"{where}: {exc}") from None
 
-    cli is a word, ":X" per integer keyword x and an optional "[:flag]"
-    setting keyword flag, or None.  read(step, where, depth) returns the
-    keywords a certificate step records; run applies the op.
+
+class ChainOp(NamedTuple):
+    """A step op: its "op" name, certificate layout, work and --step word.
+
+    layout declares a step's keys after "op" in certificate order: each
+    input as (key, kind of its value), then each computed field as a
+    bare key, but double_induction's input "other" comes last.  record
+    writes steps from it; replay reads their inputs back by kind for
+    run(f, **inputs), f being None for a base op.  The --step form is
+    word, ":X" per int input x, then "[:auto]" for a flag auto_pad.
     """
 
     name: str
-    cli: str | None
-    read: Callable[[dict, str, int], dict]
+    layout: tuple
     run: Callable[..., CertifiedFamily]
+    word: str | None = None
+
+    @property
+    def inputs(self) -> list:
+        """The (key, kind) pairs of the op's inputs."""
+        return [item for item in self.layout if not isinstance(item, str)]
+
+    def record(self, *values) -> MappingProxyType:
+        """A read-only step holding values under this op's layout keys, in order."""
+        keys = (item if isinstance(item, str) else item[0] for item in self.layout)
+        return MappingProxyType({"op": self.name, **dict(zip(keys, values, strict=True))})
+
+    @property
+    def cli(self) -> str | None:
+        """The --step form, such as "self:N[:auto]", or None."""
+        forms = (f":{key.upper()}" if kind is int else f"[:{key.partition('_')[0]}]"
+                 for key, kind in self.inputs if kind in (int, bool))
+        return None if self.word is None else self.word + "".join(forms)
 
     def parse(self, text: str) -> dict | None:
         """The keywords of a --step text in this op's form, or None."""
-        if self.cli is None:
-            return None
-        form, _, flag = self.cli.partition("[:")
-        word, *keys = form.split(":")
         given, *values = text.split(":")
-        keywords = {}
-        if flag and len(values) == len(keys) + 1 and values[-1] == flag[:-1]:
-            keywords[values.pop()] = True
-        if given != word or len(values) != len(keys):
+        ints = [key for key, kind in self.inputs if kind is int]
+        flags = {key: True for key, kind in self.inputs
+                 if kind is bool and values[len(ints):] == [key.partition("_")[0]]}
+        if given != self.word or len(values) != len(ints) + len(flags):
             return None
         try:
-            return {**keywords, **{k.lower(): int(v) for k, v in zip(keys, values)}}
+            return {**flags, **{key: int(v) for key, v in zip(ints, values)}}
         except ValueError:
             return None
 
 
-def _ints(*keys: str):
-    return lambda step, where, depth: {key: _field(step, key, int, where) for key in keys}
+_CHECKS = ("admissible", "balanced", "compatible")
+_DATUM = ("datum", MonodromyDatum), ("p_class", int)
 
-
-def _read_self(step: dict, where: str, depth: int) -> dict:
-    n = _field(step, "n", int, where)
-    if step.get("auto_pad"):
-        return {"n": n, "auto": True}
-    at = _field(step, "at", list, where)
-    if len(at) != 2 or not all(type(i) is int for i in at):
-        raise GeneratorError(f"{where} needs 'at' as two integer labels")
-    return {"n": n, "at": tuple(at)}
-
-
-def _read_double(step: dict, where: str, depth: int) -> dict:
-    other = replay(_field(step, "other", dict, where), depth + 1)
-    return {"other": other, **_ints("n1", "n2")(step, where, depth)}
-
-
-# In the order `npcc generate --step` lists them.  Each entry calls the
+# The ops that start a family.  Each op here and in CHAIN_OPS calls the
 # module's function at call time, so whatever the module binds then runs.
-CHAIN_OPS = {
-    op.name: op
-    for op in (
-        ChainOp(
-            "pad_and_clutch", "pad:T:N", _ints("t", "n"),
-            lambda f, t, n: pad_and_clutch(f, t, n),
+BASE_OPS = {op.name: op for op in (
+    ChainOp("base_case", (*_DATUM, "clause"), lambda _, **inputs: base_case(**inputs)),
+    ChainOp(
+        "payload_base", (*_DATUM, ("polygon", NewtonPolygon)),
+        lambda _, **inputs: payload_base(**inputs),
+    ),
+)}
+
+# In the order `npcc generate --step` lists them.
+CHAIN_OPS = {op.name: op for op in (
+    ChainOp(
+        "pad_and_clutch", (("t", int), ("n", int), "r", "epsilon", *_CHECKS),
+        lambda f, t, n: pad_and_clutch(f, t, n), "pad",
+    ),
+    ChainOp(
+        "self_clutch", (("n", int), ("at", tuple), ("auto_pad", bool), "r", "epsilon", *_CHECKS),
+        # A padded step records the two labels it appended, which f lacks.
+        lambda f, n, at=None, auto_pad=False: self_clutch(
+            f, n, None if auto_pad else at, auto_pad
         ),
-        ChainOp(
-            "self_clutch", "self:N[:auto]", _read_self,
-            lambda f, n, at=None, auto=False: self_clutch(f, n, at=at, auto_pad=auto),
-        ),
-        ChainOp(
-            "extend_ord", "extend:C", _ints("c"),
-            lambda f, c: extend_ord(f, c),
-        ),
-        ChainOp(
-            "double_induction", None, _read_double,
-            lambda f, other, n1, n2: double_induction(f, other, n1, n2),
-        ),
-    )
-}
+        "self",
+    ),
+    ChainOp(
+        "extend_ord", (("c", int), "t", "epsilon", *_CHECKS),
+        lambda f, c: extend_ord(f, c), "extend",
+    ),
+    ChainOp(
+        "double_induction",
+        (("n1", int), ("n2", int), "at", "r", *_CHECKS, ("other", CertifiedFamily)),
+        lambda f, n1, n2, other: double_induction(f, other, n1, n2),
+    ),
+)}
 
 
 def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
@@ -688,17 +699,15 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
     or mistyped field, or double_induction steps nested more than
     MAX_REPLAY_DEPTH deep), when a step would exceed MAX_BRANCH_POINTS,
     or when the replayed certificate differs from the recorded one in
-    any field it writes, JSON types included.  _depth counts the enclosing certificates of a
-    nested one.
+    any field it writes, JSON types included.  _depth counts the
+    enclosing certificates of a nested one.
     """
     if not isinstance(cert, dict):
         raise GeneratorError("certificate must be a JSON object")
     if cert.get("version") != 1:
         raise GeneratorError("unsupported certificate version")
     if _depth > MAX_REPLAY_DEPTH:
-        raise GeneratorError(
-            f"certificates nest more than {MAX_REPLAY_DEPTH} levels deep"
-        )
+        raise GeneratorError(f"certificates nest more than {MAX_REPLAY_DEPTH} levels deep")
     steps = _field(cert, "steps", list, "certificate")
     _field(cert, "datum", dict, "certificate")
     _field(cert, "polygon", list, "certificate")
@@ -706,29 +715,17 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
     for raw in steps:
         if not isinstance(raw, dict):
             raise GeneratorError("step must be a JSON object")
-        op = raw.get("op")
-        where = f"step {op!r}"
-        if op in ("base_case", "payload_base"):
-            if fam is not None:
-                raise GeneratorError("base step must come first")
-            p_class = _field(raw, "p_class", int, where)
-            try:
-                datum = MonodromyDatum.from_json_obj(_field(raw, "datum", dict, where))
-                if op == "payload_base":
-                    polygon = NewtonPolygon.from_json_obj(_field(raw, "polygon", list, where))
-            except (InvalidDatumError, PolygonSyntaxError) as exc:
-                raise GeneratorError(f"{where}: {exc}") from None
-            if op == "base_case":
-                fam = base_case(datum, p_class)
-            else:
-                fam = payload_base(datum, p_class, polygon)
-            continue
-        if fam is None:
-            raise GeneratorError("derivation does not start at a base step")
-        chain = CHAIN_OPS.get(op) if isinstance(op, str) else None
-        if chain is None:
-            raise GeneratorError(f"unknown step op {op!r}")
-        fam = chain.run(fam, **chain.read(raw, where, _depth))
+        name = raw.get("op")
+        known = isinstance(name, str)
+        op = (BASE_OPS if fam is None else CHAIN_OPS).get(name) if known else None
+        if op is None:
+            raise GeneratorError(
+                "derivation does not start at a base step" if fam is None
+                else "base step must come first" if known and name in BASE_OPS
+                else f"unknown step op {name!r}"
+            )
+        where = f"step {name!r}"
+        fam = op.run(fam, **{key: _read(raw, key, kind, where, _depth) for key, kind in op.inputs})
     if fam is None:
         raise GeneratorError("empty derivation")
     for key, value in fam.certificate().items():

@@ -608,6 +608,25 @@ def test_polygon_with_an_over_long_number_is_one_error_line(capsys, argv):
     assert (code, out, err) == (1, "", "error: number too long: 5000 digits\n")
 
 
+HUGE = "9" * 4000  # parses, but codim_ag has more digits than str() prints
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["codim-ag", "--polygon", f"ss^{HUGE}"],
+        ["codim-ag", "--polygon", f"ss^{HUGE}", "--json"],
+        ["condition-u", "--polygon", f"ss^{HUGE}"],
+        ["condition-u", "--polygon", f"ss^{HUGE}", "--json"],
+    ],
+    ids=["codim-ag", "codim-ag-json", "condition-u", "condition-u-json"],
+)
+def test_a_result_past_the_int_digit_limit_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    limit = sys.get_int_max_str_digits()
+    assert (code, out, err) == (1, "", f"error: a result has more than {limit} digits\n")
+
+
 def test_generate_replay_refuses_an_over_long_json_integer(capsys, tmp_path):
     path = tmp_path / "long.json"
     path.write_text('{"version": 1, "p_class": ' + LONG + "}", encoding="utf-8")

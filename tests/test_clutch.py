@@ -482,3 +482,37 @@ def test_closed_form_defect_matches_the_three_step_functions():
         kinds[r.d1 == r.d2 == 1] += 1
         defective[r.d1 == r.d2 == 1] += r.epsilon > 0
     assert min(defective.values()) >= 30
+
+
+def test_check_compatible_is_an_empty_violation_list_and_builds_no_fraction(monkeypatch):
+    # check_compatible shares compatible_violations' int core, so on
+    # seeded pairs with m1 | m2 it answers exactly "no violations", and
+    # only compatible_violations turns witness slopes into Fractions
+    rng = random.Random(20181105)
+    made = 0
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        nonlocal made
+        made += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    def datum(m):
+        a = [rng.randrange(1, m) for _ in range(rng.randint(2, 5))]
+        a.append(-sum(a) % m)
+        return MonodromyDatum(m, tuple(a), generalized=True)
+
+    outcomes = []
+    for _ in range(800):
+        m1 = rng.randint(2, 30)
+        m2 = m1 * rng.randint(1, 60 // m1)
+        g1, g2 = datum(m1), datum(m2)
+        p = rng.choice([c for c in range(1, m2 + 1) if math.gcd(c, m2) == 1])
+        expected = not compatible_violations(g1, g2, p)
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        got = check_compatible(g1, g2, p)
+        monkeypatch.undo()
+        assert got == expected, (g1, g2, p)
+        outcomes.append(got)
+    assert made == 0
+    assert 150 < sum(outcomes) < len(outcomes) - 150

@@ -35,7 +35,7 @@ from npcc import (
 )
 import npcc.clutch as clutch
 import npcc.generators as generators
-from npcc.generators import CHAIN_OPS, MAX_REPLAY_DEPTH
+from npcc.generators import BASE_OPS, CHAIN_OPS, MAX_REPLAY_DEPTH
 
 WORKED = MonodromyDatum(8, (2, 2, 2, 5, 5))
 
@@ -546,7 +546,7 @@ def _sized_steps():
             (fam, "pad_and_clutch", {"t": t, "n": n})
             for t in range(1, m + 1) if m % t == 0 for n in (1, 2, 3)
         ]
-        cases += [(fam, "self_clutch", {"n": n, "auto": True}) for n in (1, 2, 3)]
+        cases += [(fam, "self_clutch", {"n": n, "auto_pad": True}) for n in (1, 2, 3)]
     cases += [(paired, "self_clutch", {"n": 3, "at": (1, 2)})]
     five = base_case(MonodromyDatum(5, (1, 1, 3)), 4)
     cases += [
@@ -631,7 +631,7 @@ def test_chain_op_cli_forms():
     assert parsed == {
         "pad:5:3": [("pad_and_clutch", {"t": 5, "n": 3})],
         "self:2": [("self_clutch", {"n": 2})],
-        "self:2:auto": [("self_clutch", {"n": 2, "auto": True})],
+        "self:2:auto": [("self_clutch", {"n": 2, "auto_pad": True})],
         "extend:3": [("extend_ord", {"c": 3})],
         "self:2:pad": [],
         "pad:5": [],
@@ -639,6 +639,61 @@ def test_chain_op_cli_forms():
         "double:1:1": [],
         "self:auto": [],
     }
+
+
+def _json_containers(value):
+    """Every dict and list inside a JSON value, itself included."""
+    if isinstance(value, (dict, list)):
+        yield value
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _json_containers(item)
+
+
+def test_a_returned_certificate_is_a_copy():
+    z = base_case(MonodromyDatum(5, (2, 2, 1)), 3)
+    m11 = base_case(MonodromyDatum(5, (1, 3, 3, 3)), 3)
+    fam = double_induction(z, m11, 1, 2)
+    before = fam.certificate()
+    edits = [
+        lambda cert: cert.update(p_class=99),
+        lambda cert: cert["steps"][0].update(clause="made-up"),
+        lambda cert: cert["steps"][0]["datum"]["a"].append(7),
+        lambda cert: cert["steps"][-1]["other"]["assumptions"].append("made-up"),
+        lambda cert: cert["steps"][-1]["other"]["steps"][0]["datum"]["a"].clear(),
+    ]
+    for edit in edits:
+        cert = fam.certificate()
+        edit(cert)
+        assert cert != before
+        assert fam.certificate() == before
+    first, second = fam.certificate(), fam.certificate()
+    assert first == second
+    shared = {id(c) for c in _json_containers(first)} & {id(c) for c in _json_containers(second)}
+    assert not shared
+    with pytest.raises(TypeError):
+        fam.steps[0]["clause"] = "made-up"
+
+
+def _layout_keys(op):
+    return tuple(item if isinstance(item, str) else item[0] for item in op.layout)
+
+
+def test_each_step_writes_its_ops_layout_and_replays_to_itself():
+    ops = {**BASE_OPS, **CHAIN_OPS}
+    seen = set()
+
+    def check_steps(cert):
+        for step in cert["steps"]:
+            assert tuple(step) == ("op",) + _layout_keys(ops[step["op"]]), step
+            seen.add(step["op"])
+            if step["op"] == "double_induction":
+                check_steps(step["other"])
+
+    for fam, name, keywords in _sized_steps():
+        cert = CHAIN_OPS[name].run(fam, **keywords).certificate()
+        check_steps(cert)
+        assert replay(json.loads(json.dumps(cert))).certificate() == cert
+    assert seen == set(ops)
 
 
 CERTIFY_UNDER_O = """\
