@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 from .catalog import (
@@ -557,7 +558,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out = args.func(args)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A number of thousands of digits would fill the line; P_BOUND's 25 print in full.
+        text = re.sub(r"[0-9]{41,}", lambda run: f"<{len(run[0])} digits>", str(exc))
+        print(f"error: {text}", file=sys.stderr)
         return 1
     doc = {"version": JSON_VERSION, **out}
     try:  # every line is made before any is printed

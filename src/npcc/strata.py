@@ -13,9 +13,10 @@ per-factor candidates only on demand, and all structure of the set
 comes from the small factors.  One fold over the factors maps each
 distinct total polygon (a stratum of the family) to the indices of the
 elements reaching it.  The fold is integer arithmetic: each
-candidate's piece is coded once, from its int pairs, as an int holding
-one multiplicity per slope, a partial total is the sum of its pieces'
-codes, and each distinct total's polygon is built once, at the end.
+candidate's `OrbitPolygon.piece` is coded once as an int with one
+digit per slope, given out in slope order before the fold and wide
+enough for the height 2g of every total; a partial total is the sum
+of its pieces' codes, and each distinct total's polygon is built once.
 The rows of that map are keyed by each total's int triples, so a
 polygon finds its row by hashing ints alone.  An element's length is
 the sum of its candidates' lengths, and the covers of the set are the
@@ -150,10 +151,11 @@ class KottwitzSet:
     meets each candidate k of the next factor once, giving the indices
     i * len(factor) + k.  Partials are visited in first-appearance order
     and k < len(factor), so the dict keeps the totals in first-appearance
-    order.  A partial total is an int: each slope of the pieces, keyed
-    by its reduced int pair, owns a digit wide enough for the whole
-    height, and adding two codes amalgamates their polygons.  So the fold
-    hashes and adds only ints, and each total's polygon is decoded once.
+    order.  A partial total is an int: before the fold, the i-th
+    smallest slope of all the candidates' pieces is given the i-th
+    digit, wide enough for the height 2g of every total, and adding two
+    codes amalgamates their polygons.  So the fold hashes and adds only
+    ints, and each total's polygon is decoded once.
     `totals` hands out the decoded totals, and each total's row is keyed
     by its int triples, so a lookup hashes no Fraction.
     The cap bounds the running product of the factor sizes, checked
@@ -182,27 +184,18 @@ class KottwitzSet:
                 )
         self.factors = tuple(factors)
         self._factor_lengths = tuple(self._chain_lengths(c) for c in self.factors)
-        # A top's piece has height |o| * G(o), doubled by the dual path
-        # when the orbit is not self-dual.
-        tops = [factor[0] for factor in self.factors]
-        height = sum(t.orbit.size * t.height * (1 if t.orbit.is_self_dual else 2) for t in tops)
-        # Each slope of the pieces owns a digit of `bits` bits holding its
-        # multiplicity, handed out as slopes first appear (setdefault
-        # reads len(shift) before it inserts) and sorted by slope at the
-        # end.  No multiplicity in a total exceeds the total height, so
-        # codes add without carry, and adding codes amalgamates polygons.
+        pieces = [[c.piece()._triples for c in factor] for factor in self.factors]
+        distinct = {(num, den) for factor in pieces for piece in factor for num, den, _ in piece}
+        slopes = sorted(distinct, key=_slope_order(distinct))
+        # Digit i, of `bits` bits, holds the multiplicity of slopes[i].
+        # Every total has the family's height 2g, so codes add without carry.
+        height = 2 * f.total
         bits = height.bit_length()
-        shift: dict[tuple[int, int], int] = {}
+        digit = {slope: i * bits for i, slope in enumerate(slopes)}
         by_code = {0: [0]}
         lengths = [0]
-        for factor, steps in zip(self.factors, self._factor_lengths):
-            codes = []
-            for c in factor:  # c.piece(): slope r/(w*n), w*n times, keyed by its reduced pair
-                n, code = c.orbit.size, 0
-                for r, w in c._pairs if c.orbit.is_self_dual else c._pairs + c._dual_pairs():
-                    g = math.gcd(r, w * n)
-                    code += w * n << shift.setdefault((r // g, w * n // g), len(shift) * bits)
-                codes.append(code)
+        for factor, steps in zip(pieces, self._factor_lengths):
+            codes = [sum(mult << digit[num, den] for num, den, mult in piece) for piece in factor]
             size = len(factor)
             folded: dict[int, list[int]] = {}
             for partial, indices in by_code.items():
@@ -211,9 +204,7 @@ class KottwitzSet:
                     folded.setdefault(partial + code, []).extend([b + k for b in base])
             by_code = folded
             lengths = [n + s for n in lengths for s in steps]
-        order = _slope_order(shift)
-        digits = sorted(shift.items(), key=lambda digit: order(digit[0]))
-        self._totals, rows = _decode_totals(by_code, digits, bits, height)
+        self._totals, rows = _decode_totals(by_code, slopes, bits, height)
         self._rows = {t._triples: indices for t, indices in zip(self._totals, rows)}
         self.lengths = tuple(lengths)
 
@@ -313,26 +304,27 @@ class KottwitzSet:
 
 def _decode_totals(
     by_code: dict[int, list[int]],
-    digits: list[tuple[tuple[int, int], int]],
+    slopes: list[tuple[int, int]],
     bits: int,
     height: int,
 ) -> tuple[tuple[NewtonPolygon, ...], tuple[tuple[int, ...], ...]]:
     """Each distinct total's polygon, built once, and its sorted indices.
 
-    Both tuples follow the order of ``by_code``.  ``digits`` lists each
-    slope, as its reduced (num, den) pair, with the lowest bit of its
-    digit, by increasing slope, and totals share their (num, den,
-    multiplicity) triples.  A digit that overflowed would carry into
-    the next one or out of the mask and lose height, so every total
-    must have the set's height.
+    Both tuples follow the order of ``by_code``.  ``slopes`` lists each
+    slope as its reduced (num, den) pair, by increasing slope, and digit
+    i, the ``bits`` bits from bit i * bits up, holds the multiplicity of
+    ``slopes[i]``; totals share their (num, den, multiplicity) triples.
+    A digit that overflowed would carry into the next one or out of the
+    last and lose height, so every total must have the set's height.
     """
     mask = (1 << bits) - 1
-    shared: list[dict[int, tuple[int, int, int]]] = [{} for _ in digits]
+    places = range(0, bits * len(slopes), bits)
+    shared: list[dict[int, tuple[int, int, int]]] = [{} for _ in slopes]
     totals, rows = [], []
     for code, indices in by_code.items():
         triples = []
         decoded = 0
-        for ((num, den), at), known in zip(digits, shared):
+        for at, (num, den), known in zip(places, slopes, shared):
             k = code >> at & mask
             if k:
                 triples.append(known.setdefault(k, (num, den, k)))
@@ -376,20 +368,23 @@ def omega_count(nu: NewtonPolygon) -> int:
 def _lattice_count(poly: NewtonPolygon | OrbitPolygon, stop: int) -> int:
     """Sum of ceil(poly(x)) over x = 0..stop-1, for stop <= height + 1.
 
-    The polygon is 0 at x = 0.  Heights are counted in units of 1/L,
-    L the lcm of the slopes' denominators.  On a segment of slope a/L
-    starting at height y/L, ceil((y + a*k)/L) = floor((a*k + y + L - 1) / L),
-    so each segment's share is one floor sum.
+    The polygon is 0 at x = 0.  Heights are counted in units of 1/L, L
+    the lcm of the slopes' denominators or an orbit polygon's grid
+    scale.  On a segment of slope a/L starting at height y/L,
+    ceil((y + a*k)/L) = floor((a*k + y + L - 1) / L), so each segment's
+    share is one floor sum.
     """
-    if isinstance(poly, OrbitPolygon):  # its values are in its scaled int grid
-        return sum(-(-v // poly._scale) for v in poly._grid[:stop])
-    scale = math.lcm(*(den for _, den, _ in poly._triples))
+    if isinstance(poly, OrbitPolygon):
+        scale = poly._scale
+        steps = [(r * scale // w, w) for r, w in poly._pairs]
+    else:
+        scale = math.lcm(*(den for _, den, _ in poly._triples))
+        steps = [(num * (scale // den), mult) for num, den, mult in poly._triples]
     total = run = y = 0
-    for num, den, width in poly._triples:
+    for a, width in steps:
         n = min(width, stop - 1 - run)
         if n <= 0:
             break
-        a = num * (scale // den)
         total += _floor_sum(n, scale, a, a + y + scale - 1)  # k = 1..n is i = 0..n-1 shifted
         run += width
         y += a * width

@@ -627,6 +627,37 @@ def test_a_result_past_the_int_digit_limit_is_one_error_line(capsys, argv):
     assert (code, out, err) == (1, "", f"error: a result has more than {limit} digits\n")
 
 
+_GEN = ["generate", "--datum", "7:3:1,1,5", "--p-class", "2"]
+_BRANCH = "branch points, more than MAX_BRANCH_POINTS = 1024"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["orbits", "--m", HUGE, "--p-class", "2"],
+         "m = <4000 digits> is above MAX_MODULUS = 1200"),
+        (["muord", "--datum", "7:3:1,1,5", "--p", HUGE],
+         f"p = <4000 digits> is too large: --p must be below {P_BOUND}, where primality"
+         " is decided exactly; pass --p-class instead"),
+        (["kottwitz", "--datum", "7:3:1,1,5", "--p-class", "2", "--cap", "-" + HUGE],
+         "the cap must be at least 1, not -<4000 digits>"),
+        (_GEN + ["--step", f"pad:3:{HUGE}"],
+         f"step 'pad_and_clutch' would give <4001 digits> {_BRANCH}"),
+        (_GEN + ["--step", f"self:{HUGE}:auto"],
+         f"step 'self_clutch' would give <4001 digits> {_BRANCH}"),
+        (_GEN + ["--step", f"frob:{HUGE}"],
+         "unknown step 'frob:<4000 digits>'; use pad:T:N, self:N[:auto], or extend:C"),
+        (_GEN + ["--double-with", "3:3:1,1,1", "--n1", HUGE],
+         f"step 'double_induction' would give <4001 digits> {_BRANCH}"),
+        (_GEN + ["--payload", f"ss^{HUGE}"],
+         "ss^<4000 digits> does not occur in the Kottwitz set of 7:3:1,1,5 at class 2"),
+    ],
+    ids=["orbits-m", "muord-p", "kottwitz-cap", "pad", "self", "unknown-step", "n1", "payload"],
+)
+def test_an_error_line_gives_a_long_number_as_its_digit_count(capsys, argv, message):
+    _one_error_line_quickly(capsys, argv, message)
+
+
 def test_generate_replay_refuses_an_over_long_json_integer(capsys, tmp_path):
     path = tmp_path / "long.json"
     path.write_text('{"version": 1, "p_class": ' + LONG + "}", encoding="utf-8")

@@ -9,7 +9,12 @@ exponents small: work still grows with m (a per-residue loop over
 every class mod m) and with a polygon's genus, so huge values would
 test those open costs rather than the CLI's error handling.  A second
 draw takes moduli above MAX_MODULUS, up to 10^12, through every
-subcommand that reads a datum: each must be refused at once.
+subcommand that reads a datum: each must be refused at once.  A third
+draws numbers of 20 to 4000 digits for every other number the CLI
+reads (polygon exponents, numerators and denominators, --p, --p-class,
+--cap, --m, --n1, --n2, --step ints, and the ints of a replayed
+certificate), on paths that are closed-form or refused: each call must
+exit 0 or 1 and keep every stderr line short.
 """
 
 from __future__ import annotations
@@ -269,3 +274,92 @@ def test_moduli_above_the_bound_are_refused_at_once(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
         assert "is above MAX_MODULUS = 1200" in err, (argv, err)
         assert seconds < 1.0, argv
+
+
+HUGE_DRAWS = 3
+HUGE_REPLAYS = 40
+GEN = "generate --datum 7:3:1,1,5 --p-class 2"
+RESIDUE_READERS = (
+    "orbits --m 7", "orbits --datum 7:3:1,1,5", "muord --datum 7:3:1,1,5",
+    "prank-bound --datum 7:3:1,1,5", "kottwitz --datum 7:3:1,1,5",
+    "clutch --datum1 7:3:1,1,5 --datum2 7:3:2,6,6", "generate --datum 7:3:1,1,5",
+    "moonen --family 3",
+)
+# Each reads the drawn number n in one place: {n} is n, {signed} is n or
+# -n, and {poly} a polygon with n as an exponent, numerator or denominator.
+HUGE_TEMPLATES = (
+    "codim-ag --polygon {poly}", "condition-u --polygon {poly}", GEN + " --payload {poly}",
+    GEN + " --double-with 7:3:1,1,5 --double-payload {poly}",
+    *(f"{reader} {flag} {{n}}" for reader in RESIDUE_READERS for flag in ("--p", "--p-class")),
+    "kottwitz --datum 7:3:1,1,5 --p-class 2 --cap {signed}", GEN + " --cap {signed}",
+    "orbits --m {n} --p-class 1",
+    GEN + " --double-with 7:3:1,1,5 --n1 {n}", GEN + " --double-with 7:3:1,1,5 --n2 {n}",
+    GEN + " --step pad:{n}:2", GEN + " --step pad:1:{n}", GEN + " --step self:{n}",
+    GEN + " --step self:{n}:auto", GEN + " --step extend:{n}",
+)
+# A certificate with a step of every op, a payload and a nested "other".
+CERTIFIED = ["generate", "--datum", "3:3:1,1,1", "--p-class", "1", "--step", "pad:3:2",
+             "--step", "self:2:auto", "--step", "extend:1", "--double-with", "3:4:1,1,2,2",
+             "--double-payload", "ss^2", "--n2", "2"]
+
+
+def _huge(rng: random.Random) -> int:
+    """A positive int whose digit count is drawn log-uniformly from 20 to 4000."""
+    digits = round(math.exp(rng.uniform(math.log(20), math.log(4000))))
+    return rng.randrange(10 ** (digits - 1), 10**digits)
+
+
+def _huge_polygon(rng: random.Random, n: int) -> str:
+    return rng.choice([
+        f"ss^{n}", f"ord^{n}", f"(1/3,2/3)^{n}", f"({n}/7,1/7)", f"(1/{n + 1},{n}/{n + 1})",
+        f"({n}/{2 * n + 1},{n + 1}/{2 * n + 1})",
+    ])
+
+
+def _int_paths(doc, at=()):
+    """The path to every int in a JSON document, bools left out."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _int_paths(value, at + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _int_paths(value, at + (i,))
+    elif isinstance(doc, int) and not isinstance(doc, bool):
+        yield at
+
+
+def _huge_certificate(rng: random.Random, text: str, tmp_path) -> list[str]:
+    """--replay of the certificate with one of its ints replaced by a huge one."""
+    doc = json.loads(text)
+    *parents, last = rng.choice(list(_int_paths(doc)))
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = rng.choice([1, -1]) * _huge(rng)
+    path = tmp_path / f"certificate-{rng.getrandbits(64)}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return ["generate", "--replay", str(path)]
+
+
+def test_huge_numbers_exit_cleanly_with_short_error_lines(tmp_path):
+    code, certificate, _, _ = _call(CERTIFIED)
+    assert code == 0
+    rng = random.Random(SEED + 2)
+    cases = []
+    for template in HUGE_TEMPLATES:
+        for _ in range(HUGE_DRAWS):
+            n = _huge(rng)
+            signed, poly = rng.choice([n, -n]), _huge_polygon(rng, n)
+            cases.append(template.format(n=n, signed=signed, poly=poly).split())
+    cases += [_huge_certificate(rng, certificate, tmp_path) for _ in range(HUGE_REPLAYS)]
+    codes = set()
+    for argv in cases:
+        code, out, err, seconds = _call(argv)
+        assert code in (0, 1), argv
+        assert "Traceback" not in out + err, argv
+        assert seconds < SECONDS_PER_CALL, argv
+        assert all(len(line) < 200 for line in err.splitlines()), (argv, err[:300])
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err[:300])
+        codes.add(code)
+    assert codes == {0, 1}
