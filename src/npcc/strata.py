@@ -318,7 +318,7 @@ def _decode_totals(
     last and lose height, so every total must have the set's height.
     """
     mask = (1 << bits) - 1
-    places = range(0, bits * len(slopes), bits)
+    places = [i * bits for i in range(len(slopes))]
     shared: list[dict[int, tuple[int, int, int]]] = [{} for _ in slopes]
     totals, rows = [], []
     for code, indices in by_code.items():
@@ -368,23 +368,20 @@ def omega_count(nu: NewtonPolygon) -> int:
 def _lattice_count(poly: NewtonPolygon | OrbitPolygon, stop: int) -> int:
     """Sum of ceil(poly(x)) over x = 0..stop-1, for stop <= height + 1.
 
-    The polygon is 0 at x = 0.  Heights are counted in units of 1/L, L
-    the lcm of the slopes' denominators or an orbit polygon's grid
-    scale.  On a segment of slope a/L starting at height y/L,
-    ceil((y + a*k)/L) = floor((a*k + y + L - 1) / L), so each segment's
-    share is one floor sum.
+    The polygon is 0 at x = 0.  Heights are counted in units of 1/L,
+    L the lcm of the slopes' denominators.  On a segment of slope a/L
+    starting at height y/L, ceil((y + a*k)/L) = floor((a*k + y + L - 1) / L),
+    so each segment's share is one floor sum.
     """
-    if isinstance(poly, OrbitPolygon):
-        scale = poly._scale
-        steps = [(r * scale // w, w) for r, w in poly._pairs]
-    else:
-        scale = math.lcm(*(den for _, den, _ in poly._triples))
-        steps = [(num * (scale // den), mult) for num, den, mult in poly._triples]
+    if isinstance(poly, OrbitPolygon):  # its values are in its scaled int grid
+        return sum(-(-v // poly._scale) for v in poly._grid[:stop])
+    scale = math.lcm(*(den for _, den, _ in poly._triples))
     total = run = y = 0
-    for a, width in steps:
+    for num, den, width in poly._triples:
         n = min(width, stop - 1 - run)
         if n <= 0:
             break
+        a = num * (scale // den)
         total += _floor_sum(n, scale, a, a + y + scale - 1)  # k = 1..n is i = 0..n-1 shifted
         run += width
         y += a * width

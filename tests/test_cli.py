@@ -236,6 +236,20 @@ def test_kottwitz_cap(capsys):
     assert "error:" in err
 
 
+def test_kottwitz_and_generate_on_a_datum_of_genus_zero(capsys):
+    # f(1) = 0: no factor has a slope, so the set is one element whose
+    # total is the empty polygon.
+    argv = ["--datum", "2:3:1,1,0", "--p-class", "1"]
+    code, out, err = run(capsys, ["kottwitz", *argv])
+    assert (code, err) == (0, "")
+    assert out == "1 elements, 1 distinct polygons\ncodim 0: 0  [1 element(s)]\n"
+    doc = run_json(capsys, ["kottwitz", *argv, "--json"])
+    assert doc["size"] == 1
+    assert doc["totals"] == [{"polygon_text": "0", "polygon": [], "codim": 0, "elements": 1}]
+    doc = run_json(capsys, ["generate", *argv])
+    assert doc["polygon"] == [] and doc["steps"][0]["op"] == "base_case"
+
+
 def test_clutch_text(capsys):
     code, out, _ = run(
         capsys,
