@@ -426,6 +426,24 @@ def _text_clutch_demo(doc: dict) -> list[str]:
     return lines + [f"ok={'true' if doc['ok'] else 'false'}"]
 
 
+def _shortened(message: str) -> str:
+    """message with each over-long value given as its length.
+
+    Each run of more than 40 digits becomes its digit count, then each
+    word (no space or quote) of more than 80 characters its length, so
+    the line stays short.  P_BOUND's 25 digits print in full.
+    """
+    message = re.sub(r"[0-9]{41,}", lambda run: f"<{len(run[0])} digits>", message)
+    return re.sub(r"[^\s']{81,}", lambda word: f"<{len(word[0])} characters>", message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors shortened as main's error lines are; subparsers share the class."""
+
+    def error(self, message: str):
+        super().error(_shortened(message))
+
+
 def _add_residue_group(sp: argparse.ArgumentParser, required: bool = True) -> None:
     group = sp.add_mutually_exclusive_group(required=required)
     group.add_argument(
@@ -443,7 +461,7 @@ def _add_residue_group(sp: argparse.ArgumentParser, required: bool = True) -> No
 # help and usage text is formatted when printed.  Bounded: one parser.
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="npcc",
         description="Exact Newton polygon invariants for cyclic covers of the line.",
     )
@@ -558,9 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         out = args.func(args)
     except DomainError as exc:
-        # A number of thousands of digits would fill the line; P_BOUND's 25 print in full.
-        text = re.sub(r"[0-9]{41,}", lambda run: f"<{len(run[0])} digits>", str(exc))
-        print(f"error: {text}", file=sys.stderr)
+        print(f"error: {_shortened(str(exc))}", file=sys.stderr)
         return 1
     doc = {"version": JSON_VERSION, **out}
     try:  # every line is made before any is printed

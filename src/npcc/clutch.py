@@ -122,14 +122,13 @@ class ClutchReport:
         return obj
 
 
-def _delta_pair(d: int, big_r: int, n: int, m3: int) -> int:
-    """The step function that is 1 when d*R*n vanishes mod m3 but d*n does not."""
-    return 1 if (d * big_r * n) % m3 == 0 and (d * n) % m3 != 0 else 0
-
-
 def _defect_at(d1: int, d2: int, r0: int, n: int, m3: int) -> int:
-    """The glued signature's defect term at the residue n mod m3."""
-    return _delta_pair(d1 * d2, r0, n, m3) + _delta_pair(d1, d2, n, m3) - _delta_pair(1, d2, n, m3)
+    """The glued signature's defect term at the residue n mod m3, 0 < n < m3.
+
+    The step functions [d*R*n = 0] - [d*n = 0] mod m3 at (d, R) = (d1*d2, r0)
+    and (d1, d2), less the one at (1, d2), telescope to this sum.
+    """
+    return (d1 * d2 * r0 * n % m3 == 0) - (d1 * n % m3 == 0) - (d2 * n % m3 == 0)
 
 
 def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
@@ -162,8 +161,6 @@ def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
 
     f1d, f2d = signature(g1).induced(d1).values, signature(g2).induced(d2).values
     defect = (_defect_at(d1, d2, r0, n, m3) for n in range(1, m3))
-    if d1 == d2 == 1:  # a fold joint: the last two terms cancel, and n is not 0 mod m3
-        defect = (1 if r0 * n % m3 == 0 else 0 for n in range(1, m3))
     f3 = Signature(m3, tuple(a + b + e for a, b, e in zip(f1d, f2d, defect)))
 
     g3 = d1 * genus(g1) + d2 * genus(g2) + epsilon

@@ -22,7 +22,7 @@ from typing import Iterable
 from .errors import EndpointMismatchError, PolygonSyntaxError
 from .monodromy import MonodromyDatum, Signature, signature
 from .orbits import Orbit, decompose, g_of_orbit
-from .polygon import NewtonPolygon
+from .polygon import NewtonPolygon, _canonical
 
 __all__ = [
     "OrbitPolygon",
@@ -120,26 +120,30 @@ class OrbitPolygon:
         """Invariance of the slope multiset under s -> |o| - s."""
         return self._pairs == self._dual_pairs()
 
-    def lambda_scale(self) -> NewtonPolygon:
-        """The Newton polygon piece this orbit contributes."""
-        n = self.orbit.size
-        # Validated orbit slopes strictly increase in [0, |o|] with widths
-        # >= 1, so the rescaled slopes r/(w*n), put in lowest terms, are
-        # already canonical.
+    def _lambda_triples(self, dual: bool = True) -> list[tuple[int, int, int]]:
+        """(num, den, mult) of the lambda-scaled slopes, unmerged.
+
+        Each slope r/w becomes r/(w*|o|) in lowest terms, of width w*|o|,
+        and with ``dual``, unless the orbit is self-dual, its dual (carried
+        by the dual orbit) follows it: both may be 1/2.
+        """
+        n, dual = self.orbit.size, dual and not self.orbit.is_self_dual
         triples = []
         for r, w in self._pairs:
             g = math.gcd(r, w * n)
             triples.append((r // g, w * n // g, w * n))
-        return NewtonPolygon._trusted(tuple(triples))
+            if dual:
+                triples.append(((w * n - r) // g, w * n // g, w * n))
+        return triples
+
+    def lambda_scale(self) -> NewtonPolygon:
+        """The Newton polygon piece this orbit contributes."""
+        # Validated orbit slopes strictly increase in [0, |o|], so these are canonical.
+        return NewtonPolygon._trusted(tuple(self._lambda_triples(dual=False)))
 
     def piece(self) -> NewtonPolygon:
-        """The Newton polygon the orbit and its dual contribute together.
-
-        That is the lambda-scaled polygon, plus its dual when the orbit
-        is not self-dual (the dual orbit then carries the dual path).
-        """
-        piece = self.lambda_scale()
-        return piece if self.orbit.is_self_dual else piece + piece.dual()
+        """The lambda-scaled polygon, plus its dual when the orbit is not self-dual."""
+        return NewtonPolygon._trusted(_canonical(self._lambda_triples()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbitPolygon):
@@ -199,10 +203,9 @@ def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:
 @functools.lru_cache(maxsize=64)
 def _assemble(f: Signature, p_class: int) -> NewtonPolygon:
     """mu_ordinary_of_signature for the class of p mod f.m."""
-    total = NewtonPolygon()
-    for rep in decompose(f.m, p_class).representatives():
-        total = total + mu_ordinary_orbit(rep, f).piece()
-    return total
+    reps = decompose(f.m, p_class).representatives()
+    triples = (t for rep in reps for t in mu_ordinary_orbit(rep, f)._lambda_triples())
+    return NewtonPolygon._trusted(_canonical(triples))
 
 
 def mu_ordinary(datum: MonodromyDatum, p: int) -> NewtonPolygon:

@@ -13,10 +13,11 @@ per-factor candidates only on demand, and all structure of the set
 comes from the small factors.  One fold over the factors maps each
 distinct total polygon (a stratum of the family) to the indices of the
 elements reaching it.  The fold is integer arithmetic: each
-candidate's `OrbitPolygon.piece` is coded once as an int with one
-digit per slope, given out in slope order before the fold and wide
-enough for the height 2g of every total; a partial total is the sum
-of its pieces' codes, and each distinct total's polygon is built once.
+candidate's lambda-scaled int triples, duals included, are coded once
+as an int with one digit per slope, given out in slope order before
+the fold and wide enough for the height 2g of every total; a partial
+total is the sum of its candidates' codes, and each distinct total's
+polygon is built once.
 The rows of that map are keyed by each total's int triples, so a
 polygon finds its row by hashing ints alone.  An element's length is
 the sum of its candidates' lengths, and the covers of the set are the
@@ -89,8 +90,6 @@ def enumerate_orbit_component(
     mu = mu_ordinary_orbit(orbit, f)
     big_g = mu.height
     big_d = mu.degree
-    if big_g == 0:
-        return (mu,)
     lowest_y = mu._grid  # unscaled: the slopes of mu are integral
     found: list[tuple[tuple[int, int], ...]] = []
 
@@ -152,9 +151,10 @@ class KottwitzSet:
     i * len(factor) + k.  Partials are visited in first-appearance order
     and k < len(factor), so the dict keeps the totals in first-appearance
     order.  A partial total is an int: before the fold, the i-th
-    smallest slope of all the candidates' pieces is given the i-th
-    digit, wide enough for the height 2g of every total, and adding two
-    codes amalgamates their polygons.  So the fold hashes and adds only
+    smallest slope of the candidates' lambda-scaled int triples (duals
+    included; no polygon is built per candidate) is given the i-th digit,
+    wide enough for the height 2g of every total, and adding two codes
+    amalgamates their polygons.  So the fold hashes and adds only
     ints, and each total's polygon is decoded once.
     `totals` hands out the decoded totals, and each total's row is keyed
     by its int triples, so a lookup hashes no Fraction.
@@ -184,7 +184,7 @@ class KottwitzSet:
                 )
         self.factors = tuple(factors)
         self._factor_lengths = tuple(self._chain_lengths(c) for c in self.factors)
-        pieces = [[c.piece()._triples for c in factor] for factor in self.factors]
+        pieces = [[c._lambda_triples() for c in factor] for factor in self.factors]
         distinct = {(num, den) for factor in pieces for piece in factor for num, den, _ in piece}
         slopes = sorted(distinct, key=_slope_order(distinct))
         # Digit i, of `bits` bits, holds the multiplicity of slopes[i].
@@ -313,21 +313,20 @@ def _decode_totals(
     Both tuples follow the order of ``by_code``.  ``slopes`` lists each
     slope as its reduced (num, den) pair, by increasing slope, and digit
     i, the ``bits`` bits from bit i * bits up, holds the multiplicity of
-    ``slopes[i]``; totals share their (num, den, multiplicity) triples.
-    A digit that overflowed would carry into the next one or out of the
-    last and lose height, so every total must have the set's height.
+    ``slopes[i]``; the code is read by shifting it down one digit at a
+    time.  A digit that overflowed would carry into the next one or out
+    of the last and lose height, so every total must have the set's height.
     """
     mask = (1 << bits) - 1
-    places = [i * bits for i in range(len(slopes))]
-    shared: list[dict[int, tuple[int, int, int]]] = [{} for _ in slopes]
     totals, rows = [], []
     for code, indices in by_code.items():
         triples = []
         decoded = 0
-        for at, (num, den), known in zip(places, slopes, shared):
-            k = code >> at & mask
+        for num, den in slopes:
+            k = code & mask
+            code >>= bits
             if k:
-                triples.append(known.setdefault(k, (num, den, k)))
+                triples.append((num, den, k))
                 decoded += k
         if decoded != height:
             raise DomainError(f"a total decoded to height {decoded}, not {height}")

@@ -672,6 +672,26 @@ def test_an_error_line_gives_a_long_number_as_its_digit_count(capsys, argv, mess
     _one_error_line_quickly(capsys, argv, message)
 
 
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["orbits", "--m", "9" * 5000, "--p-class", "2"], 2,
+         "npcc orbits: error: argument --m: invalid int value: '<5000 digits>'"),
+        (["kottwitz", "--datum", "7:3:1,1,5", "--p-class", "2", "--cap", "x" * 3000], 2,
+         "npcc kottwitz: error: argument --cap: invalid int value: '<3000 characters>'"),
+        (_GEN + ["--n1", "9" * 4400], 2,
+         "npcc generate: error: argument --n1: invalid int value: '<4400 digits>'"),
+        (["codim-ag", "--polygon", "x" * 3000], 1, "error: cannot parse term '<3000 characters>'"),
+    ],
+    ids=["orbits-m", "kottwitz-cap", "generate-n1", "codim-ag"],
+)
+def test_an_over_long_value_is_given_as_its_length(capsys, argv, code, line):
+    # Usage errors (exit 2) shorten values as error: lines (exit 1) do.
+    got, out, err = run(capsys, argv)
+    assert (got, out, err.splitlines()[-1]) == (code, "", line)
+    assert all(len(text) < 200 for text in err.splitlines())
+
+
 def test_generate_replay_refuses_an_over_long_json_integer(capsys, tmp_path):
     path = tmp_path / "long.json"
     path.write_text('{"version": 1, "p_class": ' + LONG + "}", encoding="utf-8")

@@ -219,7 +219,7 @@ def expect_domain_error(call):
         print("no error")
 
 
-genus, gcd_m, delta_pair = clutch.genus, clutch._gcd_m, clutch._delta_pair
+genus, gcd_m = clutch.genus, clutch._gcd_m
 clutch._gcd_m = lambda value, m: 1
 expect_domain_error(lambda: clutch.clutch_data(G1, G2))
 clutch._gcd_m = gcd_m
@@ -227,7 +227,7 @@ clutch.genus = lambda datum: genus(datum) + 1
 expect_domain_error(lambda: clutch.clutch_data(G1, G2))
 clutch.genus = genus
 expect_domain_error(lambda: clutch.epsilon_orbits(dataclasses.replace(report, epsilon=3), 7))
-clutch._delta_pair = lambda d, big_r, n, m3: 0
+clutch._defect_at = lambda d1, d2, r0, n, m3: 0
 expect_domain_error(lambda: clutch.epsilon_orbits(report, 7))
 """
 
@@ -451,9 +451,15 @@ def test_one_cancelling_pair_search_serves_every_caller():
 
 
 def test_closed_form_defect_matches_the_three_step_functions():
-    # clutch_data reads the defect in closed form when d1 = d2 = 1 (every
-    # fold joint); the oracle sums the three step functions on every residue.
+    # clutch_data reads the defect in closed form; the oracle sums the
+    # three step functions on every residue.
     rng = random.Random(20261022)
+
+    def delta_pair(d, big_r, n, m3):
+        return 1 if (d * big_r * n) % m3 == 0 and (d * n) % m3 != 0 else 0
+
+    def defect_at(d1, d2, r0, n, m3):
+        return delta_pair(d1 * d2, r0, n, m3) + delta_pair(d1, d2, n, m3) - delta_pair(1, d2, n, m3)
 
     def datum(m):
         while True:
@@ -475,7 +481,7 @@ def test_closed_form_defect_matches_the_three_step_functions():
         f1d = signature(g1).induced(r.d1).values
         f2d = signature(g2).induced(r.d2).values
         expected = tuple(
-            a + b + npcc.clutch._defect_at(r.d1, r.d2, r.r0, n, r.m3)
+            a + b + defect_at(r.d1, r.d2, r.r0, n, r.m3)
             for n, a, b in zip(range(1, r.m3), f1d, f2d)
         )
         assert r.f3.values == expected, (g1, g2)

@@ -26,6 +26,7 @@ from npcc import (
     decompose,
     kottwitz_set,
 )
+from npcc.polygon import _canonical
 
 
 class FractionOrbitPolygon:
@@ -127,6 +128,9 @@ def _assert_agrees(q, oracle):
     assert _values(d) == od.grid
     assert q.lambda_scale() == oracle.lambda_scale()
     assert q.piece() == oracle.piece()
+    # The unmerged int triples the Kottwitz fold codes, merged, are the piece.
+    assert _canonical(q._lambda_triples()) == oracle.piece()._triples
+    assert _canonical(q._lambda_triples(dual=False)) == oracle.lambda_scale()._triples
     assert q == OrbitPolygon(q.orbit, oracle.segments)
     assert hash(q) == hash(OrbitPolygon(q.orbit, oracle.segments))
 

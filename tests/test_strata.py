@@ -21,6 +21,7 @@ from npcc import (
     enumerate_orbit_component,
     kottwitz_set,
     mu_ordinary,
+    mu_ordinary_orbit,
     omega_count,
     parse,
     signature,
@@ -60,6 +61,12 @@ def test_enumerate_orbit_component_empty_orbit():
     cands = enumerate_orbit_component(o, f)
     assert len(cands) == 1
     assert cands[0].is_empty
+    # The one orbit of a datum of genus zero.
+    f = signature(MonodromyDatum.from_text("2:3:1,1,0"))
+    o = decompose(2, 1).orbit_of(1)
+    factor = enumerate_orbit_component(o, f)
+    assert factor == (mu_ordinary_orbit(o, f),)
+    assert KottwitzSet._chain_lengths(factor) == (0,)
 
 
 def test_enumerate_orbit_component_respects_cap():
