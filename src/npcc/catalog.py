@@ -27,6 +27,7 @@ from .generators import (
 )
 from .monodromy import MonodromyDatum, genus, signature, strip_zeros
 from .muord import mu_ordinary
+from .orbits import decompose
 from .polygon import ORD, SS, NewtonPolygon, parse
 from .strata import kottwitz_set
 
@@ -212,18 +213,12 @@ def reproduce_appendix() -> dict:
 
 
 def _classes_reaching_minus_one(m: int) -> tuple[int, ...]:
-    """Units c mod m such that some power of c is -1 mod m."""
-    out = []
-    for c in range(2, m):
-        if math.gcd(c, m) != 1:
-            continue
-        x = c
-        while x != 1:
-            if x == m - 1:
-                out.append(c)
-                break
-            x = x * c % m
-    return tuple(out)
+    """Units c > 1 mod m such that some power of c is -1 mod m.
+
+    That is, the orbit of 1 under multiplication by c is self-dual.
+    """
+    units = (c for c in range(2, m) if math.gcd(c, m) == 1)
+    return tuple(c for c in units if decompose(m, c).orbit_of(1).is_self_dual)
 
 
 def _same_cover(datum: MonodromyDatum, expected: MonodromyDatum) -> bool:
@@ -236,9 +231,10 @@ def reproduce_applications() -> dict:
     """Rebuild the application tables through the generator operations.
 
     Each check row records the construction parameters, the closed-form
-    polygon and genus from the table, the generated values, and the
-    verified-replay flag.  Rows that claim a codimension are verified
-    inside the Kottwitz set of the final datum.
+    polygon and genus from the table, the generated values, and an
+    ``ok`` flag that also needs `verify_family` to pass.  Rows that
+    claim a codimension are verified inside the Kottwitz set of the
+    final datum.
     """
     chain_n, ss_chain_n, double_n, example_n = 6, 10, 4, 4
     checks: list[dict] = []

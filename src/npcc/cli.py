@@ -430,11 +430,18 @@ def _shortened(message: str) -> str:
     """message with each over-long value given as its length.
 
     Each run of more than 40 digits becomes its digit count, then each
-    word (no space or quote) of more than 80 characters its length, so
-    the line stays short.  P_BOUND's 25 digits print in full.
+    word (no space or quote) of more than 80 characters its length.  A
+    line still longer than 160 characters keeps its first 100 and last
+    40, with the length of the cut between them, so the line stays
+    short.  P_BOUND's 25 digits print in full.
     """
     message = re.sub(r"[0-9]{41,}", lambda run: f"<{len(run[0])} digits>", message)
-    return re.sub(r"[^\s']{81,}", lambda word: f"<{len(word[0])} characters>", message)
+    message = re.sub(r"[^\s']{81,}", lambda word: f"<{len(word[0])} characters>", message)
+    return re.sub(
+        r".{161,}",
+        lambda line: f"{line[0][:100]}<{len(line[0]) - 140} characters>{line[0][-40:]}",
+        message,
+    )
 
 
 class _Parser(argparse.ArgumentParser):

@@ -97,9 +97,7 @@ def _canonical(triples: Iterable[tuple[int, int, object]]) -> tuple[Triple, ...]
 class NewtonPolygon:
     """A multiset of rational slopes in [0, 1] with integer multiplicities."""
 
-    # _hash is filled on first use: totals are dict keys looked up many
-    # times, and hashing their Fraction slopes again each time is slow.
-    __slots__ = ("_triples", "_hash")
+    __slots__ = ("_triples",)
 
     def __init__(self, segments: Iterable[tuple[Fraction | int, int]] = ()):
         self._triples = _canonical((*_ratio(slope), mult) for slope, mult in segments)
@@ -110,9 +108,10 @@ class NewtonPolygon:
 
         The caller guarantees what ``__init__`` would establish: each
         slope num/den in lowest terms with 0 <= num <= den, slopes
-        strictly increasing, and positive int multiplicities.  The
-        algebra below keeps these properties on valid operands, so it
-        builds its results this way.
+        strictly increasing, and positive int multiplicities.  Triples
+        merged by `_canonical` have them, and so do the few results built
+        to keep them: ``power`` and ``dual`` of a valid polygon, an
+        orbit's lambda-scaled slopes and the decoded Kottwitz totals.
         """
         poly = object.__new__(cls)
         poly._triples = triples
@@ -176,29 +175,7 @@ class NewtonPolygon:
 
     def amalgamate(self, other: "NewtonPolygon") -> "NewtonPolygon":
         """Multiset union of the slopes."""
-        a, b = self._triples, other._triples
-        if not a:
-            return other
-        if not b:
-            return self
-        merged = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            s, t = a[i], b[j]
-            cross = s[0] * t[1] - t[0] * s[1]  # lowest terms: 0 exactly when s == t
-            if not cross:
-                merged.append((s[0], s[1], s[2] + t[2]))
-                i += 1
-                j += 1
-            elif cross < 0:
-                merged.append(s)
-                i += 1
-            else:
-                merged.append(t)
-                j += 1
-        merged += a[i:]
-        merged += b[j:]
-        return NewtonPolygon._trusted(tuple(merged))
+        return NewtonPolygon._trusted(_canonical(self._triples + other._triples))
 
     def __add__(self, other: "NewtonPolygon") -> "NewtonPolygon":
         if not isinstance(other, NewtonPolygon):
@@ -365,11 +342,7 @@ class NewtonPolygon:
         return self._triples == other._triples
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(self.segments)
-            return self._hash
+        return hash(self.segments)
 
     def __iter__(self) -> Iterator[tuple[Fraction, int]]:
         return iter(self.segments)

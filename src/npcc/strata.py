@@ -12,12 +12,12 @@ An element is an index into that product, decoded into its tuple of
 per-factor candidates only on demand, and all structure of the set
 comes from the small factors.  One fold over the factors maps each
 distinct total polygon (a stratum of the family) to the indices of the
-elements reaching it.  The fold is integer arithmetic: each
-candidate's lambda-scaled int triples, duals included, are coded once
-as an int with one digit per slope, given out in slope order before
-the fold and wide enough for the height 2g of every total; a partial
-total is the sum of its candidates' codes, and each distinct total's
-polygon is built once.
+elements reaching it, ascending as the fold builds them.  The fold is
+integer arithmetic: each candidate's lambda-scaled int triples, duals
+included, are coded once as an int with one digit per slope, given out
+in slope order before the fold and wide enough for the height 2g of
+every total; a partial total is the sum of its candidates' codes, and
+each distinct total's polygon is built once.
 The rows of that map are keyed by each total's int triples, so a
 polygon finds its row by hashing ints alone.  An element's length is
 the sum of its candidates' lengths, and the covers of the set are the
@@ -145,17 +145,22 @@ class KottwitzSet:
     chain from it up to the top; in a product poset that is the sum of
     the per-factor lengths (see `_chain_lengths`), kept in ``lengths``.
 
-    No polygon is kept per element.  One fold over the factors maps
-    each distinct partial total to the indices reaching it: each partial
-    meets each candidate k of the next factor once, giving the indices
-    i * len(factor) + k.  Partials are visited in first-appearance order
-    and k < len(factor), so the dict keeps the totals in first-appearance
-    order.  A partial total is an int: before the fold, the i-th
-    smallest slope of the candidates' lambda-scaled int triples (duals
-    included; no polygon is built per candidate) is given the i-th digit,
-    wide enough for the height 2g of every total, and adding two codes
-    amalgamates their polygons.  So the fold hashes and adds only
-    ints, and each total's polygon is decoded once.
+    No polygon is kept per element.  One fold over the factors, last
+    to first, maps each distinct partial total to the indices reaching
+    it.  With ``place`` partial elements folded, candidate k of the next
+    factor meets every partial once and gives the indices
+    k * place + i, so the block of each k lies above those of the
+    smaller ones.  A total T meets at most one partial per k, namely
+    T minus the code of k, so every row comes out ascending.  The
+    blocks come in index order and the partials within one block in
+    theirs, so each total enters the dict at its least index: the
+    totals keep their first-appearance order.  A partial total is an
+    int: before the fold, the i-th smallest slope of the candidates'
+    lambda-scaled int triples (duals included; no polygon is built per
+    candidate) is given the i-th digit, wide enough for the height 2g
+    of every total, and adding two codes amalgamates their polygons.
+    So the fold hashes and adds only ints, and each total's polygon is
+    decoded once.
     `totals` hands out the decoded totals, and each total's row is keyed
     by its int triples, so a lookup hashes no Fraction.
     The cap bounds the running product of the factor sizes, checked
@@ -194,16 +199,16 @@ class KottwitzSet:
         digit = {slope: i * bits for i, slope in enumerate(slopes)}
         by_code = {0: [0]}
         lengths = [0]
-        for factor, steps in zip(pieces, self._factor_lengths):
-            codes = [sum(mult << digit[num, den] for num, den, mult in piece) for piece in factor]
-            size = len(factor)
+        for factor, steps in zip(reversed(pieces), reversed(self._factor_lengths)):
+            place = len(lengths)  # elements of the later factors, already folded
             folded: dict[int, list[int]] = {}
-            for partial, indices in by_code.items():
-                base = [i * size for i in indices]
-                for k, code in enumerate(codes):
-                    folded.setdefault(partial + code, []).extend([b + k for b in base])
+            for k, piece in enumerate(factor):
+                code = sum(mult << digit[num, den] for num, den, mult in piece)
+                offset = k * place
+                for partial, indices in by_code.items():
+                    folded.setdefault(partial + code, []).extend([offset + i for i in indices])
             by_code = folded
-            lengths = [n + s for n in lengths for s in steps]
+            lengths = [s + n for s in steps for n in lengths]
         self._totals, rows = _decode_totals(by_code, slopes, bits, height)
         self._rows = {t._triples: indices for t, indices in zip(self._totals, rows)}
         self.lengths = tuple(lengths)
@@ -308,12 +313,13 @@ def _decode_totals(
     bits: int,
     height: int,
 ) -> tuple[tuple[NewtonPolygon, ...], tuple[tuple[int, ...], ...]]:
-    """Each distinct total's polygon, built once, and its sorted indices.
+    """Each distinct total's polygon, built once, and its indices as folded.
 
-    Both tuples follow the order of ``by_code``.  ``slopes`` lists each
-    slope as its reduced (num, den) pair, by increasing slope, and digit
-    i, the ``bits`` bits from bit i * bits up, holds the multiplicity of
-    ``slopes[i]``; the code is read by shifting it down one digit at a
+    Both tuples follow the order of ``by_code``, and the fold builds
+    each row ascending.  ``slopes`` lists each slope as its reduced
+    (num, den) pair, by increasing slope, and digit i, the ``bits`` bits
+    from bit i * bits up, holds the multiplicity of ``slopes[i]``; the
+    code is read by shifting it down one digit at a
     time.  A digit that overflowed would carry into the next one or out
     of the last and lose height, so every total must have the set's height.
     """
@@ -331,7 +337,7 @@ def _decode_totals(
         if decoded != height:
             raise DomainError(f"a total decoded to height {decoded}, not {height}")
         totals.append(NewtonPolygon._trusted(tuple(triples)))
-        rows.append(tuple(sorted(indices)))
+        rows.append(tuple(indices))
     return tuple(totals), tuple(rows)
 
 

@@ -1,5 +1,7 @@
 """Tests for the bundled family table and its reproduction routines."""
 
+import math
+
 import pytest
 
 from npcc import (
@@ -19,6 +21,7 @@ from npcc import (
     signature,
     worked_clutch_example,
 )
+from npcc.catalog import _classes_reaching_minus_one
 
 
 def test_twenty_families_load():
@@ -109,6 +112,27 @@ def test_normalization_identifies_unit_multiples():
     # the catalog matcher keys on this normal form
     fam = moonen_family(11)
     assert normalize(MonodromyDatum(5, (2, 1, 1, 1))) == normalize(fam.datum)
+
+
+def classes_reaching_minus_one(m):
+    """Units c > 1 mod m with some power -1 mod m, by walking c's powers."""
+    out = []
+    for c in range(2, m):
+        if math.gcd(c, m) != 1:
+            continue
+        x = c
+        while x != 1:
+            if x == m - 1:
+                out.append(c)
+                break
+            x = x * c % m
+    return tuple(out)
+
+
+def test_classes_reaching_minus_one_match_the_power_walk():
+    for m in range(2, 200):
+        assert _classes_reaching_minus_one(m) == classes_reaching_minus_one(m), m
+    assert _classes_reaching_minus_one(7) == (3, 5, 6)
 
 
 def test_reproduce_appendix():

@@ -692,6 +692,32 @@ def test_an_over_long_value_is_given_as_its_length(capsys, argv, code, line):
     assert all(len(text) < 200 for text in err.splitlines())
 
 
+@pytest.mark.parametrize(
+    "argv, code, tail",
+    [
+        (["foo"], 2, "'condition-u', 'moonen', 'clutch-demo')"),
+        (["genus", "--datum", "3:3:1,1,1"] + ["a"] * 500, 2, " a a"),
+        (["orbits", "--m", "5", "--p-class", "2", "--bogus"] + [f"--x{i}" for i in range(100)],
+         2, " --x98 --x99"),
+        (["genus", "--datum", "3:1001:" + ",".join(["1"] * 1001)], 1,
+         "error: entries (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,"
+         " 1, 1, 1, 1, 1, 1, 1<2893 characters> 1, 1, 1, 1, 1, 1) do not sum to 0 mod 3"),
+        (["generate", "--datum", "6:600:" + ",".join(["2", "4"] * 300), "--p-class", "1"], 1,
+         "error: datum (2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4, 2, 4,"
+         " 2, 4, 2, 4, 2, 4, 2, <1687 characters>, 2, 4, 2, 4, 2, 4) mod 6 is imprimitive"),
+    ],
+    ids=["unknown-command", "many-arguments", "many-options", "long-entries", "long-datum"],
+)
+def test_an_over_long_line_keeps_its_ends(capsys, argv, code, tail):
+    # A line long without any long word keeps its first 100 and last 40
+    # characters of the message, with the length of the cut between them.
+    got, out, err = run(capsys, argv)
+    last = err.splitlines()[-1]
+    assert (got, out, last.endswith(tail)) == (code, "", True), last
+    assert " characters>" in last
+    assert all(len(text) < 200 for text in err.splitlines())
+
+
 def test_generate_replay_refuses_an_over_long_json_integer(capsys, tmp_path):
     path = tmp_path / "long.json"
     path.write_text('{"version": 1, "p_class": ' + LONG + "}", encoding="utf-8")

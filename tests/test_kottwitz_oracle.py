@@ -183,6 +183,19 @@ def _assert_agrees(datum: MonodromyDatum, p: int) -> None:
 
 def test_fold_matches_oracle_on_worked_example():
     _assert_agrees(MonodromyDatum(8, (2, 2, 2, 5, 5)), 7)
+    # Three factors, 1638 elements: each row holds the ascending indices
+    # whose pieces sum to its total, and the totals come in order of
+    # first appearance over the indices.
+    datum = MonodromyDatum.from_text("21:7:1,1,1,1,1,1,15")
+    ks, oracle = kottwitz_set(datum, 2), OracleSet(datum, 2)
+    assert len(ks.factors) == 3 and len(ks) == 1638
+    assert [ks[i] for i in range(len(ks))] == oracle.components
+    rows: dict = {}
+    for i, total in enumerate(oracle.totals_by_element):
+        rows.setdefault(total, []).append(i)
+    assert list(ks.totals()) == list(rows)
+    for total, indices in rows.items():
+        assert list(ks.elements_with_total(total)) == indices
 
 
 def test_fold_matches_oracle_on_seeded_sample():
