@@ -492,8 +492,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--datum", required=True)
 
     sp = new("orbits", _cmd_orbits, _text_orbits, "orbits of multiplication by p mod m")
-    sp.add_argument("--m", type=int, help="modulus (or derive it from --datum)")
-    sp.add_argument("--datum", help="optional datum; adds per-orbit g values")
+    source = sp.add_mutually_exclusive_group()
+    source.add_argument("--m", type=int, help="modulus (or derive it from --datum)")
+    source.add_argument("--datum", help="optional datum; adds per-orbit g values")
     _add_residue_group(sp)
 
     sp = new(

@@ -63,8 +63,6 @@ def _lcm_split(g1: MonodromyDatum, g2: MonodromyDatum) -> tuple[int, int, int]:
 
 def check_admissible(g1: MonodromyDatum, g2: MonodromyDatum) -> bool:
     """Do the last entry of g1 and the first of g2 cancel after induction?"""
-    g1.validate()
-    g2.validate()
     m3, d1, d2 = _lcm_split(g1, g2)
     return (d1 * g1.a[-1] + d2 * g2.a[0]) % m3 == 0
 
@@ -154,10 +152,9 @@ def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
     if epsilon < 0:
         raise DomainError("defect must be nonnegative")
 
-    entries = tuple((d1 * x) % m3 for x in g1.a[:-1]) + tuple(
-        (d2 * x) % m3 for x in g2.a[1:]
-    )
-    gamma3 = MonodromyDatum(m3, entries, generalized=any(e == 0 for e in entries))
+    # d1 * x < m3 for an entry x < m1, so entries stay reduced and 0 only where x is.
+    entries = tuple(d1 * x for x in g1.a[:-1]) + tuple(d2 * x for x in g2.a[1:])
+    gamma3 = MonodromyDatum(m3, entries, generalized=0 in entries)
 
     f1d, f2d = signature(g1).induced(d1).values, signature(g2).induced(d2).values
     defect = (_defect_at(d1, d2, r0, n, m3) for n in range(1, m3))

@@ -262,7 +262,7 @@ def _padded_chain(datum, claim, mu_claim, p, n):
 def _moonen_match(datum):
     from .catalog import moonen_families
 
-    if any(v % datum.m == 0 for v in datum.a):
+    if 0 in datum.a:
         return None
     key = normalize(datum)
     for fam in moonen_families():
@@ -476,8 +476,8 @@ def double_induction(
     if pair is None:
         raise GeneratorError("no complementary pair between the two data")
     i0, j0 = pair
-    v1 = f1.datum.a[i0] % m
-    v2 = f2.datum.a[j0] % m
+    v1 = f1.datum.a[i0]
+    v2 = f2.datum.a[j0]
     r = _gcd_m(v1, m)
     a_datum, a_np = _padded_chain(f1.datum, f1.claimed_np, True, p, n1)
     assumptions = list(f1.assumptions)

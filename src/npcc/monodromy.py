@@ -1,9 +1,9 @@
 """Monodromy data for cyclic covers of the projective line.
 
-A datum (m, N, a) records a degree-m cyclic cover branched over N
-points with local monodromy a = (a(1), ..., a(N)), entries mod m
-summing to 0 mod m.  Zero entries mark unbranched labels and are only
-legal on generalized data (degenerate fibers of clutching families).
+A datum (m, N, a) records a degree-m cyclic cover, m >= 2, branched
+over N >= 3 points with local monodromy a = (a(1), ..., a(N)), entries
+mod m summing to 0 mod m.  Zero entries mark unbranched labels and are
+only legal on generalized data (degenerate fibers of clutching families).
 
 The signature of a datum assigns to each residue n mod m the dimension
 f(n) of the corresponding character eigenspace of differentials.
@@ -59,7 +59,7 @@ def _gcd_m(value: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class MonodromyDatum:
-    """Branching datum (m, N, a) of a cyclic cover of the line."""
+    """Branching datum (m, N, a) of a cyclic cover; checked when it is made."""
 
     m: int
     a: tuple[int, ...]
@@ -69,26 +69,26 @@ class MonodromyDatum:
         if self.m < 1:
             raise InvalidDatumError(f"m = {self.m} < 1")
         object.__setattr__(self, "a", tuple(int(x) % self.m for x in self.a))
-
-    @property
-    def N(self) -> int:
-        return len(self.a)
-
-    def validate(self, require_primitive: bool = False) -> "MonodromyDatum":
-        """Check the datum constraints, returning self for chaining.
-
-        Primitivity (gcd of the entries and m equal to 1) is optional
-        because data induced along a group extension are intentionally
-        imprimitive.
-        """
         if self.m < 2:
             raise InvalidDatumError(f"m = {self.m} < 2")
         if self.N < 3:
             raise InvalidDatumError(f"N = {self.N} < 3")
         if sum(self.a) % self.m:
             raise InvalidDatumError(f"entries {self.a} do not sum to 0 mod {self.m}")
-        if not self.generalized and any(x == 0 for x in self.a):
+        if not self.generalized and 0 in self.a:
             raise InvalidDatumError(f"zero entry in non-generalized datum {self.a}")
+
+    @property
+    def N(self) -> int:
+        return len(self.a)
+
+    def validate(self, require_primitive: bool = False) -> "MonodromyDatum":
+        """Check primitivity if asked, returning self for chaining.
+
+        The shape of the datum was checked when it was made.  Primitivity
+        (gcd of the entries and m equal to 1) is optional because data
+        induced along a group extension are intentionally imprimitive.
+        """
         if require_primitive and math.gcd(self.m, *self.a) != 1:
             raise InvalidDatumError(f"datum {self.a} mod {self.m} is imprimitive")
         return self
@@ -171,12 +171,12 @@ class Signature:
 
 # A chain joint asks for the signature of the datum glued so far in
 # clutch_data, check_balanced and the slope-span check, and the next
-# joint asks for it again as one side of its pair.  An invalid datum
-# raises, so it is never cached; bounded because a key holds up to
-# MAX_BRANCH_POINTS entries and a value up to MAX_MODULUS - 1.
+# joint asks for it again as one side of its pair.  A call that raises
+# is not cached; bounded because a key holds up to MAX_BRANCH_POINTS
+# entries and a value up to MAX_MODULUS - 1.
 @functools.lru_cache(maxsize=32)
 def signature(datum: MonodromyDatum) -> Signature:
-    """Eigenspace dimensions of a validated datum.
+    """Eigenspace dimensions of a datum.
 
     For a residue n with n*a(i) nonzero mod m for at least one i the
     dimension is -1 + sum_i <-n*a(i)/m> with <.> the fractional part.
@@ -189,7 +189,6 @@ def signature(datum: MonodromyDatum) -> Signature:
     equal parts, so the sum runs over the distinct entries with their
     counts: a glued chain datum has three, whatever its N.
     """
-    datum.validate()
     m = datum.m
     counts = collections.Counter(datum.a).items()
     vals = []
@@ -217,7 +216,6 @@ def genus(datum: MonodromyDatum) -> int:
     copies' genera.  That g is the total of the signature; d = 1 is the
     usual genus of a connected cover.
     """
-    datum.validate()
     m = datum.m
     rhs = (datum.N - 2) * m - sum(_gcd_m(ai, m) for ai in datum.a)
     if rhs % 2:
@@ -239,7 +237,6 @@ def normalize(datum: MonodromyDatum) -> tuple[int, ...]:
     Two data with the same normalization differ by relabeling branch
     points and replacing the cover's group generator.
     """
-    datum.validate()
     m = datum.m
     best = None
     for u in range(1, m):
@@ -262,6 +259,6 @@ def pad_last(datum: MonodromyDatum) -> MonodromyDatum:
 
 
 def strip_zeros(datum: MonodromyDatum) -> MonodromyDatum:
-    """Drop unbranched labels; the result may or may not stay generalized."""
+    """The non-generalized datum of the branched labels; raises below three."""
     kept = tuple(x for x in datum.a if x)
     return MonodromyDatum(datum.m, kept, generalized=False)

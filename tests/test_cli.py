@@ -81,6 +81,12 @@ def test_orbits_needs_modulus(capsys):
     assert "orbits needs --m or --datum" in err
 
 
+def test_orbits_takes_one_of_modulus_and_datum(capsys):
+    code, out, err = run(capsys, ["orbits", "--m", "7", "--datum", "5:3:1,1,3", "--p-class", "2"])
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --datum: not allowed with argument --m\n")
+
+
 def test_muord_text(capsys):
     code, out, _ = run(
         capsys, ["muord", "--datum", "8:4:4,2,5,5", "--p-class", "7"]
@@ -365,6 +371,18 @@ def test_generate_replay_malformed(capsys, tmp_path, text):
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_generate_replay_names_the_step_of_a_bad_datum(capsys, tmp_path):
+    code, out, _ = run(capsys, ["generate", "--datum", "7:3:1,1,5", "--p-class", "2"])
+    assert code == 0
+    cert = json.loads(out)
+    cert["steps"][0]["datum"]["a"] = [1, 1, 1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    code, out, err = run(capsys, ["generate", "--replay", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: step 'base_case': entries (1, 1, 1) do not sum to 0 mod 7\n"
 
 
 def test_generate_replay_missing_file(capsys, tmp_path):
@@ -773,6 +791,22 @@ def test_zero_modulus_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error: m = ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["muord", "--datum", "4:3:1,1,1", "--p", "2"],
+        ["clutch", "--datum1", "4:3:1,1,1", "--datum2", "4:3:3,1,0", "--p", "2"],
+        ["generate", "--datum", "4:3:1,1,1", "--p", "2"],
+        ["kottwitz", "--datum", "4:3:1,1,1", "--p", "2"],
+        ["prank-bound", "--datum", "4:3:1,1,1", "--p", "2"],
+    ],
+)
+def test_a_bad_datum_is_named_before_a_bad_prime(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: entries (1, 1, 1) do not sum to 0 mod 4\n"
 
 
 def _one_error_line_quickly(capsys, argv, message):

@@ -69,6 +69,40 @@ def test_datum_validation():
         MonodromyDatum(6, (2, 2, 2)).validate(require_primitive=True)
 
 
+@pytest.mark.parametrize(
+    "m, a, message",
+    [
+        (0, (1, 1, 1), "m = 0 < 1"),
+        (1, (1, 1, 1), "m = 1 < 2"),
+        (5, (1, 4), "N = 2 < 3"),
+        (5, (1, 1, 1), "entries (1, 1, 1) do not sum to 0 mod 5"),
+        (5, (1, 4, 0), "zero entry in non-generalized datum (1, 4, 0)"),
+        (5, (1, 4, 5), "zero entry in non-generalized datum (1, 4, 0)"),
+        # a datum wrong in two ways gets the first message in this order
+        (1, (1, 1), "m = 1 < 2"),
+        (5, (1, 1), "N = 2 < 3"),
+        (5, (1, 1, 0), "entries (1, 1, 0) do not sum to 0 mod 5"),
+    ],
+)
+def test_datum_is_checked_when_made(m, a, message):
+    makers = [
+        lambda: MonodromyDatum(m, a),
+        lambda: MonodromyDatum.from_json_obj({"m": m, "a": list(a)}),
+    ]
+    if not message.startswith("zero entry"):  # text marks a zero entry generalized
+        makers.append(lambda: MonodromyDatum.from_text(f"{m}:{len(a)}:{','.join(map(str, a))}"))
+    for make in makers:
+        with pytest.raises(InvalidDatumError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+def test_strip_zeros_refuses_fewer_than_three_branched_labels():
+    with pytest.raises(InvalidDatumError) as exc:
+        strip_zeros(MonodromyDatum(5, (0, 1, 4), generalized=True))
+    assert str(exc.value) == "N = 2 < 3"
+
+
 def test_signature_values_hand_checked():
     # fractional-part sums computed by hand
     assert signature(MonodromyDatum(4, (1, 1, 2))).values == (1, 0, 0)
@@ -215,10 +249,10 @@ def test_signature_matches_fraction_oracle():
 
 
 class _Unvalidated(MonodromyDatum):
-    """A datum whose validation is skipped, to reach the defensive checks."""
+    """A datum whose construction checks are skipped, to reach the defensive checks."""
 
-    def validate(self, require_primitive=False):
-        return self
+    def __post_init__(self):
+        pass
 
 
 @pytest.mark.parametrize("a", [(1,), (1, 1), (1, 1, 1), (2, 3, 4, 4)])
@@ -239,10 +273,10 @@ def test_signature_cache_matches_its_body():
 
 
 def test_signature_errors_are_not_cached():
-    for bad in (MonodromyDatum(5, (1, 1, 1)), MonodromyDatum(5, (1, 4, 0))):
-        for _ in range(2):
-            with pytest.raises(InvalidDatumError):
-                signature(bad)
+    bad = _Unvalidated(5, (1, 1, 1))
+    for _ in range(2):
+        with pytest.raises(InvalidDatumError):
+            signature(bad)
 
 
 def _signature_all_entries(datum):
