@@ -135,7 +135,7 @@ def moonen_families() -> tuple[MoonenFamily, ...]:
         for label, d in grouped.items()
     )
     for fam in families:
-        fam.datum.validate(require_primitive=True)
+        fam.datum.validate()
         if len(fam.f) != fam.m - 1:
             raise DomainError(f"{fam.label} signature has wrong length")
         g = fam.genus

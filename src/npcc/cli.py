@@ -75,8 +75,6 @@ def _is_prime(n: int) -> bool:
 
 def _residue(args: argparse.Namespace, m: int) -> int:
     """Reduce --p or --p-class mod m, validating --p as an actual prime."""
-    if m < 2:
-        raise DomainError(f"m = {m} < 2")
     if getattr(args, "p", None) is not None:
         p = args.p
         if p >= P_BOUND:
@@ -129,6 +127,8 @@ def _cmd_orbits(args: argparse.Namespace) -> dict:
         f = signature(datum)
     elif args.m is not None:
         m = check_modulus(args.m)
+        if m < 2:
+            raise DomainError(f"m = {m} < 2")
     else:
         raise DomainError("orbits needs --m or --datum")
     c = _residue(args, m)

@@ -135,8 +135,8 @@ def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
     Both data must be primitive: the genus recursion holds for connected
     covers, and an imprimitive datum is a disjoint union of copies.
     """
-    g1.validate(require_primitive=True)
-    g2.validate(require_primitive=True)
+    g1.validate()
+    g2.validate()
     if not check_admissible(g1, g2):
         raise NotAdmissibleError(
             f"{g1} and {g2} do not cancel at the clutching point"

@@ -8,7 +8,6 @@ __all__ = [
     "DomainError",
     "PolygonSyntaxError",
     "EndpointMismatchError",
-    "EmptyPolygonError",
     "AsymmetricPolygonError",
     "InvalidDatumError",
     "BadResidueError",
@@ -32,10 +31,6 @@ class PolygonSyntaxError(DomainError):
 
 class EndpointMismatchError(DomainError):
     """Comparison of polygons with different endpoints; the order is undefined there."""
-
-
-class EmptyPolygonError(DomainError):
-    """Slope queries on the empty polygon."""
 
 
 class AsymmetricPolygonError(DomainError):

@@ -87,7 +87,7 @@ class CertifiedFamily:
     payload_codim: int | None = None
 
     def __post_init__(self):
-        self.datum.validate(require_primitive=True)
+        self.datum.validate()
         m = self.datum.m
         p = self.p_class % m
         if math.gcd(p, m) != 1:
@@ -286,7 +286,7 @@ def base_case(
     bounds that Kottwitz set as in kottwitz_set.  Raises
     NotABaseCaseError when no check applies.
     """
-    datum.validate(require_primitive=True)
+    datum.validate()
     _check_cap(cap)  # also where the clauses below never read it
     u = mu_ordinary(datum, p_class)
     m, big_n = datum.m, datum.N
@@ -327,7 +327,7 @@ def payload_base(
     assumption, in the usual reading that the prime is sufficiently
     large within its class.
     """
-    datum.validate(require_primitive=True)
+    datum.validate()
     ks = kottwitz_set(datum, p_class, cap=cap)
     try:
         codim = ks.codim_of_polygon(polygon)
@@ -699,8 +699,8 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
     or mistyped field, or double_induction steps nested more than
     MAX_REPLAY_DEPTH deep), when a step would exceed MAX_BRANCH_POINTS,
     or when the replayed certificate differs from the recorded one in
-    any field it writes, JSON types included.  _depth counts the
-    enclosing certificates of a nested one.
+    any field it writes, JSON types included, or the field is missing.
+    _depth counts the enclosing certificates of a nested one.
     """
     if not isinstance(cert, dict):
         raise GeneratorError("certificate must be a JSON object")
@@ -729,6 +729,6 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
     if fam is None:
         raise GeneratorError("empty derivation")
     for key, value in fam.certificate().items():
-        if not _same_json(cert.get(key), value):
+        if key not in cert or not _same_json(cert[key], value):
             raise GeneratorError(f"replay produced a different {key}")
     return fam

@@ -82,14 +82,15 @@ class MonodromyDatum:
     def N(self) -> int:
         return len(self.a)
 
-    def validate(self, require_primitive: bool = False) -> "MonodromyDatum":
-        """Check primitivity if asked, returning self for chaining.
+    def validate(self) -> "MonodromyDatum":
+        """Check primitivity, returning self for chaining.
 
         The shape of the datum was checked when it was made.  Primitivity
-        (gcd of the entries and m equal to 1) is optional because data
-        induced along a group extension are intentionally imprimitive.
+        (gcd of the entries and m equal to 1) is checked apart from it
+        because data induced along a group extension are intentionally
+        imprimitive.
         """
-        if require_primitive and math.gcd(self.m, *self.a) != 1:
+        if math.gcd(self.m, *self.a) != 1:
             raise InvalidDatumError(f"datum {self.a} mod {self.m} is imprimitive")
         return self
 
@@ -120,12 +121,14 @@ class MonodromyDatum:
 
     @classmethod
     def from_json_obj(cls, obj) -> "MonodromyDatum":
+        """The datum of {"m", "a", "generalized"}: m and each entry a JSON
+        integer (a bool is not one), "generalized" a JSON boolean or absent."""
         try:
-            m = int(obj["m"])
-            a = tuple(int(x) for x in obj["a"])
-            generalized = bool(obj.get("generalized", False))
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
+            m, a, generalized = obj["m"], tuple(obj["a"]), obj.get("generalized", False)
+        except (KeyError, TypeError) as exc:
             raise InvalidDatumError(f"bad datum JSON: {obj!r}") from exc
+        if any(type(v) is not int for v in (m, *a)) or type(generalized) is not bool:
+            raise InvalidDatumError(f"bad datum JSON: {obj!r}")
         return cls(check_modulus(m), a, generalized)
 
     def __str__(self) -> str:

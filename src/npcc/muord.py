@@ -93,10 +93,6 @@ class OrbitPolygon:
     def is_empty(self) -> bool:
         return not self._pairs
 
-    def value_at(self, x: int) -> Fraction | int:
-        v, scale = self._grid[x], self._scale
-        return v // scale if v % scale == 0 else Fraction(v, scale)
-
     def lies_on_or_above(self, other: "OrbitPolygon") -> bool:
         """Pointwise comparison; integer grid points suffice since all
         vertices of both polygons are lattice points."""
@@ -108,17 +104,11 @@ class OrbitPolygon:
         a, b = self._scale, other._scale
         return all(u * b >= v * a for u, v in zip(self._grid, other._grid))
 
-    def _dual_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((self.orbit.size * w - r, w) for r, w in reversed(self._pairs))
-
-    def dual(self) -> "OrbitPolygon":
-        """The polygon of the dual orbit, slopes s -> |o| - s."""
-        return OrbitPolygon._of_pairs(self.orbit.dual(), self._dual_pairs())
-
     @property
     def is_self_symmetric(self) -> bool:
         """Invariance of the slope multiset under s -> |o| - s."""
-        return self._pairs == self._dual_pairs()
+        size = self.orbit.size
+        return self._pairs == tuple((size * w - r, w) for r, w in reversed(self._pairs))
 
     def _lambda_triples(self, dual: bool = True) -> list[tuple[int, int, int]]:
         """(num, den, mult) of the lambda-scaled slopes, unmerged.
@@ -140,10 +130,6 @@ class OrbitPolygon:
         """The Newton polygon piece this orbit contributes."""
         # Validated orbit slopes strictly increase in [0, |o|], so these are canonical.
         return NewtonPolygon._trusted(tuple(self._lambda_triples(dual=False)))
-
-    def piece(self) -> NewtonPolygon:
-        """The lambda-scaled polygon, plus its dual when the orbit is not self-dual."""
-        return NewtonPolygon._trusted(_canonical(self._lambda_triples()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbitPolygon):

@@ -54,9 +54,6 @@ class Orbit:
     def is_self_dual(self) -> bool:
         return self.dual() is self
 
-    def __contains__(self, n: int) -> bool:
-        return n % self.m in self.members
-
     def __str__(self) -> str:
         return "{" + ",".join(str(n) for n in self.members) + "}"
 
@@ -79,9 +76,6 @@ class OrbitDecomposition:
     def representatives(self) -> tuple[Orbit, ...]:
         """One orbit per dual pair: the self-duals plus the smaller of each pair."""
         return tuple(o for o in self.orbits if o.min <= o.dual().min)
-
-    def __iter__(self):
-        return iter(self.orbits)
 
 
 def decompose(m: int, p: int) -> OrbitDecomposition:

@@ -7,10 +7,8 @@ Drawn as a lower convex graph it runs from (0, 0) to (height, degree),
 picking up each slope in increasing order.  All arithmetic is exact
 and in ints: slopes compare by cross-multiplying, and heights along
 the graph are counted in units of one over the lcm of the
-denominators.  The accessors that hand out slopes or heights
-(``segments``, ``degree``, ``breakpoints``, ``value_at`` and the
-first, last and middle slopes) build them as `fractions.Fraction`
-when asked for.
+denominators.  Only ``segments`` and ``degree`` hand out slopes or
+heights, built as `fractions.Fraction` when asked for.
 
 Text grammar (canonical form is produced by ``str``)::
 
@@ -32,14 +30,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
-from .errors import (
-    AsymmetricPolygonError,
-    EmptyPolygonError,
-    EndpointMismatchError,
-    PolygonSyntaxError,
-)
+from .errors import AsymmetricPolygonError, EndpointMismatchError, PolygonSyntaxError
 
 __all__ = ["NewtonPolygon", "parse", "EMPTY", "ORD", "SS"]
 
@@ -148,29 +141,6 @@ class NewtonPolygon:
         """Multiplicity of the slope 0."""
         return self.multiplicity(0)
 
-    def breakpoints(self) -> list[tuple[int, Fraction]]:
-        """Vertices of the lower convex graph, endpoints included."""
-        pts = [(0, Fraction(0))]
-        x, y = 0, Fraction(0)
-        for s, m in self.segments:
-            x += m
-            y += s * m
-            pts.append((x, y))
-        return pts
-
-    def value_at(self, x) -> Fraction:
-        """Height of the lower convex graph above x, for 0 <= x <= height."""
-        q = Fraction(x)
-        if not 0 <= q <= self.height:
-            raise EndpointMismatchError(f"x = {q} outside [0, {self.height}]")
-        run, y = 0, Fraction(0)
-        for s, m in self.segments:
-            if q <= run + m:
-                return y + s * (q - run)
-            run += m
-            y += s * m
-        return y
-
     # -- algebra ---------------------------------------------------------
 
     def amalgamate(self, other: "NewtonPolygon") -> "NewtonPolygon":
@@ -261,24 +231,6 @@ class NewtonPolygon:
             raise AsymmetricPolygonError(f"{self} has a non-integral breakpoint")
         return self.height // 2
 
-    def first_slope(self) -> Fraction:
-        if self.is_empty:
-            raise EmptyPolygonError("first slope of the empty polygon")
-        return Fraction(*self._triples[0][:2])
-
-    def last_slope(self) -> Fraction:
-        if self.is_empty:
-            raise EmptyPolygonError("last slope of the empty polygon")
-        return Fraction(*self._triples[-1][:2])
-
-    def middle_slope(self) -> Fraction:
-        """The ceil(q/2)-th of the q distinct slopes; needs a symmetric polygon."""
-        if self.is_empty:
-            raise EmptyPolygonError("middle slope of the empty polygon")
-        if not self.is_symmetric:
-            raise AsymmetricPolygonError(f"middle slope of asymmetric {self}")
-        return Fraction(*self._triples[(len(self._triples) + 1) // 2 - 1][:2])
-
     # -- text and JSON -----------------------------------------------------
 
     def canonical_text(self) -> str:
@@ -343,9 +295,6 @@ class NewtonPolygon:
 
     def __hash__(self) -> int:
         return hash(self.segments)
-
-    def __iter__(self) -> Iterator[tuple[Fraction, int]]:
-        return iter(self.segments)
 
     def __str__(self) -> str:
         return self.canonical_text()

@@ -7,6 +7,7 @@ tests already pin down, so these tests are about wiring and formatting.
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -233,6 +234,24 @@ def test_kottwitz_dot(capsys):
     assert doc["size"] == 4 and doc["p_class"] == 7
 
 
+def test_kottwitz_dot_is_refused_above_max_dot_elements(capsys):
+    big = ["kottwitz", "--datum", "20:6:14,9,19,19,8,11", "--p-class", "1"]
+    start = time.process_time()
+    code, out, err = run(capsys, [*big, "--dot"])
+    assert time.process_time() - start < 1  # refused before any DOT line is built
+    assert (code, out) == (1, "")
+    assert err == "error: a Hasse diagram of 960000 elements is above MAX_DOT_ELEMENTS = 10000\n"
+    over = ["kottwitz", "--datum", "20:6:7,1,15,18,12,7", "--p-class", "19", "--dot"]
+    code, out, err = run(capsys, over)
+    assert (code, out) == (1, "") and "of 20736 elements" in err
+    # A set of exactly MAX_DOT_ELEMENTS still draws, and the cap alone
+    # bounds the report without --dot.
+    at = ["kottwitz", "--datum", "13:6:7,9,11,3,12,10", "--p-class", "1", "--dot"]
+    code, out, err = run(capsys, at)
+    assert (code, err) == (0, "") and out.count("\n") == 65003
+    assert run_json(capsys, [*big, "--json"])["size"] == 960000
+
+
 def test_kottwitz_cap(capsys):
     code, _, err = run(
         capsys,
@@ -325,6 +344,14 @@ def test_generate_replay_roundtrip(capsys, tmp_path):
     assert "replayed: " in out
     assert "polygon: ord^14+ss^12" in out
     assert "verified: True" in out
+
+
+def test_generate_replay_reads_a_certificate_from_stdin(capsys, monkeypatch, tmp_path):
+    path = certificates(tmp_path)["cert"]
+    code, from_file, err = run(capsys, ["generate", "--replay", path])
+    assert (code, err) == (0, "") and len(from_file.splitlines()) == 3
+    monkeypatch.setattr(sys, "stdin", io.StringIO(Path(path).read_text(encoding="utf-8")))
+    assert run(capsys, ["generate", "--replay", "-"]) == (0, from_file, "")
 
 
 def test_generate_replay_tampered(capsys, tmp_path):
@@ -791,6 +818,12 @@ def test_zero_modulus_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert err.startswith("error: m = ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("m", [0, 1, -5])
+@pytest.mark.parametrize("residue", [["--p", "3"], ["--p-class", "1"]], ids=["p", "p-class"])
+def test_orbits_refuses_a_modulus_below_two(capsys, m, residue):
+    assert run(capsys, ["orbits", "--m", str(m), *residue]) == (1, "", f"error: m = {m} < 2\n")
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from npcc import (
     BadResidueError,
     CertificationError,
     CertifiedFamily,
+    DomainError,
     EnumerationCapError,
     GeneratorError,
     InvalidDatumError,
@@ -506,6 +508,74 @@ def test_replay_rejects_malformed_later_steps():
         bad["steps"].append(step)
         with pytest.raises(GeneratorError, match=message):
             replay(bad)
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "certificate_golden.json"
+
+# One constant of each JSON type.
+_JSON_CONSTANTS = (None, True, 0, 1.5, "x", [], {})
+
+
+def _json_nodes(value, path=()):
+    """(path, value) of every value in a JSON document, the document first."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from _json_nodes(child, path + (key,))
+
+
+def _single_edit(rng, cert):
+    """A copy of cert with one edit: a value given another JSON type, an
+    int moved by one, a key dropped or a list item dropped."""
+    edited = copy.deepcopy(cert)
+    nodes = list(_json_nodes(edited))
+    while True:
+        path, value = rng.choice(nodes)
+        kind = rng.choice(("retype", "nudge", "drop key", "drop item"))
+        if kind == "drop key" and isinstance(value, dict) and value:
+            del value[rng.choice(list(value))]
+        elif kind == "drop item" and isinstance(value, list) and value:
+            del value[rng.randrange(len(value))]
+        elif kind in ("retype", "nudge") and path and (kind == "retype" or type(value) is int):
+            parent = edited
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = (
+                rng.choice([c for c in _JSON_CONSTANTS if type(c) is not type(value)])
+                if kind == "retype" else value + rng.choice((-1, 1))
+            )
+        else:
+            continue
+        return edited
+
+
+def test_replay_refuses_or_reproduces_each_single_edit_of_the_golden_certificates():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    certs = list(golden["families"].values())
+    certs += [case["certificate"] for case in golden["cases"] if "certificate" in case]
+    rng = random.Random(20181104)
+    refusals = set()
+    for _ in range(4000):
+        edited = _single_edit(rng, rng.choice(certs))
+        try:
+            rebuilt = replay(edited).certificate()
+        except DomainError as exc:
+            refusals.add(str(exc))
+            continue
+        # Accepted only when replay gives back the very bytes it read.
+        assert json.dumps(rebuilt, sort_keys=True) == json.dumps(edited, sort_keys=True)
+    assert len(refusals) > 100  # the edits reach many different checks
+
+
+def test_replay_refuses_a_golden_certificate_missing_any_field():
+    # Every field replay writes must be present, a null "payload_codim" too.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    certs = [case["certificate"] for case in golden["cases"] if "certificate" in case]
+    assert sum("payload_codim" in cert and cert["payload_codim"] is None for cert in certs) > 0
+    for cert in certs:
+        for key in cert:
+            with pytest.raises(GeneratorError):
+                replay({k: v for k, v in cert.items() if k != key})
 
 
 def test_replay_refuses_a_modulus_above_the_bound():

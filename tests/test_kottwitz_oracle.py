@@ -65,6 +65,21 @@ def chain_lengths(candidates) -> list[int]:
     return lengths
 
 
+def piece(comp: OrbitPolygon) -> NewtonPolygon:
+    """The lambda-scaled polygon, plus its dual when the orbit is not self-dual."""
+    scaled = comp.lambda_scale()
+    return scaled if comp.orbit.is_self_dual else scaled + scaled.dual()
+
+
+def heights(poly) -> list[Fraction]:
+    """poly's height above x = 0..height, as a running Fraction sum of its slopes."""
+    ys = [Fraction(0)]
+    for s, w in poly.segments:
+        for _ in range(w):
+            ys.append(ys[-1] + s)
+    return ys
+
+
 class OracleSet:
     def __init__(self, datum: MonodromyDatum, p: int):
         f = signature(datum)
@@ -77,11 +92,8 @@ class OracleSet:
         for combo in itertools.product(*(range(len(c)) for c in factors)):
             comps = tuple(c[i] for c, i in zip(factors, combo))
             total = NewtonPolygon()
-            for rep, comp in zip(reps, comps):
-                piece = comp.lambda_scale()
-                total = total + piece
-                if not rep.is_self_dual:
-                    total = total + piece.dual()
+            for comp in comps:
+                total = total + piece(comp)
             self.components.append(comps)
             self.totals_by_element.append(total)
             self.lengths.append(sum(fl[i] for fl, i in zip(factor_lengths, combo)))
@@ -234,8 +246,8 @@ def test_lattice_count_matches_longest_chain():
 def lattice_prefix_counts(poly) -> list[int]:
     """Per-x sums of ceilings: entry k is the sum of ceil(poly(x)) over x < k."""
     counts = [0]
-    for x in range(poly.height + 1):
-        counts.append(counts[-1] + math.ceil(poly.value_at(x)))
+    for y in heights(poly):
+        counts.append(counts[-1] + math.ceil(y))
     return counts
 
 
@@ -276,12 +288,12 @@ def polygon_fold(ks: KottwitzSet) -> tuple[dict, list[int]]:
     by_total = {NewtonPolygon(): [0]}
     lengths = [0]
     for factor, steps in zip(ks.factors, ks._factor_lengths):
-        pieces = [c.piece() for c in factor]
+        pieces = [piece(c) for c in factor]
         folded: dict = {}
         for partial, indices in by_total.items():
             base = [i * len(factor) for i in indices]
-            for k, piece in enumerate(pieces):
-                folded.setdefault(partial + piece, []).extend(b + k for b in base)
+            for k, scaled in enumerate(pieces):
+                folded.setdefault(partial + scaled, []).extend(b + k for b in base)
         by_total = folded
         lengths = [n + s for n in lengths for s in steps]
     return {t: sorted(ix) for t, ix in by_total.items()}, lengths
@@ -472,6 +484,7 @@ def fraction_search(orbit, f) -> tuple[tuple, list]:
     big_g, big_d, size = mu.height, mu.degree, orbit.size
     if big_g == 0:
         return (mu,), [()]
+    lowest = heights(mu)
     found = []
 
     def rec(x, y, last, segs):
@@ -487,7 +500,7 @@ def fraction_search(orbit, f) -> tuple[tuple, list]:
                     continue
                 if slope > size:
                     break
-                if y2 < mu.value_at(x2):
+                if y2 < lowest[x2]:
                     continue
                 rest_w, rest_r = big_g - x2, big_d - y2
                 if rest_w == 0:
@@ -501,7 +514,7 @@ def fraction_search(orbit, f) -> tuple[tuple, list]:
     polys = [OrbitPolygon(orbit, segs) for segs in found]
     if orbit.is_self_dual:
         polys = [q for q in polys if q.is_self_symmetric]
-    polys.sort(key=lambda q: [q.value_at(x) for x in range(q.height + 1)])
+    polys.sort(key=heights)
     return tuple(polys), found
 
 

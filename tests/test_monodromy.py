@@ -40,6 +40,23 @@ def test_datum_json_round_trip():
     assert MonodromyDatum.from_json_obj(d.to_json_obj()) == d
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"m": 5, "a": [1, 4, 0], "generalized": "false"},
+        {"m": 5, "a": [True, 4, 0], "generalized": True},
+        {"m": 5.9, "a": [1, 4, 0], "generalized": True},
+        {"m": 5, "a": [1, 4, "0"], "generalized": True},
+    ],
+    ids=["generalized string", "entry bool", "m float", "entry string"],
+)
+def test_datum_json_takes_only_json_integers_and_booleans(obj):
+    # Read by int() and bool(), each would pass for the generalized datum 5:3:1,4,0.
+    with pytest.raises(InvalidDatumError) as raised:
+        MonodromyDatum.from_json_obj(obj)
+    assert str(raised.value) == f"bad datum JSON: {obj!r}"
+
+
 def test_read_data_are_bounded_by_the_modulus_bound():
     top = MonodromyDatum(MAX_MODULUS, (1, 1, MAX_MODULUS - 2))
     assert MonodromyDatum.from_text(top.text()) == top
@@ -54,19 +71,19 @@ def test_read_data_are_bounded_by_the_modulus_bound():
 
 def test_datum_validation():
     with pytest.raises(DomainError):
-        MonodromyDatum(1, (0, 0, 0)).validate()
+        MonodromyDatum(1, (0, 0, 0))
     with pytest.raises(DomainError):
-        MonodromyDatum(5, (1, 2)).validate()  # too few labels, bad sum
+        MonodromyDatum(5, (1, 2))  # too few labels, bad sum
     with pytest.raises(DomainError):
-        MonodromyDatum(5, (1, 4, 5)).validate()  # 5 reduces to a zero entry
+        MonodromyDatum(5, (1, 4, 5))  # 5 reduces to a zero entry
     # zero residues are fine on generalized data only
-    MonodromyDatum(5, (0, 1, 4), generalized=True).validate()
+    MonodromyDatum(5, (0, 1, 4), generalized=True)
     with pytest.raises(DomainError):
-        MonodromyDatum(5, (0, 1, 4)).validate()
+        MonodromyDatum(5, (0, 1, 4))
     # primitive means the entries and m have no common factor
-    MonodromyDatum(6, (1, 1, 4)).validate(require_primitive=True)
+    MonodromyDatum(6, (1, 1, 4)).validate()
     with pytest.raises(DomainError):
-        MonodromyDatum(6, (2, 2, 2)).validate(require_primitive=True)
+        MonodromyDatum(6, (2, 2, 2)).validate()
 
 
 @pytest.mark.parametrize(
@@ -201,7 +218,6 @@ def test_signature_rejects_mismatched_values():
 
 def _signature_by_fractions(datum):
     """The Fraction-per-branch-point signature; the oracle for signature()."""
-    datum.validate()
     m = datum.m
     vals = []
     for n in range(1, m):
@@ -281,7 +297,6 @@ def test_signature_errors_are_not_cached():
 
 def _signature_all_entries(datum):
     """The integer loop over all N entries; the oracle for the counted sum."""
-    datum.validate()
     m = datum.m
     vals = []
     for n in range(1, m):

@@ -34,6 +34,11 @@ def _orbit(m, p, n):
     return decompose(m, p).orbit_of(n)
 
 
+def _values(poly):
+    """Values on the integer grid, read from the scaled int grid."""
+    return [F(v, poly._scale) for v in poly._grid]
+
+
 def test_orbit_polygon_lattice_constraints():
     o = _orbit(8, 3, 1)  # {1,3}, size 2
     OrbitPolygon(o, [(F(1, 2), 2), (F(3, 2), 2)])
@@ -52,10 +57,7 @@ def test_orbit_polygon_geometry():
     q = OrbitPolygon(o, [(0, 1), (F(3, 2), 2)])
     assert q.height == 3
     assert q.degree == 3
-    assert q.value_at(0) == 0
-    assert q.value_at(1) == 0
-    assert q.value_at(2) == F(3, 2)
-    assert q.value_at(3) == 3
+    assert _values(q) == [0, 0, F(3, 2), 3]
     assert not q.is_empty
     assert OrbitPolygon(o, []).is_empty
 
@@ -68,10 +70,8 @@ def test_orbit_polygon_lambda_scale():
 
 def test_orbit_polygon_dual_and_symmetry():
     o = _orbit(8, 3, 1)  # {1,3}; dual is {5,7}
-    q = OrbitPolygon(o, [(0, 1), (1, 1)])
-    d = q.dual()
-    assert d.orbit.members == (5, 7)
-    assert d.segments == ((F(1), 1), (F(2), 1))
+    assert o.dual().members == (5, 7)
+    q = OrbitPolygon(o, [(0, 1), (1, 1)])  # its dual slopes are 1 and 2
     assert not q.is_self_symmetric
     sym = OrbitPolygon(o, [(F(1, 2), 2), (F(3, 2), 2)])
     assert sym.is_self_symmetric
@@ -171,7 +171,7 @@ def test_mu_ordinary_orbit_cache_matches_its_body():
             continue
         f = signature(MonodromyDatum(m, tuple(a) + (-sum(a) % m,)))
         p = rng.choice([q for q in range(1, m) if math.gcd(q, m) == 1])
-        for o in decompose(m, p):
+        for o in decompose(m, p).orbits:
             values = tuple(f(n) for n in o.members)
             body = _lowest_orbit_polygon.__wrapped__(o, values, g_of_orbit(o, f))
             assert mu_ordinary_orbit(o, f) == body
@@ -208,20 +208,18 @@ def test_orbit_polygon_grid_matches_the_fraction_sum():
             continue
         f = signature(MonodromyDatum(m, tuple(a) + (-sum(a) % m,)))
         p = rng.choice([q for q in range(1, m) if math.gcd(q, m) == 1])
-        polys += [mu_ordinary_orbit(o, f) for o in decompose(m, p)]
+        polys += [mu_ordinary_orbit(o, f) for o in decompose(m, p).orbits]
     o = _orbit(8, 3, 1)
     polys += [OrbitPolygon(o, [(F(1, 2), 2), (F(3, 2), 2)]), OrbitPolygon(o, [(F(2, 3), 3)])]
     for poly in polys:
-        grid = [poly.value_at(x) for x in range(poly.height + 1)]
-        assert grid == _fraction_grid(poly), poly
-        assert [hash(v) for v in grid] == [hash(v) for v in _fraction_grid(poly)]
+        assert _values(poly) == _fraction_grid(poly), poly
         # every vertex is a lattice point, and integral slopes stay integral
         x = 0
         for s, w in poly.segments:
             x += w
-            assert type(poly.value_at(x)) is int
+            assert poly._grid[x] % poly._scale == 0
             if s.denominator == 1:
-                assert all(type(poly.value_at(x - k)) is int for k in range(w))
+                assert all(poly._grid[x - k] % poly._scale == 0 for k in range(w))
 
 
 def test_mu_ordinary_cache_matches_a_fresh_assembly():

@@ -8,7 +8,7 @@ from pathlib import Path
 import npcc
 
 EXPORTS = """
-AsymmetricPolygonError BadResidueError DomainError EmptyPolygonError
+AsymmetricPolygonError BadResidueError DomainError
 EndpointMismatchError EnumerationCapError GeneratorError InconsistentSignatureError
 InvalidDatumError NotABaseCaseError NotAdmissibleError PolygonSyntaxError
 UnsupportedPairError EMPTY ORD SS NewtonPolygon parse MonodromyDatum Signature genus
@@ -28,7 +28,7 @@ __version__
 
 
 def test_exports_are_listed_once_and_resolve():
-    assert len(EXPORTS) == 81
+    assert len(EXPORTS) == 80
     assert len(npcc.__all__) == len(set(npcc.__all__))
     assert set(npcc.__all__) == set(EXPORTS) | {"CertificationError"}
     for name in npcc.__all__:

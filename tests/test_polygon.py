@@ -12,12 +12,12 @@ from npcc import (
     ORD,
     SS,
     AsymmetricPolygonError,
-    EmptyPolygonError,
     EndpointMismatchError,
     NewtonPolygon,
     PolygonSyntaxError,
     parse,
 )
+from test_polygon_oracle import FractionNewtonPolygon
 
 F = Fraction
 
@@ -143,20 +143,6 @@ def test_genus():
         _ = NewtonPolygon([(F(1, 3), 3)]).genus
 
 
-def test_value_at_breakpoints():
-    nu = parse("ord^2+ss^2")
-    # slopes in increasing order: 0,0,1/2,1/2,1/2,1/2,1,1
-    assert nu.value_at(0) == 0
-    assert nu.value_at(2) == 0
-    assert nu.value_at(4) == 1
-    assert nu.value_at(6) == 2
-    assert nu.value_at(8) == 4
-    assert nu.value_at(F(3)) == F(1, 2)
-    assert nu.breakpoints() == [(0, F(0)), (2, F(0)), (6, F(2)), (8, F(4))]
-    with pytest.raises(EndpointMismatchError):
-        nu.value_at(9)
-
-
 def test_integral_breakpoints():
     assert parse("ord^2+ss^3").has_integral_breakpoints
     assert NewtonPolygon([(F(1, 3), 1), (F(2, 3), 1)]).has_integral_breakpoints is False
@@ -177,7 +163,9 @@ def test_lies_on_or_above():
 
 
 def _lies_on_or_above_oracle(a, b):
-    """The former comparison: value_at at every breakpoint of either polygon."""
+    """The former comparison: the Fraction polygons' values at every
+    breakpoint of either."""
+    a, b = FractionNewtonPolygon(a.segments), FractionNewtonPolygon(b.segments)
     xs = {x for x, _ in a.breakpoints()} | {x for x, _ in b.breakpoints()}
     return all(a.value_at(x) >= b.value_at(x) for x in xs)
 
@@ -216,18 +204,6 @@ def test_lies_on_or_above_matches_breakpoint_oracle():
         assert b.lies_on_or_above(a) is below
         kinds["equal" if a == b else "nested" if above or below else "crossing"] += 1
     assert kinds == {"equal": 600, "nested": 1200, "crossing": 600}
-
-
-def test_first_last_middle_slope():
-    nu = parse("ord+(1/3,2/3)")
-    assert nu.first_slope() == F(0)
-    assert nu.last_slope() == F(1)
-    # distinct slopes are 0, 1/3, 2/3, 1; the middle one is the 2nd
-    assert nu.middle_slope() == F(1, 3)
-    odd = NewtonPolygon([(F(1, 2), 3)])
-    assert odd.middle_slope() == F(1, 2)
-    with pytest.raises(EmptyPolygonError):
-        EMPTY.first_slope()
 
 
 def test_json_round_trip():

@@ -13,11 +13,10 @@ and pairs with equal endpoints, both comparable and crossing.
 
 import random
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from npcc import (
     AsymmetricPolygonError,
-    EmptyPolygonError,
     EndpointMismatchError,
     NewtonPolygon,
     PolygonSyntaxError,
@@ -214,25 +213,6 @@ class FractionNewtonPolygon:
             raise AsymmetricPolygonError(f"{self} has a non-integral breakpoint")
         return self.height // 2
 
-    def first_slope(self) -> Fraction:
-        if self.is_empty:
-            raise EmptyPolygonError("first slope of the empty polygon")
-        return self._segments[0][0]
-
-    def last_slope(self) -> Fraction:
-        if self.is_empty:
-            raise EmptyPolygonError("last slope of the empty polygon")
-        return self._segments[-1][0]
-
-    def middle_slope(self) -> Fraction:
-        """The ceil(q/2)-th of the q distinct slopes; needs a symmetric polygon."""
-        if self.is_empty:
-            raise EmptyPolygonError("middle slope of the empty polygon")
-        if not self.is_symmetric:
-            raise AsymmetricPolygonError(f"middle slope of asymmetric {self}")
-        slopes = [s for s, _ in self._segments]
-        return slopes[(len(slopes) + 1) // 2 - 1]
-
     # -- text and JSON -----------------------------------------------------
 
     def canonical_text(self) -> str:
@@ -303,9 +283,6 @@ class FractionNewtonPolygon:
         except AttributeError:
             self._hash = hash(self._segments)
             return self._hash
-
-    def __iter__(self) -> Iterator[tuple[Fraction, int]]:
-        return iter(self._segments)
 
     def __str__(self) -> str:
         return self.canonical_text()
@@ -413,34 +390,27 @@ def _outcome(call):
     return ("returned", _shape(value))
 
 
-def _unary_calls(height):
-    xs = (-1, height // 2, height, Fraction(1, 3), Fraction(2 * height + 1, 2))
+def _unary_calls():
     calls = [
         ("segments", lambda p: p.segments),
         ("is_empty", lambda p: p.is_empty),
         ("height", lambda p: p.height),
         ("degree", lambda p: p.degree),
         ("p_rank", lambda p: p.p_rank),
-        ("breakpoints", lambda p: p.breakpoints()),
         ("is_symmetric", lambda p: p.is_symmetric),
         ("has_integral_breakpoints", lambda p: p.has_integral_breakpoints),
         ("genus", lambda p: p.genus),
-        ("first_slope", lambda p: p.first_slope()),
-        ("last_slope", lambda p: p.last_slope()),
-        ("middle_slope", lambda p: p.middle_slope()),
         ("canonical_text", lambda p: p.canonical_text()),
         ("str", str),
         ("repr", repr),
         ("to_json_obj", lambda p: p.to_json_obj()),
         ("from_json_obj", lambda p: type(p).from_json_obj(p.to_json_obj())),
         ("hash", hash),
-        ("iter", list),
         ("dual", lambda p: p.dual()),
         ("add other", lambda p: p.__add__(1)),
         ("eq other", lambda p: p.__eq__(None)),
     ]
     calls += [(f"multiplicity({s!r})", lambda p, s=s: p.multiplicity(s)) for s in PROBES]
-    calls += [(f"value_at({x})", lambda p, x=x: p.value_at(x)) for x in xs]
     calls += [(f"power({d})", lambda p, d=d: p.power(d)) for d in (-1, 0, 1, 3)]
     return calls
 
@@ -465,7 +435,7 @@ def test_every_method_matches_the_fraction_oracle_on_seeded_pairs():
         a, b = NewtonPolygon(a_segs), NewtonPolygon(b_segs)
         oa, ob = FractionNewtonPolygon(a_segs), FractionNewtonPolygon(b_segs)
         for new, old in ((a, oa), (b, ob)):
-            for label, call in _unary_calls(old.height):
+            for label, call in _unary_calls():
                 assert _outcome(lambda: call(new)) == _outcome(lambda: call(old)), label
             text = old.canonical_text()
             if not text.startswith("["):

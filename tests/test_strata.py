@@ -191,12 +191,28 @@ def expect_domain_error(call):
 
 strata.enumerate_orbit_component = lambda o, f, cap: enumerate_orbit_component(o, f, cap)[::-1]
 expect_domain_error(lambda: kottwitz_set(MonodromyDatum(8, (2, 2, 2, 5, 5)), 7))
+
+
+def bottom_not_last(o, f, cap):  # the last two candidates swapped; the top stays first
+    c = enumerate_orbit_component(o, f, cap)
+    return c[:-2] + c[-1:] + c[-2:-1]
+
+
+strata.enumerate_orbit_component = bottom_not_last  # the first factor at class 3 has three
+expect_domain_error(lambda: kottwitz_set(MonodromyDatum(8, (2, 2, 2, 5, 5)), 3))
 strata.enumerate_orbit_component = enumerate_orbit_component
 f = signature(MonodromyDatum(8, (4, 2, 5, 5)))
 orbit = decompose(8, 3).orbit_of(1)
 factor = enumerate_orbit_component(orbit, f)
 expect_domain_error(lambda: strata.KottwitzSet._chain_lengths(factor[::-1]))
-strata.mu_ordinary_orbit = lambda o, f: mu_ordinary_orbit(o, f).dual()
+
+
+def dual(q):  # q's polygon on the dual orbit, slopes s -> |o| - s
+    pairs = tuple((q.orbit.size * w - r, w) for r, w in reversed(q._pairs))
+    return strata.OrbitPolygon._of_pairs(q.orbit.dual(), pairs)
+
+
+strata.mu_ordinary_orbit = lambda o, f: dual(mu_ordinary_orbit(o, f))
 expect_domain_error(lambda: strata.enumerate_orbit_component(orbit, f))
 """
 
@@ -211,6 +227,7 @@ def test_order_checks_survive_python_O():
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
         "top must be maximum",
+        "bottom must be minimum",
         "every candidate must lie above the factor top",
         "mu-ordinary polygon must be the lowest candidate",
     ]
