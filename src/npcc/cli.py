@@ -34,7 +34,7 @@ from .generators import (
     replay,
     verify_family,
 )
-from .monodromy import MonodromyDatum, check_modulus, genus, signature
+from .monodromy import MonodromyDatum, _decimal, check_modulus, genus, signature
 from .muord import mu_ordinary, p_rank_bound
 from .orbits import decompose, g_of_orbit
 from .polygon import parse
@@ -346,7 +346,7 @@ def _cmd_moonen(args: argparse.Namespace) -> dict:
             ]
         }
     key = args.family
-    if key.isdecimal():
+    if key.isascii() and key.isdecimal():
         # Families are numbered 1..20, so a longer number names none;
         # refusing it here also keeps int() within its digit limit.
         digits = key.lstrip("0")
@@ -451,13 +451,21 @@ class _Parser(argparse.ArgumentParser):
         super().error(_shortened(message))
 
 
+def _int_arg(text: str) -> int:
+    """An int option's value, read as a datum's numbers are."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_residue_group(sp: argparse.ArgumentParser, required: bool = True) -> None:
     group = sp.add_mutually_exclusive_group(required=required)
     group.add_argument(
-        "--p", type=int, help="an actual prime below 3.3*10^24; reduced mod m"
+        "--p", type=_int_arg, help="an actual prime below 3.3*10^24; reduced mod m"
     )
     group.add_argument(
-        "--p-class", type=int, dest="p_class", help="a residue class coprime to m"
+        "--p-class", type=_int_arg, dest="p_class", help="a residue class coprime to m"
     )
 
 
@@ -493,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = new("orbits", _cmd_orbits, _text_orbits, "orbits of multiplication by p mod m")
     source = sp.add_mutually_exclusive_group()
-    source.add_argument("--m", type=int, help="modulus (or derive it from --datum)")
+    source.add_argument("--m", type=_int_arg, help="modulus (or derive it from --datum)")
     source.add_argument("--datum", help="optional datum; adds per-orbit g values")
     _add_residue_group(sp)
 
@@ -517,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = new("kottwitz", _cmd_kottwitz, _text_kottwitz, "enumerate the Kottwitz set")
     sp.add_argument("--datum", required=True)
-    sp.add_argument("--cap", type=int, help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
+    sp.add_argument("--cap", type=_int_arg, help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
     sp.add_argument("--dot", action="store_true", help="emit the Hasse diagram as DOT")
     _add_residue_group(sp)
 
@@ -538,9 +546,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--double-with", help="second datum for a crossed chain")
     sp.add_argument("--double-payload", help="non-generic polygon on the second datum")
-    sp.add_argument("--n1", type=int, help="copies of the first family")
-    sp.add_argument("--n2", type=int, help="copies of the second family")
-    sp.add_argument("--cap", type=int, help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
+    sp.add_argument("--n1", type=_int_arg, help="copies of the first family")
+    sp.add_argument("--n2", type=_int_arg, help="copies of the second family")
+    sp.add_argument("--cap", type=_int_arg, help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
     sp.add_argument("--replay", metavar="FILE", help="replay a certificate (- for stdin)")
     _add_residue_group(sp, required=False)
 

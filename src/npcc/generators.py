@@ -31,6 +31,7 @@ from .errors import (
 )
 from .monodromy import (
     MonodromyDatum,
+    _decimal,
     _gcd_m,
     genus,
     normalize,
@@ -648,7 +649,7 @@ class ChainOp(NamedTuple):
         if given != self.word or len(values) != len(ints) + len(flags):
             return None
         try:
-            return {**flags, **{key: int(v) for key, v in zip(ints, values)}}
+            return {**flags, **{key: _decimal(v) for key, v in zip(ints, values)}}
         except ValueError:
             return None
 

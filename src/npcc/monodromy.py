@@ -105,9 +105,9 @@ class MonodromyDatum:
         if len(parts) != 3:
             raise InvalidDatumError(f"datum text needs m:N:a1,...,aN, got {text!r}")
         try:
-            m = int(parts[0])
-            n = int(parts[1])
-            a = tuple(int(x) for x in parts[2].split(","))
+            m = _decimal(parts[0])
+            n = _decimal(parts[1])
+            a = tuple(_decimal(x) for x in parts[2].split(","))
         except ValueError as exc:
             raise InvalidDatumError(f"bad datum text {text!r}") from exc
         check_modulus(m)
@@ -133,6 +133,18 @@ class MonodromyDatum:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def _decimal(text: str) -> int:
+    """The int of an optional '-' and ASCII digits, and of nothing else.
+
+    int() also reads signs, spaces, underscores and non-ASCII digits;
+    the datum text, the CLI's int options and --step take none of them.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True)

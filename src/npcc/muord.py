@@ -60,6 +60,15 @@ class OrbitPolygon:
         """The polygon of (rise, width) int pairs, checked as __init__ checks."""
         return object.__new__(cls)._fill(orbit, pairs)
 
+    @classmethod
+    def _of_checked(
+        cls, orbit: Orbit, pairs: tuple[tuple[int, int], ...], grid: tuple[int, ...], scale: int
+    ) -> "OrbitPolygon":
+        """The polygon of pairs, grid and scale that `_fill` made on an orbit of this size."""
+        poly = object.__new__(cls)
+        poly.orbit, poly._pairs, poly._grid, poly._scale = orbit, pairs, grid, scale
+        return poly
+
     def _fill(self, orbit: Orbit, pairs: tuple[tuple[int, int], ...]) -> "OrbitPolygon":
         size = orbit.size
         for (prev_r, prev_w), (r, w) in zip(((-1, 1),) + pairs, pairs):  # -1: below any slope

@@ -42,9 +42,9 @@ _TERM_RE = re.compile(
     r"""^(?:
             (?P<ord>ord) |
             (?P<ss>ss) |
-            \(\s*(?P<n1>\d+)\s*/\s*(?P<d1>\d+)\s*,\s*(?P<n2>\d+)\s*/\s*(?P<d2>\d+)\s*\)
+            \(\s*(?P<n1>[0-9]+)\s*/\s*(?P<d1>[0-9]+)\s*,\s*(?P<n2>[0-9]+)\s*/\s*(?P<d2>[0-9]+)\s*\)
         )
-        (?:\^(?P<exp>\d+))?$""",
+        (?:\^(?P<exp>[0-9]+))?$""",
     re.VERBOSE,
 )
 

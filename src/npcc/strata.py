@@ -23,7 +23,8 @@ polygon finds its row by hashing ints alone.  An element's length is
 the sum of its candidates' lengths, and the covers of the set are the
 factors' covers lifted by index arithmetic.
 The factors come from a lattice path search whose bounds are integer
-floor divisions.
+floor divisions, and a factor depends only on its orbit's shape, so
+the factors of recently seen shapes are kept, within a fixed bound.
 
 The second half of the module measures how special a polygon is inside
 the full Siegel moduli space: the stratum codimension as a lattice
@@ -180,12 +181,13 @@ class KottwitzSet:
         self.p_class = dec.p_class
         self.signature = f
         self.reps = dec.representatives()
-        factors = []
+        factors, factor_lengths, pieces = [], [], []
         count = 1
         for rep in self.reps:
-            factor = enumerate_orbit_component(rep, f, cap)
-            _check_factor_order(factor)
+            factor, steps, triples = _factor(rep, f, cap)
             factors.append(factor)
+            factor_lengths.append(steps)
+            pieces.append(triples)
             count *= len(factor)
             if count > cap:
                 sizes = " x ".join(str(len(c)) for c in factors)
@@ -195,8 +197,7 @@ class KottwitzSet:
                     f"{sizes} = {count}; raise the cap"
                 )
         self.factors = tuple(factors)
-        self._factor_lengths = tuple(self._chain_lengths(c) for c in self.factors)
-        pieces = [[c._lambda_triples() for c in factor] for factor in self.factors]
+        self._factor_lengths = tuple(factor_lengths)
         distinct = {(num, den) for factor in pieces for piece in factor for num, den, _ in piece}
         slopes = sorted(distinct, key=_slope_order(distinct))
         # Digit i, of `bits` bits, holds the multiplicity of slopes[i].
@@ -277,7 +278,7 @@ class KottwitzSet:
         matches = self.elements_with_total(nu)
         if not matches:
             raise DomainError(f"polygon {nu} does not occur in this Kottwitz set")
-        return min(self.length(i) for i in matches)
+        return self.length(min(matches, key=self.lengths.__getitem__))
 
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Cover relations as (lower, upper) element indices.
@@ -353,6 +354,55 @@ def _decode_totals(
         totals.append(NewtonPolygon._trusted(tuple(triples)))
         rows.append(tuple(indices))
     return tuple(totals), tuple(rows)
+
+
+# The factors of the sets a report or a chain builds repeat: a factor
+# depends only on its mu-ordinary orbit polygon, |o|, self-duality and
+# the cap (the 111 seed-7 operations of the kottwitz-totals benchmark
+# build 595 factors of 65 such shapes).  So each shape's checked
+# candidates, chain lengths and lambda-scaled triples are kept, without
+# any Orbit or Signature, least recently used shape evicted first.  A
+# kept shape is rebuilt on the caller's orbit in a fraction of its
+# enumeration: on a 2-core Xeon host, 1 ms instead of 1.3 s for the 869
+# candidates of the orbit of 1 in 23:10:1,1,1,1,1,1,1,1,1,14 at class 5.
+# Bounded: at most MAX_MEMO_CANDIDATES candidates held in all, a larger
+# factor built every time.  A kept candidate takes 340 to 570 bytes
+# (tracemalloc, CPython 3.11), so the memo holds at most about 1.1 MiB;
+# those 111 operations leave 1,383 candidates in it.
+MAX_MEMO_CANDIDATES = 2048
+_FACTORS: dict[tuple, tuple] = {}
+
+
+def _factor(
+    rep: Orbit, f: Signature, cap: int
+) -> tuple[tuple[OrbitPolygon, ...], tuple[int, ...], tuple[tuple, ...]]:
+    """One factor of a Kottwitz set: its candidates, chain lengths and triples.
+
+    Each candidate's triples are its `OrbitPolygon._lambda_triples`.  A
+    shape seen before gives its candidates on ``rep`` without checking
+    them again: their checks read only the pairs and |o|, both in the key.
+    """
+    _check_cap(cap)  # before the key is hashed
+    mu = mu_ordinary_orbit(rep, f)
+    key = (mu._pairs, rep.size, rep.is_self_dual, cap)
+    entry = _FACTORS.pop(key, None)
+    if entry is None:
+        factor = enumerate_orbit_component(rep, f, cap)
+        _check_factor_order(factor)
+        lengths = KottwitzSet._chain_lengths(factor)
+        same: dict = {}  # equal triples of the factor's candidates, held once
+        triples = tuple(tuple(same.setdefault(t, t) for t in c._lambda_triples()) for c in factor)
+        if len(factor) > MAX_MEMO_CANDIDATES:
+            return factor, lengths, triples
+        held = sum(len(kept[0]) for kept in _FACTORS.values())
+        while held + len(factor) > MAX_MEMO_CANDIDATES:
+            held -= len(_FACTORS.pop(next(iter(_FACTORS)))[0])
+        shapes = zip(*((c._pairs, c._grid, c._scale) for c in factor))
+        entry = (lengths, triples, *shapes)
+    else:
+        factor = tuple(OrbitPolygon._of_checked(rep, *shape) for shape in zip(*entry[2:]))
+    _FACTORS[key] = entry  # last: the most recently used
+    return factor, entry[0], entry[1]
 
 
 def _check_factor_order(factor: tuple[OrbitPolygon, ...]) -> None:

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 
 import npcc
-from npcc import MonodromyDatum, base_case
+import npcc.catalog as catalog
+from npcc import ORD, MonodromyDatum, base_case
 from npcc.cli import P_BOUND, _is_prime, main
 from test_cli_golden import CASES, DATA, certificates, run_case
 
@@ -954,3 +955,56 @@ def test_cap_below_one_is_refused(capsys, argv, cap):
     code, out, err = run(capsys, argv + ["--cap", cap])
     assert code == 1 and out == ""
     assert err == f"error: the cap must be at least 1, not {cap}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["signature", "--datum", "1_1:3:1,1,9"], 1, "error: bad datum text '1_1:3:1,1,9'"),
+        (["signature", "--datum", " 5 : 3 : +1, 1,٣"], 1,
+         "error: bad datum text ' 5 : 3 : +1, 1,٣'"),
+        (["orbits", "--m", "1_5", "--p-class", "2"], 2,
+         "npcc orbits: error: argument --m: invalid int value: '1_5'"),
+        (["orbits", "--m", "١٥", "--p-class", "2"], 2,
+         "npcc orbits: error: argument --m: invalid int value: '١٥'"),
+        (["muord", "--datum", "5:3:1,1,3", "--p", " 2"], 2,
+         "npcc muord: error: argument --p: invalid int value: ' 2'"),
+        (["kottwitz", "--datum", "7:3:1,1,5", "--p-class", "2", "--cap", "+9"], 2,
+         "npcc kottwitz: error: argument --cap: invalid int value: '+9'"),
+        (["codim-ag", "--polygon", "ss^١"], 1, "error: cannot parse term 'ss^١'"),
+        (["generate", "--datum", "7:3:1,1,5", "--p-class", "2", "--step", "pad:1_1:2"], 1,
+         "error: unknown step 'pad:1_1:2'; use pad:T:N, self:N[:auto], or extend:C"),
+        (["moonen", "--family", "١٧"], 1, "error: unknown family ١٧"),
+    ],
+    ids=["underscore", "spaces-sign-arabic", "m-underscore", "m-arabic", "p-space",
+         "cap-plus", "polygon-digit", "step-underscore", "family-arabic"],
+)
+def test_numbers_are_an_optional_minus_and_ascii_digits(capsys, argv, code, line):
+    # int() would read each of these, and the call would run on the number.
+    got, out, err = run(capsys, argv)
+    assert (got, out, err.splitlines()[-1]) == (code, "", line)
+    assert sum("error:" in text for text in err.splitlines()) == 1
+
+
+def test_codim_ag_refuses_a_pair_out_of_order(capsys):
+    _one_error_line_quickly(
+        capsys, ["codim-ag", "--polygon", "(2/3,1/3)"],
+        "pair slopes out of order in '(2/3,1/3)'",
+    )
+
+
+def test_a_failed_clutch_demo_check_is_shown_and_exits_1(capsys, monkeypatch):
+    # one ord too many in every mu-ordinary polygon the example recomputes
+    real = catalog.mu_ordinary
+    monkeypatch.setattr(catalog, "mu_ordinary", lambda datum, p: real(datum, p) + ORD)
+    code, out, err = run(capsys, ["clutch-demo"])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("[FAIL]")] == [
+        "[FAIL] u1: got ord+ss, expected ss",
+        "[FAIL] u2: got ord^3+ss^3, expected ord^2+ss^3",
+        "[FAIL] u3: got ord^5+ss^5, expected ord^4+ss^5",
+    ]
+    assert lines[-1] == "ok=false"
+    code, out, _ = run(capsys, ["clutch-demo", "--json"])
+    assert code == 1 and json.loads(out)["ok"] is False

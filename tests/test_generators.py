@@ -29,6 +29,7 @@ from npcc import (
     genus,
     mu_ordinary,
     pad_and_clutch,
+    pad_last,
     parse,
     payload_base,
     replay,
@@ -83,6 +84,16 @@ def test_base_case_catalog_beats_p_rank_clause():
     f = base_case(MonodromyDatum(6, (1, 3, 4, 4)), 7)
     assert f.steps[0]["clause"] == "catalog:M[9]"
     assert f.claimed_np == parse("ord^3")
+
+
+def test_a_generalized_datum_matches_no_listed_family():
+    # M[16] with an unbranched label added is no listed family; its
+    # base case stands on the p-rank clause instead
+    listed = MonodromyDatum(5, (1, 1, 1, 1, 1))
+    padded = pad_last(listed)
+    assert generators._moonen_match(listed) == "M[16]"
+    assert generators._moonen_match(padded) is None
+    assert base_case(padded, 4).steps[0]["clause"] == "unique-max-p-rank:pm1"
 
 
 def test_base_case_refuses_unknown_family():

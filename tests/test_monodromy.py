@@ -35,6 +35,18 @@ def test_datum_basics():
     assert str(d) == d.text()
 
 
+@pytest.mark.parametrize(
+    "text", ["1_1:3:1,1,9", " 5 : 3 : 1,1,3", "5:3:+1,1,3", "5:3:1,1,٣", "5:3:1,1,3.0", "5:3:1,1,--3"],
+)
+def test_datum_text_takes_only_an_optional_minus_and_ascii_digits(text):
+    with pytest.raises(InvalidDatumError, match="^bad datum text"):
+        MonodromyDatum.from_text(text)
+
+
+def test_datum_text_keeps_a_minus_and_surrounding_space():
+    assert MonodromyDatum.from_text(" 5:3:1,-4,3\n") == MonodromyDatum(5, (1, 1, 3))
+
+
 def test_datum_json_round_trip():
     d = MonodromyDatum(8, (4, 2, 5, 5))
     assert MonodromyDatum.from_json_obj(d.to_json_obj()) == d

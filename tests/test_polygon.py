@@ -82,7 +82,8 @@ def test_parse_whitespace_tolerant():
 
 
 def test_parse_rejects_garbage():
-    for text in ["", "xyz", "ord^", "ord^0", "(1/3,1/3)", "(2/6,4/6)", "(1/3 , 1/2)"]:
+    for text in ["", "xyz", "ord^", "ord^0", "(1/3,1/3)", "(2/6,4/6)", "(1/3 , 1/2)",
+                 "ss^١", "(١/3,2/3)", "ss^²"]:
         with pytest.raises(PolygonSyntaxError):
             parse(text)
 

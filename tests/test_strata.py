@@ -11,6 +11,7 @@ import pytest
 import npcc
 import npcc.strata as strata
 from npcc import (
+    DEFAULT_ENUM_CAP,
     DomainError,
     EnumerationCapError,
     KottwitzSet,
@@ -164,11 +165,89 @@ def test_kottwitz_cap_stops_enumeration(monkeypatch):
         return enumerate_orbit_component(orbit, f, cap)
 
     monkeypatch.setattr(strata, "enumerate_orbit_component", counting)
+    monkeypatch.setattr(strata, "_FACTORS", {})  # no factor kept by an earlier test
     datum = MonodromyDatum(21, (1, 1, 1, 1, 1, 1, 15))
     with pytest.raises(EnumerationCapError, match=r"sizes 39 x 14 = 546"):
         kottwitz_set(datum, 2, cap=100)
     assert len(enumerated) == 2
     assert len(decompose(21, 2).representatives()) == 3
+
+
+# Sets whose factors share shapes across moduli: the orbits {1} of
+# 8:5:2,2,2,5,5 and 9:5:1,1,2,2,3 at class 1, and the self-dual orbits
+# of size 6 of 13:4:1,2,3,7 at class 4 and 9:4:1,2,3,3 at class 2.
+KEPT_SHAPES = [
+    ("8:5:2,2,2,5,5", 1), ("9:5:1,1,2,2,3", 1), ("13:4:1,2,3,7", 4),
+    ("9:4:1,2,3,3", 2), ("10:4:1,2,3,4", 3), ("13:4:1,2,3,7", 5),
+    ("21:7:1,1,1,1,1,1,15", 2), ("8:5:2,2,2,5,5", 1),
+]
+
+
+def _everything(ks):
+    candidates = [(c.orbit, c._pairs, c._grid, c._scale) for f in ks.factors for c in f]
+    rows = [ks.elements_with_total(t) for t in ks.totals()]
+    return candidates, ks._factor_lengths, ks.totals(), rows, ks.lengths
+
+
+def test_kept_factors_build_the_set_a_cold_build_does(monkeypatch):
+    cold = {}
+    for text, c in KEPT_SHAPES:
+        monkeypatch.setattr(strata, "_FACTORS", {})
+        cold[text, c] = _everything(kottwitz_set(MonodromyDatum.from_text(text), c))
+    enumerated = []
+
+    def counting(orbit, f, cap):
+        enumerated.append(orbit)
+        return enumerate_orbit_component(orbit, f, cap)
+
+    monkeypatch.setattr(strata, "enumerate_orbit_component", counting)
+    monkeypatch.setattr(strata, "_FACTORS", {})
+    kept = []  # factors per set built from a kept shape
+    for text, c in KEPT_SHAPES:
+        before = len(enumerated)
+        ks = kottwitz_set(MonodromyDatum.from_text(text), c)
+        assert _everything(ks) == cold[text, c]
+        assert all(q.orbit is rep for rep, f in zip(ks.reps, ks.factors) for q in f)
+        kept.append(len(ks.factors) - (len(enumerated) - before))
+    # a shape kept from another modulus, and the first set again, all kept
+    assert kept[1] >= 1 and kept[3] >= 1 and kept[-1] == 4
+
+
+def test_a_smaller_cap_on_a_kept_shape_names_the_callers_orbit(monkeypatch):
+    datum = MonodromyDatum.from_text("9:4:1,2,3,3")
+
+    def cap_error():
+        with pytest.raises(EnumerationCapError) as info:
+            kottwitz_set(datum, 2, cap=2)
+        return str(info.value)
+
+    monkeypatch.setattr(strata, "_FACTORS", {})
+    cold = cap_error()
+    assert cold.startswith("more than 2 candidates on orbit {1,2,4,5,7,8}")
+    kottwitz_set(MonodromyDatum.from_text("13:4:1,2,3,7"), 4)  # keeps the shape mod 13
+    kottwitz_set(datum, 2)  # and mod 9
+    assert cap_error() == cold
+
+
+def test_the_kept_factors_stay_within_their_bound(monkeypatch):
+    def kept():  # candidates per kept shape, least recently used first
+        return [len(entry[0]) for entry in strata._FACTORS.values()]
+
+    monkeypatch.setattr(strata, "MAX_MEMO_CANDIDATES", 17)
+    monkeypatch.setattr(strata, "_FACTORS", {})
+    # factors of 39, 14 and 3 candidates: the first is above the bound
+    big = MonodromyDatum.from_text("21:7:1,1,1,1,1,1,15")
+    kottwitz_set(big, 2)
+    assert kept() == [14, 3]
+    strata._factor(decompose(21, 2).representatives()[1], signature(big), DEFAULT_ENUM_CAP)
+    assert kept() == [3, 14]  # the 14 used again
+    # two factors of one new shape of 3 candidates: the 3, used least
+    # recently, goes
+    kottwitz_set(MonodromyDatum.from_text("13:4:1,2,3,7"), 4)
+    assert kept() == [14, 3]
+    for text, c in KEPT_SHAPES:
+        kottwitz_set(MonodromyDatum.from_text(text), c)
+        assert sum(kept()) <= 17
 
 
 ORDER_CHECKS_UNDER_O = """\
