@@ -92,10 +92,6 @@ def _residue(args: argparse.Namespace, m: int) -> int:
     raise DomainError("a residue class is required: pass --p or --p-class")
 
 
-def _cap(args: argparse.Namespace) -> int:
-    return DEFAULT_ENUM_CAP if args.cap is None else args.cap
-
-
 def _joined(values) -> str:
     return ",".join(str(v) for v in values)
 
@@ -186,7 +182,7 @@ def _cmd_prank_bound(args: argparse.Namespace) -> dict:
 def _cmd_kottwitz(args: argparse.Namespace) -> dict:
     datum = MonodromyDatum.from_text(args.datum)
     c = _residue(args, datum.m)
-    ks = kottwitz_set(datum, c, cap=_cap(args))
+    ks = kottwitz_set(datum, c, cap=args.cap)
     head = {"datum": datum.to_json_obj(), "p_class": ks.p_class, "size": len(ks)}
     if args.dot:
         return {**head, "dot": ks.hasse_dot()}
@@ -262,7 +258,7 @@ def _apply_step(fam, text: str):
 def _cmd_generate(args: argparse.Namespace) -> dict:
     if args.replay is not None:
         # Flags that build a family.
-        names = "datum payload step double_with double_payload n1 n2 p p_class cap".split()
+        names = "datum payload step double_with double_payload n1 n2 p p_class".split()
         clash = ["--" + n.replace("_", "-") for n in names if getattr(args, n) not in (None, [])]
         if clash:
             raise DomainError(f"--replay takes none of {', '.join(clash)}")
@@ -278,7 +274,7 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
             cert = json.loads(text)
         except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
             raise DomainError(f"certificate is not valid JSON: {exc}") from None
-        return {"replayed": True, "verify": verify_family(replay(cert))}
+        return {"replayed": True, "verify": verify_family(replay(cert, args.cap))}
     if args.double_with is None:
         for name in ("double_payload", "n1", "n2"):
             if getattr(args, name) is not None:
@@ -290,8 +286,8 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
 
     def start(datum: MonodromyDatum, payload: str | None):
         if payload is None:
-            return base_case(datum, c, cap=_cap(args))
-        return payload_base(datum, c, parse(payload), cap=_cap(args))
+            return base_case(datum, c, cap=args.cap)
+        return payload_base(datum, c, parse(payload), cap=args.cap)
 
     fam = start(datum, args.payload)
     for op in args.step:
@@ -525,7 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = new("kottwitz", _cmd_kottwitz, _text_kottwitz, "enumerate the Kottwitz set")
     sp.add_argument("--datum", required=True)
-    sp.add_argument("--cap", type=_int_arg, help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
+    sp.add_argument("--cap", type=_int_arg, default=DEFAULT_ENUM_CAP,
+                    help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
     sp.add_argument("--dot", action="store_true", help="emit the Hasse diagram as DOT")
     _add_residue_group(sp)
 
@@ -548,7 +545,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--double-payload", help="non-generic polygon on the second datum")
     sp.add_argument("--n1", type=_int_arg, help="copies of the first family")
     sp.add_argument("--n2", type=_int_arg, help="copies of the second family")
-    sp.add_argument("--cap", type=_int_arg, help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
+    sp.add_argument("--cap", type=_int_arg, default=DEFAULT_ENUM_CAP,
+                    help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
     sp.add_argument("--replay", metavar="FILE", help="replay a certificate (- for stdin)")
     _add_residue_group(sp, required=False)
 

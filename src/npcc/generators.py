@@ -593,14 +593,14 @@ def _same_json(a, b) -> bool:
     return a == b
 
 
-def _read(step: dict, key: str, kind: type, where: str, depth: int):
+def _read(step: dict, key: str, kind: type, where: str, cap: int, depth: int):
     """step[key] read back as a step value of the given kind; a tuple is two labels."""
     json_type = {tuple: list, NewtonPolygon: list, MonodromyDatum: dict, CertifiedFamily: dict}
     value = _field(step, key, json_type.get(kind, kind), where)
     if kind is tuple and (len(value) != 2 or not all(type(i) is int for i in value)):
         raise GeneratorError(f"{where} needs {key!r} as two integer labels")
     if kind is CertifiedFamily:
-        return replay(value, depth + 1)
+        return replay(value, cap, depth + 1)
     try:
         return kind(value) if kind in (int, bool, tuple) else kind.from_json_obj(value)
     except (InvalidDatumError, PolygonSyntaxError) as exc:
@@ -693,7 +693,7 @@ CHAIN_OPS = {op.name: op for op in (
 )}
 
 
-def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
+def replay(cert: dict, cap: int = DEFAULT_ENUM_CAP, _depth: int = 0) -> CertifiedFamily:
     """Re-run a certificate's derivation and confirm it reproduces it.
 
     Raises GeneratorError when the certificate is malformed (a missing
@@ -701,7 +701,9 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
     MAX_REPLAY_DEPTH deep), when a step would exceed MAX_BRANCH_POINTS,
     or when the replayed certificate differs from the recorded one in
     any field it writes, JSON types included, or the field is missing.
-    _depth counts the enclosing certificates of a nested one.
+    cap bounds the Kottwitz set of each base step, nested certificates'
+    included, as it does in base_case and payload_base.  _depth counts
+    the enclosing certificates of a nested one.
     """
     if not isinstance(cert, dict):
         raise GeneratorError("certificate must be a JSON object")
@@ -726,7 +728,10 @@ def replay(cert: dict, _depth: int = 0) -> CertifiedFamily:
                 else f"unknown step op {name!r}"
             )
         where = f"step {name!r}"
-        fam = op.run(fam, **{key: _read(raw, key, kind, where, _depth) for key, kind in op.inputs})
+        inputs = {key: _read(raw, key, kind, where, cap, _depth) for key, kind in op.inputs}
+        if fam is None:
+            inputs["cap"] = cap
+        fam = op.run(fam, **inputs)
     if fam is None:
         raise GeneratorError("empty derivation")
     for key, value in fam.certificate().items():

@@ -294,7 +294,7 @@ class NewtonPolygon:
         return self._triples == other._triples
 
     def __hash__(self) -> int:
-        return hash(self.segments)
+        return hash(self._triples)
 
     def __str__(self) -> str:
         return self.canonical_text()

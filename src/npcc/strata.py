@@ -17,11 +17,9 @@ integer arithmetic: each candidate's lambda-scaled int triples, duals
 included, are coded once as an int with one digit per slope, given out
 in slope order before the fold and wide enough for the height 2g of
 every total; a partial total is the sum of its candidates' codes, and
-each distinct total's polygon is built once.
-The rows of that map are keyed by each total's int triples, so a
-polygon finds its row by hashing ints alone.  An element's length is
-the sum of its candidates' lengths, and the covers of the set are the
-factors' covers lifted by index arithmetic.
+each distinct total's polygon is built once and keys its row.  An
+element's length is the sum of its candidates' lengths, and the covers
+of the set are the factors' covers lifted by index arithmetic.
 The factors come from a lattice path search whose bounds are integer
 floor divisions, and a factor depends only on its orbit's shape, so
 the factors of recently seen shapes are kept, within a fixed bound.
@@ -168,9 +166,7 @@ class KottwitzSet:
     candidate) is given the i-th digit, wide enough for the height 2g
     of every total, and adding two codes amalgamates their polygons.
     So the fold hashes and adds only ints, and each total's polygon is
-    decoded once.
-    `totals` hands out the decoded totals, and each total's row is keyed
-    by its int triples, so a lookup hashes no Fraction.
+    decoded once and keys its row; `totals` hands out those keys.
     The cap bounds the running product of the factor sizes, checked
     before the next factor is enumerated.
     """
@@ -217,8 +213,7 @@ class KottwitzSet:
                     folded.setdefault(partial + code, []).extend([offset + i for i in indices])
             by_code = folded
             lengths = [s + n for s in steps for n in lengths]
-        self._totals, rows = _decode_totals(by_code, slopes, bits, height)
-        self._rows = {t._triples: indices for t, indices in zip(self._totals, rows)}
+        self._rows = _decode_totals(by_code, slopes, bits, height)
         self.lengths = tuple(lengths)
 
     @staticmethod
@@ -265,13 +260,13 @@ class KottwitzSet:
 
     def totals(self) -> tuple[NewtonPolygon, ...]:
         """Distinct total polygons, in first-appearance order."""
-        return self._totals
+        return tuple(self._rows)
 
     def elements_with_total(self, nu: NewtonPolygon) -> tuple[int, ...]:
         """Indices of the elements whose total polygon is nu, ascending."""
         if not isinstance(nu, NewtonPolygon):
             return ()
-        return self._rows.get(nu._triples, ())
+        return self._rows.get(nu, ())
 
     def codim_of_polygon(self, nu: NewtonPolygon) -> int:
         """Smallest length among elements whose total polygon is nu."""
@@ -311,7 +306,7 @@ class KottwitzSet:
         """Hasse diagram in DOT format, top element drawn at the top."""
         edges = self.hasse_edges()  # first, so a set too large is refused at once
         labels = {}
-        for total, indices in zip(self._totals, self._rows.values()):
+        for total, indices in self._rows.items():
             labels.update(dict.fromkeys(indices, str(total)))
         lines = ["digraph kottwitz {", "  rankdir=BT;"]
         for i, n in enumerate(self.lengths):
@@ -327,11 +322,11 @@ def _decode_totals(
     slopes: list[tuple[int, int]],
     bits: int,
     height: int,
-) -> tuple[tuple[NewtonPolygon, ...], tuple[tuple[int, ...], ...]]:
-    """Each distinct total's polygon, built once, and its indices as folded.
+) -> dict[NewtonPolygon, tuple[int, ...]]:
+    """Each distinct total's polygon, built once, mapped to its indices as folded.
 
-    Both tuples follow the order of ``by_code``, and the fold builds
-    each row ascending.  ``slopes`` lists each slope as its reduced
+    The dict follows the order of ``by_code``, and the fold builds each
+    row ascending.  ``slopes`` lists each slope as its reduced
     (num, den) pair, by increasing slope, and digit i, the ``bits`` bits
     from bit i * bits up, holds the multiplicity of ``slopes[i]``; the
     code is read by shifting it down one digit at a
@@ -339,7 +334,7 @@ def _decode_totals(
     of the last and lose height, so every total must have the set's height.
     """
     mask = (1 << bits) - 1
-    totals, rows = [], []
+    rows = {}
     for code, indices in by_code.items():
         triples = []
         decoded = 0
@@ -351,9 +346,8 @@ def _decode_totals(
                 decoded += k
         if decoded != height:
             raise DomainError(f"a total decoded to height {decoded}, not {height}")
-        totals.append(NewtonPolygon._trusted(tuple(triples)))
-        rows.append(tuple(indices))
-    return tuple(totals), tuple(rows)
+        rows[NewtonPolygon._trusted(tuple(triples))] = tuple(indices)
+    return rows
 
 
 # The factors of the sets a report or a chain builds repeat: a factor

@@ -426,7 +426,6 @@ REPLAY_CLASHES = [
     ["--double-payload", "ss^3"],
     ["--p", "2"],
     ["--p-class", "2"],
-    ["--cap", "5"],
     ["--n1", "1"],
     ["--n2", "1"],
 ]
@@ -859,6 +858,39 @@ def test_generate_cap_bounds_the_base_case(capsys):
         "Kottwitz set would have more than 60 elements: the first 3 of 10 factors have"
         " sizes 4 x 4 x 5 = 80; raise the cap",
     )
+
+
+def _certificate_file(capsys, tmp_path, argv):
+    code, out, err = run(capsys, ["generate", *argv])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["steps"][0]["clause"] == "unique-max-p-rank:large-p"
+    path = tmp_path / "cert.json"
+    path.write_text(out, encoding="utf-8")
+    return str(path)
+
+
+def test_replay_bounds_its_base_step_by_the_cap(capsys, tmp_path):
+    # The base clause reads the Kottwitz set, of 6 elements here.
+    path = _certificate_file(capsys, tmp_path, ["--datum", "8:5:2,2,2,5,5", "--p-class", "3"])
+    code, out, err = run(capsys, ["generate", "--replay", path])
+    assert (code, err) == (0, "") and out.endswith("verified: True\n")
+    code, out, err = run(capsys, ["generate", "--replay", path, "--cap", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: more than 1 candidates on orbit {1,3}; raise the cap\n"
+
+
+def test_a_certificate_built_above_the_default_cap_replays_with_its_cap(capsys, tmp_path):
+    argv = ["--datum", "21:7:9,4,16,15,16,13,11", "--p-class", "8", "--cap", "3000000"]
+    path = _certificate_file(capsys, tmp_path, argv)
+    code, out, err = run(capsys, ["generate", "--replay", path, "--cap", "3000000"])
+    assert (code, err) == (0, "")
+    assert out == (
+        "replayed: 21:7:9,4,16,15,16,13,11 at class 8\npolygon: ord^43+ss^5\nverified: True\n"
+    )
+    code, out, err = run(capsys, ["generate", "--replay", path])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Kottwitz set would have more than 1000000 elements")
+    assert err.endswith(" = 2457600; raise the cap\n")
 
 
 @pytest.mark.parametrize("extra", [[], ["--payload", "ord^6"]])

@@ -8,14 +8,16 @@ when an output changes on purpose, rewrite it with
     PYTHONPATH=src python3 tests/test_cli_golden.py
 
 and review the diff.  A second test runs README's command-line tour and
-compares each command's output with the text README shows.  argparse
-wraps usage and help text to the terminal width, so both tests fix
-COLUMNS; its formatting also differs between Python versions, and the
-data file was captured with Python 3.11.
+compares each command's output with the text README shows; a third runs
+README's library tour and compares each value with its comment.  argparse
+wraps usage and help text to the terminal width, so the command-line
+tests fix COLUMNS; its formatting also differs between Python versions,
+and the data file was captured with Python 3.11.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -178,6 +180,27 @@ def test_readme_command_line_tour(tmp_path):
             redirect.write_text(out, encoding="utf-8")
             out = ""
         assert out == expected, command
+
+
+def test_readme_library_tour():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library tour\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = []
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        if not isinstance(stmt, ast.Expr):
+            exec(source, namespace)
+            continue
+        # The value's comment ends its line or stands on the next one.
+        rest = lines[stmt.end_lineno - 1][stmt.end_col_offset:].strip()
+        rest = rest or lines[stmt.end_lineno].strip()
+        assert rest.startswith("# "), source
+        expected = rest[2:]
+        assert repr(eval(source, namespace)) == expected, source
+        checked.append(expected)
+    assert len(checked) == 3
 
 
 if __name__ == "__main__":

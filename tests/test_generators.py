@@ -314,6 +314,16 @@ def test_replay_of_double_induction_certificate():
     assert h.certificate() == g.certificate()
 
 
+def test_replay_bounds_a_nested_base_step_by_its_cap():
+    # Only the nested base step reads a Kottwitz set, of 2 elements.
+    z = base_case(MonodromyDatum(3, (1, 1, 1)), 1)
+    other = payload_base(MonodromyDatum(3, (1, 1, 2, 2)), 1, parse("ss^2"))
+    g = double_induction(z, other, 1, 2)
+    assert replay(g.certificate(), cap=2).certificate() == g.certificate()
+    with pytest.raises(EnumerationCapError, match="^more than 1 candidates on orbit"):
+        replay(g.certificate(), cap=1)
+
+
 def test_replay_rejects_bad_certificates():
     f = base_case(MonodromyDatum(5, (1, 1, 3)), 2)
     cert = f.certificate()

@@ -352,7 +352,7 @@ def test_int_coded_fold_near_the_modulus_bound():
 def test_decode_refuses_a_total_that_lost_height():
     half = Fraction(1, 2)
     slopes = [(0, 1), (1, 2)]  # two bits per digit
-    assert _decode_totals({4: [0]}, slopes, 2, 1) == ((NewtonPolygon([(half, 1)]),), ((0,),))
+    assert _decode_totals({4: [0]}, slopes, 2, 1) == {NewtonPolygon([(half, 1)]): (0,)}
     # A multiplicity of 4 carries into the next digit, or out of the last.
     with pytest.raises(DomainError):
         _decode_totals({4: [0]}, slopes, 2, 4)

@@ -280,7 +280,7 @@ def test_algebra_matches_validating_constructor():
         _assert_canonical(a.dual(), NewtonPolygon((1 - s, m) for s, m in a.segments))
 
 
-def test_cached_hash_is_the_segments_hash():
+def test_equal_polygons_hash_equal_however_built():
     rng = random.Random(1812)
     for _ in range(200):
         a, b = _random_polygon(rng), _random_polygon(rng)
@@ -296,10 +296,7 @@ def test_cached_hash_is_the_segments_hash():
             "power": a.power(d),
         }
         for how, nu in built.items():
-            first = hash(nu)
-            assert first == hash(nu) == hash(nu.segments), how
-        # Equal polygons built different ways hash equal, whichever was
-        # hashed first.
+            assert hash(nu) == hash(NewtonPolygon(nu.segments)), how
         same = [
             NewtonPolygon(a.segments + b.segments),
             b.amalgamate(a),
@@ -309,7 +306,5 @@ def test_cached_hash_is_the_segments_hash():
         for nu in same:
             assert nu == same[0] and hash(nu) == hash(same[0])
         for nu in (a, a + b, a.power(d)):
-            if rng.random() < 0.5:
-                hash(nu)  # the copies then carry the filled cache along
             for twin in (copy.copy(nu), copy.deepcopy(nu), pickle.loads(pickle.dumps(nu))):
-                assert twin == nu and hash(twin) == hash(nu) == hash(nu.segments)
+                assert twin == nu and hash(twin) == hash(nu)
