@@ -13,7 +13,6 @@ Everything here is pure bookkeeping on integers and exact rationals.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,8 +33,8 @@ from .monodromy import (
     pad_last,
     signature,
 )
-from .muord import mu_ordinary, mu_ordinary_orbit
-from .orbits import Orbit, decompose
+from .muord import _orbit_table, mu_ordinary
+from .orbits import Orbit, OrbitDecomposition, decompose
 from .polygon import ORD, NewtonPolygon
 
 __all__ = [
@@ -135,48 +134,7 @@ def clutch_data(g1: MonodromyDatum, g2: MonodromyDatum) -> ClutchReport:
     Both data must be primitive: the genus recursion holds for connected
     covers, and an imprimitive datum is a disjoint union of copies.
     """
-    g1.validate()
-    g2.validate()
-    if not check_admissible(g1, g2):
-        raise NotAdmissibleError(
-            f"{g1} and {g2} do not cancel at the clutching point"
-        )
-    m3, d1, d2 = _lcm_split(g1, g2)
-    check_modulus(m3, "m3")
-    r1 = _gcd_m(g1.a[-1], g1.m)
-    r2 = _gcd_m(g2.a[0], g2.m)
-    r0 = math.gcd(r1, r2)
-    if not d1 * r1 == d2 * r2 == d1 * d2 * r0:
-        raise DomainError("branch-order bookkeeping broke")
-    epsilon = d1 * d2 * r0 - d1 - d2 + 1
-    if epsilon < 0:
-        raise DomainError("defect must be nonnegative")
-
-    # d1 * x < m3 for an entry x < m1, so entries stay reduced and 0 only where x is.
-    entries = tuple(d1 * x for x in g1.a[:-1]) + tuple(d2 * x for x in g2.a[1:])
-    gamma3 = MonodromyDatum(m3, entries, generalized=0 in entries)
-
-    f1d, f2d = signature(g1).induced(d1).values, signature(g2).induced(d2).values
-    defect = (_defect_at(d1, d2, r0, n, m3) for n in range(1, m3))
-    f3 = Signature(m3, tuple(a + b + e for a, b, e in zip(f1d, f2d, defect)))
-
-    g3 = d1 * genus(g1) + d2 * genus(g2) + epsilon
-    if g3 != genus(gamma3):
-        raise DomainError("genus recursion disagrees with Riemann-Hurwitz")
-    return ClutchReport(
-        gamma1=g1,
-        gamma2=g2,
-        m3=m3,
-        d1=d1,
-        d2=d2,
-        r1=r1,
-        r2=r2,
-        r0=r0,
-        epsilon=epsilon,
-        gamma3=gamma3,
-        f3=f3,
-        g3=g3,
-    )
+    return clutch_report(g1, g2)
 
 
 def clutch_polygon(nu1: NewtonPolygon, nu2: NewtonPolygon, report: ClutchReport) -> NewtonPolygon:
@@ -185,16 +143,22 @@ def clutch_polygon(nu1: NewtonPolygon, nu2: NewtonPolygon, report: ClutchReport)
 
 
 def check_balanced(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> bool:
-    """No orbit carries residues that the two induced signatures order oppositely.
+    """No orbit carries residues that the two induced signatures order oppositely."""
+    m3, d1, d2 = _lcm_split(g1, g2)
+    f1d, f2d = signature(g1).induced(d1), signature(g2).induced(d2)
+    return _balanced(f1d, f2d, decompose(m3, p))
+
+
+def _balanced(f1d: Signature, f2d: Signature, dec: OrbitDecomposition) -> bool:
+    """check_balanced given the induced signatures and the glued modulus' orbits.
 
     Sorted by (f1, f2), an orbit's values are ordered oppositely by some
     pair exactly when f2 falls between two neighbours: ties in f1 are
     sorted by f2, so a fall has f1 strictly rising, and an opposite pair
     forces a fall between them.
     """
-    m3, d1, d2 = _lcm_split(g1, g2)
-    f1, f2 = signature(g1).induced(d1).values, signature(g2).induced(d2).values
-    for orbit in decompose(m3, p).orbits:
+    f1, f2 = f1d.values, f2d.values
+    for orbit in dec.orbits:
         pairs = sorted((f1[w - 1], f2[w - 1]) for w in orbit.members)
         if any(b < a for (_, a), (_, b) in zip(pairs, pairs[1:])):
             return False
@@ -207,14 +171,15 @@ def _witness_slopes(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> dict:
         raise UnsupportedPairError(
             f"slope-span check needs m1 | m2, got {g1.m} and {g2.m}"
         )
-    d = g2.m // g1.m
-    f1d = signature(g1).induced(d)
-    f2 = signature(g2)
-    dec = decompose(g2.m, p)
+    f1d = signature(g1).induced(g2.m // g1.m)
+    return _slope_witnesses(f1d, signature(g2), decompose(g2.m, p))
+
+
+def _slope_witnesses(f1d: Signature, f2: Signature, dec: OrbitDecomposition) -> dict:
+    """_witness_slopes given f1 induced to m2, f2, and the orbits mod m2."""
+    comps2 = _orbit_table(f2, dec.p_class).values()
     bad = {}
-    for orbit in dec.representatives():
-        comp1 = mu_ordinary_orbit(orbit, f1d)
-        comp2 = mu_ordinary_orbit(orbit, f2)
+    for (orbit, comp1), comp2 in zip(_orbit_table(f1d, dec.p_class).items(), comps2):
         if comp1.is_empty or comp2.is_empty:
             continue
         # Slopes on one orbit share the divisor |o| of the lambda scale,
@@ -295,26 +260,40 @@ def mu_ord_product_check(
     )
 
 
+def _defect_terms(d1: int, d2: int, r0: int, m3: int) -> list[int]:
+    """_defect_at on every residue 1, ..., m3 - 1."""
+    return [_defect_at(d1, d2, r0, n, m3) for n in range(1, m3)]
+
+
 def epsilon_orbits(report: ClutchReport, p: int) -> tuple[tuple[Orbit, int], ...]:
-    """Distribute the defect over the orbits of the glued modulus.
+    """Distribute the defect over the orbits of the glued modulus."""
+    m3, d1, d2, r0 = report.m3, report.d1, report.d2, report.r0
+    terms = _defect_terms(d1, d2, r0, m3)
+    return _orbit_defects(d1, d2, r0, report.epsilon, terms, decompose(m3, p))
+
+
+def _orbit_defects(
+    d1: int, d2: int, r0: int, epsilon: int, terms: list[int], dec: OrbitDecomposition
+) -> tuple[tuple[Orbit, int], ...]:
+    """epsilon_orbits given the split, the defect, its per-residue terms
+    and the glued modulus' orbits.
 
     An orbit soaks up its full size exactly when the common order e of
     its members divides d1*d2*r0 but neither d1 nor d2; two independent
     evaluations (the divisibility rule and the summed step function)
     are compared, and the total must be the defect.
     """
-    m3, d1, d2, r0 = report.m3, report.d1, report.d2, report.r0
     out = []
     total = 0
-    for orbit in decompose(m3, p).orbits:
+    for orbit in dec.orbits:
         e = orbit.e
         rule = orbit.size if (d1 * d2 * r0) % e == 0 and d1 % e and d2 % e else 0
-        summed = sum(_defect_at(d1, d2, r0, n, m3) for n in orbit.members)
+        summed = sum(terms[n - 1] for n in orbit.members)
         if rule != summed:
             raise DomainError(f"defect mismatch on orbit {orbit}: {rule} vs {summed}")
         out.append((orbit, rule))
         total += rule
-    if total != report.epsilon:
+    if total != epsilon:
         raise DomainError("orbit defects must sum to the defect")
     return tuple(out)
 
@@ -322,19 +301,64 @@ def epsilon_orbits(report: ClutchReport, p: int) -> tuple[tuple[Orbit, int], ...
 def clutch_report(
     g1: MonodromyDatum, g2: MonodromyDatum, p: int | None = None
 ) -> ClutchReport:
-    """Full report; with a residue class, the p-dependent flags are filled in."""
-    report = clutch_data(g1, g2)
-    if p is None:
-        return report
-    compatible = None
-    if g2.m % g1.m == 0:
-        compatible = check_compatible(g1, g2, p)
-    return dataclasses.replace(
-        report,
-        p_class=p % report.m3,
-        balanced=check_balanced(g1, g2, p),
-        compatible=compatible,
-        defects=epsilon_orbits(report, p),
+    """Full report; with a residue class, the p-dependent flags are filled in.
+
+    The derived datum, signature, defect and genus are clutch_data's;
+    the flags are check_balanced, check_compatible (None unless m1 | m2)
+    and epsilon_orbits at p, each read from one decomposition of m3.
+    """
+    g1.validate()
+    g2.validate()
+    if not check_admissible(g1, g2):
+        raise NotAdmissibleError(
+            f"{g1} and {g2} do not cancel at the clutching point"
+        )
+    m3, d1, d2 = _lcm_split(g1, g2)
+    check_modulus(m3, "m3")
+    r1 = _gcd_m(g1.a[-1], g1.m)
+    r2 = _gcd_m(g2.a[0], g2.m)
+    r0 = math.gcd(r1, r2)
+    if not d1 * r1 == d2 * r2 == d1 * d2 * r0:
+        raise DomainError("branch-order bookkeeping broke")
+    epsilon = d1 * d2 * r0 - d1 - d2 + 1
+    if epsilon < 0:
+        raise DomainError("defect must be nonnegative")
+
+    # d1 * x < m3 for an entry x < m1, so entries stay reduced and 0 only where x is.
+    entries = tuple(d1 * x for x in g1.a[:-1]) + tuple(d2 * x for x in g2.a[1:])
+    gamma3 = MonodromyDatum(m3, entries, generalized=0 in entries)
+
+    f1d, f2d = signature(g1).induced(d1), signature(g2).induced(d2)
+    terms = _defect_terms(d1, d2, r0, m3)
+    f3 = Signature(m3, tuple(a + b + e for a, b, e in zip(f1d.values, f2d.values, terms)))
+
+    g3 = d1 * genus(g1) + d2 * genus(g2) + epsilon
+    if g3 != genus(gamma3):
+        raise DomainError("genus recursion disagrees with Riemann-Hurwitz")
+    flags = {}
+    if p is not None:
+        dec = decompose(m3, p)
+        flags = {
+            "p_class": dec.p_class,
+            "balanced": _balanced(f1d, f2d, dec),
+            # m1 | m2 makes d2 = 1, so f2d is f2 itself.
+            "compatible": not _slope_witnesses(f1d, f2d, dec) if d2 == 1 else None,
+            "defects": _orbit_defects(d1, d2, r0, epsilon, terms, dec),
+        }
+    return ClutchReport(
+        gamma1=g1,
+        gamma2=g2,
+        m3=m3,
+        d1=d1,
+        d2=d2,
+        r1=r1,
+        r2=r2,
+        r0=r0,
+        epsilon=epsilon,
+        gamma3=gamma3,
+        f3=f3,
+        g3=g3,
+        **flags,
     )
 
 

@@ -149,7 +149,7 @@ def _hypothesis(holds: bool, failure: str) -> None:
 # The most branch points a chain step may produce; each op checks it
 # before it clutches.  A joint builds the glued datum, O(N), and its
 # signature and checks, O(m), so a chain of n copies costs O(n (N + m)):
-# self:340:auto (N = 1022) takes about 0.1 s on 7:3:1,1,5 and about 0.75 s
+# self:340:auto (N = 1022) takes about 0.09 s on 7:3:1,1,5 and about 0.9 s
 # on 1193:3:1,1,1191 at class 3, in process on a 2-core Xeon host.
 MAX_BRANCH_POINTS = 1024
 
@@ -537,16 +537,18 @@ def double_induction(
     )
 
 
-def verify_family(f: CertifiedFamily, deep: bool = False) -> dict:
+def verify_family(f: CertifiedFamily, deep: bool = False, cap: int = DEFAULT_ENUM_CAP) -> dict:
     """Recheck a family's claim against freshly computed invariants.
 
     Always recomputes the mu-ordinary polygon of the final datum: a
     mu-ordinary claim must equal it, any other claim must lie on or
     above it.  With deep=True a non-mu-ordinary claim is additionally
-    located inside the Kottwitz set of the final datum, and its
-    codimension there is compared with the recorded payload codimension
-    when one is present.  Returns a report dict with an "ok" flag.
+    located inside the Kottwitz set of the final datum, bounded by cap
+    as in kottwitz_set, and its codimension there is compared with the
+    recorded payload codimension when one is present.  Returns a report
+    dict with an "ok" flag.
     """
+    _check_cap(cap)  # also where the deep check never reads it
     u = mu_ordinary(f.datum, f.p_class)
     report = {
         "datum": f.datum.text(),
@@ -558,7 +560,7 @@ def verify_family(f: CertifiedFamily, deep: bool = False) -> dict:
     }
     ok = report["mu_match" if f.mu_ordinary_claim else "dominates_mu_ordinary"]
     if deep and not f.mu_ordinary_claim:
-        ks = kottwitz_set(f.datum, f.p_class)
+        ks = kottwitz_set(f.datum, f.p_class, cap=cap)
         codim = ks.codim_of_polygon(f.claimed_np)
         report["codim"] = codim
         if f.payload_codim is not None:

@@ -164,24 +164,32 @@ def mu_ordinary_orbit(orbit: Orbit, f: Signature) -> OrbitPolygon:
     the slopes, each occupying the width between consecutive levels.
     """
     g_o = g_of_orbit(orbit, f)
-    values = tuple(f.values[n - 1] for n in orbit.members)
-    return _lowest_orbit_polygon(orbit, values, g_o)
-
-
-# The clutch checks ask for the same orbit polygons at every joint of a
-# chain, and again in replay and verify_family.  Bounded: at most 64
-# polygons, each with a grid of g(o) + 1 <= N - 1 points, so at most
-# about MAX_BRANCH_POINTS on a chain.
-@functools.lru_cache(maxsize=64)
-def _lowest_orbit_polygon(orbit: Orbit, values: tuple[int, ...], g_o: int) -> OrbitPolygon:
-    """mu_ordinary_orbit given f's values on the orbit's members and g(o)."""
     if g_o == 0:
         return OrbitPolygon._of_pairs(orbit, ())
+    values = [f.values[n - 1] for n in orbit.members]
     levels = sorted({v for v in values if 1 <= v <= g_o - 1}, reverse=True)
     bounds = [g_o] + levels + [0]
     cuts = zip(bounds, bounds[1:])
     pairs = tuple(((hi - lo) * sum(v >= hi for v in values), hi - lo) for hi, lo in cuts)
     return OrbitPolygon._of_pairs(orbit, pairs)
+
+
+# Every clutch joint reads the orbit polygons of the same few signatures
+# (both sides of the slope-span check, then the glued datum's mu-ordinary
+# polygon), replay and verify_family read them again, and a Kottwitz set
+# reads them as its factors' tops.  No caller changes a table, so sharing
+# one is safe; an inconsistent signature raises and is never cached.
+# Bounded: 8 tables of at most (m + 1) / 2 representatives, each with a
+# grid of g(o) + 1 <= N - 1 points, so about 4.9 million grid points at
+# MAX_MODULUS and MAX_BRANCH_POINTS.  Near that, `--step self:340:auto` on
+# 1193:3:1,1,1191 at class 1 (every orbit a singleton) peaks at 119 MiB,
+# about 100 MiB of it in tables.  The 720 seed-7 operations of the chains
+# benchmark miss 4,115 of 12,257 table reads at 8 tables, 3,670 at 64.
+@functools.lru_cache(maxsize=8)
+def _orbit_table(f: Signature, p_class: int) -> dict[Orbit, OrbitPolygon]:
+    """Each orbit representative mod f.m at the class of p, in
+    `representatives()` order, mapped to its mu-ordinary orbit polygon."""
+    return {rep: mu_ordinary_orbit(rep, f) for rep in decompose(f.m, p_class).representatives()}
 
 
 def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:
@@ -198,9 +206,8 @@ def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:
 @functools.lru_cache(maxsize=64)
 def _assemble(f: Signature, p_class: int) -> NewtonPolygon:
     """mu_ordinary_of_signature for the class of p mod f.m."""
-    reps = decompose(f.m, p_class).representatives()
-    triples = (t for rep in reps for t in mu_ordinary_orbit(rep, f)._lambda_triples())
-    return NewtonPolygon._trusted(_canonical(triples))
+    polys = _orbit_table(f, p_class).values()
+    return NewtonPolygon._trusted(_canonical(t for q in polys for t in q._lambda_triples()))
 
 
 def mu_ordinary(datum: MonodromyDatum, p: int) -> NewtonPolygon:

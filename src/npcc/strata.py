@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .errors import DomainError, EnumerationCapError
 from .monodromy import MonodromyDatum, Signature, signature
-from .muord import OrbitPolygon, mu_ordinary_orbit
+from .muord import OrbitPolygon, _orbit_table, mu_ordinary_orbit
 from .orbits import Orbit, decompose
 from .polygon import NewtonPolygon, _slope_order
 
@@ -172,15 +172,15 @@ class KottwitzSet:
     """
 
     def __init__(self, f: Signature, p: int, cap: int = DEFAULT_ENUM_CAP):
-        dec = decompose(f.m, p)
         self.m = f.m
-        self.p_class = dec.p_class
+        self.p_class = decompose(f.m, p).p_class
         self.signature = f
-        self.reps = dec.representatives()
+        tops = _orbit_table(f, self.p_class)
+        self.reps = tuple(tops)
         factors, factor_lengths, pieces = [], [], []
         count = 1
-        for rep in self.reps:
-            factor, steps, triples = _factor(rep, f, cap)
+        for rep, mu in tops.items():
+            factor, steps, triples = _factor(rep, f, mu, cap)
             factors.append(factor)
             factor_lengths.append(steps)
             pieces.append(triples)
@@ -368,16 +368,16 @@ _FACTORS: dict[tuple, tuple] = {}
 
 
 def _factor(
-    rep: Orbit, f: Signature, cap: int
+    rep: Orbit, f: Signature, mu: OrbitPolygon, cap: int
 ) -> tuple[tuple[OrbitPolygon, ...], tuple[int, ...], tuple[tuple, ...]]:
     """One factor of a Kottwitz set: its candidates, chain lengths and triples.
 
-    Each candidate's triples are its `OrbitPolygon._lambda_triples`.  A
-    shape seen before gives its candidates on ``rep`` without checking
+    mu is the mu-ordinary orbit polygon of ``rep`` under f, the factor's
+    top.  Each candidate's triples are its `OrbitPolygon._lambda_triples`.
+    A shape seen before gives its candidates on ``rep`` without checking
     them again: their checks read only the pairs and |o|, both in the key.
     """
     _check_cap(cap)  # before the key is hashed
-    mu = mu_ordinary_orbit(rep, f)
     key = (mu._pairs, rep.size, rep.is_self_dual, cap)
     entry = _FACTORS.pop(key, None)
     if entry is None:

@@ -37,14 +37,16 @@ def _off_by_one(monkeypatch, module, name):
 
 
 def _swap_orbit_component(monkeypatch, pairs, new_pairs):
-    """mu_ordinary_orbit as clutch calls it, with pairs replaced by new_pairs."""
-    real = clutch.mu_ordinary_orbit
+    """The orbit tables as clutch reads them, with pairs replaced by new_pairs."""
+    real = clutch._orbit_table
 
-    def swapped(orbit, f):
-        comp = real(orbit, f)
-        return OrbitPolygon._of_pairs(orbit, new_pairs) if comp._pairs == pairs else comp
+    def swapped(f, p_class):
+        return {
+            orbit: OrbitPolygon._of_pairs(orbit, new_pairs) if comp._pairs == pairs else comp
+            for orbit, comp in real(f, p_class).items()
+        }
 
-    monkeypatch.setattr(clutch, "mu_ordinary_orbit", swapped)
+    monkeypatch.setattr(clutch, "_orbit_table", swapped)
 
 
 def test_branch_orders_that_disagree_with_the_split_are_refused(monkeypatch):

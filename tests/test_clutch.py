@@ -1,5 +1,6 @@
 """Tests for the clutching bookkeeping on pairs of data."""
 
+import dataclasses
 import math
 import os
 import random
@@ -488,6 +489,40 @@ def test_closed_form_defect_matches_the_three_step_functions():
         kinds[r.d1 == r.d2 == 1] += 1
         defective[r.d1 == r.d2 == 1] += r.epsilon > 0
     assert min(defective.values()) >= 30
+
+
+def test_clutch_report_is_the_composition_of_the_checks():
+    # clutch_report builds its report in one pass; the oracle fills in
+    # clutch_data's report with the three public checks
+    rng = random.Random(20261019)
+
+    def datum(m):
+        while True:
+            a = [rng.randrange(1, m) for _ in range(rng.randint(2, 5))]
+            a.append(-sum(a) % m)
+            if a[-1] and math.gcd(m, *a) == 1:
+                return MonodromyDatum(m, tuple(a))
+
+    seen = set()
+    for k in range(600):
+        m1 = rng.randint(2, 20)
+        m2 = (m1, m1 * rng.randint(2, 3), rng.randint(2, 20))[k % 3]  # equal, m1 | m2, any
+        try:
+            g1, g2 = find_admissible_reordering(datum(m1), datum(m2))
+        except NotAdmissibleError:
+            continue
+        m3 = math.lcm(m1, m2)
+        p = rng.choice([c for c in range(1, 3 * m3) if math.gcd(c, m3) == 1])
+        expected = dataclasses.replace(
+            clutch_data(g1, g2),
+            p_class=p % m3,
+            balanced=check_balanced(g1, g2, p),
+            compatible=check_compatible(g1, g2, p) if m2 % m1 == 0 else None,
+            defects=epsilon_orbits(clutch_data(g1, g2), p),
+        )
+        assert clutch_report(g1, g2, p) == expected, (g1, g2, p)
+        seen.add((expected.compatible, expected.balanced))
+    assert seen == {(c, b) for c in (None, False, True) for b in (False, True)}
 
 
 def test_check_compatible_is_an_empty_violation_list_and_builds_no_fraction(monkeypatch):

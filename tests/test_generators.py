@@ -294,6 +294,20 @@ def test_verify_family_reports():
     assert deep["codim"] == 2 == deep["payload_codim"]
 
 
+def test_verify_family_reads_the_kottwitz_set_with_its_cap():
+    # 13:4:1,2,3,7 at class 4 has a Kottwitz set of 9 elements
+    datum = MonodromyDatum.from_text("13:4:1,2,3,7")
+    f = payload_base(datum, 4, parse("(1/3,2/3)^4"), cap=9)
+    deep = verify_family(f, deep=True, cap=9)
+    assert deep["ok"] and deep["codim"] == f.payload_codim
+    with pytest.raises(EnumerationCapError, match="more than 8 elements"):
+        verify_family(f, deep=True, cap=8)
+    assert verify_family(f, cap=8)["ok"]  # the shallow check builds no set
+    for cap in (0, None):
+        with pytest.raises(EnumerationCapError, match="^the cap must be at least 1"):
+            verify_family(f, cap=cap)
+
+
 def test_certificate_replay_round_trip():
     f = base_case(MonodromyDatum(5, (2, 2, 2, 2, 2)), 4)
     g = pad_and_clutch(f, 5, 2)

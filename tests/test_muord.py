@@ -16,7 +16,6 @@ from npcc import (
     Signature,
     beta_of_signature,
     decompose,
-    g_of_orbit,
     induce,
     mu_ordinary,
     mu_ordinary_of_signature,
@@ -25,7 +24,7 @@ from npcc import (
     parse,
     signature,
 )
-from npcc.muord import _assemble, _lowest_orbit_polygon
+from npcc.muord import _assemble, _orbit_table
 
 F = Fraction
 
@@ -162,20 +161,36 @@ def test_mu_ordinary_of_signature_matches_datum_path():
     assert mu_ordinary_of_signature(f, 2) == mu_ordinary(d, 2)
 
 
-def test_mu_ordinary_orbit_cache_matches_its_body():
+def test_orbit_table_matches_fresh_orbit_polygons():
     rng = random.Random(7081)
     for _ in range(120):
         m = rng.randint(3, 40)
         a = [rng.randint(1, m - 1) for _ in range(rng.randint(2, 5))]
         if sum(a) % m == 0:
             continue
-        f = signature(MonodromyDatum(m, tuple(a) + (-sum(a) % m,)))
-        p = rng.choice([q for q in range(1, m) if math.gcd(q, m) == 1])
-        for o in decompose(m, p).orbits:
-            values = tuple(f(n) for n in o.members)
-            body = _lowest_orbit_polygon.__wrapped__(o, values, g_of_orbit(o, f))
-            assert mu_ordinary_orbit(o, f) == body
-            assert mu_ordinary_orbit(o, f) is mu_ordinary_orbit(o, f)
+        d = MonodromyDatum(m, tuple(a) + (-sum(a) % m,))
+        if m <= 20 and rng.random() < 0.5:  # imprimitive, induced to k m <= 40
+            d = induce(d, rng.randint(2, 40 // m))
+        f = signature(d)
+        c = rng.choice([q for q in range(1, d.m) if math.gcd(q, d.m) == 1])
+        table = _orbit_table(f, c)
+        assert tuple(table) == decompose(d.m, c).representatives(), (d, c)
+        for rep, poly in table.items():
+            assert poly == mu_ordinary_orbit(rep, f), (d, c, rep)
+        assert _orbit_table(f, c) is table
+
+
+def test_orbit_table_never_caches_an_inconsistent_signature():
+    # f(1) + f(6) = 2 but f(2) + f(5) = 1 on the orbit {1,2,4} of 2 mod 7
+    bad = Signature(7, (1, 1, 1, 0, 0, 1))
+    _orbit_table.cache_clear()
+    for _ in range(2):
+        with pytest.raises(InconsistentSignatureError):
+            _orbit_table(bad, 2)
+    assert _orbit_table.cache_info().currsize == 0
+    good = signature(MonodromyDatum(7, (1, 1, 5)))  # values (1,1,1,0,0,0)
+    assert tuple(_orbit_table(good, 2)) == decompose(7, 2).representatives()
+    assert _orbit_table.cache_info().currsize == 1
 
 
 def test_mu_ordinary_orbit_never_caches_an_inconsistent_signature():

@@ -239,7 +239,9 @@ def test_the_kept_factors_stay_within_their_bound(monkeypatch):
     big = MonodromyDatum.from_text("21:7:1,1,1,1,1,1,15")
     kottwitz_set(big, 2)
     assert kept() == [14, 3]
-    strata._factor(decompose(21, 2).representatives()[1], signature(big), DEFAULT_ENUM_CAP)
+    rep = decompose(21, 2).representatives()[1]
+    f = signature(big)
+    strata._factor(rep, f, mu_ordinary_orbit(rep, f), DEFAULT_ENUM_CAP)
     assert kept() == [3, 14]  # the 14 used again
     # two factors of one new shape of 3 candidates: the 3, used least
     # recently, goes
