@@ -33,7 +33,7 @@ from .monodromy import (
     pad_last,
     signature,
 )
-from .muord import _orbit_table, mu_ordinary
+from .muord import OrbitPolygon, _orbit_table, _self_symmetric, mu_ordinary
 from .orbits import Orbit, OrbitDecomposition, decompose
 from .polygon import ORD, NewtonPolygon
 
@@ -180,18 +180,19 @@ def _slope_witnesses(f1d: Signature, f2: Signature, dec: OrbitDecomposition) -> 
     comps2 = _orbit_table(f2, dec.p_class).values()
     bad = {}
     for (orbit, comp1), comp2 in zip(_orbit_table(f1d, dec.p_class).items(), comps2):
-        if comp1.is_empty or comp2.is_empty:
+        if not comp1 or not comp2:
             continue
         # Slopes on one orbit share the divisor |o| of the lambda scale,
         # so they compare on the orbit scale, as (rise, width) pairs.
-        (lo_r, lo_w), (hi_r, hi_w) = comp2._pairs[0], comp2._pairs[-1]
-        inside = [(r, w) for r, w in comp1._pairs if lo_r * w < r * lo_w and r * hi_w < hi_r * w]
+        (lo_r, lo_w), (hi_r, hi_w) = comp2[0], comp2[-1]
+        inside = [(r, w) for r, w in comp1 if lo_r * w < r * lo_w and r * hi_w < hi_r * w]
         if orbit.is_self_dual:
             # The middle slope of comp1's lambda-scaled piece, read on the
             # orbit scale: the pieces' slopes are comp1's divided by |o|.
-            if not comp1.is_self_symmetric:
-                raise AsymmetricPolygonError(f"middle slope of asymmetric {comp1.lambda_scale()}")
-            mid_r, mid_w = comp1._pairs[(len(comp1._pairs) + 1) // 2 - 1]
+            if not _self_symmetric(orbit, comp1):
+                piece = OrbitPolygon._of_pairs(orbit, comp1).lambda_scale()
+                raise AsymmetricPolygonError(f"middle slope of asymmetric {piece}")
+            mid_r, mid_w = comp1[(len(comp1) + 1) // 2 - 1]
             if (not inside) != (mid_r * lo_w <= lo_r * mid_w):
                 raise DomainError("middle-slope characterization disagrees")
         if inside:

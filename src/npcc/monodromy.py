@@ -37,11 +37,11 @@ __all__ = [
 # loops are O(m), and a joint's balance check sorts each orbit's values,
 # O(m log m).  At m = 1193 with p a primitive root (one orbit of size
 # m - 1), on a 2-core Xeon host, `npcc generate --step pad:1:2` (three
-# joints) takes 0.09 s, `--step pad:1193:6` (five joints) 0.09 s and
-# `npcc clutch` 0.09 s, interpreter start included.  The signature of a
+# joints) takes 0.13 s, `--step pad:1193:6` (five joints) 0.13 s and
+# `npcc clutch` 0.12 s, interpreter start included.  The signature of a
 # glued datum sums over its distinct entries, so a joint's per-residue
 # work stays O(m) however long the chain: `--step self:340:auto`, near
-# MAX_BRANCH_POINTS, takes about 0.9 s.
+# MAX_BRANCH_POINTS, takes about 1.2 s.
 MAX_MODULUS = 1200
 
 
@@ -230,15 +230,13 @@ def genus(datum: MonodromyDatum) -> int:
     of one curve, and Riemann-Hurwitz for the disjoint union reads
     2g - 2d = (N - 2) m - sum gcd(a(i), m), with g the sum of the
     copies' genera.  That g is the total of the signature; d = 1 is the
-    usual genus of a connected cover.  As in `signature`, the sum runs
-    over the distinct entries with their counts.
+    usual genus of a connected cover.
     """
     m = datum.m
-    counts = collections.Counter(datum.a)
-    rhs = (datum.N - 2) * m - sum(k * _gcd_m(ai, m) for ai, k in counts.items())
+    rhs = (datum.N - 2) * m - sum(_gcd_m(ai, m) for ai in datum.a)
     if rhs % 2:
         raise InvalidDatumError(f"odd Riemann-Hurwitz total {rhs} for {datum}")
-    return math.gcd(m, *counts) + rhs // 2
+    return math.gcd(m, *datum.a) + rhs // 2
 
 
 def induce(datum: MonodromyDatum, d: int) -> MonodromyDatum:

@@ -116,24 +116,11 @@ class OrbitPolygon:
     @property
     def is_self_symmetric(self) -> bool:
         """Invariance of the slope multiset under s -> |o| - s."""
-        size = self.orbit.size
-        return self._pairs == tuple((size * w - r, w) for r, w in reversed(self._pairs))
+        return _self_symmetric(self.orbit, self._pairs)
 
     def _lambda_triples(self, dual: bool = True) -> list[tuple[int, int, int]]:
-        """(num, den, mult) of the lambda-scaled slopes, unmerged.
-
-        Each slope r/w becomes r/(w*|o|) in lowest terms, of width w*|o|,
-        and with ``dual``, unless the orbit is self-dual, its dual (carried
-        by the dual orbit) follows it: both may be 1/2.
-        """
-        n, dual = self.orbit.size, dual and not self.orbit.is_self_dual
-        triples = []
-        for r, w in self._pairs:
-            g = math.gcd(r, w * n)
-            triples.append((r // g, w * n // g, w * n))
-            if dual:
-                triples.append(((w * n - r) // g, w * n // g, w * n))
-        return triples
+        """(num, den, mult) of the lambda-scaled slopes, unmerged."""
+        return _lambda_triples(self.orbit, self._pairs, dual)
 
     def lambda_scale(self) -> NewtonPolygon:
         """The Newton polygon piece this orbit contributes."""
@@ -156,6 +143,31 @@ class OrbitPolygon:
         return f"OrbitPolygon({self.orbit!r}, {list(self.segments)!r})"
 
 
+def _self_symmetric(orbit: Orbit, pairs: tuple[tuple[int, int], ...]) -> bool:
+    """OrbitPolygon.is_self_symmetric of the polygon of pairs on orbit."""
+    size = orbit.size
+    return pairs == tuple((size * w - r, w) for r, w in reversed(pairs))
+
+
+def _lambda_triples(
+    orbit: Orbit, pairs: tuple[tuple[int, int], ...], dual: bool = True
+) -> list[tuple[int, int, int]]:
+    """(num, den, mult) of the lambda-scaled slopes of pairs on orbit, unmerged.
+
+    Each slope r/w becomes r/(w*|o|) in lowest terms, of width w*|o|,
+    and with ``dual``, unless the orbit is self-dual, its dual (carried
+    by the dual orbit) follows it: both may be 1/2.
+    """
+    n, dual = orbit.size, dual and not orbit.is_self_dual
+    triples = []
+    for r, w in pairs:
+        g = math.gcd(r, w * n)
+        triples.append((r // g, w * n // g, w * n))
+        if dual:
+            triples.append(((w * n - r) // g, w * n // g, w * n))
+    return triples
+
+
 def mu_ordinary_orbit(orbit: Orbit, f: Signature) -> OrbitPolygon:
     """Lowest orbit polygon allowed by the signature.
 
@@ -163,33 +175,39 @@ def mu_ordinary_orbit(orbit: Orbit, f: Signature) -> OrbitPolygon:
     f >= c; those counts, read from the top level g(o) down to 1, are
     the slopes, each occupying the width between consecutive levels.
     """
+    return OrbitPolygon._of_pairs(orbit, _mu_pairs(orbit, f))
+
+
+def _mu_pairs(orbit: Orbit, f: Signature) -> tuple[tuple[int, int], ...]:
+    """The (rise, width) pairs of mu_ordinary_orbit(orbit, f), built
+    without the polygon's checks and grid."""
     g_o = g_of_orbit(orbit, f)
     if g_o == 0:
-        return OrbitPolygon._of_pairs(orbit, ())
+        return ()
     values = [f.values[n - 1] for n in orbit.members]
     levels = sorted({v for v in values if 1 <= v <= g_o - 1}, reverse=True)
     bounds = [g_o] + levels + [0]
     cuts = zip(bounds, bounds[1:])
-    pairs = tuple(((hi - lo) * sum(v >= hi for v in values), hi - lo) for hi, lo in cuts)
-    return OrbitPolygon._of_pairs(orbit, pairs)
+    return tuple(((hi - lo) * sum(v >= hi for v in values), hi - lo) for hi, lo in cuts)
 
 
 # Every clutch joint reads the orbit polygons of the same few signatures
 # (both sides of the slope-span check, then the glued datum's mu-ordinary
 # polygon), replay and verify_family read them again, and a Kottwitz set
-# reads them as its factors' tops.  No caller changes a table, so sharing
-# one is safe; an inconsistent signature raises and is never cached.
-# Bounded: 8 tables of at most (m + 1) / 2 representatives, each with a
-# grid of g(o) + 1 <= N - 1 points, so about 4.9 million grid points at
-# MAX_MODULUS and MAX_BRANCH_POINTS.  Near that, `--step self:340:auto` on
-# 1193:3:1,1,1191 at class 1 (every orbit a singleton) peaks at 119 MiB,
-# about 100 MiB of it in tables.  The 720 seed-7 operations of the chains
-# benchmark miss 4,115 of 12,257 table reads at 8 tables, 3,670 at 64.
+# reads them as its factors' tops.  Its readers need only the (rise,
+# width) pairs, so a table holds those and no polygon's grid of g(o) + 1
+# points.  Tuples are immutable, so sharing one is safe; an inconsistent
+# signature raises and is never cached.  Bounded: 8 tables, each of at
+# most (m + 1) / 2 representatives and, since a polygon on an orbit o
+# has at most |o| + 1 segments, fewer than 3 m / 2 pairs: about 14,000
+# pairs at MAX_MODULUS, whatever N.
 @functools.lru_cache(maxsize=8)
-def _orbit_table(f: Signature, p_class: int) -> dict[Orbit, OrbitPolygon]:
+def _orbit_table(f: Signature, p_class: int) -> dict[Orbit, tuple[tuple[int, int], ...]]:
     """Each orbit representative mod f.m at the class of p, in
-    `representatives()` order, mapped to its mu-ordinary orbit polygon."""
-    return {rep: mu_ordinary_orbit(rep, f) for rep in decompose(f.m, p_class).representatives()}
+    `representatives()` order, mapped to the (rise, width) pairs of its
+    mu-ordinary orbit polygon."""
+    reps = decompose(f.m, p_class).representatives()
+    return {rep: _mu_pairs(rep, f) for rep in reps}
 
 
 def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:
@@ -206,8 +224,9 @@ def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:
 @functools.lru_cache(maxsize=64)
 def _assemble(f: Signature, p_class: int) -> NewtonPolygon:
     """mu_ordinary_of_signature for the class of p mod f.m."""
-    polys = _orbit_table(f, p_class).values()
-    return NewtonPolygon._trusted(_canonical(t for q in polys for t in q._lambda_triples()))
+    table = _orbit_table(f, p_class).items()
+    triples = (t for rep, pairs in table for t in _lambda_triples(rep, pairs))
+    return NewtonPolygon._trusted(_canonical(triples))
 
 
 def mu_ordinary(datum: MonodromyDatum, p: int) -> NewtonPolygon:

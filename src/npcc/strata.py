@@ -179,8 +179,8 @@ class KottwitzSet:
         self.reps = tuple(tops)
         factors, factor_lengths, pieces = [], [], []
         count = 1
-        for rep, mu in tops.items():
-            factor, steps, triples = _factor(rep, f, mu, cap)
+        for rep, top in tops.items():
+            factor, steps, triples = _factor(rep, f, top, cap)
             factors.append(factor)
             factor_lengths.append(steps)
             pieces.append(triples)
@@ -368,17 +368,18 @@ _FACTORS: dict[tuple, tuple] = {}
 
 
 def _factor(
-    rep: Orbit, f: Signature, mu: OrbitPolygon, cap: int
+    rep: Orbit, f: Signature, top: tuple[tuple[int, int], ...], cap: int
 ) -> tuple[tuple[OrbitPolygon, ...], tuple[int, ...], tuple[tuple, ...]]:
     """One factor of a Kottwitz set: its candidates, chain lengths and triples.
 
-    mu is the mu-ordinary orbit polygon of ``rep`` under f, the factor's
-    top.  Each candidate's triples are its `OrbitPolygon._lambda_triples`.
-    A shape seen before gives its candidates on ``rep`` without checking
-    them again: their checks read only the pairs and |o|, both in the key.
+    top holds the (rise, width) pairs of the mu-ordinary orbit polygon of
+    ``rep`` under f, the factor's top.  Each candidate's triples are its
+    `OrbitPolygon._lambda_triples`.  A shape seen before gives its
+    candidates on ``rep`` without checking them again: their checks read
+    only the pairs and |o|, both in the key.
     """
     _check_cap(cap)  # before the key is hashed
-    key = (mu._pairs, rep.size, rep.is_self_dual, cap)
+    key = (top, rep.size, rep.is_self_dual, cap)
     entry = _FACTORS.pop(key, None)
     if entry is None:
         factor = enumerate_orbit_component(rep, f, cap)

@@ -23,7 +23,6 @@ from npcc import (
     base_case,
     pad_and_clutch,
 )
-from npcc.muord import OrbitPolygon
 
 # The worked pair: at class 7 every orbit mod 8 is self-dual, and on
 # {1,7} the first component is <1x1> inside the second's span <0x1, 2x1>.
@@ -42,7 +41,7 @@ def _swap_orbit_component(monkeypatch, pairs, new_pairs):
 
     def swapped(f, p_class):
         return {
-            orbit: OrbitPolygon._of_pairs(orbit, new_pairs) if comp._pairs == pairs else comp
+            orbit: new_pairs if comp == pairs else comp
             for orbit, comp in real(f, p_class).items()
         }
 

@@ -326,15 +326,6 @@ def _signature_all_entries(datum):
     return Signature(m, tuple(vals))
 
 
-def _genus_all_entries(datum):
-    """Riemann-Hurwitz summed over all N entries; the oracle for the counted sum."""
-    m = datum.m
-    rhs = (datum.N - 2) * m - sum(math.gcd(ai, m) or m for ai in datum.a)
-    if rhs % 2:
-        raise InvalidDatumError(f"odd Riemann-Hurwitz total {rhs} for {datum}")
-    return math.gcd(m, *datum.a) + rhs // 2
-
-
 def _chain_glued_data():
     """Glued data of seeded self-clutched chains, N up to MAX_BRANCH_POINTS."""
     rng = random.Random(20262)
@@ -351,14 +342,6 @@ def test_signature_matches_the_all_entries_loop():
     data = _seeded_data(20263, 60) + _chain_glued_data()
     for datum in data:
         assert signature.__wrapped__(datum) == _signature_all_entries(datum), datum
-
-
-def test_genus_matches_the_all_entries_sum():
-    # _seeded_data mixes primitive, induced and zero-padded generalized data
-    data = _seeded_data(20265, 60) + _chain_glued_data()
-    assert any(0 in d.a for d in data) and any(math.gcd(d.m, *d.a) > 1 for d in data)
-    for datum in data:
-        assert genus(datum) == _genus_all_entries(datum), datum
 
 
 def test_genus_is_the_signature_total_on_induced_data():

@@ -175,8 +175,8 @@ def test_orbit_table_matches_fresh_orbit_polygons():
         c = rng.choice([q for q in range(1, d.m) if math.gcd(q, d.m) == 1])
         table = _orbit_table(f, c)
         assert tuple(table) == decompose(d.m, c).representatives(), (d, c)
-        for rep, poly in table.items():
-            assert poly == mu_ordinary_orbit(rep, f), (d, c, rep)
+        for rep, pairs in table.items():
+            assert pairs == mu_ordinary_orbit(rep, f)._pairs, (d, c, rep)
         assert _orbit_table(f, c) is table
 
 

@@ -3,7 +3,6 @@
 import ast
 import importlib
 import importlib.util
-import pkgutil
 from pathlib import Path
 
 import npcc
@@ -139,18 +138,3 @@ def test_memo_scan_flags_unbounded_and_unsized_memos(tmp_path):
         "memos.py:2", "memos.py:3", "memos.py:5", "memos.py:7", "memos.py:9"
     }
     assert sized == 2
-
-
-def test_every_lru_cache_wrapper_has_a_finite_maxsize():
-    # The static scan above reads the decorators; this reads the objects
-    # each npcc module binds, so a cache made any other way is seen too.
-    wrappers = {}
-    for info in pkgutil.iter_modules(npcc.__path__, "npcc."):
-        module = importlib.import_module(info.name)
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_parameters", None)):
-                wrappers[id(value)] = (f"{value.__module__}.{value.__qualname__}", value)
-    names = {name for name, _ in wrappers.values()}
-    assert {"npcc.muord._orbit_table", "npcc.muord._assemble", "npcc.monodromy.signature"} <= names
-    unbounded = [n for n, w in wrappers.values() if w.cache_parameters()["maxsize"] is None]
-    assert unbounded == []

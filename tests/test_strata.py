@@ -241,7 +241,7 @@ def test_the_kept_factors_stay_within_their_bound(monkeypatch):
     assert kept() == [14, 3]
     rep = decompose(21, 2).representatives()[1]
     f = signature(big)
-    strata._factor(rep, f, mu_ordinary_orbit(rep, f), DEFAULT_ENUM_CAP)
+    strata._factor(rep, f, mu_ordinary_orbit(rep, f)._pairs, DEFAULT_ENUM_CAP)
     assert kept() == [3, 14]  # the 14 used again
     # two factors of one new shape of 3 candidates: the 3, used least
     # recently, goes
