@@ -149,8 +149,9 @@ def _hypothesis(holds: bool, failure: str) -> None:
 # The most branch points a chain step may produce; each op checks it
 # before it clutches.  A joint builds the glued datum, O(N), and its
 # signature and checks, O(m), so a chain of n copies costs O(n (N + m)):
-# self:340:auto (N = 1022) takes about 0.15 s on 7:3:1,1,5 and about 1.0 s
-# on 1193:3:1,1,1191 at class 3, in process on a 2-core Xeon host.
+# self:340:auto (N = 1022) takes about 0.1 s on 7:3:1,1,5 and, on
+# 1193:3:1,1,1191, about 0.65 s at class 3 and 2.3 s at class 1, in
+# process on a 2-core Xeon host.
 MAX_BRANCH_POINTS = 1024
 
 

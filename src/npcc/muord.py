@@ -14,6 +14,7 @@ attained, and the greatest element of the Kottwitz partial order.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from fractions import Fraction
@@ -184,11 +185,15 @@ def _mu_pairs(orbit: Orbit, f: Signature) -> tuple[tuple[int, int], ...]:
     g_o = g_of_orbit(orbit, f)
     if g_o == 0:
         return ()
-    values = [f.values[n - 1] for n in orbit.members]
+    values = sorted(f.values[n - 1] for n in orbit.members)
+    size = len(values)
     levels = sorted({v for v in values if 1 <= v <= g_o - 1}, reverse=True)
     bounds = [g_o] + levels + [0]
     cuts = zip(bounds, bounds[1:])
-    return tuple(((hi - lo) * sum(v >= hi for v in values), hi - lo) for hi, lo in cuts)
+    # The members at or above hi are those past the first value >= hi.
+    return tuple(
+        ((hi - lo) * (size - bisect.bisect_left(values, hi)), hi - lo) for hi, lo in cuts
+    )
 
 
 # Every clutch joint reads the orbit polygons of the same few signatures

@@ -9,6 +9,7 @@ import dataclasses
 from types import SimpleNamespace
 
 import pytest
+from memos import clear_memos
 
 import npcc.catalog as catalog
 import npcc.clutch as clutch
@@ -28,6 +29,14 @@ from npcc import (
 # {1,7} the first component is <1x1> inside the second's span <0x1, 2x1>.
 G1 = MonodromyDatum(4, (1, 1, 2))
 G2 = MonodromyDatum(8, (4, 2, 5, 5))
+
+
+@pytest.fixture(autouse=True)
+def _cold_memos():
+    # A kept answer would skip the broken code; a broken one must not outlive its test.
+    clear_memos()
+    yield
+    clear_memos()
 
 
 def _off_by_one(monkeypatch, module, name):
@@ -84,9 +93,21 @@ def test_a_span_that_contradicts_the_middle_slope_is_refused(monkeypatch):
 
 def test_an_orbit_defect_off_its_divisibility_rule_is_refused(monkeypatch):
     report = clutch.clutch_data(G1, G2)
-    _off_by_one(monkeypatch, clutch, "_defect_at")
+    real = clutch._defect_terms
+    monkeypatch.setattr(clutch, "_defect_terms", lambda *args: [t + 1 for t in real(*args)])
     with pytest.raises(DomainError, match=r"^defect mismatch on orbit \{1,7\}: 0 vs 2$"):
         clutch.epsilon_orbits(report, 7)
+
+
+def test_a_joint_reported_before_the_fault_is_checked_again_once_the_memos_clear(monkeypatch):
+    # The kept report of the joint answers without running the check;
+    # with the memos cleared the joint is rebuilt and the check fires.
+    report = clutch.clutch_data(G1, G2)
+    _off_by_one(monkeypatch, clutch, "genus")
+    assert clutch.clutch_data(G1, G2) is report
+    clear_memos()
+    with pytest.raises(DomainError, match="^genus recursion disagrees with Riemann-Hurwitz$"):
+        clutch.clutch_data(G1, G2)
 
 
 def test_orbit_defects_off_the_total_are_refused():

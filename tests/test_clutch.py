@@ -1,6 +1,7 @@
 """Tests for the clutching bookkeeping on pairs of data."""
 
 import dataclasses
+import itertools
 import math
 import os
 import random
@@ -12,10 +13,13 @@ from pathlib import Path
 import pytest
 
 import npcc
+import npcc.generators as generators
 from npcc import (
+    GeneratorError,
     MonodromyDatum,
     NotAdmissibleError,
     UnsupportedPairError,
+    base_case,
     check_admissible,
     check_balanced,
     check_compatible,
@@ -24,15 +28,19 @@ from npcc import (
     clutch_report,
     compatible_violations,
     decompose,
+    double_induction,
     epsilon_orbits,
+    extend_ord,
     find_admissible_reordering,
     genus,
     mu_ord_product_check,
     mu_ordinary,
     mu_ordinary_orbit,
+    pad_and_clutch,
     pad_pair,
     parse,
     reorder_at,
+    self_clutch,
     signature,
 )
 from npcc.errors import InvalidDatumError
@@ -209,6 +217,7 @@ assert False, "assert statements run; the interpreter is not under -O"
 G1 = MonodromyDatum(4, (1, 1, 2))
 G2 = MonodromyDatum(8, (4, 2, 5, 5))
 report = clutch.clutch_data(G1, G2)
+clutch.clutch_report.cache_clear()  # each fault below must reach a fresh joint
 
 
 def expect_domain_error(call):
@@ -224,11 +233,12 @@ genus, gcd_m = clutch.genus, clutch._gcd_m
 clutch._gcd_m = lambda value, m: 1
 expect_domain_error(lambda: clutch.clutch_data(G1, G2))
 clutch._gcd_m = gcd_m
+clutch.clutch_report.cache_clear()
 clutch.genus = lambda datum: genus(datum) + 1
 expect_domain_error(lambda: clutch.clutch_data(G1, G2))
 clutch.genus = genus
 expect_domain_error(lambda: clutch.epsilon_orbits(dataclasses.replace(report, epsilon=3), 7))
-clutch._defect_at = lambda d1, d2, r0, n, m3: 0
+clutch._defect_terms = lambda d1, d2, r0, m3: [0] * (m3 - 1)
 expect_domain_error(lambda: clutch.epsilon_orbits(report, 7))
 """
 
@@ -491,6 +501,18 @@ def test_closed_form_defect_matches_the_three_step_functions():
     assert min(defective.values()) >= 30
 
 
+def _defect_at(d1, d2, r0, n, m3):
+    """The defect term at one residue n; the oracle for the strided terms."""
+    return (d1 * d2 * r0 * n % m3 == 0) - (d1 * n % m3 == 0) - (d2 * n % m3 == 0)
+
+
+def test_strided_defect_terms_match_the_per_residue_oracle():
+    for m3 in range(2, 31):
+        for d1, d2, r0 in itertools.product(range(1, 7), range(1, 7), range(1, 5)):
+            expected = [_defect_at(d1, d2, r0, n, m3) for n in range(1, m3)]
+            assert npcc.clutch._defect_terms(d1, d2, r0, m3) == expected, (d1, d2, r0, m3)
+
+
 def test_clutch_report_is_the_composition_of_the_checks():
     # clutch_report builds its report in one pass; the oracle fills in
     # clutch_data's report with the three public checks
@@ -557,3 +579,59 @@ def test_check_compatible_is_an_empty_violation_list_and_builds_no_fraction(monk
         outcomes.append(got)
     assert made == 0
     assert 150 < sum(outcomes) < len(outcomes) - 150
+
+
+def _seeded_joints(monkeypatch):
+    """The (args, kwargs) of each clutch_report call of seeded chain steps."""
+    rng = random.Random(20261031)
+    joints = []
+    real = generators.clutch_report
+
+    def recording(*args, **kwargs):
+        joints.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(generators, "clutch_report", recording)
+    bases = [base_case(MonodromyDatum(m, a), c) for m, a, c in (
+        (5, (1, 1, 3), 2), (7, (1, 1, 5), 2), (8, (4, 2, 5, 5), 3), (6, (1, 3, 4, 4), 5),
+    )]
+    for _ in range(120):
+        fam = rng.choice(bases)
+        m, step = fam.datum.m, rng.randrange(4)
+        try:
+            if step == 0:
+                t = rng.choice([t for t in range(1, m + 1) if m % t == 0])
+                fam = pad_and_clutch(fam, t, rng.randint(2, 4))
+            elif step == 1:
+                fam = self_clutch(fam, rng.randint(2, 4), auto_pad=True)
+            elif step == 2:
+                fam = extend_ord(fam, rng.randrange(1, m))
+            else:
+                fam = double_induction(fam, fam, rng.randint(1, 2), rng.randint(1, 2))
+        except GeneratorError:  # a step whose hypothesis fails on this family
+            continue
+        if fam.datum.N < 60:
+            bases.append(fam)
+    monkeypatch.undo()
+    return joints
+
+
+def test_kept_joint_reports_match_fresh_ones(monkeypatch):
+    # every field of a kept report is the field a fresh report computes,
+    # with the joint's residue class and without one, as clutch_data asks
+    joints = _seeded_joints(monkeypatch)
+    assert len(joints) > 100 and len(set(map(repr, joints))) > 50
+    for args, kwargs in joints + [(args[:2], {}) for args, _ in joints]:
+        kept = clutch_report(*args, **kwargs)
+        fresh = clutch_report.__wrapped__(*args, **kwargs)
+        for field in dataclasses.fields(kept):
+            assert getattr(kept, field.name) == getattr(fresh, field.name), (args, field.name)
+        assert clutch_report(*args, **kwargs) is kept
+
+
+def test_clutch_report_errors_are_not_cached():
+    clutch_report.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NotAdmissibleError):
+            clutch_report(G2, G1, 7)
+    assert clutch_report.cache_info().currsize == 0

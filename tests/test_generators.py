@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from memos import clear_memos
 
 import npcc
 from npcc import (
@@ -799,6 +800,16 @@ def test_each_step_writes_its_ops_layout_and_replays_to_itself():
         check_steps(cert)
         assert replay(json.loads(json.dumps(cert))).certificate() == cert
     assert seen == set(ops)
+
+
+def test_a_certificate_replays_the_same_with_kept_and_cleared_memos():
+    # replay right after a step reads the joints the step kept; once the
+    # memos are cleared it rebuilds them, to the same certificate
+    for fam, name, keywords in _sized_steps():
+        cert = CHAIN_OPS[name].run(fam, **keywords).certificate()
+        assert replay(cert).certificate() == cert, (name, keywords)
+        clear_memos()
+        assert replay(cert).certificate() == cert, (name, keywords)
 
 
 CERTIFY_UNDER_O = """\

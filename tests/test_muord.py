@@ -24,7 +24,8 @@ from npcc import (
     parse,
     signature,
 )
-from npcc.muord import _assemble, _orbit_table
+from npcc.muord import _assemble, _mu_pairs, _orbit_table
+from npcc.orbits import g_of_orbit
 
 F = Fraction
 
@@ -178,6 +179,39 @@ def test_orbit_table_matches_fresh_orbit_polygons():
         for rep, pairs in table.items():
             assert pairs == mu_ordinary_orbit(rep, f)._pairs, (d, c, rep)
         assert _orbit_table(f, c) is table
+
+
+def _mu_pairs_by_levels(orbit, f):
+    """One pass over the orbit per level; the oracle for the sorted count."""
+    g_o = g_of_orbit(orbit, f)
+    if g_o == 0:
+        return ()
+    values = [f.values[n - 1] for n in orbit.members]
+    levels = sorted({v for v in values if 1 <= v <= g_o - 1}, reverse=True)
+    bounds = [g_o] + levels + [0]
+    cuts = zip(bounds, bounds[1:])
+    return tuple(((hi - lo) * sum(v >= hi for v in values), hi - lo) for hi, lo in cuts)
+
+
+def test_mu_pairs_match_the_per_level_count():
+    rng = random.Random(20261030)
+    cases = [(MonodromyDatum(1193, (1, 1, 1191)), 3)]
+    while len(cases) < 150:
+        m = rng.randint(3, 60)
+        a = [rng.randint(1, m - 1) for _ in range(rng.randint(2, 7))]
+        if sum(a) % m == 0:
+            continue
+        d = MonodromyDatum(m, tuple(a) + (-sum(a) % m,))
+        cases.append((d, rng.choice([q for q in range(1, m) if math.gcd(q, m) == 1])))
+    levels = 0
+    for d, c in cases:
+        f = signature(d)
+        for rep in decompose(d.m, c).representatives():
+            expected = _mu_pairs_by_levels(rep, f)
+            assert _mu_pairs(rep, f) == expected, (d, c, rep)
+            levels += max(len(expected) - 1, 0)
+    assert decompose(1193, 3).orbits[0].size == 1192
+    assert levels > 300
 
 
 def test_orbit_table_never_caches_an_inconsistent_signature():

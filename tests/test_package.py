@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from memos import clear_memos
+
 import npcc
 
 EXPORTS = """
@@ -118,6 +120,13 @@ def test_library_memos_are_bounded():
         sized += count
     assert problems == []
     assert sized >= 4
+
+
+def test_the_memo_helper_clears_every_memo_of_the_sources():
+    # a memo the helper cannot reach would hide an injected fault
+    src = Path(npcc.__file__).resolve().parent
+    sized = sum(_memo_problems(path)[1] for path in src.glob("*.py"))
+    assert len(clear_memos()) == sized
 
 
 def test_memo_scan_flags_unbounded_and_unsized_memos(tmp_path):
