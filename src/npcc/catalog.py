@@ -3,18 +3,18 @@
 data/moonen.txt lists twenty special cyclic-cover families together
 with their signatures and, for every congruence class of the prime,
 the Newton polygons occurring on the family.  This module parses that
-table into dataclasses, recomputes every printed value from scratch,
+table into immutable records, recomputes every printed value from scratch,
 and drives the generator operations through the application tables
 (chains, products, crossed chains), reporting each comparison exactly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from importlib import resources
 
+from ._record import Record, _set
 from .clutch import clutch_report
 from .errors import DomainError
 from .generators import (
@@ -44,26 +44,38 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class MoonenRow:
+class MoonenRow(Record):
     """One printed line: a class set and its polygons with flags.
 
     A flag of True marks a polygon whose occurrence on a smooth member
     is only guaranteed for sufficiently large primes in the class.
     """
 
-    classes: tuple[int, ...]
-    polygons: tuple[NewtonPolygon, ...]
-    large_p: tuple[bool, ...]
+    __slots__ = _fields = ("classes", "polygons", "large_p")
+
+    def __init__(
+        self, classes: tuple[int, ...], polygons: tuple[NewtonPolygon, ...],
+        large_p: tuple[bool, ...],
+    ):
+        _set(self, "classes", classes)
+        _set(self, "polygons", polygons)
+        _set(self, "large_p", large_p)
 
 
-@dataclasses.dataclass(frozen=True)
-class MoonenFamily:
-    label: str
-    m: int
-    a: tuple[int, ...]
-    f: tuple[int, ...]
-    rows: tuple[MoonenRow, ...]
+class MoonenFamily(Record):
+    """One family of the table: its datum, signature and printed rows."""
+
+    __slots__ = _fields = ("label", "m", "a", "f", "rows")
+
+    def __init__(
+        self, label: str, m: int, a: tuple[int, ...], f: tuple[int, ...],
+        rows: tuple[MoonenRow, ...],
+    ):
+        _set(self, "label", label)
+        _set(self, "m", m)
+        _set(self, "a", a)
+        _set(self, "f", f)
+        _set(self, "rows", rows)
 
     @property
     def datum(self) -> MonodromyDatum:

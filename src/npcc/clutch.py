@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, _set
 from .errors import (
     AsymmetricPolygonError,
     DomainError,
@@ -67,8 +67,7 @@ def check_admissible(g1: MonodromyDatum, g2: MonodromyDatum) -> bool:
     return (d1 * g1.a[-1] + d2 * g2.a[0]) % m3 == 0
 
 
-@dataclass(frozen=True)
-class ClutchReport:
+class ClutchReport(Record):
     """All derived quantities of one admissible clutching.
 
     The residue-class flags (balanced, compatible, defects) are None
@@ -76,23 +75,34 @@ class ClutchReport:
     when m1 does not divide m2, where the predicate is not defined.
     """
 
-    gamma1: MonodromyDatum
-    gamma2: MonodromyDatum
-    m3: int
-    d1: int
-    d2: int
-    r1: int
-    r2: int
-    r0: int
-    epsilon: int
-    gamma3: MonodromyDatum
-    f3: Signature
-    g3: int
-    admissible: bool = True
-    p_class: int | None = None
-    balanced: bool | None = None
-    compatible: bool | None = None
-    defects: tuple[tuple[Orbit, int], ...] | None = None
+    __slots__ = _fields = (
+        "gamma1", "gamma2", "m3", "d1", "d2", "r1", "r2", "r0", "epsilon", "gamma3", "f3",
+        "g3", "admissible", "p_class", "balanced", "compatible", "defects",
+    )
+
+    def __init__(
+        self, gamma1: MonodromyDatum, gamma2: MonodromyDatum, m3: int, d1: int, d2: int,
+        r1: int, r2: int, r0: int, epsilon: int, gamma3: MonodromyDatum, f3: Signature, g3: int,
+        admissible: bool = True, p_class: int | None = None, balanced: bool | None = None,
+        compatible: bool | None = None, defects: tuple[tuple[Orbit, int], ...] | None = None,
+    ):
+        _set(self, "gamma1", gamma1)
+        _set(self, "gamma2", gamma2)
+        _set(self, "m3", m3)
+        _set(self, "d1", d1)
+        _set(self, "d2", d2)
+        _set(self, "r1", r1)
+        _set(self, "r2", r2)
+        _set(self, "r0", r0)
+        _set(self, "epsilon", epsilon)
+        _set(self, "gamma3", gamma3)
+        _set(self, "f3", f3)
+        _set(self, "g3", g3)
+        _set(self, "admissible", admissible)
+        _set(self, "p_class", p_class)
+        _set(self, "balanced", balanced)
+        _set(self, "compatible", compatible)
+        _set(self, "defects", defects)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -216,14 +226,16 @@ def check_compatible(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> bool:
     return not _witness_slopes(g1, g2, p)
 
 
-@dataclass(frozen=True)
-class MuOrdProductCheck:
+class MuOrdProductCheck(Record):
     """Both sides of the product formula for the glued mu-ordinary polygon."""
 
-    lhs: NewtonPolygon
-    rhs: NewtonPolygon
-    equal: bool
-    balanced: bool
+    __slots__ = _fields = ("lhs", "rhs", "equal", "balanced")
+
+    def __init__(self, lhs: NewtonPolygon, rhs: NewtonPolygon, equal: bool, balanced: bool):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "equal", equal)
+        _set(self, "balanced", balanced)
 
     def to_json_obj(self) -> dict:
         return {

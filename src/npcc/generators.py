@@ -14,11 +14,11 @@ plain assumption strings instead of being silently trusted.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from types import MappingProxyType
 from typing import Callable, NamedTuple
 
+from ._record import Record, _set
 from .clutch import _cancelling_pair, check_compatible, clutch_report, reorder_at
 from .errors import (
     BadResidueError,
@@ -61,8 +61,7 @@ _UNBALANCED_NOTE = (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class CertifiedFamily:
+class CertifiedFamily(Record):
     """A monodromy datum with a certified Newton polygon claim.
 
     mu_ordinary_claim records whether the claimed polygon is asserted to
@@ -79,13 +78,24 @@ class CertifiedFamily:
     them as new JSON, so editing a certificate never changes the family.
     """
 
-    datum: MonodromyDatum
-    p_class: int
-    claimed_np: NewtonPolygon
-    mu_ordinary_claim: bool
-    steps: tuple = ()
-    assumptions: tuple = ()
-    payload_codim: int | None = None
+    __slots__ = _fields = (
+        "datum", "p_class", "claimed_np", "mu_ordinary_claim", "steps", "assumptions",
+        "payload_codim",
+    )
+
+    def __init__(
+        self, datum: MonodromyDatum, p_class: int, claimed_np: NewtonPolygon,
+        mu_ordinary_claim: bool, steps: tuple = (), assumptions: tuple = (),
+        payload_codim: int | None = None,
+    ):
+        _set(self, "datum", datum)
+        _set(self, "p_class", p_class)
+        _set(self, "claimed_np", claimed_np)
+        _set(self, "mu_ordinary_claim", mu_ordinary_claim)
+        _set(self, "steps", steps)
+        _set(self, "assumptions", assumptions)
+        _set(self, "payload_codim", payload_codim)
+        self.__post_init__()
 
     def __post_init__(self):
         self.datum.validate()
@@ -95,9 +105,9 @@ class CertifiedFamily:
             raise BadResidueError(
                 f"residue class {self.p_class} is not invertible mod {m}"
             )
-        object.__setattr__(self, "p_class", p)
-        object.__setattr__(self, "steps", tuple(self.steps))
-        object.__setattr__(self, "assumptions", tuple(self.assumptions))
+        _set(self, "p_class", p)
+        _set(self, "steps", tuple(self.steps))
+        _set(self, "assumptions", tuple(self.assumptions))
         if self.claimed_np.genus != genus(self.datum):
             raise GeneratorError(
                 f"claimed polygon has genus {self.claimed_np.genus}, datum has genus"
@@ -131,7 +141,7 @@ def _json(value):
 def _extended(f: CertifiedFamily, op: str, values, datum, claim, **changes) -> CertifiedFamily:
     """f plus one step of CHAIN_OPS[op] holding values; other fields carry over unless changed."""
     steps = f.steps + (CHAIN_OPS[op].record(*values),)
-    return dataclasses.replace(f, datum=datum, claimed_np=claim, steps=steps, **changes)
+    return f._replace(datum=datum, claimed_np=claim, steps=steps, **changes)
 
 
 def _certify(holds: bool, what: str) -> None:

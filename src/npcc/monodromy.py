@@ -14,9 +14,9 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record, _set
 from .errors import InvalidDatumError
 
 __all__ = [
@@ -58,18 +58,21 @@ def _gcd_m(value: int, m: int) -> int:
     return math.gcd(value % m, m) or m
 
 
-@dataclass(frozen=True)
-class MonodromyDatum:
+class MonodromyDatum(Record):
     """Branching datum (m, N, a) of a cyclic cover; checked when it is made."""
 
-    m: int
-    a: tuple[int, ...]
-    generalized: bool = False
+    __slots__ = _fields = ("m", "a", "generalized")
+
+    def __init__(self, m: int, a: tuple[int, ...], generalized: bool = False):
+        _set(self, "m", m)
+        _set(self, "a", a)
+        _set(self, "generalized", generalized)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.m < 1:
             raise InvalidDatumError(f"m = {self.m} < 1")
-        object.__setattr__(self, "a", tuple(int(x) % self.m for x in self.a))
+        _set(self, "a", tuple(int(x) % self.m for x in self.a))
         if self.m < 2:
             raise InvalidDatumError(f"m = {self.m} < 2")
         if self.N < 3:
@@ -148,12 +151,15 @@ def _decimal(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Eigenspace dimensions f(1), ..., f(m-1), indexed by nonzero residues."""
 
-    m: int
-    values: tuple[int, ...]
+    __slots__ = _fields = ("m", "values")
+
+    def __init__(self, m: int, values: tuple[int, ...]):
+        _set(self, "m", m)
+        _set(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.values) != self.m - 1:

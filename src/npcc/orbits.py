@@ -10,25 +10,30 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
+from ._record import Record, _set
 from .errors import BadResidueError, InconsistentSignatureError
 from .monodromy import Signature
 
 __all__ = ["Orbit", "OrbitDecomposition", "decompose", "g_of_orbit"]
 
 
-@dataclass(frozen=True, slots=True)
-class Orbit:
-    """One orbit of multiplication by p on nonzero residues mod m."""
+class Orbit(Record):
+    """One orbit of multiplication by p on nonzero residues mod m.
 
-    m: int
-    members: tuple[int, ...]
-    # The dual orbit, shared with it: a self-dual orbit is its own dual.
-    _dual: "Orbit | None" = field(default=None, init=False, repr=False, compare=False)
+    e is the order of the members in Z/m, the same for every member.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
+    _fields = ("m", "members")
+    # _dual is the dual orbit, shared with it: a self-dual orbit is its own dual.
+    __slots__ = (*_fields, "e", "_dual")
+
+    def __init__(self, m: int, members: tuple[int, ...]):
+        members = tuple(sorted(members))
+        _set(self, "m", m)
+        _set(self, "members", members)
+        _set(self, "e", m // math.gcd(members[0], m))
+        _set(self, "_dual", None)
 
     @property
     def size(self) -> int:
@@ -38,16 +43,11 @@ class Orbit:
     def min(self) -> int:
         return self.members[0]
 
-    @property
-    def e(self) -> int:
-        """Order of the members in Z/m, the same for every member."""
-        return self.m // math.gcd(self.min, self.m)
-
     def dual(self) -> "Orbit":
         if self._dual is None:
             dual = Orbit(self.m, tuple((self.m - n) % self.m for n in self.members))
-            object.__setattr__(self, "_dual", self if dual == self else dual)
-            object.__setattr__(self._dual, "_dual", self)
+            _set(self, "_dual", self if dual == self else dual)
+            _set(self._dual, "_dual", self)
         return self._dual
 
     @property
@@ -58,13 +58,15 @@ class Orbit:
         return "{" + ",".join(str(n) for n in self.members) + "}"
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
+class OrbitDecomposition(Record):
     """All orbits of n -> p*n mod m, ordered by smallest member."""
 
-    m: int
-    p_class: int
-    orbits: tuple[Orbit, ...]
+    __slots__ = _fields = ("m", "p_class", "orbits")
+
+    def __init__(self, m: int, p_class: int, orbits: tuple[Orbit, ...]):
+        _set(self, "m", m)
+        _set(self, "p_class", p_class)
+        _set(self, "orbits", orbits)
 
     def orbit_of(self, n: int) -> Orbit:
         n %= self.m

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+from ._record import Record, _set
 from .errors import DomainError, EnumerationCapError
 from .monodromy import MonodromyDatum, Signature, signature
 from .muord import OrbitPolygon, _orbit_table, mu_ordinary_orbit
@@ -480,17 +480,24 @@ def dim_moduli(g: int) -> int:
     return 1 if g == 1 else 0
 
 
-@dataclass(frozen=True)
-class ConditionUReport:
+class ConditionUReport(Record):
     """Comparison of dim M_g against the ambient stratum codimension."""
 
-    genus: int
-    dim_mg: int
-    codim_ag: int
-    holds: bool
+    __slots__ = _fields = ("genus", "dim_mg", "codim_ag", "holds")
+
+    def __init__(self, genus: int, dim_mg: int, codim_ag: int, holds: bool):
+        _set(self, "genus", genus)
+        _set(self, "dim_mg", dim_mg)
+        _set(self, "codim_ag", codim_ag)
+        _set(self, "holds", holds)
 
     def to_json_obj(self) -> dict:
-        return asdict(self)
+        return {
+            "genus": self.genus,
+            "dim_mg": self.dim_mg,
+            "codim_ag": self.codim_ag,
+            "holds": self.holds,
+        }
 
 
 def condition_u(nu: NewtonPolygon) -> ConditionUReport:

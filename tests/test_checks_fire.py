@@ -5,7 +5,6 @@ that agree on every input.  So each test breaks the one value its check
 compares, by monkeypatch, and expects the named error.
 """
 
-import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -112,7 +111,7 @@ def test_a_joint_reported_before_the_fault_is_checked_again_once_the_memos_clear
 
 def test_orbit_defects_off_the_total_are_refused():
     report = clutch.clutch_data(G1, G2)
-    wrong = dataclasses.replace(report, epsilon=report.epsilon + 1)
+    wrong = report._replace(epsilon=report.epsilon + 1)
     with pytest.raises(DomainError, match="^orbit defects must sum to the defect$"):
         clutch.epsilon_orbits(wrong, 7)
 
@@ -123,7 +122,7 @@ def test_a_chain_joint_with_another_defect_fails_certification(monkeypatch):
 
     def report_with_one_more_defect(*args, **kwargs):
         report = real(*args, **kwargs)
-        return dataclasses.replace(report, epsilon=report.epsilon + 1)
+        return report._replace(epsilon=report.epsilon + 1)
 
     monkeypatch.setattr(generators, "clutch_report", report_with_one_more_defect)
     with pytest.raises(CertificationError, match="^certification check failed: chain joint "):

@@ -1,6 +1,5 @@
 """Tests for the clutching bookkeeping on pairs of data."""
 
-import dataclasses
 import itertools
 import math
 import os
@@ -208,8 +207,6 @@ def test_epsilon_orbits_sum_to_defect():
 
 
 CHECKS_UNDER_O = """\
-import dataclasses
-
 import npcc.clutch as clutch
 from npcc import DomainError, MonodromyDatum
 
@@ -237,7 +234,7 @@ clutch.clutch_report.cache_clear()
 clutch.genus = lambda datum: genus(datum) + 1
 expect_domain_error(lambda: clutch.clutch_data(G1, G2))
 clutch.genus = genus
-expect_domain_error(lambda: clutch.epsilon_orbits(dataclasses.replace(report, epsilon=3), 7))
+expect_domain_error(lambda: clutch.epsilon_orbits(report._replace(epsilon=3), 7))
 clutch._defect_terms = lambda d1, d2, r0, m3: [0] * (m3 - 1)
 expect_domain_error(lambda: clutch.epsilon_orbits(report, 7))
 """
@@ -535,8 +532,7 @@ def test_clutch_report_is_the_composition_of_the_checks():
             continue
         m3 = math.lcm(m1, m2)
         p = rng.choice([c for c in range(1, 3 * m3) if math.gcd(c, m3) == 1])
-        expected = dataclasses.replace(
-            clutch_data(g1, g2),
+        expected = clutch_data(g1, g2)._replace(
             p_class=p % m3,
             balanced=check_balanced(g1, g2, p),
             compatible=check_compatible(g1, g2, p) if m2 % m1 == 0 else None,
@@ -624,8 +620,8 @@ def test_kept_joint_reports_match_fresh_ones(monkeypatch):
     for args, kwargs in joints + [(args[:2], {}) for args, _ in joints]:
         kept = clutch_report(*args, **kwargs)
         fresh = clutch_report.__wrapped__(*args, **kwargs)
-        for field in dataclasses.fields(kept):
-            assert getattr(kept, field.name) == getattr(fresh, field.name), (args, field.name)
+        for name in kept._fields:
+            assert getattr(kept, name) == getattr(fresh, name), (args, name)
         assert clutch_report(*args, **kwargs) is kept
 
 

@@ -813,8 +813,6 @@ def test_a_certificate_replays_the_same_with_kept_and_cleared_memos():
 
 
 CERTIFY_UNDER_O = """\
-import dataclasses
-
 import npcc.generators as gen
 from npcc import EMPTY, CertificationError, MonodromyDatum
 
@@ -838,7 +836,7 @@ def attempt(name, fake, call):
 report = gen.clutch_report
 attempt("genus", lambda datum: 1, lambda: gen.extend_ord(fam, 3))
 attempt("mu_ordinary", lambda datum, p: EMPTY, lambda: gen.self_clutch(fam, 2, auto_pad=True))
-unbalanced = lambda *args, **kwargs: dataclasses.replace(report(*args, **kwargs), balanced=False)
+unbalanced = lambda *args, **kwargs: report(*args, **kwargs)._replace(balanced=False)
 attempt("clutch_report", unbalanced, lambda: gen.pad_and_clutch(fam, 7, 2))
 """
 

@@ -168,6 +168,14 @@ def test_orbits_know_their_duals_for_every_unit_class():
     assert self_dual > 1000 and paired > 1000
 
 
+def test_the_kept_order_is_the_additive_order_of_every_member():
+    for m in range(2, 40):
+        for p in (q for q in range(1, m) if math.gcd(q, m) == 1):
+            for o in decompose(m, p).orbits:
+                for n in o.members:
+                    assert o.e == next(k for k in range(1, m + 1) if k * n % m == 0), (m, p, o)
+
+
 def test_an_orbit_built_by_hand_finds_its_dual_once():
     o = Orbit(12, (5, 1))
     d = o.dual()

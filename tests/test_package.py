@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from memos import clear_memos
@@ -35,6 +38,22 @@ def test_exports_are_listed_once_and_resolve():
     assert set(npcc.__all__) == set(EXPORTS) | {"CertificationError"}
     for name in npcc.__all__:
         assert hasattr(npcc, name), name
+
+
+def test_startup_loads_no_dataclass_or_inspect_machinery():
+    # Every CLI call pays for what `import npcc` loads; the records are
+    # plain classes, so neither module is needed to start.
+    src = str(Path(npcc.__file__).resolve().parents[1])
+    code = (
+        "import sys; before = set(sys.modules); import npcc; npcc.moonen_families();"
+        " print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_names_the_tests_import_resolve():
