@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from importlib import resources
+import os
 
 from ._record import Record, _set
 from .clutch import clutch_report
@@ -42,6 +42,10 @@ __all__ = [
     "reproduce_applications",
     "worked_clutch_example",
 ]
+
+# The bundled table, read with open: importlib.resources would load
+# about 30 standard modules more than npcc needs at every start.
+_TABLE_PATH = os.path.join(os.path.dirname(__file__), "data", "moonen.txt")
 
 
 class MoonenRow(Record):
@@ -117,7 +121,8 @@ class MoonenFamily(Record):
 @functools.lru_cache(maxsize=1)
 def moonen_families() -> tuple[MoonenFamily, ...]:
     """Parse and validate the bundled family table."""
-    text = resources.files(__package__).joinpath("data/moonen.txt").read_text("utf-8")
+    with open(_TABLE_PATH, encoding="utf-8") as table:
+        text = table.read()
     grouped: dict[str, dict] = {}
     for raw in text.splitlines():
         line = raw.strip()

@@ -14,9 +14,9 @@ plain assumption strings instead of being silently trusted.
 
 from __future__ import annotations
 
+import collections
 import math
 from types import MappingProxyType
-from typing import Callable, NamedTuple
 
 from ._record import Record, _set
 from .clutch import _cancelling_pair, check_compatible, clutch_report, reorder_at
@@ -88,30 +88,22 @@ class CertifiedFamily(Record):
         mu_ordinary_claim: bool, steps: tuple = (), assumptions: tuple = (),
         payload_codim: int | None = None,
     ):
+        datum.validate()
+        m = datum.m
+        p = p_class % m
+        if math.gcd(p, m) != 1:
+            raise BadResidueError(f"residue class {p_class} is not invertible mod {m}")
         _set(self, "datum", datum)
-        _set(self, "p_class", p_class)
+        _set(self, "p_class", p)
         _set(self, "claimed_np", claimed_np)
         _set(self, "mu_ordinary_claim", mu_ordinary_claim)
-        _set(self, "steps", steps)
-        _set(self, "assumptions", assumptions)
+        _set(self, "steps", tuple(steps))
+        _set(self, "assumptions", tuple(assumptions))
         _set(self, "payload_codim", payload_codim)
-        self.__post_init__()
-
-    def __post_init__(self):
-        self.datum.validate()
-        m = self.datum.m
-        p = self.p_class % m
-        if math.gcd(p, m) != 1:
-            raise BadResidueError(
-                f"residue class {self.p_class} is not invertible mod {m}"
-            )
-        _set(self, "p_class", p)
-        _set(self, "steps", tuple(self.steps))
-        _set(self, "assumptions", tuple(self.assumptions))
-        if self.claimed_np.genus != genus(self.datum):
+        g = genus(datum)
+        if claimed_np.genus != g:
             raise GeneratorError(
-                f"claimed polygon has genus {self.claimed_np.genus}, datum has genus"
-                f" {genus(self.datum)}"
+                f"claimed polygon has genus {claimed_np.genus}, datum has genus {g}"
             )
 
     def certificate(self) -> dict:
@@ -159,9 +151,9 @@ def _hypothesis(holds: bool, failure: str) -> None:
 # The most branch points a chain step may produce; each op checks it
 # before it clutches.  A joint builds the glued datum, O(N), and its
 # signature and checks, O(m), so a chain of n copies costs O(n (N + m)):
-# self:340:auto (N = 1022) takes about 0.1 s on 7:3:1,1,5 and, on
-# 1193:3:1,1,1191, about 0.65 s at class 3 and 2.3 s at class 1, in
-# process on a 2-core Xeon host.
+# self:340:auto (N = 1022) takes about 0.13 s on 7:3:1,1,5 and, on
+# 1193:3:1,1,1191, about 0.66 s at class 3 and 2.8 s at class 1, in
+# process on a 2-core Xeon host (medians of 7 runs).
 MAX_BRANCH_POINTS = 1024
 
 
@@ -620,21 +612,19 @@ def _read(step: dict, key: str, kind: type, where: str, cap: int, depth: int):
         raise GeneratorError(f"{where}: {exc}") from None
 
 
-class ChainOp(NamedTuple):
+class ChainOp(collections.namedtuple("ChainOp", "name layout run word", defaults=(None,))):
     """A step op: its "op" name, certificate layout, work and --step word.
 
     layout declares a step's keys after "op" in certificate order: each
     input as (key, kind of its value), then each computed field as a
     bare key, but double_induction's input "other" comes last.  record
     writes steps from it; replay reads their inputs back by kind for
-    run(f, **inputs), f being None for a base op.  The --step form is
-    word, ":X" per int input x, then "[:auto]" for a flag auto_pad.
+    run(f, **inputs), f being None for a base op, which returns a
+    CertifiedFamily.  The --step form is word, ":X" per int input x,
+    then "[:auto]" for a flag auto_pad; word is None for an op without one.
     """
 
-    name: str
-    layout: tuple
-    run: Callable[..., CertifiedFamily]
-    word: str | None = None
+    __slots__ = ()
 
     @property
     def inputs(self) -> list:

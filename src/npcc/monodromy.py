@@ -41,8 +41,8 @@ __all__ = [
 # `npcc clutch` 0.12 s, interpreter start included.  The signature of a
 # glued datum sums over its distinct entries, so a joint's per-residue
 # work stays O(m) however long the chain: `--step self:340:auto`, near
-# MAX_BRANCH_POINTS, takes about 0.65 s at class 3 and 2.3 s at class 1
-# in process.
+# MAX_BRANCH_POINTS, takes about 0.66 s at class 3 and 2.8 s at class 1
+# in process (medians of 7 runs).
 MAX_MODULUS = 1200
 
 
@@ -157,15 +157,10 @@ class Signature(Record):
     __slots__ = _fields = ("m", "values")
 
     def __init__(self, m: int, values: tuple[int, ...]):
+        if len(values) != m - 1:
+            raise InvalidDatumError(f"signature mod {m} needs {m - 1} values, got {len(values)}")
         _set(self, "m", m)
         _set(self, "values", values)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.values) != self.m - 1:
-            raise InvalidDatumError(
-                f"signature mod {self.m} needs {self.m - 1} values, got {len(self.values)}"
-            )
 
     def __call__(self, n: int) -> int:
         n %= self.m
@@ -230,12 +225,6 @@ def signature(datum: MonodromyDatum) -> Signature:
     return Signature(m, tuple(vals))
 
 
-# A chain joint asks for the genus of both sides and of the glued
-# datum, the next joint asks for that last one again as its first side,
-# and replay and verify_family ask for the same ones.  A call that
-# raises is not cached; bounded as signature is, since a key holds up
-# to MAX_BRANCH_POINTS entries and a value is one int.
-@functools.lru_cache(maxsize=32)
 def genus(datum: MonodromyDatum) -> int:
     """Dimension of the differentials, by Riemann-Hurwitz.
 

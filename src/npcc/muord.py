@@ -17,8 +17,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import EndpointMismatchError, PolygonSyntaxError
 from .monodromy import MonodromyDatum, Signature, signature

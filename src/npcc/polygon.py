@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
 from .errors import AsymmetricPolygonError, EndpointMismatchError, PolygonSyntaxError
 

@@ -5,8 +5,6 @@ that agree on every input.  So each test breaks the one value its check
 compares, by monkeypatch, and expects the named error.
 """
 
-from types import SimpleNamespace
-
 import pytest
 from memos import clear_memos
 
@@ -156,10 +154,10 @@ M3 = "M[3] | 3 | 1,1,2,2 | 1,1 | 1 | ss^2 | 0"
     ids=["fields", "flags", "rows", "signature", "polygon"],
 )
 def test_a_corrupt_family_table_is_refused(monkeypatch, tmp_path, line, corrupt, message):
-    table = catalog.resources.files("npcc").joinpath("data/moonen.txt").read_text("utf-8")
+    with open(catalog._TABLE_PATH, encoding="utf-8") as real:
+        table = real.read()
     assert table.count(line + "\n") == 1
-    (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "moonen.txt").write_text(table.replace(line, corrupt), "utf-8")
-    monkeypatch.setattr(catalog, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    (tmp_path / "moonen.txt").write_text(table.replace(line, corrupt), "utf-8")
+    monkeypatch.setattr(catalog, "_TABLE_PATH", str(tmp_path / "moonen.txt"))
     with pytest.raises(DomainError, match="^" + message):
         catalog.moonen_families.__wrapped__()  # past the cache of the real table

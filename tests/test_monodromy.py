@@ -344,21 +344,6 @@ def test_signature_matches_the_all_entries_loop():
         assert signature.__wrapped__(datum) == _signature_all_entries(datum), datum
 
 
-def test_genus_cache_matches_its_body():
-    for datum in _seeded_data(20265, 40) + _chain_glued_data():
-        assert genus(datum) == genus.__wrapped__(datum), datum
-
-
-def test_genus_errors_are_not_cached():
-    # only entries off a zero sum reach an odd Riemann-Hurwitz total
-    bad = _Unvalidated(4, (1, 1, 1))
-    genus.cache_clear()
-    for _ in range(2):
-        with pytest.raises(InvalidDatumError, match="^odd Riemann-Hurwitz total 1 for 4:3:1,1,1$"):
-            genus(bad)
-    assert genus.cache_info().currsize == 0
-
-
 def test_genus_is_the_signature_total_on_induced_data():
     # an induced datum is gcd(m, a) disjoint copies of one curve, and its
     # genus is the dimension of the differentials of their union

@@ -40,20 +40,32 @@ def test_exports_are_listed_once_and_resolve():
         assert hasattr(npcc, name), name
 
 
-def test_startup_loads_no_dataclass_or_inspect_machinery():
-    # Every CLI call pays for what `import npcc` loads; the records are
-    # plain classes, so neither module is needed to start.
+def _loaded_at_startup(names, *flags):
+    """Those of names that `import npcc; npcc.moonen_families()` loads in a fresh interpreter."""
     src = str(Path(npcc.__file__).resolve().parents[1])
     code = (
         "import sys; before = set(sys.modules); import npcc; npcc.moonen_families();"
-        " print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        f" print(sorted({set(names)!r} & (set(sys.modules) - before)))"
     )
     run = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "[]"
+    return run.stdout.strip()
+
+
+def test_startup_loads_no_dataclass_or_inspect_machinery():
+    # Every CLI call pays for what `import npcc` loads; the records are
+    # plain classes, so neither module is needed to start.
+    assert _loaded_at_startup({"dataclasses", "inspect"}) == "[]"
+
+
+def test_startup_without_site_loads_no_resources_or_typing_machinery():
+    # -S keeps site from loading modules first, so each module listed
+    # would show up here if npcc itself loaded it.
+    heavy = {"importlib.resources", "typing", "dataclasses", "inspect"}
+    assert _loaded_at_startup(heavy, "-S") == "[]"
 
 
 def test_names_the_tests_import_resolve():
