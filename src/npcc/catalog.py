@@ -10,10 +10,10 @@ and drives the generator operations through the application tables
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 
+from ._memo import memo
 from ._record import Record, _set
 from .clutch import clutch_report
 from .errors import DomainError
@@ -118,7 +118,7 @@ class MoonenFamily(Record):
         return rest[0]
 
 
-@functools.lru_cache(maxsize=1)
+@memo(1)
 def moonen_families() -> tuple[MoonenFamily, ...]:
     """Parse and validate the bundled family table."""
     with open(_TABLE_PATH, encoding="utf-8") as table:

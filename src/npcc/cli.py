@@ -11,13 +11,13 @@ domain error, 2 on a usage error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import re
 import sys
 
+from ._memo import memo
 from .catalog import (
     moonen_families,
     moonen_family,
@@ -470,7 +470,7 @@ def _add_residue_group(sp: argparse.ArgumentParser, required: bool = True) -> No
 # so main() builds it on its first call and reuses it.  Reuse leaks no
 # state: parse_args copies --step's list default before appending, and
 # help and usage text is formatted when printed.  Bounded: one parser.
-@functools.lru_cache(maxsize=1)
+@memo(1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="npcc",

@@ -13,10 +13,10 @@ Everything here is pure bookkeeping on integers and exact rationals.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
+from ._memo import memo
 from ._record import Record, _set
 from .errors import (
     AsymmetricPolygonError,
@@ -327,7 +327,7 @@ def _orbit_defects(
 # MAX_MODULUS - 1 values and one defect per orbit (the orbits are
 # decompose's own).  A joint at m3 = 1193, N = 1019 holds about 140 KiB
 # at class 1, where each residue is an orbit, so 16 hold about 2.3 MiB.
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def clutch_report(
     g1: MonodromyDatum, g2: MonodromyDatum, p: int | None = None
 ) -> ClutchReport:

@@ -12,10 +12,10 @@ f(n) of the corresponding character eigenspace of differentials.
 from __future__ import annotations
 
 import collections
-import functools
 import math
 from fractions import Fraction
 
+from ._memo import memo
 from ._record import Record, _set
 from .errors import InvalidDatumError
 
@@ -64,23 +64,20 @@ class MonodromyDatum(Record):
     __slots__ = _fields = ("m", "a", "generalized")
 
     def __init__(self, m: int, a: tuple[int, ...], generalized: bool = False):
+        if m < 1:
+            raise InvalidDatumError(f"m = {m} < 1")
+        a = tuple(int(x) % m for x in a)
+        if m < 2:
+            raise InvalidDatumError(f"m = {m} < 2")
+        if len(a) < 3:
+            raise InvalidDatumError(f"N = {len(a)} < 3")
+        if sum(a) % m:
+            raise InvalidDatumError(f"entries {a} do not sum to 0 mod {m}")
+        if not generalized and 0 in a:
+            raise InvalidDatumError(f"zero entry in non-generalized datum {a}")
         _set(self, "m", m)
         _set(self, "a", a)
         _set(self, "generalized", generalized)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise InvalidDatumError(f"m = {self.m} < 1")
-        _set(self, "a", tuple(int(x) % self.m for x in self.a))
-        if self.m < 2:
-            raise InvalidDatumError(f"m = {self.m} < 2")
-        if self.N < 3:
-            raise InvalidDatumError(f"N = {self.N} < 3")
-        if sum(self.a) % self.m:
-            raise InvalidDatumError(f"entries {self.a} do not sum to 0 mod {self.m}")
-        if not self.generalized and 0 in self.a:
-            raise InvalidDatumError(f"zero entry in non-generalized datum {self.a}")
 
     @property
     def N(self) -> int:
@@ -191,7 +188,7 @@ class Signature(Record):
 # of its pair; replay and verify_family ask for the same ones.  A call
 # that raises is not cached; bounded because a key holds up to
 # MAX_BRANCH_POINTS entries and a value up to MAX_MODULUS - 1.
-@functools.lru_cache(maxsize=32)
+@memo(32)
 def signature(datum: MonodromyDatum) -> Signature:
     """Eigenspace dimensions of a datum.
 

@@ -15,11 +15,11 @@ attained, and the greatest element of the Kottwitz partial order.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from collections.abc import Iterable
 from fractions import Fraction
 
+from ._memo import memo
 from .errors import EndpointMismatchError, PolygonSyntaxError
 from .monodromy import MonodromyDatum, Signature, signature
 from .orbits import Orbit, decompose, g_of_orbit
@@ -119,14 +119,10 @@ class OrbitPolygon:
         """Invariance of the slope multiset under s -> |o| - s."""
         return _self_symmetric(self.orbit, self._pairs)
 
-    def _lambda_triples(self, dual: bool = True) -> list[tuple[int, int, int]]:
-        """(num, den, mult) of the lambda-scaled slopes, unmerged."""
-        return _lambda_triples(self.orbit, self._pairs, dual)
-
     def lambda_scale(self) -> NewtonPolygon:
         """The Newton polygon piece this orbit contributes."""
         # Validated orbit slopes strictly increase in [0, |o|], so these are canonical.
-        return NewtonPolygon._trusted(tuple(self._lambda_triples(dual=False)))
+        return NewtonPolygon._trusted(tuple(_lambda_triples(self.orbit, self._pairs, dual=False)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OrbitPolygon):
@@ -206,7 +202,7 @@ def _mu_pairs(orbit: Orbit, f: Signature) -> tuple[tuple[int, int], ...]:
 # most (m + 1) / 2 representatives and, since a polygon on an orbit o
 # has at most |o| + 1 segments, fewer than 3 m / 2 pairs: about 14,000
 # pairs at MAX_MODULUS, whatever N.
-@functools.lru_cache(maxsize=8)
+@memo(8)
 def _orbit_table(f: Signature, p_class: int) -> dict[Orbit, tuple[tuple[int, int], ...]]:
     """Each orbit representative mod f.m at the class of p, in
     `representatives()` order, mapped to the (rise, width) pairs of its
@@ -226,7 +222,7 @@ def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:
 # shared safely; an inconsistent signature raises and is never cached.
 # Bounded: at most 64 entries, each a key of up to MAX_MODULUS - 1
 # values and a polygon with fewer segments than its height.
-@functools.lru_cache(maxsize=64)
+@memo(64)
 def _assemble(f: Signature, p_class: int) -> NewtonPolygon:
     """mu_ordinary_of_signature for the class of p mod f.m."""
     table = _orbit_table(f, p_class).items()

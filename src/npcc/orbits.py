@@ -8,9 +8,9 @@ f(m - n) many slopes, a quantity constant on the orbit.
 
 from __future__ import annotations
 
-import functools
 import math
 
+from ._memo import memo
 from ._record import Record, _set
 from .errors import BadResidueError, InconsistentSignatureError
 from .monodromy import Signature
@@ -93,7 +93,7 @@ def decompose(m: int, p: int) -> OrbitDecomposition:
 # Chain checks decompose the same few moduli over and over.  Keyed by
 # the residue, so a huge p costs no entry of its own; bounded because a
 # decomposition holds up to MAX_MODULUS - 1 members.
-@functools.lru_cache(maxsize=16)
+@memo(16)
 def _decompose(m: int, q: int) -> OrbitDecomposition:
     """decompose for a unit q mod m, already reduced."""
     seen: set[int] = set()

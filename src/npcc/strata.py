@@ -36,10 +36,11 @@ import itertools
 import math
 from fractions import Fraction
 
+from ._memo import WeighedMemo
 from ._record import Record, _set
 from .errors import DomainError, EnumerationCapError
 from .monodromy import MonodromyDatum, Signature, signature
-from .muord import OrbitPolygon, _orbit_table, mu_ordinary_orbit
+from .muord import OrbitPolygon, _lambda_triples, _orbit_table, mu_ordinary_orbit
 from .orbits import Orbit, decompose
 from .polygon import NewtonPolygon, _slope_order
 
@@ -364,7 +365,7 @@ def _decode_totals(
 # (tracemalloc, CPython 3.11), so the memo holds at most about 1.1 MiB;
 # those 111 operations leave 1,383 candidates in it.
 MAX_MEMO_CANDIDATES = 2048
-_FACTORS: dict[tuple, tuple] = {}
+_FACTORS = WeighedMemo("npcc.strata._FACTORS", MAX_MEMO_CANDIDATES)
 
 
 def _factor(
@@ -373,31 +374,27 @@ def _factor(
     """One factor of a Kottwitz set: its candidates, chain lengths and triples.
 
     top holds the (rise, width) pairs of the mu-ordinary orbit polygon of
-    ``rep`` under f, the factor's top.  Each candidate's triples are its
-    `OrbitPolygon._lambda_triples`.  A shape seen before gives its
+    ``rep`` under f, the factor's top.  Each candidate's triples are the
+    `muord._lambda_triples` of its pairs.  A shape seen before gives its
     candidates on ``rep`` without checking them again: their checks read
     only the pairs and |o|, both in the key.
     """
     _check_cap(cap)  # before the key is hashed
     key = (top, rep.size, rep.is_self_dual, cap)
-    entry = _FACTORS.pop(key, None)
-    if entry is None:
-        factor = enumerate_orbit_component(rep, f, cap)
-        _check_factor_order(factor)
-        lengths = KottwitzSet._chain_lengths(factor)
-        same: dict = {}  # equal triples of the factor's candidates, held once
-        triples = tuple(tuple(same.setdefault(t, t) for t in c._lambda_triples()) for c in factor)
-        if len(factor) > MAX_MEMO_CANDIDATES:
-            return factor, lengths, triples
-        held = sum(len(kept[0]) for kept in _FACTORS.values())
-        while held + len(factor) > MAX_MEMO_CANDIDATES:
-            held -= len(_FACTORS.pop(next(iter(_FACTORS)))[0])
-        shapes = zip(*((c._pairs, c._grid, c._scale) for c in factor))
-        entry = (lengths, triples, *shapes)
-    else:
+    entry = _FACTORS.get(key)
+    if entry is not None:
         factor = tuple(OrbitPolygon._of_checked(rep, *shape) for shape in zip(*entry[2:]))
-    _FACTORS[key] = entry  # last: the most recently used
-    return factor, entry[0], entry[1]
+        return factor, entry[0], entry[1]
+    factor = enumerate_orbit_component(rep, f, cap)
+    _check_factor_order(factor)
+    lengths = KottwitzSet._chain_lengths(factor)
+    same: dict = {}  # equal triples of the factor's candidates, held once
+    triples = tuple(
+        tuple(same.setdefault(t, t) for t in _lambda_triples(rep, c._pairs)) for c in factor
+    )
+    shapes = zip(*((c._pairs, c._grid, c._scale) for c in factor))
+    _FACTORS.put(key, (lengths, triples, *shapes), len(factor))
+    return factor, lengths, triples
 
 
 def _check_factor_order(factor: tuple[OrbitPolygon, ...]) -> None:

@@ -6,8 +6,8 @@ compares, by monkeypatch, and expects the named error.
 """
 
 import pytest
-from memos import clear_memos
 
+import npcc._memo as _memo
 import npcc.catalog as catalog
 import npcc.clutch as clutch
 import npcc.generators as generators
@@ -31,9 +31,9 @@ G2 = MonodromyDatum(8, (4, 2, 5, 5))
 @pytest.fixture(autouse=True)
 def _cold_memos():
     # A kept answer would skip the broken code; a broken one must not outlive its test.
-    clear_memos()
+    _memo.clear()
     yield
-    clear_memos()
+    _memo.clear()
 
 
 def _off_by_one(monkeypatch, module, name):
@@ -102,7 +102,7 @@ def test_a_joint_reported_before_the_fault_is_checked_again_once_the_memos_clear
     report = clutch.clutch_data(G1, G2)
     _off_by_one(monkeypatch, clutch, "genus")
     assert clutch.clutch_data(G1, G2) is report
-    clear_memos()
+    _memo.clear()
     with pytest.raises(DomainError, match="^genus recursion disagrees with Riemann-Hurwitz$"):
         clutch.clutch_data(G1, G2)
 

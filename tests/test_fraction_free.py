@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-import npcc.strata as strata
+import npcc._memo as _memo
 from npcc import (
     MonodromyDatum,
     extend_ord,
@@ -59,7 +59,7 @@ def test_library_paths_build_no_fraction(monkeypatch, capsys, run):
         made += 1
         return fraction_new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(strata, "_FACTORS", {})  # every factor enumerated afresh
+    _memo.clear()  # every factor enumerated afresh
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     Fraction(1, 3)
     assert made == 1  # the count sees every construction

@@ -11,9 +11,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from memos import clear_memos
 
 import npcc
+import npcc._memo as _memo
 from npcc import (
     BadResidueError,
     CertificationError,
@@ -808,7 +808,7 @@ def test_a_certificate_replays_the_same_with_kept_and_cleared_memos():
     for fam, name, keywords in _sized_steps():
         cert = CHAIN_OPS[name].run(fam, **keywords).certificate()
         assert replay(cert).certificate() == cert, (name, keywords)
-        clear_memos()
+        _memo.clear()
         assert replay(cert).certificate() == cert, (name, keywords)
 
 

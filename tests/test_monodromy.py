@@ -21,6 +21,7 @@ from npcc import (
     signature,
     strip_zeros,
 )
+from npcc._record import _set
 from npcc.generators import MAX_BRANCH_POINTS
 from npcc.monodromy import MAX_MODULUS
 
@@ -276,17 +277,18 @@ def test_signature_matches_fraction_oracle():
         assert signature(datum) == _signature_by_fractions(datum), datum
 
 
-class _Unvalidated(MonodromyDatum):
-    """A datum whose construction checks are skipped, to reach the defensive checks."""
-
-    def __post_init__(self):
-        pass
+def _unvalidated(m, a):
+    """A datum made without its construction checks, to reach the defensive checks."""
+    datum = object.__new__(MonodromyDatum)
+    for name, value in zip(MonodromyDatum._fields, (m, a, False)):
+        _set(datum, name, value)
+    return datum
 
 
 @pytest.mark.parametrize("a", [(1,), (1, 1), (1, 1, 1), (2, 3, 4, 4)])
 def test_signature_error_message_matches_fraction_oracle(a):
     # entries not summing to 0 mod m give a negative or non-integral dimension
-    datum = _Unvalidated(5, a)
+    datum = _unvalidated(5, a)
     with pytest.raises(InvalidDatumError) as oracle:
         _signature_by_fractions(datum)
     with pytest.raises(InvalidDatumError) as fast:
@@ -301,7 +303,7 @@ def test_signature_cache_matches_its_body():
 
 
 def test_signature_errors_are_not_cached():
-    bad = _Unvalidated(5, (1, 1, 1))
+    bad = _unvalidated(5, (1, 1, 1))
     for _ in range(2):
         with pytest.raises(InvalidDatumError):
             signature(bad)

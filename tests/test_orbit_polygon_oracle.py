@@ -26,6 +26,7 @@ from npcc import (
     decompose,
     kottwitz_set,
 )
+from npcc.muord import _lambda_triples
 from npcc.polygon import _canonical
 
 
@@ -117,8 +118,9 @@ def _assert_agrees(q, oracle):
     assert q.is_self_symmetric == oracle.is_self_symmetric
     assert q.lambda_scale() == oracle.lambda_scale()
     # The unmerged int triples the Kottwitz fold codes, merged, are the piece.
-    assert _canonical(q._lambda_triples()) == oracle.piece()._triples
-    assert _canonical(q._lambda_triples(dual=False)) == oracle.lambda_scale()._triples
+    assert _canonical(_lambda_triples(q.orbit, q._pairs)) == oracle.piece()._triples
+    piece = _lambda_triples(q.orbit, q._pairs, dual=False)
+    assert _canonical(piece) == oracle.lambda_scale()._triples
     assert q == OrbitPolygon(q.orbit, oracle.segments)
     assert hash(q) == hash(OrbitPolygon(q.orbit, oracle.segments))
 

@@ -8,9 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from memos import clear_memos
+import pytest
 
 import npcc
+import npcc._memo as _memo
+import npcc.cli
+from npcc import MonodromyDatum, clutch_report, kottwitz_set, mu_ordinary
 
 EXPORTS = """
 AsymmetricPolygonError BadResidueError DomainError
@@ -108,73 +111,105 @@ def test_benchmark_traced_names_resolve():
         assert callable(owner), span
 
 
-def _memo_problems(path):
-    """Unbounded or unsized memos in one module, and its count of sized ones."""
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
-    problems, sized = [], 0
-    for node in ast.walk(tree):
+def _memo_outside_the_registry(path):
+    """Where one module names functools' memo decorators, which only
+    npcc._memo may: a memo declared elsewhere escapes its clear() and info()."""
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         where = f"{path.name}:{getattr(node, 'lineno', '?')}"
         if isinstance(node, ast.ImportFrom) and node.module == "functools":
             names = sorted({a.name for a in node.names} & {"cache", "lru_cache"})
             if names:
                 problems.append(f"{where} imports {names} by name")
-        if not (
+        elif (
             isinstance(node, ast.Attribute)
+            and node.attr in {"cache", "lru_cache"}
             and isinstance(node.value, ast.Name)
             and node.value.id == "functools"
         ):
-            continue
-        if node.attr == "cache":
-            problems.append(f"{where} functools.cache has no bound")
-        elif node.attr == "lru_cache":
-            call = calls.get(id(node))
-            given = [] if call is None else [
-                k.value for k in call.keywords if k.arg == "maxsize"
-            ] + call.args[:1]
-            size = given[0].value if given and isinstance(given[0], ast.Constant) else None
-            if type(size) is int:
-                sized += 1
-            else:
-                problems.append(f"{where} lru_cache without an integer maxsize")
-    return problems, sized
+            problems.append(f"{where} functools.{node.attr}")
+    return problems
 
 
-def test_library_memos_are_bounded():
-    # A memo without a bound grows with every distinct input a long run
-    # sees, so each is a functools.lru_cache with an integer maxsize.
+def test_only_the_registry_declares_a_memo():
     src = Path(npcc.__file__).resolve().parent
-    problems, sized = [], 0
-    for path in sorted(src.glob("*.py")):
-        found, count = _memo_problems(path)
-        problems += found
-        sized += count
-    assert problems == []
-    assert sized >= 4
+    outside = [
+        problem
+        for path in sorted(src.glob("*.py"))
+        if path.name != "_memo.py"
+        for problem in _memo_outside_the_registry(path)
+    ]
+    assert outside == []
+    assert _memo_outside_the_registry(src / "_memo.py") != []  # the scan sees its memos
 
 
-def test_the_memo_helper_clears_every_memo_of_the_sources():
-    # a memo the helper cannot reach would hide an injected fault
-    src = Path(npcc.__file__).resolve().parent
-    sized = sum(_memo_problems(path)[1] for path in src.glob("*.py"))
-    assert len(clear_memos()) == sized
-
-
-def test_memo_scan_flags_unbounded_and_unsized_memos(tmp_path):
+def test_memo_scan_flags_every_memo_decorator_named(tmp_path):
     path = tmp_path / "memos.py"
     path.write_text(
         "import functools\n"
         "from functools import cache\n"
+        "from functools import lru_cache as kept, reduce\n"
         "@functools.cache\ndef a(x): return x\n"
-        "@functools.lru_cache(maxsize=None)\ndef b(x): return x\n"
-        "@functools.lru_cache\ndef c(x): return x\n"
-        "@functools.lru_cache()\ndef d(x): return x\n"
-        "@functools.lru_cache(8)\ndef e(x): return x\n"
-        "@functools.lru_cache(maxsize=16)\ndef f(x): return x\n",
+        "@functools.lru_cache(maxsize=16)\ndef b(x): return x\n"
+        "c = functools.reduce\n"
+        "@memo(8)\ndef d(x): return x\n",
         encoding="utf-8",
     )
-    problems, sized = _memo_problems(path)
-    assert {p.split(" ", 1)[0] for p in problems} == {
-        "memos.py:2", "memos.py:3", "memos.py:5", "memos.py:7", "memos.py:9"
-    }
-    assert sized == 2
+    problems = _memo_outside_the_registry(path)
+    assert [p.split(" ", 1)[0] for p in problems] == [
+        "memos.py:2", "memos.py:3", "memos.py:4", "memos.py:6"
+    ]
+
+
+@pytest.mark.parametrize("bound", [None, 0, 1.5, True])
+def test_a_memo_needs_a_positive_int_bound(bound):
+    # A memo without a bound grows with every distinct input a long run
+    # sees; memo() refuses one when its module is imported.
+    with pytest.raises(ValueError, match="positive int bound"):
+        _memo.memo(bound)
+    with pytest.raises(ValueError, match="positive int bound"):
+        _memo.WeighedMemo("npcc.unregistered", bound)
+    assert "npcc.unregistered" not in _memo.info()
+
+
+MEMOS = {
+    "npcc.cli._build_parser", "npcc.catalog.moonen_families", "npcc.monodromy.signature",
+    "npcc.orbits._decompose", "npcc.muord._orbit_table", "npcc.muord._assemble",
+    "npcc.clutch.clutch_report", "npcc.strata._FACTORS",
+}
+G1, G2 = MonodromyDatum(4, (1, 1, 2)), MonodromyDatum(8, (4, 2, 5, 5))
+
+
+def _warm():
+    npcc.cli._build_parser()
+    npcc.moonen_families()
+    kottwitz_set(G2, 7)
+    mu_ordinary(G2, 7)
+    clutch_report(G1, G2, 7)
+
+
+def test_the_registry_holds_every_memo_and_clear_empties_them():
+    _warm()
+    info = _memo.info()
+    assert set(info) == MEMOS
+    assert all(kept.currsize > 0 for kept in info.values()), info
+    for name, kept in _memo._MEMOS.items():
+        module, _, attribute = name.rpartition(".")
+        assert getattr(importlib.import_module(module), attribute) is kept, name
+    _memo.clear()
+    assert all(kept[:2] == (0, 0) and kept.currsize == 0 for kept in _memo.info().values())
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("npcc.strata._FACTORS", lambda: kottwitz_set(MonodromyDatum(7, (1, 1, 5)), 3)),
+        ("npcc.clutch.clutch_report", lambda: clutch_report(G1, G2, 7)),
+    ],
+)
+def test_the_registry_counts_a_repeated_call_as_a_miss_then_a_hit(name, call):
+    _memo.clear()
+    call()  # one factor, or one joint
+    assert _memo.info()[name][:2] == (0, 1)
+    call()
+    assert _memo.info()[name][:2] == (1, 1)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import npcc
+import npcc._memo as _memo
 import npcc.strata as strata
 from npcc import (
     DEFAULT_ENUM_CAP,
@@ -165,7 +166,7 @@ def test_kottwitz_cap_stops_enumeration(monkeypatch):
         return enumerate_orbit_component(orbit, f, cap)
 
     monkeypatch.setattr(strata, "enumerate_orbit_component", counting)
-    monkeypatch.setattr(strata, "_FACTORS", {})  # no factor kept by an earlier test
+    _memo.clear()  # no factor kept by an earlier test
     datum = MonodromyDatum(21, (1, 1, 1, 1, 1, 1, 15))
     with pytest.raises(EnumerationCapError, match=r"sizes 39 x 14 = 546"):
         kottwitz_set(datum, 2, cap=100)
@@ -192,7 +193,7 @@ def _everything(ks):
 def test_kept_factors_build_the_set_a_cold_build_does(monkeypatch):
     cold = {}
     for text, c in KEPT_SHAPES:
-        monkeypatch.setattr(strata, "_FACTORS", {})
+        _memo.clear()
         cold[text, c] = _everything(kottwitz_set(MonodromyDatum.from_text(text), c))
     enumerated = []
 
@@ -201,7 +202,7 @@ def test_kept_factors_build_the_set_a_cold_build_does(monkeypatch):
         return enumerate_orbit_component(orbit, f, cap)
 
     monkeypatch.setattr(strata, "enumerate_orbit_component", counting)
-    monkeypatch.setattr(strata, "_FACTORS", {})
+    _memo.clear()
     kept = []  # factors per set built from a kept shape
     for text, c in KEPT_SHAPES:
         before = len(enumerated)
@@ -213,7 +214,7 @@ def test_kept_factors_build_the_set_a_cold_build_does(monkeypatch):
     assert kept[1] >= 1 and kept[3] >= 1 and kept[-1] == 4
 
 
-def test_a_smaller_cap_on_a_kept_shape_names_the_callers_orbit(monkeypatch):
+def test_a_smaller_cap_on_a_kept_shape_names_the_callers_orbit():
     datum = MonodromyDatum.from_text("9:4:1,2,3,3")
 
     def cap_error():
@@ -221,7 +222,7 @@ def test_a_smaller_cap_on_a_kept_shape_names_the_callers_orbit(monkeypatch):
             kottwitz_set(datum, 2, cap=2)
         return str(info.value)
 
-    monkeypatch.setattr(strata, "_FACTORS", {})
+    _memo.clear()
     cold = cap_error()
     assert cold.startswith("more than 2 candidates on orbit {1,2,4,5,7,8}")
     kottwitz_set(MonodromyDatum.from_text("13:4:1,2,3,7"), 4)  # keeps the shape mod 13
@@ -231,10 +232,10 @@ def test_a_smaller_cap_on_a_kept_shape_names_the_callers_orbit(monkeypatch):
 
 def test_the_kept_factors_stay_within_their_bound(monkeypatch):
     def kept():  # candidates per kept shape, least recently used first
-        return [len(entry[0]) for entry in strata._FACTORS.values()]
+        return [len(entry[0]) for _, entry in strata._FACTORS._kept.values()]
 
-    monkeypatch.setattr(strata, "MAX_MEMO_CANDIDATES", 17)
-    monkeypatch.setattr(strata, "_FACTORS", {})
+    monkeypatch.setattr(strata._FACTORS, "maxsize", 17)
+    _memo.clear()
     # factors of 39, 14 and 3 candidates: the first is above the bound
     big = MonodromyDatum.from_text("21:7:1,1,1,1,1,1,15")
     kottwitz_set(big, 2)
@@ -249,7 +250,7 @@ def test_the_kept_factors_stay_within_their_bound(monkeypatch):
     assert kept() == [14, 3]
     for text, c in KEPT_SHAPES:
         kottwitz_set(MonodromyDatum.from_text(text), c)
-        assert sum(kept()) <= 17
+        assert strata._FACTORS.cache_info().currsize == sum(kept()) <= 17
 
 
 ORDER_CHECKS_UNDER_O = """\
