@@ -1,15 +1,29 @@
 """Immutable value records: the base of the library's record classes.
 
 A record names its fields in ``_fields``, two or more in constructor
-order, and keeps them in slots that its ``__init__`` fills with
-``_set``.  It compares, hashes, prints, copies and pickles by those
-fields, as a frozen dataclass does, at no import cost beyond ``operator``.
+order, and keeps them in slots.  Unless it writes an ``__init__``, the
+base builds one that stores them, with the defaults of an optional
+``_defaults`` dict.  It compares, hashes, prints, copies and pickles by
+its fields, as a frozen dataclass does, at no import cost beyond ``operator``.
 """
 
 from operator import attrgetter
 
 # Fills a slot from __init__, past the __setattr__ that refuses to.
 _set = object.__setattr__
+
+
+def _constructor(cls):
+    """An __init__ storing cls._fields in order; the last may default by cls._defaults."""
+    defaults = getattr(cls, "_defaults", {})
+    params = [f"{name}=_defaults[{name!r}]" if name in defaults else name for name in cls._fields]
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
+    namespace = {"_set": _set, "_defaults": defaults}
+    exec(f"def __init__(self, {', '.join(params)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    return init
 
 
 class Record:
@@ -21,6 +35,8 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._values = attrgetter(*cls._fields)
+        if cls.__init__ is object.__init__:
+            cls.__init__ = _constructor(cls)
 
     def __eq__(self, other):
         if type(other) is type(self):

@@ -14,7 +14,7 @@ import math
 import os
 
 from ._memo import memo
-from ._record import Record, _set
+from ._record import Record
 from .clutch import clutch_report
 from .errors import DomainError
 from .generators import (
@@ -57,29 +57,11 @@ class MoonenRow(Record):
 
     __slots__ = _fields = ("classes", "polygons", "large_p")
 
-    def __init__(
-        self, classes: tuple[int, ...], polygons: tuple[NewtonPolygon, ...],
-        large_p: tuple[bool, ...],
-    ):
-        _set(self, "classes", classes)
-        _set(self, "polygons", polygons)
-        _set(self, "large_p", large_p)
-
 
 class MoonenFamily(Record):
     """One family of the table: its datum, signature and printed rows."""
 
     __slots__ = _fields = ("label", "m", "a", "f", "rows")
-
-    def __init__(
-        self, label: str, m: int, a: tuple[int, ...], f: tuple[int, ...],
-        rows: tuple[MoonenRow, ...],
-    ):
-        _set(self, "label", label)
-        _set(self, "m", m)
-        _set(self, "a", a)
-        _set(self, "f", f)
-        _set(self, "rows", rows)
 
     @property
     def datum(self) -> MonodromyDatum:

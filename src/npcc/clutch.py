@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from ._memo import memo
-from ._record import Record, _set
+from ._record import Record
 from .errors import (
     AsymmetricPolygonError,
     DomainError,
@@ -79,30 +79,7 @@ class ClutchReport(Record):
         "gamma1", "gamma2", "m3", "d1", "d2", "r1", "r2", "r0", "epsilon", "gamma3", "f3",
         "g3", "admissible", "p_class", "balanced", "compatible", "defects",
     )
-
-    def __init__(
-        self, gamma1: MonodromyDatum, gamma2: MonodromyDatum, m3: int, d1: int, d2: int,
-        r1: int, r2: int, r0: int, epsilon: int, gamma3: MonodromyDatum, f3: Signature, g3: int,
-        admissible: bool = True, p_class: int | None = None, balanced: bool | None = None,
-        compatible: bool | None = None, defects: tuple[tuple[Orbit, int], ...] | None = None,
-    ):
-        _set(self, "gamma1", gamma1)
-        _set(self, "gamma2", gamma2)
-        _set(self, "m3", m3)
-        _set(self, "d1", d1)
-        _set(self, "d2", d2)
-        _set(self, "r1", r1)
-        _set(self, "r2", r2)
-        _set(self, "r0", r0)
-        _set(self, "epsilon", epsilon)
-        _set(self, "gamma3", gamma3)
-        _set(self, "f3", f3)
-        _set(self, "g3", g3)
-        _set(self, "admissible", admissible)
-        _set(self, "p_class", p_class)
-        _set(self, "balanced", balanced)
-        _set(self, "compatible", compatible)
-        _set(self, "defects", defects)
+    _defaults = dict(admissible=True, p_class=None, balanced=None, compatible=None, defects=None)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -230,12 +207,6 @@ class MuOrdProductCheck(Record):
     """Both sides of the product formula for the glued mu-ordinary polygon."""
 
     __slots__ = _fields = ("lhs", "rhs", "equal", "balanced")
-
-    def __init__(self, lhs: NewtonPolygon, rhs: NewtonPolygon, equal: bool, balanced: bool):
-        _set(self, "lhs", lhs)
-        _set(self, "rhs", rhs)
-        _set(self, "equal", equal)
-        _set(self, "balanced", balanced)
 
     def to_json_obj(self) -> dict:
         return {

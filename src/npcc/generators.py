@@ -577,6 +577,8 @@ def verify_family(f: CertifiedFamily, deep: bool = False, cap: int = DEFAULT_ENU
 MAX_REPLAY_DEPTH = 16
 
 _JSON_TYPES = {dict: "an object", list: "an array", int: "an integer", bool: "a boolean"}
+# The JSON type of each kind of step value that is not a JSON type itself.
+_STEP_JSON_TYPES = {tuple: list, NewtonPolygon: list, MonodromyDatum: dict, CertifiedFamily: dict}
 
 
 def _field(obj: dict, key: str, kind: type, where: str):
@@ -600,8 +602,7 @@ def _same_json(a, b) -> bool:
 
 def _read(step: dict, key: str, kind: type, where: str, cap: int, depth: int):
     """step[key] read back as a step value of the given kind; a tuple is two labels."""
-    json_type = {tuple: list, NewtonPolygon: list, MonodromyDatum: dict, CertifiedFamily: dict}
-    value = _field(step, key, json_type.get(kind, kind), where)
+    value = _field(step, key, _STEP_JSON_TYPES.get(kind, kind), where)
     if kind is tuple and (len(value) != 2 or not all(type(i) is int for i in value)):
         raise GeneratorError(f"{where} needs {key!r} as two integer labels")
     if kind is CertifiedFamily:

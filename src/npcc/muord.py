@@ -41,10 +41,10 @@ class OrbitPolygon:
     Stored as (rise, width) int pairs with positive widths: a segment of
     slope s and width w rises by the integer s*w, so all vertices are
     lattice points, and slopes strictly increase in [0, |orbit|].  Values
-    on the integer grid are precomputed, because enumeration compares
-    these polygons pointwise very often, as ints scaled by the lcm of the
-    slopes' denominators (1 when all slopes are integral, as mu-ordinary
-    ones are).  Slopes and scaled grids compare by cross-multiplying.
+    on the integer grid, for the search's lower bound, the factor sort,
+    `lies_on_or_above` and the lattice count, are ints scaled by the lcm
+    of the slopes' denominators (1 for mu-ordinary ones, whose slopes are
+    integral).  Slopes and scaled grids compare by cross-multiplying.
     """
 
     __slots__ = ("orbit", "_pairs", "_grid", "_scale")

@@ -63,11 +63,6 @@ class OrbitDecomposition(Record):
 
     __slots__ = _fields = ("m", "p_class", "orbits")
 
-    def __init__(self, m: int, p_class: int, orbits: tuple[Orbit, ...]):
-        _set(self, "m", m)
-        _set(self, "p_class", p_class)
-        _set(self, "orbits", orbits)
-
     def orbit_of(self, n: int) -> Orbit:
         n %= self.m
         for o in self.orbits:

@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 
 from ._memo import WeighedMemo
-from ._record import Record, _set
+from ._record import Record
 from .errors import DomainError, EnumerationCapError
 from .monodromy import MonodromyDatum, Signature, signature
 from .muord import OrbitPolygon, _lambda_triples, _orbit_table, mu_ordinary_orbit
@@ -481,12 +481,6 @@ class ConditionUReport(Record):
     """Comparison of dim M_g against the ambient stratum codimension."""
 
     __slots__ = _fields = ("genus", "dim_mg", "codim_ag", "holds")
-
-    def __init__(self, genus: int, dim_mg: int, codim_ag: int, holds: bool):
-        _set(self, "genus", genus)
-        _set(self, "dim_mg", dim_mg)
-        _set(self, "codim_ag", codim_ag)
-        _set(self, "holds", holds)
 
     def to_json_obj(self) -> dict:
         return {

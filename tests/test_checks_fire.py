@@ -5,6 +5,8 @@ that agree on every input.  So each test breaks the one value its check
 compares, by monkeypatch, and expects the named error.
 """
 
+from fractions import Fraction
+
 import pytest
 
 import npcc._memo as _memo
@@ -12,14 +14,19 @@ import npcc.catalog as catalog
 import npcc.clutch as clutch
 import npcc.generators as generators
 import npcc.monodromy as monodromy
+import npcc.strata as strata
 from npcc import (
     AsymmetricPolygonError,
     CertificationError,
     DomainError,
     InvalidDatumError,
     MonodromyDatum,
+    OrbitPolygon,
     base_case,
+    decompose,
+    kottwitz_set,
     pad_and_clutch,
+    signature,
 )
 
 # The worked pair: at class 7 every orbit mod 8 is self-dual, and on
@@ -135,6 +142,48 @@ def test_an_odd_riemann_hurwitz_total_is_refused(monkeypatch):
     _off_by_one(monkeypatch, monodromy, "_gcd_m")
     with pytest.raises(InvalidDatumError, match="^odd Riemann-Hurwitz total 1 for 7:3:1,1,5$"):
         monodromy.genus(datum)
+
+
+# At class 2 mod 3 the one orbit {1,2} is self-dual, and its factor is
+# the chain <0x1, 1x2, 2x1> < <1/2x2, 3/2x2> < <1x4>, the mu-ordinary
+# polygon first.
+SIX = MonodromyDatum(3, (1, 1, 1, 1, 1, 1))
+
+
+def test_a_mu_ordinary_polygon_that_is_not_the_lowest_candidate_is_refused(monkeypatch):
+    # On a self-dual orbit only symmetric paths are kept, so an
+    # asymmetric lower bound is never found as a candidate itself.
+    orbit, f = decompose(3, 2).orbit_of(1), signature(SIX)
+    asymmetric = OrbitPolygon(orbit, [(0, 1), (Fraction(4, 3), 3)])
+    assert asymmetric.lies_on_or_above(strata.mu_ordinary_orbit(orbit, f))
+    monkeypatch.setattr(strata, "mu_ordinary_orbit", lambda orbit, f: asymmetric)
+    with pytest.raises(DomainError, match="^mu-ordinary polygon must be the lowest candidate$"):
+        strata.enumerate_orbit_component(orbit, f)
+
+
+def test_chain_lengths_that_put_a_candidate_below_the_top_are_refused(monkeypatch):
+    real = strata._lattice_count
+    monkeypatch.setattr(strata, "_lattice_count", lambda poly, stop: -real(poly, stop))
+    with pytest.raises(DomainError, match="^every candidate must lie above the factor top$"):
+        kottwitz_set(SIX, 2)
+
+
+def _reorder_factors(monkeypatch, order):
+    real = strata.enumerate_orbit_component
+    monkeypatch.setattr(strata, "enumerate_orbit_component", lambda *args: order(real(*args)))
+
+
+def test_a_factor_whose_first_candidate_is_not_its_top_is_refused(monkeypatch):
+    _reorder_factors(monkeypatch, lambda factor: factor[::-1])
+    with pytest.raises(DomainError, match="^top must be maximum$"):
+        kottwitz_set(SIX, 2)
+
+
+def test_a_factor_whose_last_candidate_is_not_its_bottom_is_refused(monkeypatch):
+    # The top stays first, so only the bottom check can fire.
+    _reorder_factors(monkeypatch, lambda factor: factor[:1] + factor[:0:-1])
+    with pytest.raises(DomainError, match="^bottom must be minimum$"):
+        kottwitz_set(SIX, 2)
 
 
 M1 = "M[1] | 2 | 1,1,1,1 | 1 | 1 | ord ; ss | 0;0"

@@ -141,6 +141,10 @@ def test_signature_values_hand_checked():
     assert signature(MonodromyDatum(5, (2, 2, 2, 2, 2))).values == (2, 0, 3, 1)
 
 
+def test_a_signature_prints_its_values():
+    assert str(signature(MonodromyDatum(5, (1, 1, 3)))) == "(1,1,0,0)"
+
+
 def test_signature_total_matches_genus_for_primitive_data():
     for d in [
         MonodromyDatum(4, (1, 1, 2)),

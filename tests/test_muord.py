@@ -88,6 +88,13 @@ def test_orbit_polygon_comparison():
         low.lies_on_or_above(OrbitPolygon(o, [(1, 1)]))
 
 
+def test_orbit_polygon_repr_and_equality_with_other_types():
+    q = mu_ordinary_orbit(_orbit(5, 4, 1), signature(MonodromyDatum(5, (1, 1, 3))))
+    assert repr(q) == "OrbitPolygon(Orbit(m=5, members=(1, 4)), [(Fraction(1, 1), 1)])"
+    assert q.__eq__("x") is NotImplemented
+    assert not q == "x" and q != "x"
+
+
 def test_mu_ordinary_orbit_recipe():
     # f = (1,1,0,0,2,0,1) mod 8; orbit {1,3} at p = 3 has values (1,0)
     # and g(o) = f(1) + f(7) = 2, so the level cuts give slopes 0 then 1

@@ -161,6 +161,43 @@ def test_memo_scan_flags_every_memo_decorator_named(tmp_path):
     ]
 
 
+def _code_runners(path):
+    """Where one module calls exec, eval or compile, which only npcc._record
+    may: code built from a string hides from the source and its scans."""
+    return [
+        f"{path.name}:{node.lineno} {node.func.id}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in {"exec", "eval", "compile"}
+    ]
+
+
+def test_only_the_record_base_runs_code_built_from_strings():
+    src = Path(npcc.__file__).resolve().parent
+    outside = [
+        problem
+        for path in sorted(src.glob("*.py"))
+        if path.name != "_record.py"
+        for problem in _code_runners(path)
+    ]
+    assert outside == []
+    assert _code_runners(src / "_record.py") != []  # the scan sees the constructor builder
+
+
+def test_code_runner_scan_flags_every_call_named(tmp_path):
+    path = tmp_path / "runners.py"
+    path.write_text(
+        "exec('x = 1')\n"
+        "y = eval('1 + 1')\n"
+        "z = compile('1', '<s>', 'eval')\n"
+        "w = re.compile('a')\n"
+        "v = evaluate('1')\n",
+        encoding="utf-8",
+    )
+    assert _code_runners(path) == ["runners.py:1 exec", "runners.py:2 eval", "runners.py:3 compile"]
+
+
 @pytest.mark.parametrize("bound", [None, 0, 1.5, True])
 def test_a_memo_needs_a_positive_int_bound(bound):
     # A memo without a bound grows with every distinct input a long run
