@@ -6,6 +6,17 @@ mu-ordinary polygons, Kottwitz sets with codimensions, clutching
 reports, certified inductive families, and the bundled reference
 tables with their reproduction reports.  The package exports what each
 module lists in its ``__all__``.
+
+``import npcc`` loads ``errors``, ``polygon``, ``monodromy``,
+``orbits``, ``muord`` and ``catalog``: all that parsing the family
+table and the per-datum invariants need, so a process that runs only
+those does not compile the rest.  ``strata``, ``clutch`` and
+``generators`` load together the first time one of their exports, one
+of them, ``__all__`` or ``dir(npcc)`` is read; no other dunder probe
+loads them.  A lazy export is looked up in its module at every read
+and never bound here, so whatever rebinds it in its module, a tracer
+for one, is seen through the package too.  The ``npcc`` command
+imports ``npcc.cli``, which loads every module.
 """
 
 from .errors import *
@@ -13,16 +24,41 @@ from .polygon import *
 from .monodromy import *
 from .orbits import *
 from .muord import *
-from .strata import *
-from .clutch import *
-from .generators import *
 from .catalog import *
-from . import catalog, clutch, errors, generators, monodromy, muord, orbits, polygon, strata
+from . import catalog, errors, monodromy, muord, orbits, polygon
 
 __version__ = "0.1.0"
 
-__all__ = [
-    name
-    for module in (errors, polygon, monodromy, orbits, muord, strata, clutch, generators, catalog)
-    for name in module.__all__
-] + ["__version__"]
+_LAZY = {}  # export name -> the lazy module defining it, filled when they load
+
+
+def _load_lazy():
+    # Not `from . import ...`: that probes this module for each name,
+    # which would call __getattr__ again.
+    import npcc.clutch, npcc.generators, npcc.strata
+
+    global __all__
+    if not _LAZY:
+        lazy = npcc.strata, npcc.clutch, npcc.generators
+        __all__ = [
+            name
+            for module in (errors, polygon, monodromy, orbits, muord, *lazy, catalog)
+            for name in module.__all__
+        ] + ["__version__"]
+        # One update, after __all__, so another thread sees every name or none.
+        _LAZY.update({name: module for module in lazy for name in module.__all__})
+
+
+def __getattr__(name):
+    if name not in _LAZY and (name == "__all__" or not name.startswith("__")):
+        _load_lazy()
+        if name in globals():  # __all__, or a lazy module bound here by that import
+            return globals()[name]
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_LAZY[name], name)
+
+
+def __dir__():
+    _load_lazy()
+    return sorted(set(globals()) | set(__all__))

@@ -13,23 +13,21 @@ from __future__ import annotations
 import math
 import os
 
+import npcc
+
 from ._memo import memo
 from ._record import Record
-from .clutch import clutch_report
 from .errors import DomainError
-from .generators import (
-    CertifiedFamily,
-    base_case,
-    double_induction,
-    pad_and_clutch,
-    payload_base,
-    verify_family,
-)
 from .monodromy import MonodromyDatum, genus, signature, strip_zeros
 from .muord import mu_ordinary
 from .orbits import decompose
 from .polygon import ORD, SS, NewtonPolygon, parse
-from .strata import kottwitz_set
+
+# strata, clutch and generators are imported by the functions that run
+# them: parsing the table needs none of them, so `import npcc` does not
+# compile them.  Annotations name CertifiedFamily through the package
+# (already in sys.modules when this module runs), so that
+# typing.get_type_hints resolves it by loading generators then.
 
 __all__ = [
     "MoonenRow",
@@ -157,13 +155,17 @@ def moonen_family(key: int | str) -> MoonenFamily:
     raise DomainError(f"unknown family {label}")
 
 
-def moonen_base(key: int | str, p_class: int) -> CertifiedFamily:
+def moonen_base(key: int | str, p_class: int) -> npcc.CertifiedFamily:
     """Certified mu-ordinary family on a listed datum."""
+    from .generators import base_case
+
     return base_case(moonen_family(key).datum, p_class)
 
 
-def moonen_payload(key: int | str, p_class: int) -> CertifiedFamily:
+def moonen_payload(key: int | str, p_class: int) -> npcc.CertifiedFamily:
     """Certified family carrying a listed non-generic polygon."""
+    from .generators import payload_base
+
     fam = moonen_family(key)
     return payload_base(fam.datum, p_class, fam.payload_polygon(p_class))
 
@@ -176,6 +178,8 @@ def reproduce_appendix() -> dict:
     each class the set of Kottwitz total polygons must equal the
     printed set with the mu-ordinary polygon listed first.
     """
+    from .strata import kottwitz_set
+
     report = {"ok": True, "families": []}
     for fam in moonen_families():
         sig = signature(fam.datum)
@@ -235,13 +239,15 @@ def reproduce_applications() -> dict:
     claim a codimension are verified inside the Kottwitz set of the
     final datum.
     """
+    from .generators import base_case, double_induction, pad_and_clutch, verify_family
+
     chain_n, ss_chain_n, double_n, example_n = 6, 10, 4, 4
     checks: list[dict] = []
 
     def run(
         table: str,
         params: dict,
-        fam: CertifiedFamily,
+        fam: npcc.CertifiedFamily,
         expected_np: NewtonPolygon,
         expected_genus: int,
         expected_datum: MonodromyDatum | None = None,
@@ -435,6 +441,9 @@ def worked_clutch_example() -> dict:
     family is mu-ordinary as a product, and its Kottwitz set contains
     exactly one polygon of codimension one.
     """
+    from .clutch import clutch_report
+    from .strata import kottwitz_set
+
     g1 = MonodromyDatum(4, (1, 1, 2))
     g2 = MonodromyDatum(8, (4, 2, 5, 5))
     p_class = 7

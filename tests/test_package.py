@@ -15,47 +15,87 @@ import npcc._memo as _memo
 import npcc.cli
 from npcc import MonodromyDatum, clutch_report, kottwitz_set, mu_ordinary
 
+# npcc.__all__ in order: each module's __all__, in the order the package
+# lists the modules, then __version__.
 EXPORTS = """
-AsymmetricPolygonError BadResidueError DomainError
-EndpointMismatchError EnumerationCapError GeneratorError InconsistentSignatureError
-InvalidDatumError NotABaseCaseError NotAdmissibleError PolygonSyntaxError
-UnsupportedPairError EMPTY ORD SS NewtonPolygon parse MonodromyDatum Signature genus
-induce normalize pad_first pad_last signature strip_zeros Orbit OrbitDecomposition
-decompose g_of_orbit OrbitPolygon beta_of_signature mu_ordinary mu_ordinary_of_signature
-mu_ordinary_orbit p_rank_bound DEFAULT_ENUM_CAP ConditionUReport KottwitzSet condition_u dim_moduli enumerate_orbit_component kottwitz_set
-omega_count threshold_half_slope_density
-threshold_repeated_summand threshold_ss_chain ClutchReport MuOrdProductCheck
-check_admissible check_balanced check_compatible clutch_data
-clutch_polygon clutch_report compatible_violations epsilon_orbits
-find_admissible_reordering mu_ord_product_check pad_pair reorder_at CertifiedFamily
-base_case double_induction extend_ord pad_and_clutch payload_base replay self_clutch
-verify_family MoonenFamily MoonenRow moonen_base moonen_families moonen_family
-moonen_payload reproduce_appendix reproduce_applications worked_clutch_example
+DomainError PolygonSyntaxError EndpointMismatchError AsymmetricPolygonError
+InvalidDatumError BadResidueError InconsistentSignatureError NotAdmissibleError
+UnsupportedPairError NotABaseCaseError GeneratorError CertificationError EnumerationCapError
+NewtonPolygon parse EMPTY ORD SS
+MonodromyDatum Signature signature genus induce normalize pad_first pad_last strip_zeros
+Orbit OrbitDecomposition decompose g_of_orbit
+OrbitPolygon mu_ordinary_orbit mu_ordinary_of_signature mu_ordinary beta_of_signature
+p_rank_bound
+DEFAULT_ENUM_CAP enumerate_orbit_component KottwitzSet kottwitz_set omega_count dim_moduli
+ConditionUReport condition_u threshold_half_slope_density threshold_repeated_summand
+threshold_ss_chain
+ClutchReport check_admissible clutch_data clutch_report clutch_polygon check_balanced
+check_compatible compatible_violations MuOrdProductCheck mu_ord_product_check
+epsilon_orbits find_admissible_reordering reorder_at pad_pair
+CertifiedFamily base_case payload_base extend_ord self_clutch pad_and_clutch
+double_induction verify_family replay
+MoonenRow MoonenFamily moonen_families moonen_family moonen_base moonen_payload
+reproduce_appendix reproduce_applications worked_clutch_example
 __version__
 """.split()
+MODULES = (npcc.errors, npcc.polygon, npcc.monodromy, npcc.orbits, npcc.muord, npcc.strata,
+           npcc.clutch, npcc.generators, npcc.catalog)
+LAZY = {"npcc.strata", "npcc.clutch", "npcc.generators"}
 
 
 def test_exports_are_listed_once_and_resolve():
-    assert len(EXPORTS) == 80
-    assert len(npcc.__all__) == len(set(npcc.__all__))
-    assert set(npcc.__all__) == set(EXPORTS) | {"CertificationError"}
+    assert len(EXPORTS) == len(set(EXPORTS)) == 81
+    assert npcc.__all__ == EXPORTS
+    assert npcc.__all__ is npcc.__all__  # one list, bound at its first read
     for name in npcc.__all__:
         assert hasattr(npcc, name), name
 
 
-def _loaded_at_startup(names, *flags):
-    """Those of names that `import npcc; npcc.moonen_families()` loads in a fresh interpreter."""
+def test_each_export_is_the_object_its_module_binds():
+    exported = [name for module in MODULES for name in module.__all__]
+    assert exported + ["__version__"] == npcc.__all__
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(npcc, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_dir_lists_every_export():
+    assert set(npcc.__all__) <= set(dir(npcc))
+
+
+def test_an_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="'no_such_export'"):
+        npcc.no_such_export
+    # A dunder probe (inspect.unwrap's, say) names no export and loads nothing.
+    assert _loaded_at_startup(LAZY, then="assert not hasattr(npcc, '__wrapped__')") == "[]"
+
+
+def test_catalog_annotations_resolve():
+    import typing
+
+    for func in (npcc.moonen_base, npcc.moonen_payload):
+        assert typing.get_type_hints(func)["return"] is npcc.CertifiedFamily
+
+
+def _fresh(code, *flags):
+    """What `code` prints in a fresh interpreter that imports npcc from this checkout."""
     src = str(Path(npcc.__file__).resolve().parents[1])
-    code = (
-        "import sys; before = set(sys.modules); import npcc; npcc.moonen_families();"
-        f" print(sorted({set(names)!r} & (set(sys.modules) - before)))"
-    )
     run = subprocess.run(
         [sys.executable, *flags, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert run.returncode == 0, run.stderr
     return run.stdout.strip()
+
+
+def _loaded_at_startup(names, *flags, then="pass"):
+    """Those of names that `import npcc; npcc.moonen_families()`, and the
+    statement `then` after them, load in a fresh interpreter."""
+    return _fresh(
+        "import sys; before = set(sys.modules); import npcc; npcc.moonen_families();"
+        f" {then}; print(sorted({set(names)!r} & (set(sys.modules) - before)))",
+        *flags,
+    )
 
 
 def test_startup_loads_no_dataclass_or_inspect_machinery():
@@ -69,6 +109,23 @@ def test_startup_without_site_loads_no_resources_or_typing_machinery():
     # would show up here if npcc itself loaded it.
     heavy = {"importlib.resources", "typing", "dataclasses", "inspect"}
     assert _loaded_at_startup(heavy, "-S") == "[]"
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)])
+def test_startup_compiles_no_strata_clutch_or_generators(flags):
+    # Parsing the table runs none of the three, so import npcc leaves
+    # them to the first read of one of their names.
+    assert _loaded_at_startup(LAZY, *flags) == "[]"
+
+
+@pytest.mark.parametrize("name", ["npcc.kottwitz_set", *sorted(LAZY)])
+def test_reading_a_lazy_name_right_after_import_loads_all_three_modules(name):
+    assert _loaded_at_startup(LAZY, then=name) == str(sorted(LAZY))
+
+
+def test_star_import_binds_every_export_in_a_fresh_interpreter():
+    code = "from npcc import *; import npcc; print(len(npcc.__all__), set(npcc.__all__) - set(globals()))"
+    assert _fresh(code) == "81 set()"
 
 
 def test_names_the_tests_import_resolve():
@@ -95,11 +152,13 @@ def test_no_assert_statements_in_the_library():
     assert found == []
 
 
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
 def test_benchmark_traced_names_resolve():
     # The benchmark's tracer wraps these by name; a rename would leave
     # a traced layer silently empty.
-    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     assert "strata.length" in spans.TARGETS
@@ -109,6 +168,29 @@ def test_benchmark_traced_names_resolve():
             assert hasattr(owner, name), f"{span}: {module}.{attribute}"
             owner = getattr(owner, name)
         assert callable(owner), span
+
+
+def test_a_lazy_export_read_under_the_tracer_is_untraced_after_restore():
+    # The tracer wraps only the bindings that exist when it installs, and
+    # the package binds no lazy export; so a first read of one while it
+    # is installed must not leave a wrapper behind in the package.
+    code = f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("bench_spans", {str(SPANS)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+import npcc, npcc.cli
+datum = npcc.MonodromyDatum(7, (1, 1, 5))
+tracer = spans.Tracer(npcc.DomainError)
+tracer.install()
+npcc.base_case(datum, 3)
+traced = tracer.calls["generators.base_case"]
+restored = tracer.restore()
+recorded = len(tracer.spans)
+npcc.base_case(datum, 3)
+print(traced, restored, npcc.base_case is npcc.generators.base_case, len(tracer.spans) - recorded)
+"""
+    assert _fresh(code) == "1 True True 0"
 
 
 def _memo_outside_the_registry(path):
