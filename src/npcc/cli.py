@@ -18,12 +18,7 @@ import re
 import sys
 
 from ._memo import memo
-from .catalog import (
-    moonen_families,
-    moonen_family,
-    reproduce_appendix,
-    worked_clutch_example,
-)
+from .catalog import moonen_families, moonen_family
 from .clutch import clutch_report
 from .errors import DomainError
 from .generators import (
@@ -38,6 +33,7 @@ from .monodromy import MonodromyDatum, _decimal, check_modulus, genus, signature
 from .muord import mu_ordinary, p_rank_bound
 from .orbits import decompose, g_of_orbit
 from .polygon import parse
+from .reproduce import reproduce_appendix, worked_clutch_example
 from .strata import DEFAULT_ENUM_CAP, condition_u, kottwitz_set, omega_count
 
 JSON_VERSION = 1

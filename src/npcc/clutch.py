@@ -14,7 +14,6 @@ Everything here is pure bookkeeping on integers and exact rationals.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._memo import memo
 from ._record import Record
@@ -36,7 +35,7 @@ from .monodromy import (
 )
 from .muord import OrbitPolygon, _orbit_table, _self_symmetric, mu_ordinary
 from .orbits import Orbit, OrbitDecomposition, decompose
-from .polygon import ORD, NewtonPolygon
+from .polygon import ORD, NewtonPolygon, _fraction
 
 __all__ = [
     "ClutchReport",
@@ -187,15 +186,15 @@ def _slope_witnesses(f1d: Signature, f2: Signature, dec: OrbitDecomposition) -> 
 
 def compatible_violations(
     g1: MonodromyDatum, g2: MonodromyDatum, p: int
-) -> tuple[tuple[Orbit, Fraction], ...]:
-    """Orbits (with a witness slope) where the slope-span condition fails.
+) -> tuple[tuple[Orbit, object], ...]:
+    """Orbits (with a witness slope, a Fraction) where the slope-span condition fails.
 
     Requires m1 | m2.  On each orbit of the larger modulus, the first
     family's induced orbit component must have no slope strictly
     between the first and last slopes of the second's; orbits where
     either component is empty are vacuously fine.
     """
-    return tuple((o, Fraction(*slope)) for o, slope in _witness_slopes(g1, g2, p).items())
+    return tuple((o, _fraction(*slope)) for o, slope in _witness_slopes(g1, g2, p).items())
 
 
 def check_compatible(g1: MonodromyDatum, g2: MonodromyDatum, p: int) -> bool:

@@ -19,6 +19,7 @@ import math
 from types import MappingProxyType
 
 from ._record import Record, _set
+from .catalog import moonen_families
 from .clutch import _cancelling_pair, check_compatible, clutch_report, reorder_at
 from .errors import (
     BadResidueError,
@@ -264,8 +265,6 @@ def _padded_chain(datum, claim, mu_claim, p, n):
 
 
 def _moonen_match(datum):
-    from .catalog import moonen_families
-
     if 0 in datum.a:
         return None
     key = normalize(datum)

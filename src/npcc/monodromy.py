@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import collections
 import math
-from fractions import Fraction
 
 from ._memo import memo
 from ._record import Record, _set
 from .errors import InvalidDatumError
+from .polygon import _fraction
 
 __all__ = [
     "MonodromyDatum",
@@ -216,7 +216,7 @@ def signature(datum: MonodromyDatum) -> Signature:
         if r or q < 0:
             raise InvalidDatumError(
                 "non-integral or negative eigenspace dimension"
-                f" {Fraction(s - m, m)} at n = {n}"
+                f" {_fraction(s - m, m)} at n = {n}"
             )
         vals.append(q)
     return Signature(m, tuple(vals))

@@ -17,13 +17,12 @@ from __future__ import annotations
 import bisect
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 
 from ._memo import memo
 from .errors import EndpointMismatchError, PolygonSyntaxError
 from .monodromy import MonodromyDatum, Signature, signature
 from .orbits import Orbit, decompose, g_of_orbit
-from .polygon import NewtonPolygon, _canonical
+from .polygon import NewtonPolygon, _canonical, _fraction, _ratio, _slope_text
 
 __all__ = [
     "OrbitPolygon",
@@ -49,12 +48,18 @@ class OrbitPolygon:
 
     __slots__ = ("orbit", "_pairs", "_grid", "_scale")
 
-    def __init__(self, orbit: Orbit, segments: Iterable[tuple[Fraction | int, int]]):
-        pairs = [(Fraction(s) * int(w), int(w)) for s, w in segments]
-        for rise, w in pairs:
-            if rise.denominator != 1:
-                raise PolygonSyntaxError(f"segment {rise / w}x{w} has a non-lattice vertex")
-        self._fill(orbit, tuple((rise.numerator, w) for rise, w in pairs))
+    def __init__(self, orbit: Orbit, segments: Iterable[tuple[object, int]]):
+        """The polygon of (slope, width) pairs; a slope is read as
+        `NewtonPolygon` reads one, and must rise by an int over its width."""
+        pairs = []
+        for s, w in segments:
+            (num, den), w = _ratio(s), int(w)
+            if num * w % den:
+                raise PolygonSyntaxError(
+                    f"segment {_slope_text(num, den)}x{w} has a non-lattice vertex"
+                )
+            pairs.append((num * w // den, w))
+        self._fill(orbit, tuple(pairs))
 
     @classmethod
     def _of_pairs(cls, orbit: Orbit, pairs: tuple[tuple[int, int], ...]) -> "OrbitPolygon":
@@ -76,7 +81,7 @@ class OrbitPolygon:
             if w < 1:
                 raise PolygonSyntaxError(f"orbit polygon width {w} < 1")
             if not 0 <= r <= size * w:
-                raise PolygonSyntaxError(f"orbit slope {Fraction(r, w)} outside [0, {size}]")
+                raise PolygonSyntaxError(f"orbit slope {_fraction(r, w)} outside [0, {size}]")
             if r * prev_w <= prev_r * w:
                 raise PolygonSyntaxError("orbit slopes must strictly increase")
         scale = math.lcm(*(w // math.gcd(r, w) for r, w in pairs))
@@ -88,8 +93,9 @@ class OrbitPolygon:
         return self
 
     @property
-    def segments(self) -> tuple[tuple[Fraction, int], ...]:
-        return tuple((Fraction(r, w), w) for r, w in self._pairs)
+    def segments(self) -> tuple[tuple[object, int], ...]:
+        """(slope, width) pairs by increasing slope, each slope a Fraction."""
+        return tuple((_fraction(r, w), w) for r, w in self._pairs)
 
     @property
     def height(self) -> int:

@@ -8,7 +8,8 @@ picking up each slope in increasing order.  All arithmetic is exact
 and in ints: slopes compare by cross-multiplying, and heights along
 the graph are counted in units of one over the lcm of the
 denominators.  Only ``segments`` and ``degree`` hand out slopes or
-heights, built as `fractions.Fraction` when asked for.
+heights, built as `fractions.Fraction` when asked for; the fractions
+module is imported then, by `_fraction`, and not when npcc loads.
 
 Text grammar (canonical form is produced by ``str``)::
 
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Callable, Iterable
-from fractions import Fraction
 
 from .errors import AsymmetricPolygonError, EndpointMismatchError, PolygonSyntaxError
 
@@ -54,10 +54,33 @@ def _slope_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+# What fractions.Fraction raises on a value it cannot read as a rational.
+_UNREADABLE = (ValueError, TypeError, OverflowError, ZeroDivisionError)
+
+
+def _fraction(*args):
+    """``fractions.Fraction(*args)``, the module imported at the first call.
+
+    Every Fraction npcc builds comes from here.  Parsing the family table
+    builds none, so ``import npcc`` does not load fractions, nor the
+    decimal and numbers modules it imports.
+    """
+    from fractions import Fraction
+
+    return Fraction(*args)
+
+
 def _ratio(slope) -> tuple[int, int]:
-    """(num, den) of a slope in lowest terms with den > 0."""
-    if not isinstance(slope, (int, Fraction)):
-        slope = Fraction(slope)
+    """(num, den) of a slope in lowest terms with den > 0.
+
+    An int is taken as it is, anything else as `fractions.Fraction` reads
+    it; a value it cannot read raises PolygonSyntaxError naming it.
+    """
+    if not isinstance(slope, int):
+        try:
+            slope = _fraction(slope)
+        except _UNREADABLE:
+            raise PolygonSyntaxError(f"slope {slope!r} is not a rational number") from None
     return slope.numerator, slope.denominator
 
 
@@ -92,7 +115,9 @@ class NewtonPolygon:
 
     __slots__ = ("_triples",)
 
-    def __init__(self, segments: Iterable[tuple[Fraction | int, int]] = ()):
+    def __init__(self, segments: Iterable[tuple[object, int]] = ()):
+        """The polygon of (slope, multiplicity) pairs; a slope is an int or
+        anything `fractions.Fraction` reads (a Fraction, float or string)."""
         self._triples = _canonical((*_ratio(slope), mult) for slope, mult in segments)
 
     @classmethod
@@ -113,9 +138,9 @@ class NewtonPolygon:
     # -- basic structure ------------------------------------------------
 
     @property
-    def segments(self) -> tuple[tuple[Fraction, int], ...]:
-        """(slope, multiplicity) pairs, by increasing slope."""
-        return tuple((Fraction(num, den), mult) for num, den, mult in self._triples)
+    def segments(self) -> tuple[tuple[object, int], ...]:
+        """(slope, multiplicity) pairs by increasing slope, each slope a Fraction."""
+        return tuple((_fraction(num, den), mult) for num, den, mult in self._triples)
 
     @property
     def is_empty(self) -> bool:
@@ -126,8 +151,9 @@ class NewtonPolygon:
         return sum(mult for _, _, mult in self._triples)
 
     @property
-    def degree(self) -> Fraction:
-        return sum((s * m for s, m in self.segments), Fraction(0))
+    def degree(self):
+        """The sum of the slopes with multiplicity, as a Fraction."""
+        return sum((s * m for s, m in self.segments), _fraction(0))
 
     def multiplicity(self, slope) -> int:
         key = _ratio(slope)

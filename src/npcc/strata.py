@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from ._memo import WeighedMemo
 from ._record import Record
@@ -42,7 +41,7 @@ from .errors import DomainError, EnumerationCapError
 from .monodromy import MonodromyDatum, Signature, signature
 from .muord import OrbitPolygon, _lambda_triples, _orbit_table, mu_ordinary_orbit
 from .orbits import Orbit, decompose
-from .polygon import NewtonPolygon, _slope_order
+from .polygon import _UNREADABLE, NewtonPolygon, _fraction, _slope_order
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -517,7 +516,10 @@ def threshold_half_slope_density(g: int, t) -> bool:
     at least 2*t*g, condition (U) holds once g >= 12/t^2; this evaluates
     that bound exactly as g*t^2 >= 12.  One-directional only.
     """
-    t = Fraction(t)
+    try:
+        t = _fraction(t)
+    except _UNREADABLE:
+        raise DomainError(f"t = {t!r} is not a rational number") from None
     _require_positive(g=g, t=t)
     if t > 1:
         raise DomainError(f"t = {t} must lie in (0, 1]")

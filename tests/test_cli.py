@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import npcc
-import npcc.catalog as catalog
+import npcc.reproduce as reproduce
 from npcc import ORD, MonodromyDatum, base_case
 from npcc.cli import P_BOUND, _is_prime, main
 from test_cli_golden import CASES, DATA, certificates, run_case
@@ -1027,8 +1027,8 @@ def test_codim_ag_refuses_a_pair_out_of_order(capsys):
 
 def test_a_failed_clutch_demo_check_is_shown_and_exits_1(capsys, monkeypatch):
     # one ord too many in every mu-ordinary polygon the example recomputes
-    real = catalog.mu_ordinary
-    monkeypatch.setattr(catalog, "mu_ordinary", lambda datum, p: real(datum, p) + ORD)
+    real = reproduce.mu_ordinary
+    monkeypatch.setattr(reproduce, "mu_ordinary", lambda datum, p: real(datum, p) + ORD)
     code, out, err = run(capsys, ["clutch-demo"])
     assert (code, err) == (1, "")
     lines = out.splitlines()

@@ -181,6 +181,7 @@ def test_compatible_worked_pair():
     orbit, witness = bad[0]
     assert orbit.members == (1, 7)
     assert witness == Fraction(1, 2)
+    assert type(witness) is Fraction
 
 
 def test_compatible_needs_divisible_moduli():

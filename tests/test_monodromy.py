@@ -300,6 +300,12 @@ def test_signature_error_message_matches_fraction_oracle(a):
     assert str(fast.value) == str(oracle.value)
 
 
+def test_signature_error_message_prints_the_dimension_in_lowest_terms():
+    with pytest.raises(InvalidDatumError) as info:
+        signature(_unvalidated(5, (1, 1)))
+    assert str(info.value) == "non-integral or negative eigenspace dimension 3/5 at n = 1"
+
+
 def test_signature_cache_matches_its_body():
     for datum in _seeded_data(20261, 40):
         assert signature(datum) == signature.__wrapped__(datum), datum

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,29 @@ def test_orbit_polygon_lattice_constraints():
         OrbitPolygon(o, [(1, 1), (1, 1)])  # slopes must strictly increase
     with pytest.raises(PolygonSyntaxError):
         OrbitPolygon(o, [(1, 0)])
+
+
+def test_orbit_polygon_refusals_name_the_slope_in_lowest_terms():
+    o = _orbit(8, 3, 1)
+    for half in (F(1, 2), 0.5, "2/4"):
+        with pytest.raises(PolygonSyntaxError, match=r"^segment 1/2x1 has a non-lattice vertex$"):
+            OrbitPolygon(o, [(half, 1)])
+    with pytest.raises(PolygonSyntaxError, match=r"^orbit slope 5/2 outside \[0, 2\]$"):
+        OrbitPolygon(o, [(F(5, 2), 2)])
+
+
+@pytest.mark.parametrize("slope", ["x", None, float("nan"), float("inf"), "1/0"])
+def test_an_unreadable_orbit_slope_is_a_syntax_error_naming_it(slope):
+    with pytest.raises(PolygonSyntaxError, match=re.escape(f"slope {slope!r} ")):
+        OrbitPolygon(_orbit(8, 3, 1), [(slope, 1)])
+
+
+def test_orbit_polygon_segments_are_fractions_however_given():
+    o = _orbit(8, 3, 1)
+    for three_halves in (F(3, 2), 1.5, "3/2"):
+        q = OrbitPolygon(o, [(0, 1), (three_halves, 2)])
+        assert q.segments == ((F(0), 1), (F(3, 2), 2))
+        assert {type(slope) for slope, _ in q.segments} == {Fraction}
 
 
 def test_orbit_polygon_geometry():

@@ -39,8 +39,14 @@ reproduce_appendix reproduce_applications worked_clutch_example
 __version__
 """.split()
 MODULES = (npcc.errors, npcc.polygon, npcc.monodromy, npcc.orbits, npcc.muord, npcc.strata,
-           npcc.clutch, npcc.generators, npcc.catalog)
-LAZY = {"npcc.strata", "npcc.clutch", "npcc.generators"}
+           npcc.clutch, npcc.generators, npcc.catalog, npcc.reproduce)
+LAZY = {"npcc.strata", "npcc.clutch", "npcc.generators", "npcc.reproduce"}
+# What `import npcc; npcc.moonen_families()` loads of the package: the table
+# and the per-datum invariants.
+TABLE = {"npcc", "npcc._memo", "npcc._record", "npcc.errors", "npcc.polygon", "npcc.monodromy",
+         "npcc.orbits", "npcc.muord", "npcc.catalog"}
+FRACTIONS = {"fractions", "decimal", "numbers"}  # fractions and what it imports
+SRC = Path(npcc.__file__).resolve().parent
 
 
 def test_exports_are_listed_once_and_resolve():
@@ -113,13 +119,26 @@ def test_startup_without_site_loads_no_resources_or_typing_machinery():
 
 @pytest.mark.parametrize("flags", [(), ("-S",)])
 def test_startup_compiles_no_strata_clutch_or_generators(flags):
-    # Parsing the table runs none of the three, so import npcc leaves
-    # them to the first read of one of their names.
+    # Parsing the table runs none of the lazy modules (reproduce too), so
+    # import npcc leaves them to the first read of one of their names.
     assert _loaded_at_startup(LAZY, *flags) == "[]"
 
 
-@pytest.mark.parametrize("name", ["npcc.kottwitz_set", *sorted(LAZY)])
+@pytest.mark.parametrize("flags", [(), ("-S",)])
+def test_startup_loads_only_the_table_modules_and_no_fractions(flags):
+    # The table builds no Fraction, so fractions waits for the first one.
+    package = {"npcc"} | {f"npcc.{path.stem}" for path in SRC.glob("*.py")}
+    assert _loaded_at_startup(package | FRACTIONS, *flags) == str(sorted(TABLE))
+
+
+def test_importing_the_cli_loads_no_fractions():
+    code = f"import sys; import npcc.cli; print(sorted({FRACTIONS!r} & set(sys.modules)))"
+    assert _fresh(code, "-S") == "[]"
+
+
+@pytest.mark.parametrize("name", ["npcc.kottwitz_set", "npcc.worked_clutch_example", *sorted(LAZY)])
 def test_reading_a_lazy_name_right_after_import_loads_all_three_modules(name):
+    # The three, and reproduce with them: every module in LAZY.
     assert _loaded_at_startup(LAZY, then=name) == str(sorted(LAZY))
 
 
@@ -141,15 +160,77 @@ def test_names_the_tests_import_resolve():
 
 def test_no_assert_statements_in_the_library():
     # python -O strips assert statements, so no check may be one.
-    src = Path(npcc.__file__).resolve().parent
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(src.glob("*.py"))
+        for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
-    assert len(list(src.glob("*.py"))) >= 10
+    assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
+
+
+def _startup_imports(path):
+    """Where one module imports fractions when it loads, or imports the npcc
+    package by name: `import npcc` must not load fractions, and a module
+    reaches the others relatively, so the package never imports itself
+    half-initialised.  Only a function body runs after loading."""
+    problems = []
+
+    def visit(node, loading):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                roots = {alias.name.partition(".")[0] for alias in child.names}
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                roots = {child.module.partition(".")[0]}
+            else:
+                roots = set()
+            if loading and "fractions" in roots:
+                problems.append(f"{path.name}:{child.lineno} imports fractions at load")
+            if "npcc" in roots and path.name != "__init__.py":
+                problems.append(f"{path.name}:{child.lineno} imports npcc")
+            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, loading and not function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), True)
+    return problems
+
+
+def test_no_module_imports_fractions_at_load_or_the_package_by_name():
+    problems = [problem for path in sorted(SRC.glob("*.py")) for problem in _startup_imports(path)]
+    assert problems == []
+
+
+def test_startup_import_scan_flags_every_import_named(tmp_path):
+    path = tmp_path / "imports.py"
+    path.write_text(
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "import os, fractions as f\n"
+        "if True:\n    from fractions import Fraction as F\n"
+        "class C:\n    import fractions\n"
+        "def f():\n    from fractions import Fraction\n    import npcc\n"
+        "import npcc.polygon\n"
+        "from npcc import parse\n"
+        "from . import polygon\n"
+        "from .polygon import _fraction\n"
+        "import fractionsx\n"
+        "text = 'import fractions'\n",
+        encoding="utf-8",
+    )
+    assert _startup_imports(path) == [
+        "imports.py:1 imports fractions at load",
+        "imports.py:2 imports fractions at load",
+        "imports.py:3 imports fractions at load",
+        "imports.py:5 imports fractions at load",
+        "imports.py:7 imports fractions at load",
+        "imports.py:10 imports npcc",
+        "imports.py:11 imports npcc",
+        "imports.py:12 imports npcc",
+    ]
+    init = tmp_path / "__init__.py"
+    init.write_text("def load():\n    import npcc.strata\nfrom fractions import Fraction\n")
+    assert _startup_imports(init) == ["__init__.py:3 imports fractions at load"]
 
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,23 @@ def test_constructor_rejects_bad_slopes():
         NewtonPolygon([(F(-1, 2), 1)])
     with pytest.raises(PolygonSyntaxError):
         NewtonPolygon([(F(1, 2), -1)])
+
+
+@pytest.mark.parametrize("slope", ["x", None, float("nan"), float("inf"), "1/0"])
+def test_an_unreadable_slope_is_a_syntax_error_naming_it(slope):
+    with pytest.raises(PolygonSyntaxError, match=re.escape(f"slope {slope!r} ")):
+        NewtonPolygon([(slope, 2)])
+
+
+@pytest.mark.parametrize("half", [F(1, 2), 0.5, "1/2", " 1/2 "])
+def test_slopes_of_any_readable_type_come_back_as_fractions(half):
+    segs = [(0, 1), (half, 3), (1, 1)]
+    nu = NewtonPolygon(segs)
+    expected = ((F(0), 1), (F(1, 2), 3), (F(1), 1))
+    assert nu.segments == FractionNewtonPolygon(segs).segments == expected
+    assert {type(slope) for slope, _ in nu.segments} == {Fraction}
+    assert nu.degree == F(5, 2) and type(nu.degree) is Fraction
+    assert type(parse("ord").degree) is type(EMPTY.degree) is Fraction
 
 
 def test_height_degree_multiplicity():

@@ -3,7 +3,9 @@
 `NewtonPolygon` keeps each slope as a (num, den, mult) int triple and
 does its algebra, comparisons, text and JSON in ints, building a
 `Fraction` only for the accessors that hand one out.  The oracle below
-is the Fraction-slope class it replaced, kept as it was.  Every public
+is the Fraction-slope class it replaced, kept as it was but for one
+contract added since: a slope that `Fraction` cannot read is refused
+with PolygonSyntaxError naming it, not `Fraction`'s own error.  Every public
 method and operator is run on both, on seeded pairs of polygons: the
 results must be equal, and so must the type and message of every
 exception.  The pairs include the empty polygon, odd multiplicities of
@@ -26,6 +28,14 @@ from npcc import (
 HALF = Fraction(1, 2)
 
 
+def _read_slope(slope) -> Fraction:
+    """Fraction(slope), refusing a value it cannot read as npcc does."""
+    try:
+        return Fraction(slope)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+        raise PolygonSyntaxError(f"slope {slope!r} is not a rational number") from None
+
+
 class FractionNewtonPolygon:
     """The Fraction-slope Newton polygon, as it was; the tests' oracle."""
 
@@ -36,7 +46,7 @@ class FractionNewtonPolygon:
     def __init__(self, segments: Iterable[tuple[Fraction | int, int]] = ()):
         merged: dict[Fraction, int] = {}
         for slope, mult in segments:
-            s = Fraction(slope)
+            s = _read_slope(slope)
             k = int(mult)
             if k < 0:
                 raise PolygonSyntaxError(f"negative multiplicity {k}")
@@ -79,7 +89,7 @@ class FractionNewtonPolygon:
         return sum((s * m for s, m in self._segments), Fraction(0))
 
     def multiplicity(self, slope) -> int:
-        s = Fraction(slope)
+        s = _read_slope(slope)
         for t, m in self._segments:
             if t == s:
                 return m

@@ -1,6 +1,7 @@
 """Tests for Kottwitz set enumeration and unlikely-intersection bounds."""
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -366,6 +367,12 @@ def test_threshold_half_slope_density():
         threshold_half_slope_density(10, 2)
     with pytest.raises(DomainError):
         threshold_half_slope_density(0, F(1, 2))
+
+
+@pytest.mark.parametrize("t", ["x", None, float("nan"), float("inf"), "1/0"])
+def test_threshold_half_slope_density_refuses_an_unreadable_t_naming_it(t):
+    with pytest.raises(DomainError, match=re.escape(f"t = {t!r} ")):
+        threshold_half_slope_density(48, t)
 
 
 def test_threshold_repeated_summand():
