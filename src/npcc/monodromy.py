@@ -17,7 +17,7 @@ import math
 from ._memo import memo
 from ._record import Record, _set
 from .errors import InvalidDatumError
-from .polygon import _fraction
+from .polygon import _fraction, _int
 
 __all__ = [
     "MonodromyDatum",
@@ -64,9 +64,13 @@ class MonodromyDatum(Record):
     __slots__ = _fields = ("m", "a", "generalized")
 
     def __init__(self, m: int, a: tuple[int, ...], generalized: bool = False):
-        if m < 1:
+        if _int(m, "m must be an int", InvalidDatumError) < 1:
             raise InvalidDatumError(f"m = {m} < 1")
-        a = tuple(int(x) % m for x in a)
+        a = tuple(a)
+        if not {*map(type, a)} <= {int}:  # one pass in C; the reader names the first non-int
+            for x in a:
+                _int(x, "a datum entry must be an int", InvalidDatumError)
+        a = tuple(x % m for x in a)
         if m < 2:
             raise InvalidDatumError(f"m = {m} < 2")
         if len(a) < 3:
@@ -174,7 +178,7 @@ class Signature(Record):
 
         That is factor copies of (f(1), ..., f(m-1), f(0) = 0), less the last 0.
         """
-        d = int(factor)
+        d = _int(factor, "an induction factor must be an int", InvalidDatumError)
         if d < 1:
             raise InvalidDatumError(f"induction factor {d} < 1")
         return Signature(d * self.m, ((*self.values, 0) * d)[:-1])
@@ -240,8 +244,7 @@ def genus(datum: MonodromyDatum) -> int:
 
 def induce(datum: MonodromyDatum, d: int) -> MonodromyDatum:
     """The imprimitive datum (d*m, N, d*a) of the induced d-fold disjoint cover."""
-    d = int(d)
-    if d < 1:
+    if _int(d, "an induction factor must be an int", InvalidDatumError) < 1:
         raise InvalidDatumError(f"induction factor {d} < 1")
     return MonodromyDatum(d * datum.m, tuple(d * ai for ai in datum.a), datum.generalized)
 

@@ -22,7 +22,7 @@ from ._memo import memo
 from .errors import EndpointMismatchError, PolygonSyntaxError
 from .monodromy import MonodromyDatum, Signature, signature
 from .orbits import Orbit, decompose, g_of_orbit
-from .polygon import NewtonPolygon, _canonical, _fraction, _ratio, _slope_text
+from .polygon import NewtonPolygon, _canonical, _fraction, _int, _ratio, _slope_text
 
 __all__ = [
     "OrbitPolygon",
@@ -50,10 +50,11 @@ class OrbitPolygon:
 
     def __init__(self, orbit: Orbit, segments: Iterable[tuple[object, int]]):
         """The polygon of (slope, width) pairs; a slope is read as
-        `NewtonPolygon` reads one, and must rise by an int over its width."""
+        `NewtonPolygon` reads one, a width is an int, and a slope must rise
+        by an int over its width."""
         pairs = []
         for s, w in segments:
-            (num, den), w = _ratio(s), int(w)
+            (num, den), w = _ratio(s), _int(w, "an orbit polygon width must be an int")
             if num * w % den:
                 raise PolygonSyntaxError(
                     f"segment {_slope_text(num, den)}x{w} has a non-lattice vertex"
@@ -65,15 +66,6 @@ class OrbitPolygon:
     def _of_pairs(cls, orbit: Orbit, pairs: tuple[tuple[int, int], ...]) -> "OrbitPolygon":
         """The polygon of (rise, width) int pairs, checked as __init__ checks."""
         return object.__new__(cls)._fill(orbit, pairs)
-
-    @classmethod
-    def _of_checked(
-        cls, orbit: Orbit, pairs: tuple[tuple[int, int], ...], grid: tuple[int, ...], scale: int
-    ) -> "OrbitPolygon":
-        """The polygon of pairs, grid and scale that `_fill` made on an orbit of this size."""
-        poly = object.__new__(cls)
-        poly.orbit, poly._pairs, poly._grid, poly._scale = orbit, pairs, grid, scale
-        return poly
 
     def _fill(self, orbit: Orbit, pairs: tuple[tuple[int, int], ...]) -> "OrbitPolygon":
         size = orbit.size

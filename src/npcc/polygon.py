@@ -32,7 +32,7 @@ import math
 import re
 from collections.abc import Callable, Iterable
 
-from .errors import AsymmetricPolygonError, EndpointMismatchError, PolygonSyntaxError
+from .errors import AsymmetricPolygonError, DomainError, EndpointMismatchError, PolygonSyntaxError
 
 __all__ = ["NewtonPolygon", "parse", "EMPTY", "ORD", "SS"]
 
@@ -84,21 +84,29 @@ def _ratio(slope) -> tuple[int, int]:
     return slope.numerator, slope.denominator
 
 
+def _int(value, refusal: str, error: type[DomainError] = PolygonSyntaxError) -> int:
+    """value, if it is an int (a bool is not one); anything else raises
+    ``error(f"{refusal}, not {value!r}")``, where int() would truncate a
+    float or read a string."""
+    if type(value) is not int:
+        raise error(f"{refusal}, not {value!r}")
+    return value
+
+
 def _slope_order(slopes: Iterable[tuple[int, int]]) -> Callable[[tuple[int, int]], int]:
     """Sort key for (num, den) slopes: num/den counted on the lcm of the denominators."""
     scale = math.lcm(*(den for _, den in slopes))
     return lambda slope: slope[0] * (scale // slope[1])
 
 
-def _canonical(triples: Iterable[tuple[int, int, object]]) -> tuple[Triple, ...]:
-    """The validating constructor's work on (num, den, mult) triples.
+def _canonical(triples: Iterable[Triple]) -> tuple[Triple, ...]:
+    """The validating constructor's work on (num, den, mult) int triples.
 
     Each num/den must be in lowest terms with den > 0.  Every triple is
     checked, equal slopes merge, and the result is sorted by slope.
     """
     merged: dict[tuple[int, int], int] = {}
-    for num, den, mult in triples:
-        k = int(mult)
+    for num, den, k in triples:
         if k < 0:
             raise PolygonSyntaxError(f"negative multiplicity {k}")
         if k == 0:
@@ -117,8 +125,12 @@ class NewtonPolygon:
 
     def __init__(self, segments: Iterable[tuple[object, int]] = ()):
         """The polygon of (slope, multiplicity) pairs; a slope is an int or
-        anything `fractions.Fraction` reads (a Fraction, float or string)."""
-        self._triples = _canonical((*_ratio(slope), mult) for slope, mult in segments)
+        anything `fractions.Fraction` reads (a Fraction, float or string),
+        and a multiplicity an int."""
+        self._triples = _canonical(
+            (*_ratio(slope), _int(mult, "a multiplicity must be an int"))
+            for slope, mult in segments
+        )
 
     @classmethod
     def _trusted(cls, triples: tuple[Triple, ...]) -> "NewtonPolygon":
@@ -180,8 +192,7 @@ class NewtonPolygon:
 
     def power(self, d: int) -> "NewtonPolygon":
         """Scale every multiplicity by d >= 0 (d = 0 gives the empty polygon)."""
-        d = int(d)
-        if d < 0:
+        if _int(d, "a power must be an int") < 0:
             raise PolygonSyntaxError(f"negative power {d}")
         if d == 0:
             return EMPTY

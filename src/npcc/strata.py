@@ -22,7 +22,9 @@ element's length is the sum of its candidates' lengths, and the covers
 of the set are the factors' covers lifted by index arithmetic.
 The factors come from a lattice path search whose bounds are integer
 floor divisions, and a factor depends only on its orbit's shape, so
-the factors of recently seen shapes are kept, within a fixed bound.
+the factors of recently seen shapes are kept, within a fixed bound, as
+int pairs: a candidate is built as a polygon when an element is first
+read, and totals, codimensions and counts build none.
 
 The second half of the module measures how special a polygon is inside
 the full Siegel moduli space: the stratum codimension as a lattice
@@ -32,6 +34,7 @@ closed-form sufficient bounds for that comparison.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -39,9 +42,9 @@ from ._memo import WeighedMemo
 from ._record import Record
 from .errors import DomainError, EnumerationCapError
 from .monodromy import MonodromyDatum, Signature, signature
-from .muord import OrbitPolygon, _lambda_triples, _orbit_table, mu_ordinary_orbit
+from .muord import OrbitPolygon, _lambda_triples, _orbit_table, _self_symmetric, mu_ordinary_orbit
 from .orbits import Orbit, decompose
-from .polygon import _UNREADABLE, NewtonPolygon, _fraction, _slope_order
+from .polygon import _UNREADABLE, NewtonPolygon, _fraction, _int, _slope_order
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -69,8 +72,8 @@ MAX_DOT_ELEMENTS = 10_000
 
 def _check_cap(cap: int) -> None:
     # No factor is empty, so a cap below 1 never passes; a non-int such as
-    # None would leave the enumeration unbounded.
-    if not isinstance(cap, int) or cap < 1:
+    # None would leave the enumeration unbounded, and True would read as 1.
+    if _int(cap, "the cap must be at least 1", EnumerationCapError) < 1:
         raise EnumerationCapError(f"the cap must be at least 1, not {cap}")
 
 
@@ -129,9 +132,9 @@ def enumerate_orbit_component(
         # breaks that cycle, so what it holds is freed at once instead of
         # waiting for the cycle collector.
         del rec
-    polys = [OrbitPolygon._of_pairs(orbit, segs) for segs in found]
     if orbit.is_self_dual:
-        polys = [q for q in polys if q.is_self_symmetric]
+        found = [segs for segs in found if _self_symmetric(orbit, segs)]
+    polys = [OrbitPolygon._of_pairs(orbit, segs) for segs in found]
     scale = math.lcm(*(q._scale for q in polys))  # grids on one scale sort by value
     polys.sort(key=lambda q: tuple(v * (scale // q._scale) for v in q._grid))
     if not polys or polys[0] != mu:
@@ -166,7 +169,9 @@ class KottwitzSet:
     candidate) is given the i-th digit, wide enough for the height 2g
     of every total, and adding two codes amalgamates their polygons.
     So the fold hashes and adds only ints, and each total's polygon is
-    decoded once and keys its row; `totals` hands out those keys.
+    decoded once and keys its row; `totals` hands out those keys.  The
+    set keeps each candidate as its (rise, width) pairs and builds the
+    candidates, as ``factors``, when an element is first read.
     The cap bounds the running product of the factor sizes, checked
     before the next factor is enumerated.
     """
@@ -192,7 +197,7 @@ class KottwitzSet:
                     f"{len(factors)} of {len(self.reps)} factors have sizes "
                     f"{sizes} = {count}; raise the cap"
                 )
-        self.factors = tuple(factors)
+        self._factor_pairs = tuple(factors)
         self._factor_lengths = tuple(factor_lengths)
         distinct = {(num, den) for factor in pieces for piece in factor for num, den, _ in piece}
         slopes = sorted(distinct, key=_slope_order(distinct))
@@ -215,6 +220,14 @@ class KottwitzSet:
             lengths = [s + n for s in steps for n in lengths]
         self._rows = _decode_totals(by_code, slopes, bits, height)
         self.lengths = tuple(lengths)
+
+    @functools.cached_property
+    def factors(self) -> tuple[tuple[OrbitPolygon, ...], ...]:
+        """Each factor's candidates, lowest first, built from their pairs when first read."""
+        return tuple(
+            tuple(OrbitPolygon._of_pairs(rep, pairs) for pairs in factor)
+            for rep, factor in zip(self.reps, self._factor_pairs)
+        )
 
     @staticmethod
     def _chain_lengths(candidates: tuple[OrbitPolygon, ...]) -> tuple[int, ...]:
@@ -353,14 +366,14 @@ def _decode_totals(
 # The factors of the sets a report or a chain builds repeat: a factor
 # depends only on its mu-ordinary orbit polygon, |o|, self-duality and
 # the cap (the 111 seed-7 operations of the kottwitz-totals benchmark
-# build 595 factors of 65 such shapes).  So each shape's checked
-# candidates, chain lengths and lambda-scaled triples are kept, without
-# any Orbit or Signature, least recently used shape evicted first.  A
-# kept shape is rebuilt on the caller's orbit in a fraction of its
-# enumeration: on a 2-core Xeon host, 1 ms instead of 1.3 s for the 869
-# candidates of the orbit of 1 in 23:10:1,1,1,1,1,1,1,1,1,14 at class 5.
+# build 595 factors of 65 such shapes).  So each shape's candidates, as
+# (rise, width) pairs, their chain lengths and lambda-scaled triples are
+# kept, without any Orbit, Signature or polygon, least recently used
+# shape evicted first, and a set reads a kept shape as it is.  On a
+# 2-core Xeon host, enumerating the 869 candidates of the orbit of 1 in
+# 23:10:1,1,1,1,1,1,1,1,1,14 at class 5 takes 0.3 s.
 # Bounded: at most MAX_MEMO_CANDIDATES candidates held in all, a larger
-# factor built every time.  A kept candidate takes 340 to 570 bytes
+# factor built every time.  A kept candidate takes 150 to 550 bytes
 # (tracemalloc, CPython 3.11), so the memo holds at most about 1.1 MiB;
 # those 111 operations leave 1,383 candidates in it.
 MAX_MEMO_CANDIDATES = 2048
@@ -369,31 +382,27 @@ _FACTORS = WeighedMemo("npcc.strata._FACTORS", MAX_MEMO_CANDIDATES)
 
 def _factor(
     rep: Orbit, f: Signature, top: tuple[tuple[int, int], ...], cap: int
-) -> tuple[tuple[OrbitPolygon, ...], tuple[int, ...], tuple[tuple, ...]]:
-    """One factor of a Kottwitz set: its candidates, chain lengths and triples.
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], tuple[tuple, ...]]:
+    """One factor of a Kottwitz set: its candidates' pairs, chain lengths and triples.
 
     top holds the (rise, width) pairs of the mu-ordinary orbit polygon of
-    ``rep`` under f, the factor's top.  Each candidate's triples are the
-    `muord._lambda_triples` of its pairs.  A shape seen before gives its
-    candidates on ``rep`` without checking them again: their checks read
-    only the pairs and |o|, both in the key.
+    ``rep`` under f, the factor's top.  Each candidate is given as its
+    (rise, width) pairs, and its triples are the `muord._lambda_triples`
+    of those.  All three read only the pairs, |o| and self-duality, so a
+    shape seen before gives its entry as it was kept.
     """
     _check_cap(cap)  # before the key is hashed
     key = (top, rep.size, rep.is_self_dual, cap)
     entry = _FACTORS.get(key)
-    if entry is not None:
-        factor = tuple(OrbitPolygon._of_checked(rep, *shape) for shape in zip(*entry[2:]))
-        return factor, entry[0], entry[1]
-    factor = enumerate_orbit_component(rep, f, cap)
-    _check_factor_order(factor)
-    lengths = KottwitzSet._chain_lengths(factor)
-    same: dict = {}  # equal triples of the factor's candidates, held once
-    triples = tuple(
-        tuple(same.setdefault(t, t) for t in _lambda_triples(rep, c._pairs)) for c in factor
-    )
-    shapes = zip(*((c._pairs, c._grid, c._scale) for c in factor))
-    _FACTORS.put(key, (lengths, triples, *shapes), len(factor))
-    return factor, lengths, triples
+    if entry is None:
+        factor = enumerate_orbit_component(rep, f, cap)
+        _check_factor_order(factor)
+        pairs = tuple(c._pairs for c in factor)
+        same: dict = {}  # equal triples of the factor's candidates, held once
+        triples = (tuple(same.setdefault(t, t) for t in _lambda_triples(rep, c)) for c in pairs)
+        entry = pairs, KottwitzSet._chain_lengths(factor), tuple(triples)
+        _FACTORS.put(key, entry, len(factor))
+    return entry
 
 
 def _check_factor_order(factor: tuple[OrbitPolygon, ...]) -> None:

@@ -554,6 +554,30 @@ def test_integer_search_matches_fraction_search_and_keeps_the_cap():
     assert {(True, True, True), (False, True, False)} <= kinds
 
 
+def test_only_candidates_become_polygons(monkeypatch):
+    """The self-dual filter reads each path's pairs, so a search builds one
+    polygon per candidate and one for its mu-ordinary bound, and the cap
+    still counts the paths before the filter."""
+    built = 0
+    fill = OrbitPolygon._fill
+
+    def counting_fill(self, orbit, pairs):
+        nonlocal built
+        built += 1
+        return fill(self, orbit, pairs)
+
+    cases = [c for c in _search_cases(20260103, 150) if len(c[3]) > len(c[2])]
+    monkeypatch.setattr(OrbitPolygon, "_fill", counting_fill)
+    for orbit, f, expected, paths in cases:
+        assert orbit.is_self_dual
+        built = 0
+        assert enumerate_orbit_component(orbit, f, cap=len(paths)) == expected
+        assert built == len(expected) + 1
+        with pytest.raises(EnumerationCapError):
+            enumerate_orbit_component(orbit, f, cap=len(paths) - 1)
+    assert len(cases) >= 40
+
+
 def test_integer_search_tries_no_dead_end():
     """Every vertex the search tries lies on some path it finds.
 

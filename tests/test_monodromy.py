@@ -127,6 +127,35 @@ def test_datum_is_checked_when_made(m, a, message):
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "m, a, message",
+    [
+        (5.0, (1, 1, 3), "m must be an int, not 5.0"),
+        ("5", (1, 1, 3), "m must be an int, not '5'"),
+        (True, (1, 1, 1), "m must be an int, not True"),
+        (5, (2.9, 1, 2), "a datum entry must be an int, not 2.9"),
+        (5, ("2", "1", "2"), "a datum entry must be an int, not '2'"),
+        (5, (1, 1, 3.0), "a datum entry must be an int, not 3.0"),
+        (5, (1, True, 3), "a datum entry must be an int, not True"),
+        (5, (1, None), "a datum entry must be an int, not None"),
+    ],
+)
+def test_a_datum_of_anything_but_ints_is_refused_naming_it(m, a, message):
+    with pytest.raises(InvalidDatumError) as exc:
+        MonodromyDatum(m, a)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, "2", None, True], ids=repr)
+def test_an_induction_factor_that_is_no_int_is_refused_naming_it(d):
+    datum = MonodromyDatum(4, (1, 1, 2))
+    message = f"an induction factor must be an int, not {d!r}"
+    for call in (lambda: induce(datum, d), lambda: signature(datum).induced(d)):
+        with pytest.raises(InvalidDatumError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 def test_strip_zeros_refuses_fewer_than_three_branched_labels():
     with pytest.raises(InvalidDatumError) as exc:
         strip_zeros(MonodromyDatum(5, (0, 1, 4), generalized=True))

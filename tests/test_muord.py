@@ -68,6 +68,13 @@ def test_an_unreadable_orbit_slope_is_a_syntax_error_naming_it(slope):
         OrbitPolygon(_orbit(8, 3, 1), [(slope, 1)])
 
 
+@pytest.mark.parametrize("width", [2.9, 2.0, "2", None, True], ids=repr)
+def test_an_orbit_width_that_is_no_int_is_a_syntax_error_naming_it(width):
+    message = f"an orbit polygon width must be an int, not {width!r}"
+    with pytest.raises(PolygonSyntaxError, match=f"^{re.escape(message)}$"):
+        OrbitPolygon(_orbit(8, 3, 1), [(0, width)])
+
+
 def test_orbit_polygon_segments_are_fractions_however_given():
     o = _orbit(8, 3, 1)
     for three_halves in (F(3, 2), 1.5, "3/2"):

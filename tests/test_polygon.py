@@ -51,6 +51,20 @@ def test_an_unreadable_slope_is_a_syntax_error_naming_it(slope):
         NewtonPolygon([(slope, 2)])
 
 
+@pytest.mark.parametrize("mult", [2.9, 2.0, "2", "x", None, True], ids=repr)
+def test_a_multiplicity_that_is_no_int_is_a_syntax_error_naming_it(mult):
+    message = f"a multiplicity must be an int, not {mult!r}"
+    with pytest.raises(PolygonSyntaxError, match=f"^{re.escape(message)}$"):
+        NewtonPolygon([(F(1, 2), mult)])
+
+
+@pytest.mark.parametrize("d", [2.9, 2.0, "2", None, True], ids=repr)
+def test_a_power_that_is_no_int_is_a_syntax_error_naming_it(d):
+    message = f"a power must be an int, not {d!r}"
+    with pytest.raises(PolygonSyntaxError, match=f"^{re.escape(message)}$"):
+        ORD.power(d)
+
+
 @pytest.mark.parametrize("half", [F(1, 2), 0.5, "1/2", " 1/2 "])
 def test_slopes_of_any_readable_type_come_back_as_fractions(half):
     segs = [(0, 1), (half, 3), (1, 1)]

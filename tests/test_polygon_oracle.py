@@ -3,14 +3,16 @@
 `NewtonPolygon` keeps each slope as a (num, den, mult) int triple and
 does its algebra, comparisons, text and JSON in ints, building a
 `Fraction` only for the accessors that hand one out.  The oracle below
-is the Fraction-slope class it replaced, kept as it was but for one
-contract added since: a slope that `Fraction` cannot read is refused
-with PolygonSyntaxError naming it, not `Fraction`'s own error.  Every public
-method and operator is run on both, on seeded pairs of polygons: the
-results must be equal, and so must the type and message of every
-exception.  The pairs include the empty polygon, odd multiplicities of
-1/2, the slopes 0 and 1, polygons that print only as a bracket list,
-and pairs with equal endpoints, both comparable and crossing.
+is the Fraction-slope class it replaced, kept as it was but for two
+contracts added since: a slope that `Fraction` cannot read is refused
+with PolygonSyntaxError naming it, not `Fraction`'s own error, and so
+is a multiplicity that is not an int, which `int()` truncated or read.
+Every public method and operator is run on both, on seeded pairs of
+polygons: the results must be equal, and so must the type and message
+of every exception.  The pairs include the empty polygon, odd
+multiplicities of 1/2, the slopes 0 and 1, polygons that print only as
+a bracket list, and pairs with equal endpoints, both comparable and
+crossing.
 """
 
 import random
@@ -36,6 +38,13 @@ def _read_slope(slope) -> Fraction:
         raise PolygonSyntaxError(f"slope {slope!r} is not a rational number") from None
 
 
+def _read_mult(mult) -> int:
+    """mult, refusing anything but an int (a bool is not one) as npcc does."""
+    if type(mult) is not int:
+        raise PolygonSyntaxError(f"a multiplicity must be an int, not {mult!r}")
+    return mult
+
+
 class FractionNewtonPolygon:
     """The Fraction-slope Newton polygon, as it was; the tests' oracle."""
 
@@ -47,7 +56,7 @@ class FractionNewtonPolygon:
         merged: dict[Fraction, int] = {}
         for slope, mult in segments:
             s = _read_slope(slope)
-            k = int(mult)
+            k = _read_mult(mult)
             if k < 0:
                 raise PolygonSyntaxError(f"negative multiplicity {k}")
             if k == 0:

@@ -1,5 +1,6 @@
 """Tests for Kottwitz set enumeration and unlikely-intersection bounds."""
 
+import gc
 import os
 import re
 import subprocess
@@ -152,6 +153,17 @@ def test_cap_below_one_or_none_is_refused():
     assert len(enumerate_orbit_component(o, f, cap=1)) == 1
 
 
+def test_a_cap_that_is_no_int_is_refused():
+    o = decompose(8, 7).orbit_of(3)
+    f = signature(WORKED)
+    for cap in (True, 1.5, "3"):
+        message = f"^the cap must be at least 1, not {re.escape(repr(cap))}$"
+        with pytest.raises(EnumerationCapError, match=message):
+            enumerate_orbit_component(o, f, cap=cap)
+        with pytest.raises(EnumerationCapError, match=message):
+            kottwitz_set(WORKED, 7, cap=cap)
+
+
 def test_kottwitz_cap_on_product_size():
     with pytest.raises(EnumerationCapError):
         kottwitz_set(WORKED, 7, cap=3)
@@ -188,7 +200,7 @@ KEPT_SHAPES = [
 def _everything(ks):
     candidates = [(c.orbit, c._pairs, c._grid, c._scale) for f in ks.factors for c in f]
     rows = [ks.elements_with_total(t) for t in ks.totals()]
-    return candidates, ks._factor_lengths, ks.totals(), rows, ks.lengths
+    return candidates, ks._factor_lengths, ks.totals(), rows, ks.lengths, list(ks), ks.hasse_dot()
 
 
 def test_kept_factors_build_the_set_a_cold_build_does(monkeypatch):
@@ -213,6 +225,46 @@ def test_kept_factors_build_the_set_a_cold_build_does(monkeypatch):
         kept.append(len(ks.factors) - (len(enumerated) - before))
     # a shape kept from another modulus, and the first set again, all kept
     assert kept[1] >= 1 and kept[3] >= 1 and kept[-1] == 4
+
+
+def _orbit_polygons() -> int:
+    gc.collect()
+    return sum(type(o) is strata.OrbitPolygon for o in gc.get_objects())
+
+
+def test_a_warm_report_builds_no_polygon(monkeypatch):
+    """A set whose factors are all kept gives its totals, codimensions and
+    counts from the kept int pairs, and builds its candidates, once, when
+    an element is first read."""
+    built = 0
+    fill = strata.OrbitPolygon._fill
+
+    def counting_fill(self, orbit, pairs):
+        nonlocal built
+        built += 1
+        return fill(self, orbit, pairs)
+
+    data = [(MonodromyDatum.from_text(text), c) for text, c in KEPT_SHAPES]
+    _memo.clear()
+    for datum, c in data:
+        kottwitz_set(datum, c)  # keeps every factor
+    misses = strata._FACTORS.cache_info().misses
+    monkeypatch.setattr(strata.OrbitPolygon, "_fill", counting_fill)
+    before = _orbit_polygons()
+    for datum, c in data:
+        ks = kottwitz_set(datum, c)
+        for t in ks.totals():
+            assert ks.elements_with_total(t)
+            ks.codim_of_polygon(t)
+        assert strata._FACTORS.cache_info().misses == misses
+        assert built == 0 and _orbit_polygons() == before
+        ks[0]
+        candidates = sum(len(factor) for factor in ks.factors)
+        assert built == candidates == _orbit_polygons() - before
+        ks[len(ks) - 1], list(ks), ks.hasse_edges()
+        assert built == candidates
+        built = 0
+        del ks
 
 
 def test_a_smaller_cap_on_a_kept_shape_names_the_callers_orbit():
