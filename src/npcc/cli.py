@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from ._memo import memo
 from .catalog import moonen_families, moonen_family
@@ -39,14 +40,23 @@ from .strata import DEFAULT_ENUM_CAP, condition_u, kottwitz_set, omega_count
 JSON_VERSION = 1
 
 
-# Miller-Rabin with the prime bases 2..41 decides primality exactly
-# below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+# _PSI[k - 1] is psi_k, the least strong pseudoprime to the first k prime
+# bases, so Miller-Rabin on those k bases decides primality below it.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-P_BOUND = 3317044064679887385961981
+_PSI = (
+    # psi_1..psi_8: Jaeschke, Math. Comp. 61 (1993)
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321,
+    # psi_9..psi_11: Jiang and Deng, Math. Comp. 83 (2014)
+    3825123056546413051, 3825123056546413051, 3825123056546413051,
+    # psi_12, psi_13: Sorenson and Webster, Math. Comp. 86 (2017)
+    318665857834031151167461, 3317044064679887385961981,
+)
+P_BOUND = _PSI[-1]
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < P_BOUND."""
+    """Deterministic Miller-Rabin on the fewest prime bases exact for n < P_BOUND."""
     if n < 2:
         return False
     for q in _PRIME_BASES:
@@ -56,16 +66,17 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _PRIME_BASES:
+    for a, psi in zip(_PRIME_BASES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 
@@ -299,13 +310,50 @@ def _text_generate(doc: dict) -> list[str]:
     if "replayed" not in doc:
         # The certificate is already a versioned document, so text and
         # --json print the same bytes.
-        return [json.dumps(doc, indent=2)]
+        return [_indented(doc)]
     report = doc["verify"]
     return [
         f"replayed: {report['datum']} at class {report['p_class']}",
         f"polygon: {report['claimed']}",
         f"verified: {report['ok']}",
     ]
+
+
+def _indented(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) for the types a document holds: dicts
+    with str keys, lists, tuples, str, int, bool and None.
+
+    json.dumps indents through closures it builds on every call, which
+    leave a reference cycle behind; this writes the same text directly.
+    Any other type raises TypeError, as json.dumps does for a value it
+    cannot encode, and an int past sys.get_int_max_str_digits() raises
+    ValueError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"a document key must be a str, not {type(key).__name__}")
+            items.append(f"{inner}{encode_basestring_ascii(key)}: {_indented(item, inner)}")
+        return "{" + ",".join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + ",".join([inner + _indented(item, inner) for item in value]) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _cmd_codim_ag(args: argparse.Namespace) -> dict:
@@ -462,12 +510,13 @@ def _add_residue_group(sp: argparse.ArgumentParser, required: bool = True) -> No
 
 
 # Building the parser (13 ArgumentParsers, their arguments, gettext and
-# terminal-size lookups) costs about 40 times what parsing one argv does,
+# terminal-size lookups) costs about 80 times what parsing one argv does,
 # so main() builds it on its first call and reuses it.  Reuse leaks no
 # state: parse_args copies --step's list default before appending, and
 # help and usage text is formatted when printed.  Bounded: one parser.
 @memo(1)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The npcc parser and its subcommands' parsers by name."""
     parser = _Parser(
         prog="npcc",
         description="Exact Newton polygon invariants for cyclic covers of the line.",
@@ -571,13 +620,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     new("clutch-demo", _cmd_clutch_demo, _text_clutch_demo, "worked clutching example replay")
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), with one parser pass when argv[0] names a
+    subcommand: the top-level parser would hand the rest to that
+    subcommand's parser and refuse what it leaves over, as this does."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         code = exc.code
         if code is None:
@@ -590,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     doc = {"version": JSON_VERSION, **out}
     try:  # every line is made before any is printed
-        lines = [json.dumps(doc, indent=2)] if args.json else args.text(out)
+        lines = [_indented(doc)] if args.json else args.text(out)
     except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
         limit = sys.get_int_max_str_digits()
         print(f"error: a result has more than {limit} digits", file=sys.stderr)

@@ -18,6 +18,9 @@ from .monodromy import Signature
 __all__ = ["Orbit", "OrbitDecomposition", "decompose", "g_of_orbit"]
 
 
+_SELF_DUAL = object()
+
+
 class Orbit(Record):
     """One orbit of multiplication by p on nonzero residues mod m.
 
@@ -25,7 +28,10 @@ class Orbit(Record):
     """
 
     _fields = ("m", "members")
-    # _dual is the dual orbit, shared with it: a self-dual orbit is its own dual.
+    # _dual is the dual orbit once found, or _SELF_DUAL for a self-dual
+    # orbit.  It points one way only: an orbit that held itself, or a
+    # dual that pointed back, would be a reference cycle, which only the
+    # cycle collector frees.
     __slots__ = (*_fields, "e", "_dual")
 
     def __init__(self, m: int, members: tuple[int, ...]):
@@ -44,11 +50,13 @@ class Orbit(Record):
         return self.members[0]
 
     def dual(self) -> "Orbit":
-        if self._dual is None:
+        dual = self._dual
+        if dual is None:
             dual = Orbit(self.m, tuple((self.m - n) % self.m for n in self.members))
-            _set(self, "_dual", self if dual == self else dual)
-            _set(self._dual, "_dual", self)
-        return self._dual
+            if dual == self:
+                dual = _SELF_DUAL
+            _set(self, "_dual", dual)
+        return self if dual is _SELF_DUAL else dual
 
     @property
     def is_self_dual(self) -> bool:

@@ -74,8 +74,10 @@ def _ratio(slope) -> tuple[int, int]:
     """(num, den) of a slope in lowest terms with den > 0.
 
     An int is taken as it is, anything else as `fractions.Fraction` reads
-    it; a value it cannot read raises PolygonSyntaxError naming it.
+    it; a bool, or a value it cannot read, raises PolygonSyntaxError naming it.
     """
+    if isinstance(slope, bool):
+        raise PolygonSyntaxError(f"slope {slope!r} is not a rational number")
     if not isinstance(slope, int):
         try:
             slope = _fraction(slope)

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,7 +21,7 @@ import pytest
 import npcc
 import npcc.reproduce as reproduce
 from npcc import ORD, MonodromyDatum, base_case
-from npcc.cli import P_BOUND, _is_prime, main
+from npcc.cli import _PRIME_BASES, _PSI, P_BOUND, _is_prime, main
 from test_cli_golden import CASES, DATA, certificates, run_case
 
 
@@ -165,6 +166,72 @@ def test_is_prime_rejects_pseudoprimes(n):
 def test_is_prime_accepts_large_primes():
     for p in (2**31 - 1, 2**61 - 1, 2**64 - 59, 2**80 - 65):
         assert _is_prime(p)
+
+
+def _strong_probable_prime(n, a):
+    """Whether odd n > a passes the Miller-Rabin round of base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _is_prime_on_all_bases(n):
+    """Miller-Rabin on all 13 prime bases 2..41, whatever the size of n;
+    the oracle for the bases _is_prime sizes to n."""
+    if n < 2:
+        return False
+    if any(n % q == 0 for q in _PRIME_BASES):
+        return n in _PRIME_BASES
+    return all(_strong_probable_prime(n, a) for a in _PRIME_BASES)
+
+
+def test_each_psi_is_a_strong_pseudoprime_to_its_bases_and_refused(capsys):
+    assert _PSI[-1] == P_BOUND == 1287836182261 * 2575672364521
+    for k, psi in enumerate(_PSI, 1):
+        assert psi % 2 and all(_strong_probable_prime(psi, a) for a in _PRIME_BASES[:k]), k
+        if k < len(_PSI):
+            assert not _is_prime(psi) and not _is_prime_on_all_bases(psi), k
+    # The last fools all 13 bases, so --p refuses it by size.
+    assert _is_prime_on_all_bases(P_BOUND)
+    code, _, err = run(capsys, ["muord", "--datum", "8:4:4,2,5,5", "--p", str(P_BOUND)])
+    assert code == 1 and "too large" in err
+
+
+def _chernick(low, high, rng):
+    """Some Carmichael numbers (6t+1)(12t+1)(18t+1) in [low, high), if any."""
+    t_low, t_high = max(1, round((low / 1296) ** (1 / 3)) - 1), round((high / 1296) ** (1 / 3)) + 1
+    found = set()
+    for _ in range(2000):
+        t = rng.randint(t_low, t_high)
+        n = (6 * t + 1) * (12 * t + 1) * (18 * t + 1)
+        if low <= n < high and all(_is_prime_on_all_bases(f * t + 1) for f in (6, 12, 18)):
+            found.add(n)
+    return sorted(found)
+
+
+def test_is_prime_matches_the_full_base_test_in_every_band():
+    rng = random.Random(20181105)
+    floors = (3, *_PSI[:-1])
+    primes = 0
+    for k, (low, high) in enumerate(zip(floors, _PSI), 1):
+        if low == high:
+            continue
+        odd = [rng.randrange(low | 1, high, 2) for _ in range(300)]
+        edges = [low | 1, (low | 1) + 2, high - 2, high - 4]
+        for n in odd + edges + _chernick(low, high, rng):
+            expected = _is_prime_on_all_bases(n)
+            assert _is_prime(n) == expected, (k, n)
+            primes += expected
+    assert primes > 100
 
 
 def test_large_prime_is_answered_quickly(capsys):

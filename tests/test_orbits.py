@@ -157,7 +157,7 @@ def test_orbits_know_their_duals_for_every_unit_class():
             for o in dec.orbits:
                 d = o.dual()
                 assert d == _rebuilt_dual(o), (m, p, o)
-                assert d.dual() is o
+                assert d.dual() == o and o.dual() is d
                 assert d in dec.orbits
                 assert o.is_self_dual == (_rebuilt_dual(o) == o)
                 assert o.is_self_dual == (d is o)
@@ -180,7 +180,7 @@ def test_an_orbit_built_by_hand_finds_its_dual_once():
     o = Orbit(12, (5, 1))
     d = o.dual()
     assert d.members == (7, 11)
-    assert o.dual() is d and d.dual() is o
+    assert o.dual() is d and d.dual() == o
     assert not o.is_self_dual and not d.is_self_dual
     both = Orbit(8, (6, 2))
     assert both.dual() is both and both.is_self_dual

@@ -15,7 +15,9 @@ from npcc import (
     AsymmetricPolygonError,
     EndpointMismatchError,
     NewtonPolygon,
+    OrbitPolygon,
     PolygonSyntaxError,
+    decompose,
     parse,
 )
 from test_polygon_oracle import FractionNewtonPolygon
@@ -49,6 +51,18 @@ def test_constructor_rejects_bad_slopes():
 def test_an_unreadable_slope_is_a_syntax_error_naming_it(slope):
     with pytest.raises(PolygonSyntaxError, match=re.escape(f"slope {slope!r} ")):
         NewtonPolygon([(slope, 2)])
+
+
+@pytest.mark.parametrize("slope", [True, False], ids=repr)
+def test_a_bool_is_no_slope(slope):
+    # bool is an int subclass, and Fraction(True) is 1.
+    message = f"^slope {slope!r} is not a rational number$"
+    with pytest.raises(PolygonSyntaxError, match=message):
+        NewtonPolygon([(slope, 1)])
+    with pytest.raises(PolygonSyntaxError, match=message):
+        ORD.multiplicity(slope)
+    with pytest.raises(PolygonSyntaxError, match=message):
+        OrbitPolygon(decompose(3, 1).orbits[0], [(slope, 1)])
 
 
 @pytest.mark.parametrize("mult", [2.9, 2.0, "2", "x", None, True], ids=repr)
