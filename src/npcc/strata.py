@@ -88,7 +88,8 @@ def enumerate_orbit_component(
     and (for self-dual orbits) symmetric under slope -> |o| - slope.
     Vertex enumeration is exhaustive: between vertices the path is
     linear and the mu-ordinary polygon convex, so their difference is
-    concave and endpoint checks imply pointwise domination.
+    concave and endpoint checks imply pointwise domination.  The cap
+    counts every completed path; only the candidates are kept.
 
     The search is integer arithmetic: the last slope is carried as its
     rise over its width, and each condition on the next vertex (x2, y2)
@@ -100,15 +101,18 @@ def enumerate_orbit_component(
     big_g = mu.height
     big_d = mu.degree
     lowest_y = mu._grid  # unscaled: the slopes of mu are integral
-    found: list[tuple[tuple[int, int], ...]] = []
+    found, paths, self_dual = [], 0, orbit.is_self_dual  # found keeps the candidates only
 
     def rec(x: int, y: int, rise: int, run: int, segs: tuple) -> None:
+        nonlocal paths
         if x == big_g:
-            found.append(segs)
-            if len(found) > cap:
+            paths += 1
+            if paths > cap:
                 raise EnumerationCapError(
                     f"more than {cap} candidates on orbit {orbit}; raise the cap"
                 )
+            if not self_dual or _self_symmetric(orbit, segs):
+                found.append(segs)
             return
         left = big_g - x
         for x2 in range(x + 1, big_g + 1):
@@ -132,8 +136,6 @@ def enumerate_orbit_component(
         # breaks that cycle, so what it holds is freed at once instead of
         # waiting for the cycle collector.
         del rec
-    if orbit.is_self_dual:
-        found = [segs for segs in found if _self_symmetric(orbit, segs)]
     polys = [OrbitPolygon._of_pairs(orbit, segs) for segs in found]
     scale = math.lcm(*(q._scale for q in polys))  # grids on one scale sort by value
     polys.sort(key=lambda q: tuple(v * (scale // q._scale) for v in q._grid))
