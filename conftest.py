@@ -1,4 +1,4 @@
-"""A time guard on every test.
+"""A time guard on every test, under tests/ and bench/ alike.
 
 A test still running TEST_TIMEOUT_S seconds after it started, fixtures
 included, prints the traceback of every thread and ends the whole run

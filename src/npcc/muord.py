@@ -141,8 +141,6 @@ class OrbitPolygon:
 def _self_symmetric(orbit: Orbit, pairs: tuple[tuple[int, int], ...]) -> bool:
     """OrbitPolygon.is_self_symmetric of the polygon of pairs on orbit."""
     size = orbit.size
-    if pairs and pairs[0] != (size * pairs[-1][1] - pairs[-1][0], pairs[-1][1]):
-        return False  # the first pair is not the last one mirrored: no reversed copy
     return pairs == tuple((size * w - r, w) for r, w in reversed(pairs))
 
 

@@ -329,6 +329,25 @@ def test_kottwitz_cap(capsys):
     assert "error:" in err
 
 
+def test_kottwitz_cap_counts_candidates(capsys):
+    # The orbit of 1 at class 5 is self-dual, with 869 candidates among
+    # 99,443 convex paths: the cap counts the candidates alone, so the
+    # 3413-element set of 23:12 is within the default cap.
+    argv = ["kottwitz", "--datum", "23:10:1,1,1,1,1,1,1,1,1,14", "--p-class", "5"]
+    code, out, err = run(capsys, [*argv, "--cap", "869"])
+    assert (code, err) == (0, "")
+    assert out.startswith("869 elements, 869 distinct polygons\n")
+    code, out, err = run(capsys, [*argv, "--cap", "868"])
+    assert (code, out) == (1, "")
+    members = ",".join(map(str, range(1, 23)))
+    assert err == f"error: more than 868 candidates on orbit {{{members}}}; raise the cap\n"
+    code, out, err = run(
+        capsys, ["kottwitz", "--datum", "23:12:1,1,1,1,1,1,1,1,1,1,1,12", "--p-class", "5"]
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("3413 elements, 3413 distinct polygons\n")
+
+
 def test_kottwitz_and_generate_on_a_datum_of_genus_zero(capsys):
     # f(1) = 0: no factor has a slope, so the set is one element whose
     # total is the empty polygon.

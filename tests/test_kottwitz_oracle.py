@@ -12,7 +12,9 @@ reduction.  The closed-form lattice count is checked against the per-x
 sum of ceilings it replaced.  The fold over int-coded partial totals
 is checked against the fold over polygon partial totals it replaced,
 and the integer path search against the Fraction-slope search it
-replaced.  A polygon's row is checked to be found without hashing a
+replaced: that oracle walks every convex path and keeps the symmetric
+ones on a self-dual orbit, where the search walks only the half below
+slope |o|/2 and mirrors it.  A polygon's row is checked to be found without hashing a
 Fraction, and equal polygons to find the same rows as the totals
 handed out.
 """
@@ -543,22 +545,21 @@ def _search_cases(seed: int, count: int) -> list:
 def test_integer_search_matches_fraction_search_and_keeps_the_cap():
     kinds = set()
     for orbit, f, expected, paths in _search_cases(20260102, 510):
-        # The cap counts paths before the self-dual filter and fires
-        # only when they exceed it.
-        assert enumerate_orbit_component(orbit, f, cap=len(paths)) == expected
-        if mu_ordinary_orbit(orbit, f).height:
-            with pytest.raises(EnumerationCapError):
-                enumerate_orbit_component(orbit, f, cap=len(paths) - 1)
+        # The cap counts candidates and fires only when they exceed it.
+        assert enumerate_orbit_component(orbit, f, cap=len(expected)) == expected
+        if len(expected) > 1:
+            with pytest.raises(EnumerationCapError, match=f"more than {len(expected) - 1} candidates"):
+                enumerate_orbit_component(orbit, f, cap=len(expected) - 1)
         kinds.add((orbit.is_self_dual, len(expected) > 1, len(paths) > len(expected)))
-    # Self-dual orbits whose filter drops paths, and other orbits with
-    # several candidates, both occur.
+    # Self-dual orbits where the oracle drops asymmetric paths, and other
+    # orbits with several candidates, both occur.
     assert {(True, True, True), (False, True, False)} <= kinds
 
 
 def test_only_candidates_become_polygons(monkeypatch):
-    """The self-dual filter reads each path's pairs, so a search builds one
-    polygon per candidate and one for its mu-ordinary bound, and the cap
-    still counts the paths before the filter."""
+    """A self-dual search walks only its candidates, so it builds one
+    polygon per candidate and one for its mu-ordinary bound, and a
+    refused search builds only the bound."""
     built = 0
     fill = OrbitPolygon._fill
 
@@ -572,33 +573,36 @@ def test_only_candidates_become_polygons(monkeypatch):
     for orbit, f, expected, paths in cases:
         assert orbit.is_self_dual
         built = 0
-        assert enumerate_orbit_component(orbit, f, cap=len(paths)) == expected
+        assert enumerate_orbit_component(orbit, f, cap=len(expected)) == expected
         assert built == len(expected) + 1
-        with pytest.raises(EnumerationCapError):
-            enumerate_orbit_component(orbit, f, cap=len(paths) - 1)
+        built = 0
+        with pytest.raises(EnumerationCapError, match=f"more than {len(expected) - 1} candidates"):
+            enumerate_orbit_component(orbit, f, cap=len(expected) - 1)
+        assert built == 1
     assert len(cases) >= 40
 
 
 def test_a_search_keeps_no_path_it_drops():
-    """A self-dual search holds its candidates, not every path it counts.
+    """A self-dual search walks and holds its candidates only.
 
-    On the orbit of 1 at class 5, 23:9:1,...,1,15 has 26,750 paths and
-    250 candidates, and 23:10:1,...,1,14 has 99,443 paths.  Keeping every
-    path until the cap passed peaked at 5.7 MiB for the first search and
-    5.1 MiB for the second refused at 30,000 paths; keeping only the
-    candidates peaks at 0.4 and 0.3 MiB.  The bound lies over 3x from each.
+    On the orbit of 1 at class 5, 23:9:1,...,1,15 has 250 candidates
+    among 26,750 convex paths, and 23:10:1,...,1,14 has 869 among 99,443.
+    Keeping every path until the cap passed peaked at 5.7 MiB for the
+    first search; searching by halves peaks at 0.17 MiB for it, and at
+    0.16 MiB for the second refused at 500 candidates.  The bound lies
+    over 3x below the first and over 8x above the others.
     """
     orbit = decompose(23, 5).orbit_of(1)
     nine, ten = (signature(MonodromyDatum(23, (1,) * (n - 1) + (24 - n,))) for n in (9, 10))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        assert len(enumerate_orbit_component(orbit, nine, cap=26_750)) == 250
+        assert len(enumerate_orbit_component(orbit, nine, cap=250)) == 250
         kept = tracemalloc.get_traced_memory()[1] - start
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        with pytest.raises(EnumerationCapError, match="more than 30000 candidates"):
-            enumerate_orbit_component(orbit, ten, cap=30_000)
+        with pytest.raises(EnumerationCapError, match="more than 500 candidates"):
+            enumerate_orbit_component(orbit, ten, cap=500)
         refused = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -607,11 +611,13 @@ def test_a_search_keeps_no_path_it_drops():
 
 
 def test_integer_search_tries_no_dead_end():
-    """Every vertex the search tries lies on some path it finds.
+    """Every vertex the search tries lies on some candidate it finds.
 
     The bounds on y2 are exact, so its inner search is called once per
     distinct prefix of the paths found, the empty prefix included; a
-    bound one too loose would only add calls that find nothing.
+    bound one too loose would only add calls that find nothing.  On a
+    self-dual orbit each call is a half that closes into one candidate,
+    so the calls are exactly the candidates.
     """
     (rec,) = [
         c for c in enumerate_orbit_component.__code__.co_consts
@@ -624,13 +630,17 @@ def test_integer_search_tries_no_dead_end():
         if event == "call" and frame.f_code is rec:
             calls += 1
 
-    for orbit, f, _, paths in _search_cases(20260103, 150):
-        if not mu_ordinary_orbit(orbit, f).height:
-            continue
+    kinds = set()
+    for orbit, f, expected, paths in _search_cases(20260103, 150):
         calls = 0
         sys.setprofile(count)
         try:
-            enumerate_orbit_component(orbit, f, cap=len(paths))
+            result = enumerate_orbit_component(orbit, f, cap=len(expected))
         finally:
             sys.setprofile(None)
-        assert calls == len({segs[:k] for segs in paths for k in range(len(segs) + 1)})
+        if orbit.is_self_dual:
+            assert calls == len(result)
+        else:
+            assert calls == len({segs[:k] for segs in paths for k in range(len(segs) + 1)})
+        kinds.add((orbit.is_self_dual, len(result) > 1))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
