@@ -7,51 +7,58 @@ reports, certified inductive families, and the bundled reference
 table with its reproduction reports.  The package exports what each
 module lists in its ``__all__``.
 
-``import npcc`` loads ``errors``, ``polygon``, ``monodromy``,
-``orbits``, ``muord`` and ``catalog``: all that parsing the family
-table and the per-datum invariants need, so a process that runs only
-those does not compile the rest, nor import ``fractions``, which the
-library loads the first time it hands out a ``Fraction``.  ``strata``,
-``clutch``, ``generators`` and ``reproduce`` load together the first
-time one of their exports, one of them, ``__all__`` or ``dir(npcc)``
-is read; no other dunder probe loads them.  A lazy export is looked up
-in its module at every read and never bound here, so whatever rebinds
-it in its module, a tracer for one, is seen through the package too.
-The ``npcc`` command imports ``npcc.cli``, which loads every module.
+``import npcc`` loads ``errors``, ``polygon``, ``monodromy`` and
+``catalog``: all that parsing the family table needs, so a process
+that runs only that compiles nothing more, nor imports ``fractions``,
+which the library loads the first time it hands out a ``Fraction``.
+The other modules load in a fixed order, ``orbits``, ``muord``,
+``strata``, ``clutch``, ``generators``, ``reproduce``, when a name not
+yet known is first read: in turn, up to the first that exports the
+name or is the module named.  So ``npcc.decompose`` loads ``orbits``,
+``npcc.mu_ordinary`` ``orbits`` and ``muord``, ``npcc.kottwitz_set``
+those and ``strata``; ``__all__``, ``dir(npcc)`` and any name that no
+module exports load them all, and no other dunder probe loads any.  A
+lazy export is looked up in its module at every read and never bound
+here, so whatever rebinds it in its module, a tracer for one, is seen
+through the package too.  The ``npcc`` command imports ``npcc.cli``,
+which loads every module.
 """
 
 from .errors import *
 from .polygon import *
 from .monodromy import *
-from .orbits import *
-from .muord import *
 from .catalog import *
-from . import catalog, errors, monodromy, muord, orbits, polygon
+from . import catalog, errors, monodromy, polygon
 
 __version__ = "0.1.0"
 
-_LAZY = {}  # export name -> the lazy module defining it, filled when they load
+_LAZY_MODULES = ("orbits", "muord", "strata", "clutch", "generators", "reproduce")
+_LAZY = {}  # export name -> the lazy module defining it, filled as they load
 
 
-def _load_lazy():
-    # Not `from . import ...`: that probes this module for each name,
-    # which would call __getattr__ again.
-    import npcc.clutch, npcc.generators, npcc.reproduce, npcc.strata
-
+def _load(name):
+    """Load the lazy modules in order, up to the first that exports name
+    or is named so.  Any other name loads them all and binds __all__."""
     global __all__
-    if not _LAZY:
-        lazy = npcc.strata, npcc.clutch, npcc.generators, npcc.reproduce
-        listed = (errors, polygon, monodromy, orbits, muord,
-                  npcc.strata, npcc.clutch, npcc.generators, catalog, npcc.reproduce)
-        __all__ = [name for module in listed for name in module.__all__] + ["__version__"]
-        # One update, after __all__, so another thread sees every name or none.
-        _LAZY.update({name: module for module in lazy for name in module.__all__})
+    for short in _LAZY_MODULES:
+        # Not `from . import ...`: that probes this module for the name,
+        # which would call __getattr__ again.
+        __import__(f"{__name__}.{short}")
+        module = globals()[short]
+        # One update per module, so another thread sees all its names or none.
+        _LAZY.update(dict.fromkeys(module.__all__, module))
+        if name in _LAZY or name == short:
+            return
+    if "__all__" not in globals():
+        listed = ("errors", "polygon", "monodromy", *_LAZY_MODULES[:-1], "catalog", "reproduce")
+        exports = [export for short in listed for export in globals()[short].__all__]
+        __all__ = exports + ["__version__"]  # one assignment: another thread sees all or none
 
 
 def __getattr__(name):
     if name not in _LAZY and (name == "__all__" or not name.startswith("__")):
-        _load_lazy()
-        if name in globals():  # __all__, or a lazy module bound here by that import
+        _load(name)
+        if name in globals():  # __all__, or a lazy module bound here by its import
             return globals()[name]
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -59,5 +66,5 @@ def __getattr__(name):
 
 
 def __dir__():
-    _load_lazy()
+    _load("__all__")
     return sorted(set(globals()) | set(__all__))

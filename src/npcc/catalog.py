@@ -16,8 +16,6 @@ from ._memo import memo
 from ._record import Record
 from .errors import DomainError
 from .monodromy import MonodromyDatum, genus
-from .muord import mu_ordinary
-from .orbits import decompose
 from .polygon import NewtonPolygon, parse
 
 __all__ = [
@@ -74,6 +72,8 @@ class MoonenFamily(Record):
 
     def payload_polygon(self, p_class: int) -> NewtonPolygon:
         """The unique printed polygon other than the mu-ordinary one."""
+        from .muord import mu_ordinary  # not at load: parsing the table needs no orbit
+
         u = mu_ordinary(self.datum, p_class)
         rest = [poly for poly, _ in self.polygons_for_class(p_class) if poly != u]
         if len(rest) != 1:
@@ -146,5 +146,7 @@ def _classes_reaching_minus_one(m: int) -> tuple[int, ...]:
 
     That is, the orbit of 1 under multiplication by c is self-dual.
     """
+    from .orbits import decompose
+
     units = (c for c in range(2, m) if math.gcd(c, m) == 1)
     return tuple(c for c in units if decompose(m, c).orbit_of(1).is_self_dual)

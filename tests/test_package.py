@@ -40,11 +40,12 @@ __version__
 """.split()
 MODULES = (npcc.errors, npcc.polygon, npcc.monodromy, npcc.orbits, npcc.muord, npcc.strata,
            npcc.clutch, npcc.generators, npcc.catalog, npcc.reproduce)
-LAZY = {"npcc.strata", "npcc.clutch", "npcc.generators", "npcc.reproduce"}
-# What `import npcc; npcc.moonen_families()` loads of the package: the table
-# and the per-datum invariants.
+# The modules `import npcc` leaves to a first read, in the order it loads them.
+LAZY = ("npcc.orbits", "npcc.muord", "npcc.strata", "npcc.clutch", "npcc.generators",
+        "npcc.reproduce")
+# What `import npcc; npcc.moonen_families()` loads of the package: the table.
 TABLE = {"npcc", "npcc._memo", "npcc._record", "npcc.errors", "npcc.polygon", "npcc.monodromy",
-         "npcc.orbits", "npcc.muord", "npcc.catalog"}
+         "npcc.catalog"}
 FRACTIONS = {"fractions", "decimal", "numbers"}  # fractions and what it imports
 SRC = Path(npcc.__file__).resolve().parent
 
@@ -119,8 +120,8 @@ def test_startup_without_site_loads_no_resources_or_typing_machinery():
 
 @pytest.mark.parametrize("flags", [(), ("-S",)])
 def test_startup_compiles_no_strata_clutch_or_generators(flags):
-    # Parsing the table runs none of the lazy modules (reproduce too), so
-    # import npcc leaves them to the first read of one of their names.
+    # Parsing the table runs none of the lazy modules (orbits, muord and
+    # reproduce too), so import npcc leaves them to the first read of a name.
     assert _loaded_at_startup(LAZY, *flags) == "[]"
 
 
@@ -136,10 +137,28 @@ def test_importing_the_cli_loads_no_fractions():
     assert _fresh(code, "-S") == "[]"
 
 
-@pytest.mark.parametrize("name", ["npcc.kottwitz_set", "npcc.worked_clutch_example", *sorted(LAZY)])
-def test_reading_a_lazy_name_right_after_import_loads_all_three_modules(name):
-    # The three, and reproduce with them: every module in LAZY.
-    assert _loaded_at_startup(LAZY, then=name) == str(sorted(LAZY))
+# A read right after import, and the last lazy module it loads.
+READS = {
+    "npcc.decompose": "npcc.orbits",
+    "npcc.mu_ordinary": "npcc.muord",  # the per-datum invariants compile no strata
+    "npcc.kottwitz_set": "npcc.strata",
+    "npcc.strata": "npcc.strata",
+    "npcc.clutch": "npcc.clutch",
+    "npcc.clutch_report": "npcc.clutch",
+    "npcc.generators": "npcc.generators",
+    "npcc.replay": "npcc.generators",
+    "npcc.reproduce": "npcc.reproduce",
+    "npcc.worked_clutch_example": "npcc.reproduce",
+    "npcc.__all__": "npcc.reproduce",
+    "dir(npcc)": "npcc.reproduce",
+}
+
+
+@pytest.mark.parametrize("read", READS)
+def test_a_read_loads_its_lazy_module_and_those_before_it(read):
+    # And no later one: the first read of kottwitz_set compiles no clutch.
+    loaded = LAZY[: LAZY.index(READS[read]) + 1]
+    assert _loaded_at_startup(LAZY, then=read) == str(sorted(loaded))
 
 
 def test_star_import_binds_every_export_in_a_fresh_interpreter():
@@ -234,6 +253,13 @@ def test_startup_import_scan_flags_every_import_named(tmp_path):
 
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+# Loads bench/spans.py as `spans` in a fresh interpreter.
+LOAD_SPANS = f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("bench_spans", {str(SPANS)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+"""
 
 
 def test_benchmark_traced_names_resolve():
@@ -251,15 +277,42 @@ def test_benchmark_traced_names_resolve():
         assert callable(owner), span
 
 
+def test_benchmark_traced_modules_are_loaded_by_importing_the_cli():
+    # The tracer reads each target's module from sys.modules right after
+    # `import npcc, npcc.cli`, so a module the CLI left to a later import
+    # would fail every traced run.
+    code = LOAD_SPANS + """
+import sys
+import npcc, npcc.cli
+modules = {module for module, _ in spans.TARGETS.values()}
+print("npcc.strata" in modules, sorted(modules - set(sys.modules)))
+"""
+    assert _fresh(code) == "True []"
+
+
+def test_no_module_loaded_after_the_cli_binds_a_traced_function():
+    # A module first imported while the tracer is installed binds its
+    # wrappers by name and keeps them after restore, so every later
+    # untraced call through it would be counted.  Each module that binds
+    # a traced function must therefore be loaded by `import npcc, npcc.cli`.
+    code = LOAD_SPANS + """
+import sys
+import npcc, npcc.cli
+loaded = set(sys.modules)
+npcc.__all__
+traced = {id(spans._resolve(sys.modules[module], path)[2])
+          for module, path in spans.TARGETS.values()}
+print(sorted(name for name in set(sys.modules) - loaded if name.startswith("npcc.")
+             and any(id(value) in traced for value in vars(sys.modules[name]).values())))
+"""
+    assert _fresh(code) == "[]"
+
+
 def test_a_lazy_export_read_under_the_tracer_is_untraced_after_restore():
     # The tracer wraps only the bindings that exist when it installs, and
     # the package binds no lazy export; so a first read of one while it
     # is installed must not leave a wrapper behind in the package.
-    code = f"""
-import importlib.util
-spec = importlib.util.spec_from_file_location("bench_spans", {str(SPANS)!r})
-spans = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(spans)
+    code = LOAD_SPANS + """
 import npcc, npcc.cli
 datum = npcc.MonodromyDatum(7, (1, 1, 5))
 tracer = spans.Tracer(npcc.DomainError)
