@@ -7,8 +7,6 @@ table into immutable records and looks families up; the reports that
 recompute it from scratch are in `npcc.reproduce`.
 """
 
-from __future__ import annotations
-
 import math
 import os
 

@@ -8,8 +8,6 @@ stable versioned JSON document.  Exit status: 0 on success, 1 on a
 domain error, 2 on a usage error.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

@@ -11,8 +11,6 @@ orbit component falls strictly inside the slope span of the second's).
 Everything here is pure bookkeeping on integers and exact rationals.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._memo import memo

@@ -12,8 +12,6 @@ statements that cannot be decided from a residue class are recorded as
 plain assumption strings instead of being silently trusted.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 from types import MappingProxyType
@@ -152,9 +150,9 @@ def _hypothesis(holds: bool, failure: str) -> None:
 # The most branch points a chain step may produce; each op checks it
 # before it clutches.  A joint builds the glued datum, O(N), and its
 # signature and checks, O(m), so a chain of n copies costs O(n (N + m)):
-# self:340:auto (N = 1022) takes about 0.13 s on 7:3:1,1,5 and, on
-# 1193:3:1,1,1191, about 0.66 s at class 3 and 2.8 s at class 1, in
-# process on a 2-core Xeon host (medians of 7 runs).
+# self:340:auto (N = 1022) takes about 0.1 s on 7:3:1,1,5 at class 3 and,
+# on 1193:3:1,1,1191, about 0.5 s at class 3 and 2.4 s at class 1, in
+# process via `npcc.cli.main` on a 2-core Xeon host (medians of 5, cold memos).
 MAX_BRANCH_POINTS = 1024
 
 

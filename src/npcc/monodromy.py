@@ -9,8 +9,6 @@ The signature of a datum assigns to each residue n mod m the dimension
 f(n) of the corresponding character eigenspace of differentials.
 """
 
-from __future__ import annotations
-
 import collections
 import math
 
@@ -41,8 +39,8 @@ __all__ = [
 # `npcc clutch` 0.12 s, interpreter start included.  The signature of a
 # glued datum sums over its distinct entries, so a joint's per-residue
 # work stays O(m) however long the chain: `--step self:340:auto`, near
-# MAX_BRANCH_POINTS, takes about 0.66 s at class 3 and 2.8 s at class 1
-# in process (medians of 7 runs).
+# MAX_BRANCH_POINTS, takes about 0.5 s at class 3 and 2.4 s at class 1
+# in process via `npcc.cli.main` (medians of 5, cold memos).
 MAX_MODULUS = 1200
 
 

@@ -12,8 +12,6 @@ signature, assembles into the mu-ordinary polygon: the one generically
 attained, and the greatest element of the Kottwitz partial order.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
 from collections.abc import Iterable

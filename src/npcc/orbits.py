@@ -6,8 +6,6 @@ An orbit o pairs with its dual -o; the pair supports g(o) = f(n) +
 f(m - n) many slopes, a quantity constant on the orbit.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._memo import memo

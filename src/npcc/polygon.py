@@ -26,10 +26,7 @@ format to a bracketed slope:multiplicity list and round-trip through
 JSON instead.
 """
 
-from __future__ import annotations
-
 import math
-import re
 from collections.abc import Callable, Iterable
 
 from .errors import AsymmetricPolygonError, DomainError, EndpointMismatchError, PolygonSyntaxError
@@ -37,16 +34,6 @@ from .errors import AsymmetricPolygonError, DomainError, EndpointMismatchError, 
 __all__ = ["NewtonPolygon", "parse", "EMPTY", "ORD", "SS"]
 
 Triple = tuple[int, int, int]
-
-_TERM_RE = re.compile(
-    r"""^(?:
-            (?P<ord>ord) |
-            (?P<ss>ss) |
-            \(\s*(?P<n1>[0-9]+)\s*/\s*(?P<d1>[0-9]+)\s*,\s*(?P<n2>[0-9]+)\s*/\s*(?P<d2>[0-9]+)\s*\)
-        )
-        (?:\^(?P<exp>[0-9]+))?$""",
-    re.VERBOSE,
-)
 
 
 def _slope_text(num: int, den: int) -> str:
@@ -356,21 +343,31 @@ def _numeral(digits: str) -> int:
         raise PolygonSyntaxError(f"number too long: {len(digits)} digits") from None
 
 
+def _is_numeral(text: str) -> bool:
+    """text is a run of ASCII digits; isdigit() alone takes "²" and "٣" too."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_term(term: str, acc: list[Triple]) -> None:
-    m = _TERM_RE.match(term)
-    if m is None:
+    # base ('^' INT)?; whitespace may flank each of a pair's four numbers.
+    base, caret, exp_text = term.partition("^")
+    pair = base[1:-1].split(",") if base[:1] + base[-1:] == "()" else []
+    sides = [side.split("/") for side in pair]
+    numbers = [number.strip() for side in sides for number in side]
+    is_pair = [len(side) for side in sides] == [2, 2] and all(map(_is_numeral, numbers))
+    if not (base in ("ord", "ss") or is_pair) or caret and not _is_numeral(exp_text):
         raise PolygonSyntaxError(f"cannot parse term {term!r}")
-    exp = _numeral(m.group("exp")) if m.group("exp") else 1
+    exp = _numeral(exp_text) if caret else 1
     if exp < 1:
         raise PolygonSyntaxError(f"exponent must be >= 1 in {term!r}")
-    if m.group("ord"):
+    if base == "ord":
         acc.append((0, 1, exp))
         acc.append((1, 1, exp))
         return
-    if m.group("ss"):
+    if base == "ss":
         acc.append((1, 2, 2 * exp))
         return
-    s_num, s_den, u_num, u_den = map(_numeral, m.group("n1", "d1", "n2", "d2"))
+    s_num, s_den, u_num, u_den = map(_numeral, numbers)
     if s_den == 0 or u_den == 0:
         raise PolygonSyntaxError(f"zero denominator in {term!r}")
     if s_den != u_den:

@@ -9,8 +9,6 @@ join in full.  They run strata, clutch and generators, so this module
 loads with them, not at ``import npcc``.
 """
 
-from __future__ import annotations
-
 import math
 
 from .catalog import _classes_reaching_minus_one, moonen_families, moonen_family

@@ -32,8 +32,6 @@ point count, the comparison against dim M_g (condition (U)), and three
 closed-form sufficient bounds for that comparison.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
@@ -161,28 +159,30 @@ class KottwitzSet:
     elements' candidate tuples in that order, and ``ks[i]`` decodes one
     index.  The length of an element is the longest strictly increasing
     chain from it up to the top; in a product poset that is the sum of
-    the per-factor lengths (see `_chain_lengths`), kept in ``lengths``.
+    the per-factor lengths (see `_chain_lengths`), kept in ``lengths``;
+    ``len(ks)`` is the product of the factor sizes.
 
-    No polygon is kept per element.  One fold over the factors, last
-    to first, maps each distinct partial total to the indices reaching
-    it.  With ``place`` partial elements folded, candidate k of the next
-    factor meets every partial once and gives the indices
-    k * place + i, so the block of each k lies above those of the
-    smaller ones.  A total T meets at most one partial per k, namely
-    T minus the code of k, so every row comes out ascending.  The
-    blocks come in index order and the partials within one block in
-    theirs, so each total enters the dict at its least index: the
-    totals keep their first-appearance order.  A partial total is an
-    int: before the fold, the i-th smallest slope of the candidates'
-    lambda-scaled int triples (duals included; no polygon is built per
-    candidate) is given the i-th digit, wide enough for the height 2g
-    of every total, and adding two codes amalgamates their polygons.
-    So the fold hashes and adds only ints, and each total's polygon is
-    decoded once and keys its row; `totals` hands out those keys.  The
-    set keeps each candidate as its (rise, width) pairs and builds the
-    candidates, as ``factors``, when an element is first read.
-    The cap bounds the running product of the factor sizes, checked
-    before the next factor is enumerated.
+    No polygon is kept per element.  One fold over the factors, run when
+    the strata are first read, maps each distinct partial total to the
+    indices reaching it, last factor to first.  With ``place`` partial
+    elements folded, candidate k of the next factor meets every partial
+    once and gives the indices k * place + i, so the block of each k
+    lies above those of the smaller ones.  A total T meets at most one
+    partial per k, namely T minus the code of k, so every row comes out
+    ascending.  The blocks come in index order and the partials within
+    one block in theirs, so each total enters the dict at its least
+    index: the totals keep their first-appearance order.  A partial
+    total is an int: before the fold, the i-th smallest slope of the
+    candidates' lambda-scaled int triples (duals included; no polygon is
+    built per candidate) is given the i-th digit, wide enough for the
+    height 2g of every total, and adding two codes amalgamates their
+    polygons.  So the fold hashes and adds only ints, and each total's
+    polygon is decoded once and keys its row; `totals` hands out those
+    keys.  The set keeps each candidate as its (rise, width) pairs and
+    builds the candidates, as ``factors``, when an element is first
+    read.  The cap bounds the running product of the factor sizes,
+    checked before the next factor is enumerated; the constructor does
+    only that search, so a set that `hasse_edges` refuses folds nothing.
     """
 
     def __init__(self, f: Signature, p: int, cap: int = DEFAULT_ENUM_CAP):
@@ -206,19 +206,25 @@ class KottwitzSet:
                     f"{len(factors)} of {len(self.reps)} factors have sizes "
                     f"{sizes} = {count}; raise the cap"
                 )
+        self._size = count
         self._factor_pairs = tuple(factors)
         self._factor_lengths = tuple(factor_lengths)
+        self._pieces = tuple(pieces)
+
+    @functools.cached_property
+    def _rows(self) -> dict[NewtonPolygon, tuple[int, ...]]:
+        """The fold: each distinct total mapped to its indices, run when first read."""
+        pieces = self._pieces
         distinct = {(num, den) for factor in pieces for piece in factor for num, den, _ in piece}
         slopes = sorted(distinct, key=_slope_order(distinct))
         # Digit i, of `bits` bits, holds the multiplicity of slopes[i].
         # Every total has the family's height 2g, so codes add without carry.
-        height = 2 * f.total
+        height = 2 * self.signature.total
         bits = height.bit_length()
         digit = {slope: i * bits for i, slope in enumerate(slopes)}
         by_code = {0: [0]}
-        lengths = [0]
-        for factor, steps in zip(reversed(pieces), reversed(self._factor_lengths)):
-            place = len(lengths)  # elements of the later factors, already folded
+        place = 1  # elements of the later factors, already folded
+        for factor in reversed(pieces):
             folded: dict[int, list[int]] = {}
             for k, piece in enumerate(factor):
                 code = sum(mult << digit[num, den] for num, den, mult in piece)
@@ -226,9 +232,16 @@ class KottwitzSet:
                 for partial, indices in by_code.items():
                     folded.setdefault(partial + code, []).extend([offset + i for i in indices])
             by_code = folded
+            place *= len(factor)
+        return _decode_totals(by_code, slopes, bits, height)
+
+    @functools.cached_property
+    def lengths(self) -> tuple[int, ...]:
+        """Each element's length, the sum of its candidates', built when first read."""
+        lengths = [0]
+        for steps in reversed(self._factor_lengths):
             lengths = [s + n for s in steps for n in lengths]
-        self._rows = _decode_totals(by_code, slopes, bits, height)
-        self.lengths = tuple(lengths)
+        return tuple(lengths)
 
     @functools.cached_property
     def factors(self) -> tuple[tuple[OrbitPolygon, ...], ...]:
@@ -258,13 +271,13 @@ class KottwitzSet:
         return lengths
 
     def __len__(self) -> int:
-        return len(self.lengths)
+        return self._size
 
     def __iter__(self):
         return itertools.product(*self.factors)
 
     def _checked(self, i: int) -> int:
-        if not 0 <= i < len(self.lengths):
+        if not 0 <= i < self._size:
             raise DomainError(f"index {i} is not in this Kottwitz set of {len(self)} elements")
         return i
 

@@ -14,11 +14,13 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import npcc
+import npcc._memo as _memo
 import npcc.reproduce as reproduce
 from npcc import ORD, MonodromyDatum, base_case
 from npcc.cli import _PRIME_BASES, _PSI, P_BOUND, _is_prime, main
@@ -318,6 +320,24 @@ def test_kottwitz_dot_is_refused_above_max_dot_elements(capsys):
     code, out, err = run(capsys, at)
     assert (code, err) == (0, "") and out.count("\n") == 65003
     assert run_json(capsys, [*big, "--json"])["size"] == 960000
+
+
+def test_a_refused_dot_builds_no_index_rows(capsys):
+    """The set of 960,000 elements is refused from its factors alone: the
+    fold mapping each total to its element indices, about 60 MiB here,
+    runs when strata are first read, which a refused --dot never does.
+    The refusal peaks under 1 MiB."""
+    big = ["kottwitz", "--datum", "20:6:14,9,19,19,8,11", "--p-class", "1", "--dot"]
+    _memo.clear()  # so the factor search is counted too
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == "error: a Hasse diagram of 960000 elements is above MAX_DOT_ELEMENTS = 10000\n"
+    assert peak < 5 * 2**20
 
 
 def test_kottwitz_cap(capsys):

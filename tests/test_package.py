@@ -113,8 +113,10 @@ def test_startup_loads_no_dataclass_or_inspect_machinery():
 
 def test_startup_without_site_loads_no_resources_or_typing_machinery():
     # -S keeps site from loading modules first, so each module listed
-    # would show up here if npcc itself loaded it.
-    heavy = {"importlib.resources", "typing", "dataclasses", "inspect"}
+    # would show up here if npcc itself loaded it.  Terms are read with
+    # str methods and annotations evaluated as written: no re, enum or
+    # __future__ either.
+    heavy = {"importlib.resources", "typing", "dataclasses", "inspect", "re", "enum", "__future__"}
     assert _loaded_at_startup(heavy, "-S") == "[]"
 
 
@@ -250,6 +252,56 @@ def test_startup_import_scan_flags_every_import_named(tmp_path):
     init = tmp_path / "__init__.py"
     init.write_text("def load():\n    import npcc.strata\nfrom fractions import Fraction\n")
     assert _startup_imports(init) == ["__init__.py:3 imports fractions at load"]
+
+
+def _start_path_imports(path):
+    """Where one module imports __future__, or re unless it is the CLI:
+    the table's polygons are read with str methods and annotations are
+    evaluated where they are written, so `import npcc` needs neither."""
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots = {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            roots = {node.module.partition(".")[0]}
+        else:
+            continue
+        for root in sorted(roots & {"__future__", "re"}):
+            if root == "__future__" or path.name != "cli.py":
+                problems.append(f"{path.name}:{node.lineno} imports {root}")
+    return problems
+
+
+def test_no_module_imports_future_and_only_the_cli_imports_re():
+    paths = sorted(SRC.glob("*.py"))
+    problems = [problem for path in paths for problem in _start_path_imports(path)]
+    assert problems == []
+
+
+def test_start_path_import_scan_flags_every_import_named(tmp_path):
+    path = tmp_path / "imports.py"
+    path.write_text(
+        "from __future__ import annotations\n"
+        "import re\n"
+        "import os, re as r\n"
+        "from re import compile\n"
+        "def f():\n    import re._parser\n"
+        "from . import re\n"
+        "from .re import x\n"
+        "import regex, rex\n"
+        "text = 'import re'\n",
+        encoding="utf-8",
+    )
+    assert _start_path_imports(path) == [
+        "imports.py:1 imports __future__",
+        "imports.py:2 imports re",
+        "imports.py:3 imports re",
+        "imports.py:4 imports re",
+        "imports.py:6 imports re",
+    ]
+    cli = tmp_path / "cli.py"
+    cli.write_text("import re\nfrom __future__ import annotations\n", encoding="utf-8")
+    assert _start_path_imports(cli) == ["cli.py:2 imports __future__"]
 
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"

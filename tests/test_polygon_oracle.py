@@ -13,12 +13,20 @@ of every exception.  The pairs include the empty polygon, odd
 multiplicities of 1/2, the slopes 0 and 1, polygons that print only as
 a bracket list, and pairs with equal endpoints, both comparable and
 crossing.
+
+The second oracle is the regular expression `parse` read a term with
+before it used str methods.  Seeded strings built from the grammar's
+pieces, odd whitespace and digits that int() reads but the grammar does
+not, must parse to the same triples or raise the same error.
 """
 
+import math
 import random
+import re
 from fractions import Fraction
 from typing import Iterable
 
+import npcc.polygon
 from npcc import (
     AsymmetricPolygonError,
     EndpointMismatchError,
@@ -26,6 +34,7 @@ from npcc import (
     PolygonSyntaxError,
     parse,
 )
+from npcc.polygon import _numeral
 
 HALF = Fraction(1, 2)
 
@@ -507,3 +516,129 @@ def test_the_constructor_and_json_reader_refuse_as_the_fraction_oracle_does():
         assert _outcome(lambda: NewtonPolygon.from_json_obj(obj)) == _outcome(
             lambda: FractionNewtonPolygon.from_json_obj(obj)
         ), obj
+
+
+# -- the term grammar against the regex it was read with -----------------
+
+_TERM_RE = re.compile(
+    r"""^(?:
+            (?P<ord>ord) |
+            (?P<ss>ss) |
+            \(\s*(?P<n1>[0-9]+)\s*/\s*(?P<d1>[0-9]+)\s*,\s*(?P<n2>[0-9]+)\s*/\s*(?P<d2>[0-9]+)\s*\)
+        )
+        (?:\^(?P<exp>[0-9]+))?$""",
+    re.VERBOSE,
+)
+
+
+def _regex_term(term, acc):
+    """npcc.polygon._parse_term as it was when it read a term with _TERM_RE."""
+    m = _TERM_RE.match(term)
+    if m is None:
+        raise PolygonSyntaxError(f"cannot parse term {term!r}")
+    exp = _numeral(m.group("exp")) if m.group("exp") else 1
+    if exp < 1:
+        raise PolygonSyntaxError(f"exponent must be >= 1 in {term!r}")
+    if m.group("ord"):
+        acc.append((0, 1, exp))
+        acc.append((1, 1, exp))
+        return
+    if m.group("ss"):
+        acc.append((1, 2, 2 * exp))
+        return
+    s_num, s_den, u_num, u_den = map(_numeral, m.group("n1", "d1", "n2", "d2"))
+    if s_den == 0 or u_den == 0:
+        raise PolygonSyntaxError(f"zero denominator in {term!r}")
+    if s_den != u_den:
+        raise PolygonSyntaxError(f"pair denominators differ in {term!r}")
+    t = s_den
+    if s_num + u_num != t:
+        raise PolygonSyntaxError(f"pair slopes must sum to 1 in {term!r}")
+    if s_num > u_num:
+        raise PolygonSyntaxError(f"pair slopes out of order in {term!r}")
+    if math.gcd(s_num, t) != 1:
+        raise PolygonSyntaxError(f"pair (s/t, u/t) needs gcd(s, t) = 1 in {term!r}")
+    acc.append((s_num, t, t * exp))
+    acc.append((u_num, t, t * exp))
+
+
+# Whitespace the regex's \s and str.strip() both take (tab, newline, NBSP,
+# the separator \x1c, ideographic space), and numbers int() reads but
+# [0-9] refuses: superscript two, Arabic-Indic three, full-width one.
+SPACES = ["", "", "", " ", "\t", "\n", "\xa0", "\x1c", "\u3000"]
+ODD_DIGITS = ["²", "٣", "１"]
+FRAGMENTS = ["ord", "ss", "(", ")", "/", ",", "^", "+", "0", "1", "3", "o", "s", "d", *SPACES,
+             *ODD_DIGITS]
+
+
+def _number(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return str(rng.randrange(10**5)).zfill(5)  # a 5-digit run
+    if roll < 0.2:
+        return rng.choice(["", *ODD_DIGITS, "1" + rng.choice(ODD_DIGITS), "1 2", "-1", "+1"])
+    return str(rng.randrange(13))
+
+
+def _term(rng):
+    """A term: mostly a well-formed one, often with a fragment inserted or dropped."""
+    roll = rng.random()
+    if roll < 0.25:
+        base = rng.choice(["ord", "ss", "or", "sss", "SS", "o\trd"])
+    elif roll < 0.9:
+        t = rng.randrange(1, 13)
+        s = rng.randrange(t // 2 + 1)
+        numbers = [str(s), str(t), str(t - s), str(t)]
+        numbers = [_number(rng) if rng.random() < 0.15 else n for n in numbers]
+        numbers = [rng.choice(SPACES) + n + rng.choice(SPACES) for n in numbers]
+        sides = [f"{numbers[0]}/{numbers[1]}", f"{numbers[2]}/{numbers[3]}"]
+        if rng.random() < 0.1:
+            sides.append(rng.choice(sides))  # a third side
+        if rng.random() < 0.1:
+            sides[rng.randrange(len(sides))] += "/" + _number(rng)  # a third number
+        base = "(" + rng.choice(SPACES) + ",".join(sides) + rng.choice(SPACES) + ")"
+    else:
+        base = "".join(rng.choice(FRAGMENTS) for _ in range(rng.randint(1, 6)))
+    term = base + rng.choice(["", "", "", "^", "^0", "^00", "^1", "^2", "^" + _number(rng),
+                              "^\t3", "^²", "^2^3", "^-1", "^ 4"])
+    if rng.random() < 0.2:  # a stray fragment, anywhere
+        at = rng.randrange(len(term) + 1)
+        term = term[:at] + rng.choice(FRAGMENTS) + term[at:]
+    if rng.random() < 0.1 and term:  # or one character dropped
+        at = rng.randrange(len(term))
+        term = term[:at] + term[at + 1:]
+    return term
+
+
+def _text(rng):
+    terms = [_term(rng) for _ in range(rng.choice([1, 1, 1, 2, 3]))]
+    return rng.choice(SPACES) + "+".join(terms) + rng.choice(SPACES)
+
+
+REFUSALS = ("cannot parse term", "empty term", "empty polygon string", "exponent must be >= 1",
+            "zero denominator", "pair denominators differ", "pair slopes must sum to 1",
+            "pair slopes out of order", "pair (s/t, u/t) needs gcd(s, t) = 1", "number too long")
+
+
+def _parsed(text):
+    try:
+        return "parsed", parse(text)._triples
+    except Exception as exc:  # compared by type and message
+        return "raised", type(exc), str(exc)
+
+
+def test_the_term_grammar_matches_the_regex_on_seeded_strings(monkeypatch):
+    rng = random.Random(20181104)
+    texts = [_text(rng) for _ in range(100_000)]
+    long = "9" * 5000  # past int()'s digit limit: refused only once the term parses
+    texts += [f"(1/3,2/3)^{long}", f"({long}/3,2/3)", f"(1/3,2/{long}", f"(1/3,{long}/3)^x"]
+    scanned = [_parsed(text) for text in texts]
+    monkeypatch.setattr(npcc.polygon, "_parse_term", _regex_term)
+    for text, outcome in zip(texts, scanned):
+        assert outcome == _parsed(text), text
+    # The strings reach every outcome: polygons, pairs among them, and each refusal.
+    kinds = [next((r for r in REFUSALS if o[2].startswith(r)), o[2]) if o[0] == "raised"
+             else "pair" if any(den > 2 for _, den, _ in o[1]) else "parsed" for o in scanned]
+    counts = {kind: kinds.count(kind) for kind in ("parsed", "pair", *REFUSALS)}
+    assert set(kinds) == set(counts) and min(counts.values()) >= 1, counts
+    assert counts["parsed"] + counts["pair"] > 5000 and counts["pair"] > 2000, counts
