@@ -97,6 +97,11 @@ def _residue(args: argparse.Namespace, m: int) -> int:
     raise DomainError("a residue class is required: pass --p or --p-class")
 
 
+def _given(args: argparse.Namespace, dests: str) -> list[str]:
+    """The flags among the space-separated dests that args sets."""
+    return ["--" + n.replace("_", "-") for n in dests.split() if getattr(args, n) not in (None, [])]
+
+
 def _joined(values) -> str:
     return ",".join(str(v) for v in values)
 
@@ -263,8 +268,7 @@ def _apply_step(fam, text: str):
 def _cmd_generate(args: argparse.Namespace) -> dict:
     if args.replay is not None:
         # Flags that build a family.
-        names = "datum payload step double_with double_payload n1 n2 p p_class".split()
-        clash = ["--" + n.replace("_", "-") for n in names if getattr(args, n) not in (None, [])]
+        clash = _given(args, "datum payload step double_with double_payload n1 n2 p p_class")
         if clash:
             raise DomainError(f"--replay takes none of {', '.join(clash)}")
         try:
@@ -281,9 +285,9 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
             raise DomainError(f"certificate is not valid JSON: {exc}") from None
         return {"replayed": True, "verify": verify_family(replay(cert, args.cap))}
     if args.double_with is None:
-        for name in ("double_payload", "n1", "n2"):
-            if getattr(args, name) is not None:
-                raise DomainError(f"--{name.replace('_', '-')} needs --double-with")
+        alone = _given(args, "double_payload n1 n2")
+        if alone:
+            raise DomainError(f"{alone[0]} needs --double-with")
     if args.datum is None:
         raise DomainError("generate needs --datum (or --replay FILE)")
     datum = MonodromyDatum.from_text(args.datum)
@@ -375,8 +379,14 @@ def _text_condition_u(doc: dict) -> list[str]:
 
 def _cmd_moonen(args: argparse.Namespace) -> dict:
     if args.verify_all:
+        clash = _given(args, "family p p_class")
+        if clash:
+            raise DomainError(f"--verify-all takes none of {', '.join(clash)}")
         return reproduce_appendix()
     if args.family is None:
+        alone = _given(args, "p p_class")
+        if alone:
+            raise DomainError(f"{alone[0]} needs --family")
         return {
             "families": [
                 {"label": fam.label, "m": fam.m, "a": list(fam.a), "genus": fam.genus}
@@ -508,10 +518,11 @@ def _add_residue_group(sp: argparse.ArgumentParser, required: bool = True) -> No
 
 
 # Building the parser (13 ArgumentParsers, their arguments, gettext and
-# terminal-size lookups) costs about 80 times what parsing one argv does,
-# so main() builds it on its first call and reuses it.  Reuse leaks no
-# state: parse_args copies --step's list default before appending, and
-# help and usage text is formatted when printed.  Bounded: one parser.
+# terminal-size lookups) costs about 75 times what argparse's parse of one
+# argv does and 350 times what _plain's read does, so main() builds it on
+# its first call and reuses it.  Reuse leaks no state: the append action
+# copies --step's list default before appending, and help and usage text
+# is formatted when printed.  Bounded: one parser.
 @memo(1)
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The npcc parser and its subcommands' parsers by name."""
@@ -621,14 +632,73 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+_PLAIN_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
+
+
+def _plain(command: argparse.ArgumentParser, words: list[str]) -> argparse.Namespace | None:
+    """command.parse_known_args(words)[0], read from command's own
+    declarations when each word is a whole option string of a store,
+    store_true or append action without choices, each value the next
+    word, not starting with "-", and argparse would accept the argv;
+    else None.  So abbreviations, --opt=value, "--", a repeated store
+    option, help and every usage error are left to argparse."""
+    args = argparse.Namespace()
+    for action in command._actions:  # defaults first, in argparse's order
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
+            vars(args).setdefault(action.dest, action.default)
+    for dest, value in command._defaults.items():
+        vars(args).setdefault(dest, value)
+    given = {}  # action -> whether its value counts as given in a group
+    i = 0
+    while i < len(words):
+        option = words[i]
+        action = command._option_string_actions.get(option)
+        kind = type(action)
+        if kind not in _PLAIN_ACTIONS or action.choices is not None or (
+            action in given and kind is not argparse._AppendAction
+        ):
+            return None
+        if action.nargs == 0:
+            values = []
+        elif action.nargs is None and i + 1 < len(words) and not words[i + 1].startswith("-"):
+            i += 1
+            try:
+                values = words[i] if action.type is None else action.type(words[i])
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None  # argparse converts it again and reports it
+        else:
+            return None
+        given[action] = values is not action.default
+        action(command, args, values, option)
+        i += 1
+    for action in command._actions:
+        # A missing required option or positional, or a typed string
+        # default argparse would convert.
+        if action not in given and (
+            action.required
+            or not action.option_strings
+            or (isinstance(action.default, str) and action.type is not None)
+        ):
+            return None
+    for group in command._mutually_exclusive_groups:
+        count = sum(given.get(action, False) for action in group._group_actions)
+        if count > 1 or (group.required and not count):
+            return None
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """parser.parse_args(argv), with one parser pass when argv[0] names a
     subcommand: the top-level parser would hand the rest to that
-    subcommand's parser and refuse what it leaves over, as this does."""
+    subcommand's parser and refuse what it leaves over, as this does.
+    A plain rest is read by _plain, without argparse."""
     parser, commands = _build_parser()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _plain(command, argv[1:])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

@@ -740,6 +740,28 @@ def test_moonen_family_number_may_have_leading_zeros(capsys):
 
 
 @pytest.mark.parametrize(
+    "extra, named",
+    [
+        (["--family", "3"], "--family"),
+        (["--p-class", "5"], "--p-class"),
+        (["--p", "7", "--family", "M[3]", "--json"], "--family, --p"),
+    ],
+)
+def test_moonen_verify_all_refuses_the_flags_it_would_drop(capsys, extra, named):
+    # Each would verify all twenty families with the flag dropped.
+    code, out, err = run(capsys, ["moonen", "--verify-all", *extra])
+    assert (code, out, err) == (1, "", f"error: --verify-all takes none of {named}\n")
+
+
+@pytest.mark.parametrize("flag", ["--p", "--p-class"])
+def test_moonen_residue_needs_family(capsys, flag):
+    # Each would list the table with the flag dropped.
+    for extra in ([], ["--json"]):
+        code, out, err = run(capsys, ["moonen", flag, "5", *extra])
+        assert (code, out, err) == (1, "", f"error: {flag} needs --family\n")
+
+
+@pytest.mark.parametrize(
     "family, message",
     [
         ("\u00b2", "unknown family \u00b2"),  # a digit that is not a decimal

@@ -2,7 +2,12 @@
 
 `main` hands an argv whose first word names a subcommand straight to
 that subcommand's parser; the top-level parser's `parse_args` is the
-oracle, reached by emptying the name-to-parser map.  `--json` output
+oracle, reached by emptying the name-to-parser map.  That parser's own
+declarations are first read by `cli._plain`, without argparse, when the
+rest of the argv is plain; the subcommand parser's `parse_known_args`
+is its oracle, on every argv here, on argv in the shapes of the
+benchmark's cli-mix workload, and on a parser with forms npcc does not
+declare.  `--json` output
 comes from `cli._indented`; `json.dumps(doc, indent=2)` is the oracle.
 A last test checks that no call leaves a reference cycle behind, so
 what an evicted memo entry held is freed at once, not by the cycle
@@ -11,6 +16,7 @@ collector whenever it next runs.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import io
@@ -33,9 +39,11 @@ from test_cli_fuzz import (
     SUBCOMMANDS,
     _big_argv,
     _cases,
+    _entries,
     _huge,
     _huge_certificate,
     _huge_polygon,
+    _text,
 )
 from test_cli_golden import CASES, certificates, run_case
 
@@ -98,6 +106,158 @@ def test_one_parse_matches_the_top_level_parser(monkeypatch, tmp_path):
     assert any(err.startswith("usage: npcc [-h]") for _, _, err in direct)
     assert any(err.startswith("usage: npcc genus") for _, _, err in direct)
     assert any("unrecognized arguments: extra" in err for _, _, err in direct)
+
+
+def _read_both(command: argparse.ArgumentParser, words: list[str]) -> argparse.Namespace | None:
+    """cli._plain(command, words), checked against command.parse_known_args(words):
+    a Namespace only where argparse reads the same one, attribute for
+    attribute and in the same order, and leaves no word over."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            expected, extras = command.parse_known_args(words)
+        except SystemExit:
+            expected = None
+    plain = cli._plain(command, words)
+    if plain is not None:
+        assert expected is not None and not extras, words
+        assert list(vars(plain).items()) == list(vars(expected).items()), words
+        for name, value in vars(plain).items():
+            # The declared default object (--step's list) only where argparse's is.
+            default = command.get_default(name)
+            assert (value is default) == (getattr(expected, name) is default), (words, name)
+    return plain
+
+
+PRIMES = ("2", "101", "1000003", "999999999989")
+POLYGONS = ("ord", "ss^7+ord^2", "(1/3,2/3)^2+ss^4", "ord^40+(2/5,3/5)")
+
+
+def _mix_argv(rng: random.Random) -> list[str]:
+    """An argv in one of the shapes the benchmark's cli-mix workload calls."""
+    m = rng.randint(3, 40)
+    datum, other = (_text(m, _entries(rng, m)) for _ in range(2))
+    residue = rng.choice([["--p", rng.choice(PRIMES)], ["--p-class", str(rng.randrange(1, m))]])
+    steps = []
+    for _ in range(rng.randint(1, 2)):
+        steps += ["--step", f"pad:{rng.randint(1, m)}:{rng.randint(1, 2)}"]
+    polygon, family = rng.choice(POLYGONS), rng.choice(["17", "M[17]", "3"])
+    argv = rng.choice([
+        ["signature", "--datum", datum], ["genus", "--datum", datum],
+        ["orbits", "--datum", datum, *residue], ["orbits", "--m", str(m), *residue],
+        ["muord", "--datum", datum, *residue], ["prank-bound", "--datum", datum, *residue],
+        ["kottwitz", "--datum", datum, "--cap", "200", *residue],
+        ["clutch", "--datum1", datum, "--datum2", other, *residue],
+        ["generate", "--datum", datum, *residue, *steps],
+        ["codim-ag", "--polygon", polygon], ["condition-u", "--polygon", polygon],
+        ["moonen"], ["moonen", "--verify-all"], ["moonen", "--family", family],
+        ["moonen", "--family", family, *residue], ["clutch-demo"],
+    ])
+    return argv + ["--json"] * rng.randint(0, 1)
+
+
+def test_the_plain_reader_matches_argparse(tmp_path):
+    _, commands = cli._build_parser()
+    files = {"cert": "cert.json", "tampered": "tampered.json"}
+    golden = [[arg.format(**files) if arg.startswith("{") else arg for arg in argv]
+              for argv in CASES]
+    rng = random.Random(SEED + 3)
+    mix = [_mix_argv(rng) for _ in range(2000)]
+    fuzz = _fuzz_argv(tmp_path) + HAND_CASES
+
+    def declined(argvs):
+        return [argv for argv in argvs if argv and argv[0] in commands
+                and _read_both(commands[argv[0]], argv[1:]) is None]
+
+    # Only help and a usage error go to argparse.
+    assert declined(golden) == [["generate", "--help"], ["signature"]]
+    assert declined(mix) == []
+    assert 0 < len(declined(fuzz)) < len(fuzz) / 4
+
+
+D4 = "8:4:4,2,5,5"
+DECLINED = [
+    ["genus", "--dat", "3:3:1,1,1"],  # an abbreviation
+    ["muord", "--datum", D4, "--p=7"],
+    ["genus", "--datum", "3:3:1,1,1", "--datum", "3:3:1,1,1"],
+    ["muord", "--datum", D4, "--p", "-7"],  # argparse reads -7 as a value
+    ["muord", "--datum", D4, "--p", "7", "--p-class", "3"],
+    ["muord", "--p", "7"],  # no --datum
+    ["genus", "-h"],
+    ["genus", "--", "--datum", "3:3:1,1,1"],
+    ["genus", "--datum", "3:3:1,1,1", "extra"],
+    ["kottwitz", "--datum", D4, "--p-class", "3", "--cap", "1_000"],
+]
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+def test_the_plain_reader_leaves_other_forms_to_argparse(argv):
+    _, commands = cli._build_parser()
+    assert _read_both(commands[argv[0]], argv[1:]) is None
+
+
+def _synthetic(positional: bool) -> argparse.ArgumentParser:
+    """A parser with forms npcc declares and forms it does not yet."""
+    parser = argparse.ArgumentParser(prog="synthetic")
+    parser.add_argument("--mode", choices=["a", "b"])
+    parser.add_argument("--n", type=int, default=3)
+    parser.add_argument("--level", type=int, default="5")  # argparse converts it
+    parser.add_argument("--flag", action="store_true")
+    parser.add_argument("--item", action="append", default=["x"])
+    parser.add_argument("--also", dest="item", action="append")
+    parser.add_argument("--pair", nargs=2)
+    parser.add_argument("--count", action="count")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--left", type=int)
+    group.add_argument("--right")
+    parser.set_defaults(tag="t")
+    if positional:
+        parser.add_argument("rest", nargs="?")
+    return parser
+
+
+OPTIONS = ("--mode", "--n", "--level", "--flag", "--item", "--also", "--pair", "--count",
+           "--left", "--right", "--lev", "--n=2", "-h", "--")
+VALUES = ("a", "b", "c", "7", "-7", "", "1_0", "x y")
+
+
+def test_the_plain_reader_matches_argparse_on_forms_npcc_does_not_declare():
+    rng = random.Random(SEED + 4)
+    for positional in (False, True):
+        parser = _synthetic(positional)
+        accepted = 0
+        for _ in range(2000):
+            chunks = []
+            for _ in range(rng.randint(0, 3)):
+                option = rng.choice(OPTIONS)
+                chunks.append([option, rng.choice(VALUES)] if rng.random() < 0.8 else [option])
+            if rng.random() < 0.8:
+                chunks.append(["--level", rng.choice(VALUES)])
+            if rng.random() < 0.8:
+                chunks.append([rng.choice(["--left", "--right"]), rng.choice(VALUES)])
+            rng.shuffle(chunks)
+            accepted += _read_both(parser, [word for chunk in chunks for word in chunk]) is not None
+        # A positional is left to argparse.
+        assert accepted > 20 if not positional else accepted == 0
+
+
+def test_a_plain_argv_makes_no_argparse_call(monkeypatch):
+    cli._build_parser()
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    plain = ["signature", "--datum", "7:3:1,1,5"]
+    outcome = _outcome(plain)
+    assert outcome == (0, "1,1,1,0,0,0\n", "") and calls == []
+    _outcome(["genus", "--dat", "3:3:1,1,1"])
+    assert calls == ["npcc genus"]
+    monkeypatch.setattr(cli, "_plain", lambda command, words: None)
+    assert _outcome(plain) == outcome
+    assert calls == ["npcc genus", "npcc signature"]
 
 
 def _documents() -> list:
