@@ -9,6 +9,7 @@ domain error, 2 on a usage error.
 """
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -507,22 +508,129 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
-def _add_residue_group(sp: argparse.ArgumentParser, required: bool = True) -> None:
-    group = sp.add_mutually_exclusive_group(required=required)
-    group.add_argument(
-        "--p", type=_int_arg, help="an actual prime below 3.3*10^24; reduced mod m"
-    )
-    group.add_argument(
-        "--p-class", type=_int_arg, dest="p_class", help="a residue class coprime to m"
-    )
+class _Option(collections.namedtuple(
+    "_Option", "flag kind required default group metavar help",
+    defaults=("text", False, None, None, None, None),
+)):
+    """An option of a subcommand: kind "text", "int", "flag" (true when
+    given) or "repeatable" (each use appends its text to a copy of the
+    default).  Of the options sharing a group at most one is given;
+    required asks for the option, or for one of its group.  An int
+    option defaults to None or an int, and a grouped one to None, False
+    or a list: _plain keeps a default as declared and counts a member
+    given where argparse would convert a str or see the default object."""
+
+    __slots__ = ()
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+# What argparse is told of each kind.
+_KINDS = {"text": {}, "int": {"type": _int_arg}, "flag": {"action": "store_true"},
+          "repeatable": {"action": "append"}}
+_JSON = _Option("--json", "flag", default=False, help="emit versioned JSON")
+
+
+class _Command:
+    """A subcommand: its name, handler, text renderer, help and options, --json first."""
+
+    def __init__(self, name: str, func, text, help_text: str, *options: _Option):
+        self.name, self.func, self.text, self.help = name, func, text, help_text
+        self.options = {option.flag: option for option in (_JSON, *options)}
+        # The Namespace before a word is read, in argparse's order.
+        self.defaults = {option.dest: option.default for option in self.options.values()}
+        self.defaults.update(func=func, text=text)
+        # Per group, and per required option outside one: whether one of
+        # its flags is required, and the flags.
+        self.slots = {}
+        for option in options:
+            if option.required or option.group:
+                slot = self.slots.setdefault(option.group or option.flag, (option.required, set()))
+                slot[1].add(option.flag)
+
+
+_DATUM = _Option("--datum", required=True)
+_CAP = _Option("--cap", "int", default=DEFAULT_ENUM_CAP,
+               help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
+_RESIDUE_REQUIRED = (
+    _Option("--p", "int", required=True, group="residue",
+            help="an actual prime below 3.3*10^24; reduced mod m"),
+    _Option("--p-class", "int", required=True, group="residue",
+            help="a residue class coprime to m"),
+)
+_RESIDUE_OPTIONAL = tuple(option._replace(required=False) for option in _RESIDUE_REQUIRED)
+
+# Every subcommand, in the order help lists them: argparse is built from
+# this table, and _plain reads a plain argv from it.
+_COMMANDS = {command.name: command for command in (
+    _Command("signature", _cmd_signature, lambda doc: [_joined(doc["f"])],
+             "signature values of a datum", _DATUM._replace(help="datum as m:N:a1,...,aN")),
+    _Command("genus", _cmd_genus, lambda doc: [str(doc["genus"])], "genus of a datum", _DATUM),
+    _Command("orbits", _cmd_orbits, _text_orbits, "orbits of multiplication by p mod m",
+             _Option("--m", "int", group="source", help="modulus (or derive it from --datum)"),
+             _Option("--datum", group="source", help="optional datum; adds per-orbit g values"),
+             *_RESIDUE_REQUIRED),
+    _Command("muord", _cmd_muord, lambda doc: [doc["polygon_text"]],
+             "mu-ordinary polygon of a datum at a class", _DATUM, *_RESIDUE_REQUIRED),
+    _Command("prank-bound", _cmd_prank_bound, lambda doc: [str(doc["p_rank_bound"])],
+             "largest p-rank in the Kottwitz set", _DATUM, *_RESIDUE_REQUIRED),
+    _Command("kottwitz", _cmd_kottwitz, _text_kottwitz, "enumerate the Kottwitz set", _DATUM, _CAP,
+             _Option("--dot", "flag", default=False, help="emit the Hasse diagram as DOT"),
+             *_RESIDUE_REQUIRED),
+    _Command("clutch", _cmd_clutch, _text_clutch, "clutching report for a pair of data",
+             _Option("--datum1", required=True), _Option("--datum2", required=True),
+             *_RESIDUE_OPTIONAL),
+    _Command("generate", _cmd_generate, _text_generate, "build or replay a certified family",
+             _Option("--datum", help="base datum as m:N:a1,...,aN"),
+             _Option("--payload", help="start from a listed non-generic polygon"),
+             _Option("--step", "repeatable", default=[], metavar="OP",
+                     help=f"{_step_forms()}; repeatable"),
+             _Option("--double-with", help="second datum for a crossed chain"),
+             _Option("--double-payload", help="non-generic polygon on the second datum"),
+             _Option("--n1", "int", help="copies of the first family"),
+             _Option("--n2", "int", help="copies of the second family"),
+             _CAP,
+             _Option("--replay", metavar="FILE", help="replay a certificate (- for stdin)"),
+             *_RESIDUE_OPTIONAL),
+    _Command("codim-ag", _cmd_codim_ag, lambda doc: [str(doc["codim_ag"])],
+             "ambient stratum codimension of a polygon",
+             _Option("--polygon", required=True, help='e.g. "ss^7+ord^2"')),
+    _Command("condition-u", _cmd_condition_u, _text_condition_u,
+             "unlikely intersection diagnostic", _Option("--polygon", required=True)),
+    _Command("moonen", _cmd_moonen, _text_moonen, "bundled family table and its verification",
+             _Option("--family", help="family number 1..20 or label M[k]"),
+             _Option("--verify-all", "flag", default=False,
+                     help="recompute the whole table and compare"),
+             *_RESIDUE_OPTIONAL),
+    _Command("clutch-demo", _cmd_clutch_demo, _text_clutch_demo,
+             "worked clutching example replay"),
+)}
+
+
+def _declare(parser: argparse.ArgumentParser, command: _Command) -> None:
+    """Add command's options to parser in table order, then its handler and renderer."""
+    groups = {}
+    for option in command.options.values():
+        keywords = {"default": option.default, "help": option.help, **_KINDS[option.kind]}
+        if option.metavar is not None:
+            keywords["metavar"] = option.metavar
+        if option.group is None:
+            keywords["required"] = option.required
+        elif option.group not in groups:
+            groups[option.group] = parser.add_mutually_exclusive_group(required=option.required)
+        groups.get(option.group, parser).add_argument(option.flag, **keywords)
+    parser.set_defaults(func=command.func, text=command.text)
 
 
 # Building the parser (13 ArgumentParsers, their arguments, gettext and
-# terminal-size lookups) costs about 75 times what argparse's parse of one
-# argv does and 350 times what _plain's read does, so main() builds it on
-# its first call and reuses it.  Reuse leaks no state: the append action
-# copies --step's list default before appending, and help and usage text
-# is formatted when printed.  Bounded: one parser.
+# terminal-size lookups) takes about 1.5 ms warm on a 2-core host, 40 to
+# 230 times what argparse's parse of one argv takes and 160 to 730 times
+# what _plain's read does, so main() builds it only for an argv _plain
+# leaves to argparse, and reuses it.  Reuse leaks no state: the append
+# action copies --step's list default before appending, and help and
+# usage text is formatted when printed.  Bounded: one parser.
 @memo(1)
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The npcc parser and its subcommands' parsers by name."""
@@ -531,175 +639,63 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         description="Exact Newton polygon invariants for cyclic covers of the line.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def new(name: str, func, text, help_text: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--json", action="store_true", help="emit versioned JSON")
-        sp.set_defaults(func=func, text=text)
-        return sp
-
-    sp = new(
-        "signature",
-        _cmd_signature,
-        lambda doc: [_joined(doc["f"])],
-        "signature values of a datum",
-    )
-    sp.add_argument("--datum", required=True, help="datum as m:N:a1,...,aN")
-
-    sp = new("genus", _cmd_genus, lambda doc: [str(doc["genus"])], "genus of a datum")
-    sp.add_argument("--datum", required=True)
-
-    sp = new("orbits", _cmd_orbits, _text_orbits, "orbits of multiplication by p mod m")
-    source = sp.add_mutually_exclusive_group()
-    source.add_argument("--m", type=_int_arg, help="modulus (or derive it from --datum)")
-    source.add_argument("--datum", help="optional datum; adds per-orbit g values")
-    _add_residue_group(sp)
-
-    sp = new(
-        "muord",
-        _cmd_muord,
-        lambda doc: [doc["polygon_text"]],
-        "mu-ordinary polygon of a datum at a class",
-    )
-    sp.add_argument("--datum", required=True)
-    _add_residue_group(sp)
-
-    sp = new(
-        "prank-bound",
-        _cmd_prank_bound,
-        lambda doc: [str(doc["p_rank_bound"])],
-        "largest p-rank in the Kottwitz set",
-    )
-    sp.add_argument("--datum", required=True)
-    _add_residue_group(sp)
-
-    sp = new("kottwitz", _cmd_kottwitz, _text_kottwitz, "enumerate the Kottwitz set")
-    sp.add_argument("--datum", required=True)
-    sp.add_argument("--cap", type=_int_arg, default=DEFAULT_ENUM_CAP,
-                    help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
-    sp.add_argument("--dot", action="store_true", help="emit the Hasse diagram as DOT")
-    _add_residue_group(sp)
-
-    sp = new("clutch", _cmd_clutch, _text_clutch, "clutching report for a pair of data")
-    sp.add_argument("--datum1", required=True)
-    sp.add_argument("--datum2", required=True)
-    _add_residue_group(sp, required=False)
-
-    sp = new("generate", _cmd_generate, _text_generate, "build or replay a certified family")
-    sp.add_argument("--datum", help="base datum as m:N:a1,...,aN")
-    sp.add_argument("--payload", help="start from a listed non-generic polygon")
-    sp.add_argument(
-        "--step",
-        action="append",
-        default=[],
-        metavar="OP",
-        help=f"{_step_forms()}; repeatable",
-    )
-    sp.add_argument("--double-with", help="second datum for a crossed chain")
-    sp.add_argument("--double-payload", help="non-generic polygon on the second datum")
-    sp.add_argument("--n1", type=_int_arg, help="copies of the first family")
-    sp.add_argument("--n2", type=_int_arg, help="copies of the second family")
-    sp.add_argument("--cap", type=_int_arg, default=DEFAULT_ENUM_CAP,
-                    help=f"enumeration cap (default {DEFAULT_ENUM_CAP})")
-    sp.add_argument("--replay", metavar="FILE", help="replay a certificate (- for stdin)")
-    _add_residue_group(sp, required=False)
-
-    sp = new(
-        "codim-ag",
-        _cmd_codim_ag,
-        lambda doc: [str(doc["codim_ag"])],
-        "ambient stratum codimension of a polygon",
-    )
-    sp.add_argument("--polygon", required=True, help='e.g. "ss^7+ord^2"')
-
-    sp = new(
-        "condition-u", _cmd_condition_u, _text_condition_u, "unlikely intersection diagnostic"
-    )
-    sp.add_argument("--polygon", required=True)
-
-    sp = new("moonen", _cmd_moonen, _text_moonen, "bundled family table and its verification")
-    sp.add_argument("--family", help="family number 1..20 or label M[k]")
-    sp.add_argument(
-        "--verify-all",
-        action="store_true",
-        dest="verify_all",
-        help="recompute the whole table and compare",
-    )
-    _add_residue_group(sp, required=False)
-
-    new("clutch-demo", _cmd_clutch_demo, _text_clutch_demo, "worked clutching example replay")
-
+    for command in _COMMANDS.values():
+        _declare(sub.add_parser(command.name, help=command.help), command)
     return parser, sub.choices
 
 
-_PLAIN_ACTIONS = (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)
-
-
-def _plain(command: argparse.ArgumentParser, words: list[str]) -> argparse.Namespace | None:
-    """command.parse_known_args(words)[0], read from command's own
-    declarations when each word is a whole option string of a store,
-    store_true or append action without choices, each value the next
-    word, not starting with "-", and argparse would accept the argv;
-    else None.  So abbreviations, --opt=value, "--", a repeated store
-    option, help and every usage error are left to argparse."""
-    args = argparse.Namespace()
-    for action in command._actions:  # defaults first, in argparse's order
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS:
-            vars(args).setdefault(action.dest, action.default)
-    for dest, value in command._defaults.items():
-        vars(args).setdefault(dest, value)
-    given = {}  # action -> whether its value counts as given in a group
+def _plain(command: _Command, words: list[str]) -> argparse.Namespace | None:
+    """What command's parser's parse_known_args(words)[0] would be, read
+    from the table when each word is a whole flag of command followed by
+    its value unless it is a flag, no value starts with "-", only a
+    repeatable option comes twice, and argparse would accept the argv;
+    else None.  So abbreviations, --opt=value, "--", a repeated option,
+    help and every usage error are left to argparse."""
+    values = dict(command.defaults)
+    given = set()
     i = 0
     while i < len(words):
-        option = words[i]
-        action = command._option_string_actions.get(option)
-        kind = type(action)
-        if kind not in _PLAIN_ACTIONS or action.choices is not None or (
-            action in given and kind is not argparse._AppendAction
-        ):
+        option = command.options.get(words[i])
+        if option is None or (option.flag in given and option.kind != "repeatable"):
             return None
-        if action.nargs == 0:
-            values = []
-        elif action.nargs is None and i + 1 < len(words) and not words[i + 1].startswith("-"):
-            i += 1
-            try:
-                values = words[i] if action.type is None else action.type(words[i])
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None  # argparse converts it again and reports it
+        given.add(option.flag)
+        dest = option.dest
+        if option.kind == "flag":
+            values[dest] = True
         else:
-            return None
-        given[action] = values is not action.default
-        action(command, args, values, option)
+            i += 1
+            if i == len(words) or words[i].startswith("-"):
+                return None
+            value = words[i]
+            if option.kind == "int":
+                try:
+                    value = _int_arg(value)
+                except argparse.ArgumentTypeError:
+                    return None  # argparse converts it again and reports it
+            elif option.kind == "repeatable":
+                value = values[dest] + [value]
+            values[dest] = value
         i += 1
-    for action in command._actions:
-        # A missing required option or positional, or a typed string
-        # default argparse would convert.
-        if action not in given and (
-            action.required
-            or not action.option_strings
-            or (isinstance(action.default, str) and action.type is not None)
-        ):
+    for required, flags in command.slots.values():
+        count = len(given & flags)
+        if count > 1 or (required and not count):
             return None
-    for group in command._mutually_exclusive_groups:
-        count = sum(given.get(action, False) for action in group._group_actions)
-        if count > 1 or (group.required and not count):
-            return None
-    return args
+    return argparse.Namespace(**values)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """parser.parse_args(argv), with one parser pass when argv[0] names a
-    subcommand: the top-level parser would hand the rest to that
-    subcommand's parser and refuse what it leaves over, as this does.
-    A plain rest is read by _plain, without argparse."""
-    parser, commands = _build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = _plain(command, argv[1:])
+    """parser.parse_args(argv): by _plain when argv[0] names a subcommand
+    and the rest is plain, else in one argparse pass, by that subcommand's
+    parser when argv[0] names one: the top-level parser would hand the
+    rest to it and refuse what it leaves over, as this does."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    args = None if command is None else _plain(command, argv[1:])
     if args is not None:
         return args
-    args, extras = command.parse_known_args(argv[1:])
+    parser, commands = _build_parser()
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = commands[command.name].parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args

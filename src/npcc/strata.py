@@ -573,8 +573,11 @@ def threshold_ss_chain(n: int, h: int) -> bool:
     """Sufficient bound for condition (U) on ss^(hn) + ord^(2h(n-1)).
 
     This is the polygon of the n-step chain built from a three-branch-
-    point base of genus h; the bound is n >= 34/h, evaluated as
-    n*h >= 34.  One-directional only.
+    point base of genus h when each joint adds ord^(2h).  An auto-padded
+    joint adds ord^(r-1), r the gcd of the padded entry with m, so the
+    form needs r - 1 = 2h, which holds for prime m; on 4:3:1,1,2 (h = 1,
+    r = 4) 34 steps give ord^99+ss^34, where (U) fails.  The bound is
+    n >= 34/h, evaluated as n*h >= 34.  One-directional only.
     """
     _require_positive(n=n, h=h)
     return n * h >= 34

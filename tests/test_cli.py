@@ -1065,7 +1065,7 @@ def test_long_chain_at_the_modulus_bound_is_pinned_and_quick(capsys):
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("COLUMNS", "80")
-    main(["moonen"])
+    main(["signature"])  # a usage error needs argparse; a plain argv builds no parser
     files = certificates(tmp_path)
     built = []
     init = argparse.ArgumentParser.__init__

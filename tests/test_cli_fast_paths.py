@@ -1,17 +1,17 @@
 """The CLI's fast paths against what they stand for.
 
-`main` hands an argv whose first word names a subcommand straight to
-that subcommand's parser; the top-level parser's `parse_args` is the
-oracle, reached by emptying the name-to-parser map.  That parser's own
-declarations are first read by `cli._plain`, without argparse, when the
-rest of the argv is plain; the subcommand parser's `parse_known_args`
-is its oracle, on every argv here, on argv in the shapes of the
-benchmark's cli-mix workload, and on a parser with forms npcc does not
-declare.  `--json` output
-comes from `cli._indented`; `json.dumps(doc, indent=2)` is the oracle.
-A last test checks that no call leaves a reference cycle behind, so
-what an evicted memo entry held is freed at once, not by the cycle
-collector whenever it next runs.
+`main` reads an argv whose first word names a subcommand from the
+command table, `cli._COMMANDS`, with `cli._plain` when the rest is
+plain, and else hands the rest straight to that subcommand's parser.
+The top-level parser's `parse_args` is the oracle of both, reached by
+emptying the table's name map.  The argparse parsers are built from the
+same table, so `_plain` is checked against the subcommand parser's
+`parse_known_args` on every argv here, on argv in the shapes of the
+benchmark's cli-mix workload, and on a table with forms npcc's does not
+use.  `--json` output comes from `cli._indented`;
+`json.dumps(doc, indent=2)` is the oracle.  A last test checks that no
+call leaves a reference cycle behind, so what an evicted memo entry
+held is freed at once, not by the cycle collector whenever it next runs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ import contextlib
 import gc
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -98,9 +101,9 @@ def test_one_parse_matches_the_top_level_parser(monkeypatch, tmp_path):
     argvs = [[arg.format(**files) if arg.startswith("{") else arg for arg in argv]
              for argv in CASES] + _fuzz_argv(tmp_path) + HAND_CASES
     direct = [_outcome(argv) for argv in argvs]
-    parser, commands = cli._build_parser()
-    assert list(commands) == list(SUBCOMMANDS)
-    monkeypatch.setattr(cli, "_build_parser", lambda: (parser, {}))
+    _, commands = cli._build_parser()
+    assert list(commands) == list(cli._COMMANDS) == list(SUBCOMMANDS)
+    monkeypatch.setattr(cli, "_COMMANDS", {})
     assert [_outcome(argv) for argv in argvs] == direct
     # The cases reach usage errors of both parsers and a leftover argument.
     assert any(err.startswith("usage: npcc [-h]") for _, _, err in direct)
@@ -108,13 +111,14 @@ def test_one_parse_matches_the_top_level_parser(monkeypatch, tmp_path):
     assert any("unrecognized arguments: extra" in err for _, _, err in direct)
 
 
-def _read_both(command: argparse.ArgumentParser, words: list[str]) -> argparse.Namespace | None:
-    """cli._plain(command, words), checked against command.parse_known_args(words):
-    a Namespace only where argparse reads the same one, attribute for
-    attribute and in the same order, and leaves no word over."""
+def _read_both(command, parser: argparse.ArgumentParser, words: list[str]):
+    """cli._plain(command, words), checked against parser.parse_known_args(words),
+    parser being built from the same table entry: a Namespace only where
+    argparse reads the same one, attribute for attribute and in the same
+    order, and leaves no word over."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            expected, extras = command.parse_known_args(words)
+            expected, extras = parser.parse_known_args(words)
         except SystemExit:
             expected = None
     plain = cli._plain(command, words)
@@ -123,9 +127,14 @@ def _read_both(command: argparse.ArgumentParser, words: list[str]) -> argparse.N
         assert list(vars(plain).items()) == list(vars(expected).items()), words
         for name, value in vars(plain).items():
             # The declared default object (--step's list) only where argparse's is.
-            default = command.get_default(name)
+            default = parser.get_default(name)
             assert (value is default) == (getattr(expected, name) is default), (words, name)
     return plain
+
+
+def _read_npcc(argv: list[str]):
+    """_read_both on npcc's own table entry and parser for argv[0]."""
+    return _read_both(cli._COMMANDS[argv[0]], cli._build_parser()[1][argv[0]], argv[1:])
 
 
 PRIMES = ("2", "101", "1000003", "999999999989")
@@ -156,7 +165,6 @@ def _mix_argv(rng: random.Random) -> list[str]:
 
 
 def test_the_plain_reader_matches_argparse(tmp_path):
-    _, commands = cli._build_parser()
     files = {"cert": "cert.json", "tampered": "tampered.json"}
     golden = [[arg.format(**files) if arg.startswith("{") else arg for arg in argv]
               for argv in CASES]
@@ -165,8 +173,8 @@ def test_the_plain_reader_matches_argparse(tmp_path):
     fuzz = _fuzz_argv(tmp_path) + HAND_CASES
 
     def declined(argvs):
-        return [argv for argv in argvs if argv and argv[0] in commands
-                and _read_both(commands[argv[0]], argv[1:]) is None]
+        return [argv for argv in argvs if argv and argv[0] in cli._COMMANDS
+                and _read_npcc(argv) is None]
 
     # Only help and a usage error go to argparse.
     assert declined(golden) == [["generate", "--help"], ["signature"]]
@@ -191,53 +199,56 @@ DECLINED = [
 
 @pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
 def test_the_plain_reader_leaves_other_forms_to_argparse(argv):
-    _, commands = cli._build_parser()
-    assert _read_both(commands[argv[0]], argv[1:]) is None
+    assert _read_npcc(argv) is None
 
 
-def _synthetic(positional: bool) -> argparse.ArgumentParser:
-    """A parser with forms npcc declares and forms it does not yet."""
-    parser = argparse.ArgumentParser(prog="synthetic")
-    parser.add_argument("--mode", choices=["a", "b"])
-    parser.add_argument("--n", type=int, default=3)
-    parser.add_argument("--level", type=int, default="5")  # argparse converts it
-    parser.add_argument("--flag", action="store_true")
-    parser.add_argument("--item", action="append", default=["x"])
-    parser.add_argument("--also", dest="item", action="append")
-    parser.add_argument("--pair", nargs=2)
-    parser.add_argument("--count", action="count")
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--left", type=int)
-    group.add_argument("--right")
-    parser.set_defaults(tag="t")
-    if positional:
-        parser.add_argument("rest", nargs="?")
-    return parser
-
-
-OPTIONS = ("--mode", "--n", "--level", "--flag", "--item", "--also", "--pair", "--count",
-           "--left", "--right", "--lev", "--n=2", "-h", "--")
-VALUES = ("a", "b", "c", "7", "-7", "", "1_0", "x y")
+# Forms the table declares but npcc's own entries do not use: a flag and
+# a repeatable option in one group, a repeatable default that is not
+# empty, an int default, a required group of an int and a repeatable.
+SYNTHETIC = cli._Command(
+    "synthetic", None, None, "forms npcc does not declare",
+    cli._Option("--name", required=True),
+    cli._Option("--n", "int", default=3),
+    cli._Option("--flag", "flag", default=False, group="either"),
+    cli._Option("--item", "repeatable", default=["x"], metavar="ITEM", group="either"),
+    cli._Option("--left", "int", required=True, group="side"),
+    cli._Option("--right", "repeatable", required=True, default=[], group="side"),
+)
+OPTIONS = ("--name", "--n", "--flag", "--item", "--left", "--right", "--na", "--n=2", "-h",
+           "--", "--bogus", "rest")
+VALUES = ("a", "b", "7", "-7", "", "1_0", "x y", "-")
 
 
 def test_the_plain_reader_matches_argparse_on_forms_npcc_does_not_declare():
+    parser = argparse.ArgumentParser(prog="synthetic")
+    cli._declare(parser, SYNTHETIC)
     rng = random.Random(SEED + 4)
-    for positional in (False, True):
-        parser = _synthetic(positional)
-        accepted = 0
-        for _ in range(2000):
-            chunks = []
-            for _ in range(rng.randint(0, 3)):
-                option = rng.choice(OPTIONS)
-                chunks.append([option, rng.choice(VALUES)] if rng.random() < 0.8 else [option])
-            if rng.random() < 0.8:
-                chunks.append(["--level", rng.choice(VALUES)])
-            if rng.random() < 0.8:
-                chunks.append([rng.choice(["--left", "--right"]), rng.choice(VALUES)])
-            rng.shuffle(chunks)
-            accepted += _read_both(parser, [word for chunk in chunks for word in chunk]) is not None
-        # A positional is left to argparse.
-        assert accepted > 20 if not positional else accepted == 0
+    accepted = 0
+    for _ in range(4000):
+        chunks = []
+        for _ in range(rng.randint(0, 3)):
+            option = rng.choice(OPTIONS)
+            chunks.append([option, rng.choice(VALUES)] if rng.random() < 0.8 else [option])
+        if rng.random() < 0.8:
+            chunks.append(["--name", rng.choice(VALUES)])
+        if rng.random() < 0.8:
+            chunks.append([rng.choice(["--left", "--right"]), rng.choice(VALUES)])
+        rng.shuffle(chunks)
+        accepted += _read_both(SYNTHETIC, parser, [w for chunk in chunks for w in chunk]) is not None
+    assert accepted > 100
+
+
+def test_every_default_is_one_the_reader_keeps_as_argparse_does():
+    # argparse converts a str default of an int option, and counts a
+    # group member given only when its value is not the default object;
+    # _plain keeps defaults as declared and counts every member given.
+    # None, False or a list is never the object a value is read as.
+    for command in (*cli._COMMANDS.values(), SYNTHETIC):
+        for option in command.options.values():
+            where, default = (command.name, option.flag), option.default
+            assert option.kind != "int" or default is None or type(default) is int, where
+            assert option.group is None or default is None or default is False or (
+                type(default) is list), where
 
 
 def test_a_plain_argv_makes_no_argparse_call(monkeypatch):
@@ -258,6 +269,35 @@ def test_a_plain_argv_makes_no_argparse_call(monkeypatch):
     monkeypatch.setattr(cli, "_plain", lambda command, words: None)
     assert _outcome(plain) == outcome
     assert calls == ["npcc genus", "npcc signature"]
+
+
+FRESH = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from npcc.cli import main
+seen = []
+for argv in (["signature", "--datum", "7:3:1,1,5"], ["signature"], ["genus", "-h"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seen.append((main(argv), len(built)))
+print(seen)
+"""
+
+
+def test_a_fresh_process_builds_the_parser_only_for_argparse():
+    # A plain argv is read from the table alone; the first usage error
+    # builds the whole tree, the npcc parser and one per subcommand,
+    # and help after it reuses that tree.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", FRESH], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 0, run.stderr
+    tree = 1 + len(SUBCOMMANDS)
+    assert run.stdout.strip() == str([(0, 0), (2, tree), (0, tree)])
 
 
 def _documents() -> list:

@@ -466,6 +466,53 @@ def test_code_runner_scan_flags_every_call_named(tmp_path):
     assert _code_runners(path) == ["runners.py:1 exec", "runners.py:2 eval", "runners.py:3 compile"]
 
 
+# argparse's undocumented state: any Python release may change it.
+ARGPARSE_STATE = {"_actions", "_defaults", "_option_string_actions", "_mutually_exclusive_groups",
+                  "_group_actions"}
+
+
+def _argparse_internals(path):
+    """Where one module reads a private argparse name (argparse._X, or
+    imports one) or an attribute of argparse's undocumented state."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and (node.attr in ARGPARSE_STATE or (
+            node.attr.startswith("_") and isinstance(node.value, ast.Name)
+            and node.value.id == "argparse"
+        )):
+            found.append(f"{path.name}:{node.lineno} {node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "argparse":
+            found += [f"{path.name}:{node.lineno} {alias.name}"
+                      for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_reads_argparse_internals():
+    # The CLI builds argparse from its own command table and reads a
+    # plain argv from that table, so it needs none of argparse's state.
+    found = [problem for path in sorted(SRC.glob("*.py")) for problem in _argparse_internals(path)]
+    assert found == []
+
+
+def test_argparse_internals_scan_flags_every_form(tmp_path):
+    path = tmp_path / "internals.py"
+    path.write_text(
+        "import argparse\n"
+        "kind = argparse._StoreAction\n"
+        "from argparse import Namespace, _AppendAction\n"
+        "a = parser._actions; b = parser._option_string_actions\n"
+        "c = parser._mutually_exclusive_groups[0]._group_actions\n"
+        "d = parser._defaults\n"
+        "ok = argparse.Namespace(); parser.set_defaults(x=1); e = record._replace\n",
+        encoding="utf-8",
+    )
+    assert sorted(_argparse_internals(path)) == [
+        "internals.py:2 _StoreAction", "internals.py:3 _AppendAction", "internals.py:4 _actions",
+        "internals.py:4 _option_string_actions", "internals.py:5 _group_actions",
+        "internals.py:5 _mutually_exclusive_groups", "internals.py:6 _defaults",
+    ]
+
+
 @pytest.mark.parametrize("bound", [None, 0, 1.5, True])
 def test_a_memo_needs_a_positive_int_bound(bound):
     # A memo without a bound grows with every distinct input a long run

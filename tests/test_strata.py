@@ -1,6 +1,7 @@
 """Tests for Kottwitz set enumeration and unlikely-intersection bounds."""
 
 import gc
+import json
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import npcc
 import npcc._memo as _memo
+import npcc.cli
 import npcc.strata as strata
 from npcc import (
     DEFAULT_ENUM_CAP,
@@ -23,6 +25,7 @@ from npcc import (
     decompose,
     dim_moduli,
     enumerate_orbit_component,
+    genus,
     kottwitz_set,
     mu_ordinary,
     mu_ordinary_orbit,
@@ -440,3 +443,17 @@ def test_threshold_ss_chain():
     assert not threshold_ss_chain(33, 1)
     assert threshold_ss_chain(7, 5)
     assert not threshold_ss_chain(6, 5)
+
+
+def test_threshold_ss_chain_covers_only_its_form(capsys):
+    # The bound holds at n*h = 34, but on m = 4 each auto-padded joint
+    # adds ord^3, not ord^(2h) = ord^2: 34 steps from the genus-1 base
+    # certify ord^99+ss^34, not ss^34+ord^66, and (U) fails there.
+    argv = ["generate", "--datum", "4:3:1,1,2", "--p-class", "3", "--step", "self:34:auto"]
+    assert npcc.cli.main(argv) == 0
+    certified = json.loads(capsys.readouterr().out)["polygon_text"]
+    assert certified == "ord^99+ss^34"
+    report = condition_u(parse(certified))
+    assert (report.genus, report.holds) == (133, False)
+    assert genus(MonodromyDatum(4, (1, 1, 2))) == 1 and threshold_ss_chain(34, 1)
+    assert condition_u(parse("ss^34+ord^66")).holds
