@@ -647,8 +647,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 def _plain(command: _Command, words: list[str]) -> argparse.Namespace | None:
     """What command's parser's parse_known_args(words)[0] would be, read
     from the table when each word is a whole flag of command followed by
-    its value unless it is a flag, no value starts with "-", only a
-    repeatable option comes twice, and argparse would accept the argv;
+    its value unless it is a flag, no value but "-" starts with "-", only
+    a repeatable option comes twice, and argparse would accept the argv;
     else None.  So abbreviations, --opt=value, "--", a repeated option,
     help and every usage error are left to argparse."""
     values = dict(command.defaults)
@@ -664,7 +664,7 @@ def _plain(command: _Command, words: list[str]) -> argparse.Namespace | None:
             values[dest] = True
         else:
             i += 1
-            if i == len(words) or words[i].startswith("-"):
+            if i == len(words) or words[i].startswith("-") and words[i] != "-":
                 return None
             value = words[i]
             if option.kind == "int":

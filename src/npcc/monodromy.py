@@ -34,13 +34,13 @@ __all__ = [
 # --m`, and of a clutching.  Work per call grows with m: per-residue
 # loops are O(m), and a joint's balance check sorts each orbit's values,
 # O(m log m).  At m = 1193 with p a primitive root (one orbit of size
-# m - 1), on a 2-core Xeon host, `npcc generate --step pad:1:2` (three
-# joints) takes 0.13 s, `--step pad:1193:6` (five joints) 0.13 s and
-# `npcc clutch` 0.12 s, interpreter start included.  The signature of a
+# m - 1), on a 2-core Xeon host, `npcc generate --step pad:1:2` (two
+# joints) takes 0.09 s, `--step pad:1193:6` (three joints) 0.09 s and
+# `npcc clutch` 0.08 s, interpreter start included.  The signature of a
 # glued datum sums over its distinct entries, so a joint's per-residue
-# work stays O(m) however long the chain: `--step self:340:auto`, near
-# MAX_BRANCH_POINTS, takes about 0.5 s at class 3 and 2.4 s at class 1
-# in process via `npcc.cli.main` (medians of 5, cold memos).
+# work stays O(m) however long the chain: `--step self:340:auto` (11
+# joints), near MAX_BRANCH_POINTS, takes about 15 ms at class 3 and 70 ms
+# at class 1 in process via `npcc.cli.main` (medians of 5, cold memos).
 MAX_MODULUS = 1200
 
 

@@ -682,7 +682,7 @@ def test_codim_ag_of_a_huge_genus_is_quick(capsys):
 
 
 def test_balance_check_at_the_modulus_bound_is_quick(capsys):
-    # one orbit of size 1192, and five joints
+    # one orbit of size 1192, and three joints
     argv = ["generate", "--datum", "1193:3:1,1,1191", "--p-class", "3", "--step", "pad:1193:6"]
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
@@ -1049,9 +1049,11 @@ def test_clutch_of_imprimitive_data_is_one_error_line(capsys):
 
 def test_long_chain_at_the_modulus_bound_is_pinned_and_quick(capsys):
     # 340 copies (1022 branch points) at m = 1193, where class 3 is a
-    # primitive root: every joint clutches a datum of three distinct
-    # entries, so each costs O(m) whatever the chain's length.  The run
-    # takes about 0.8 s on a 2-core host; an O(m N) joint takes about 30 s.
+    # primitive root, folded in halves through 11 joints: every joint
+    # clutches a datum of three distinct entries, so each costs O(m)
+    # whatever the chain's length.  The run takes about 0.02 s on a 2-core
+    # host; with a signature summed over all N entries, O(m N) per joint,
+    # it took about 0.4 s.
     argv = ["generate", "--datum", "1193:3:1,1,1191", "--p-class", "3",
             "--step", "self:340:auto"]
     start = time.perf_counter()

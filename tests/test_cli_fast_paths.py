@@ -271,6 +271,23 @@ def test_a_plain_argv_makes_no_argparse_call(monkeypatch):
     assert calls == ["npcc genus", "npcc signature"]
 
 
+def test_a_lone_dash_is_read_as_a_value_without_argparse(monkeypatch):
+    # argparse reads "-" (stdin for --replay) as a value, so the table can
+    # too; "-7" and other dash words are still left to argparse
+    argv = ["generate", "--replay", "-"]
+    assert _read_npcc(argv) is not None
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert cli._parse(argv).replay == "-" and calls == []
+    assert _read_npcc(["generate", "--replay", "-x"]) is None
+
+
 FRESH = """
 import argparse, contextlib, io
 built = []

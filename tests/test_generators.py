@@ -1,7 +1,9 @@
 """Tests for certified inductive families and certificate replay."""
 
 import copy
+import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -14,6 +16,7 @@ import pytest
 
 import npcc
 import npcc._memo as _memo
+import npcc.cli
 from npcc import (
     BadResidueError,
     CertificationError,
@@ -226,6 +229,82 @@ def test_payload_chain_requires_two_slope_components():
     f = payload_base(WORKED, 7, parse("ord^2+ss^7"))
     with pytest.raises(GeneratorError):
         pad_and_clutch(f, 8, 2)
+
+
+def _sequential_fold(std, n, p, r):
+    """The oracle: clutch n copies of std one joint at a time."""
+    accum, what = std, "chain joint balanced with defect r - 1"
+    for _ in range(n - 1):
+        accum = generators._joint(accum, std, p, r - 1, what, balanced=True).gamma3
+    return accum
+
+
+def _chain_pairs(rng, count):
+    """Seeded (std, p, r): data with m <= 40 and N <= 6, ends at a complementary pair."""
+    while count:
+        m = rng.randint(2, 40)
+        p = rng.choice([c for c in range(1, m) if math.gcd(c, m) == 1])
+        if rng.random() < 0.5:  # unpadded: a complementary pair among the entries
+            x = rng.randrange(1, m)
+            rest = [rng.randrange(1, m) for _ in range(rng.randint(1, 3))]
+            a = [x, m - x] + rest + [-sum(rest) % m]
+            rng.shuffle(a)
+            i = a.index(x)
+            j = next(k for k in range(len(a)) if k != i and (a[i] + a[k]) % m == 0)
+        else:  # padded: two appended unbranched labels
+            rest = [rng.randrange(1, m) for _ in range(rng.randint(2, 5))]
+            a = rest + [-sum(rest) % m, 0, 0]
+            i, j = len(a) - 2, len(a) - 1
+        try:
+            datum = MonodromyDatum(m, tuple(a), generalized=True)
+            datum.validate()
+        except DomainError:
+            continue
+        if len(a) - a.count(0) > 6:
+            continue
+        count -= 1
+        yield generators._reorder_ends(datum, i, j), p, math.gcd(a[i], m)
+
+
+def test_halving_fold_matches_the_sequential_fold_and_the_direct_build(monkeypatch):
+    # n copies glue to a[:-1] + a[1:-1]*(n - 2) + a[1:], genus n*g + (n - 1)(r - 1),
+    # through floor(log2 n) + popcount(n) - 1 joints, each balanced with defect r - 1
+    reports = []
+    joint = generators._joint
+
+    def recording_joint(*args, **kwargs):
+        reports.append(joint(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(generators, "_joint", recording_joint)
+    rng = random.Random(20181105)
+    padded = 0
+    for std, p, r in _chain_pairs(rng, 16):
+        a, g = std.a, genus(std)
+        padded += a[-1] == 0
+        for n in range(1, 41):
+            expected = _sequential_fold(std, n, p, r)
+            reports.clear()
+            folded = generators._fold_chain(std, n, p, r)
+            direct = a if n == 1 else a[:-1] + a[1:-1] * (n - 2) + a[1:]
+            assert folded == expected, (std, p, n)
+            assert folded.a == direct and folded.m == std.m, (std, p, n)
+            assert genus(folded) == n * g + (n - 1) * (r - 1), (std, p, n)
+            assert len(reports) == n.bit_length() + bin(n).count("1") - 2, (std, p, n)
+            assert all(rep.balanced and rep.epsilon == r - 1 for rep in reports)
+    assert 0 < padded < 16
+
+
+def test_a_long_self_chain_makes_logarithmically_many_joints(capsys):
+    # 340 copies fold in halves through 11 joints, not one joint per copy
+    _memo.clear()
+    npcc.cli.main(["generate", "--datum", "1193:3:1,1,1191", "--p-class", "1",
+                   "--step", "self:340:auto"])
+    out = capsys.readouterr().out
+    assert _memo.info()["npcc.clutch.clutch_report"].misses == 11
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cdce07f2f10e13636d7d1ed51e3530df4bf3913999466ab5b2d7bd37f8b38496"
+    )
 
 
 def test_double_induction_balanced_product():
