@@ -336,6 +336,8 @@ def clutch_report(
     g3 = d1 * genus(g1) + d2 * genus(g2) + epsilon
     if g3 != genus(gamma3):
         raise DomainError("genus recursion disagrees with Riemann-Hurwitz")
+    if f3 != signature(gamma3):
+        raise DomainError("glued signature disagrees with Chevalley-Weil")
     flags = {}
     if p is not None:
         dec = decompose(m3, p)

@@ -16,28 +16,22 @@ from .monodromy import Signature
 __all__ = ["Orbit", "OrbitDecomposition", "decompose", "g_of_orbit"]
 
 
-_SELF_DUAL = object()
-
-
 class Orbit(Record):
     """One orbit of multiplication by p on nonzero residues mod m.
 
-    e is the order of the members in Z/m, the same for every member.
+    e is the order of the members in Z/m, the same for every member;
+    is_self_dual says whether -o, the orbit of m - n, is o itself.
     """
 
     _fields = ("m", "members")
-    # _dual is the dual orbit once found, or _SELF_DUAL for a self-dual
-    # orbit.  It points one way only: an orbit that held itself, or a
-    # dual that pointed back, would be a reference cycle, which only the
-    # cycle collector frees.
-    __slots__ = (*_fields, "e", "_dual")
+    __slots__ = (*_fields, "e", "is_self_dual")
 
     def __init__(self, m: int, members: tuple[int, ...]):
         members = tuple(sorted(members))
         _set(self, "m", m)
         _set(self, "members", members)
         _set(self, "e", m // math.gcd(members[0], m))
-        _set(self, "_dual", None)
+        _set(self, "is_self_dual", members == tuple(m - n for n in reversed(members)))
 
     @property
     def size(self) -> int:
@@ -48,17 +42,9 @@ class Orbit(Record):
         return self.members[0]
 
     def dual(self) -> "Orbit":
-        dual = self._dual
-        if dual is None:
-            dual = Orbit(self.m, tuple((self.m - n) % self.m for n in self.members))
-            if dual == self:
-                dual = _SELF_DUAL
-            _set(self, "_dual", dual)
-        return self if dual is _SELF_DUAL else dual
-
-    @property
-    def is_self_dual(self) -> bool:
-        return self.dual() is self
+        if self.is_self_dual:
+            return self
+        return Orbit(self.m, tuple(self.m - n for n in self.members))
 
     def __str__(self) -> str:
         return "{" + ",".join(str(n) for n in self.members) + "}"
@@ -77,8 +63,9 @@ class OrbitDecomposition(Record):
         raise BadResidueError(f"residue {n} has no orbit mod {self.m}")
 
     def representatives(self) -> tuple[Orbit, ...]:
-        """One orbit per dual pair: the self-duals plus the smaller of each pair."""
-        return tuple(o for o in self.orbits if o.min <= o.dual().min)
+        """One orbit per dual pair: the self-duals plus the smaller of each
+        pair, read against m - max(o), the least member of -o."""
+        return tuple(o for o in self.orbits if o.min <= self.m - o.members[-1])
 
 
 def decompose(m: int, p: int) -> OrbitDecomposition:

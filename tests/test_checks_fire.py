@@ -81,6 +81,20 @@ def test_a_genus_recursion_off_riemann_hurwitz_is_refused(monkeypatch):
         clutch.clutch_data(G1, G2)
 
 
+def test_a_glued_signature_off_chevalley_weil_is_refused(monkeypatch):
+    # Without a residue no orbit defect reads the terms; f3 itself is checked.
+    real = clutch._defect_terms
+
+    def one_term_zeroed(*args):
+        terms = real(*args)
+        terms[next(i for i, t in enumerate(terms) if t)] = 0
+        return terms
+
+    monkeypatch.setattr(clutch, "_defect_terms", one_term_zeroed)
+    with pytest.raises(DomainError, match="^glued signature disagrees with Chevalley-Weil$"):
+        clutch.clutch_report(G1, G2)
+
+
 def test_an_asymmetric_component_on_a_self_dual_orbit_is_refused(monkeypatch):
     _swap_orbit_component(monkeypatch, ((1, 1),), ((0, 1),))
     with pytest.raises(AsymmetricPolygonError, match="^middle slope of asymmetric "):

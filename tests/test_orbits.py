@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import npcc._memo as _memo
 from npcc import (
     BadResidueError,
     InconsistentSignatureError,
@@ -143,7 +144,7 @@ def test_decompose_errors_are_not_cached():
 
 
 def _rebuilt_dual(o):
-    """The dual built afresh from the members, as Orbit.dual once did."""
+    """The dual built afresh from the members' negatives mod m, not by Orbit.dual."""
     return Orbit(o.m, tuple((o.m - n) % o.m for n in o.members))
 
 
@@ -157,7 +158,7 @@ def test_orbits_know_their_duals_for_every_unit_class():
             for o in dec.orbits:
                 d = o.dual()
                 assert d == _rebuilt_dual(o), (m, p, o)
-                assert d.dual() == o and o.dual() is d
+                assert d.dual() == o
                 assert d in dec.orbits
                 assert o.is_self_dual == (_rebuilt_dual(o) == o)
                 assert o.is_self_dual == (d is o)
@@ -166,6 +167,30 @@ def test_orbits_know_their_duals_for_every_unit_class():
             rebuilt = tuple(o for o in dec.orbits if o.min <= _rebuilt_dual(o).min)
             assert dec.representatives() == rebuilt, (m, p)
     assert self_dual > 1000 and paired > 1000
+
+
+def test_an_orbit_table_builds_each_orbit_once(monkeypatch):
+    # Self-duality and the representatives are read from the members:
+    # asking for them builds no second orbit.
+    built = 0
+    init = Orbit.__init__
+
+    def counted(self, m, members):
+        nonlocal built
+        built += 1
+        init(self, m, members)
+
+    monkeypatch.setattr(Orbit, "__init__", counted)
+    for m in range(2, 61):
+        for p in (q for q in range(1, m) if math.gcd(q, m) == 1):
+            _memo.clear()
+            built = 0
+            dec = decompose(m, p)
+            dec.representatives()
+            # -o holds m - max(o), so it is o exactly when that is min(o).
+            flags = [o.is_self_dual for o in dec.orbits]
+            assert flags == [o.min + o.members[-1] == m for o in dec.orbits], (m, p)
+            assert built == len(dec.orbits), (m, p)
 
 
 def test_the_kept_order_is_the_additive_order_of_every_member():
@@ -180,10 +205,10 @@ def test_an_orbit_built_by_hand_finds_its_dual_once():
     o = Orbit(12, (5, 1))
     d = o.dual()
     assert d.members == (7, 11)
-    assert o.dual() is d and d.dual() == o
+    assert d.dual() == o
     assert not o.is_self_dual and not d.is_self_dual
     both = Orbit(8, (6, 2))
     assert both.dual() is both and both.is_self_dual
-    # The cached dual takes no part in equality, hashing or repr.
+    # The slots read from the members take no part in equality, hashing or repr.
     assert o == Orbit(12, (1, 5)) and hash(o) == hash(Orbit(12, (1, 5)))
     assert repr(o) == "Orbit(m=12, members=(1, 5))"

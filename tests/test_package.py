@@ -179,6 +179,23 @@ def test_names_the_tests_import_resolve():
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
+ROOT = Path(__file__).resolve().parents[1]
+# The oldest Python that pyproject.toml declares.
+FLOOR = (3, 10)
+
+
+def test_every_source_file_parses_at_the_declared_python_floor():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'requires-python = ">=%d.%d"' % FLOOR in pyproject
+    paths = [path for top in ("src/npcc", "tests", "bench") for path in (ROOT / top).rglob("*.py")]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=FLOOR)
+    # The parse does refuse syntax newer than the floor: except* is 3.11's.
+    with pytest.raises(SyntaxError, match="only supported in Python 3.11"):
+        ast.parse("try:\n    pass\nexcept* OSError:\n    pass\n", feature_version=FLOOR)
+
+
 def test_no_assert_statements_in_the_library():
     # python -O strips assert statements, so no check may be one.
     found = [
@@ -304,7 +321,7 @@ def test_start_path_import_scan_flags_every_import_named(tmp_path):
     assert _start_path_imports(cli) == ["cli.py:2 imports __future__"]
 
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+SPANS = ROOT / "bench" / "spans.py"
 # Loads bench/spans.py as `spans` in a fresh interpreter.
 LOAD_SPANS = f"""
 import importlib.util

@@ -19,11 +19,26 @@ from npcc import (
     condition_u,
     moonen_payload,
     pad_and_clutch,
+    parse,
     replay,
+    reproduce_applications,
     threshold_ss_chain,
     verify_family,
 )
 from npcc.catalog import _classes_reaching_minus_one
+
+# (table, m, class, n) of each application row whose polygon satisfies (U)
+U_ROWS = (
+    {("ss-chain", 11, c, n) for c in (2, 6, 7, 8, 10) for n in range(6, 11)}
+    | {
+        (table + kind, None, c, n)
+        for table, classes in (("chain-m17", (3, 5)), ("chain-m19-lo", (2, 5)))
+        for kind in ("", "-payload")
+        for c in classes
+        for n in (5, 6)
+    }
+    | {("slope-sevenths", None, c, n) for c in (7, 16, 20, 23, 24, 25) for n in (1, 3, 4)}
+)
 
 # m: the least n from which (U) holds on ss^(hn)+ord^(2h(n-1)), h = (m - 1)/2
 LEAST_N = {3: 33, 5: 17, 7: 11, 11: 6, 13: 5}
@@ -72,3 +87,38 @@ def test_the_family_17_payload_chain_is_deeply_verified_where_u_holds(c):
     report = verify_family(fam, deep=True)
     assert report["ok"] and report["codim"] == fam.payload_codim == 1
     assert condition_u(fam.claimed_np).holds
+
+
+@pytest.fixture(scope="module")
+def application_rows():
+    applications = reproduce_applications()
+    assert applications["ok"] and applications["count"] == 335
+    return [(row, condition_u(parse(row["generated"]))) for row in applications["checks"]]
+
+
+def _key(row):
+    params = row["params"]
+    return row["table"], params.get("m"), params.get("p_class"), params.get("n")
+
+
+def test_the_application_rows_where_u_holds_are_pinned(application_rows):
+    holding = [_key(row) for row, u in application_rows if u.holds]
+    assert len(holding) == len(U_ROWS) == 59
+    assert set(holding) == U_ROWS
+
+
+def test_u_fails_on_the_two_copy_slope_sevenths_rows(application_rows):
+    reports = [u for row, u in application_rows
+               if row["table"] == "slope-sevenths" and row["params"]["n"] == 2]
+    assert len(reports) == 6
+    for u in reports:
+        assert (u.genus, u.dim_mg, u.codim_ag, u.holds) == (56, 165, 143, False)
+
+
+def test_u_holds_on_every_ss_chain_row_past_the_threshold(application_rows):
+    past = [(row, u) for row, u in application_rows if row["table"] == "ss-chain"
+            and threshold_ss_chain(row["params"]["n"], (row["params"]["m"] - 1) // 2)]
+    assert {(row["params"]["m"], row["params"]["n"]) for row, _ in past} == {
+        (11, n) for n in range(7, 11)
+    }
+    assert len(past) == 20 and all(u.holds for _, u in past)
