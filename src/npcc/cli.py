@@ -685,20 +685,10 @@ def _plain(command: _Command, words: list[str]) -> argparse.Namespace | None:
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """parser.parse_args(argv): by _plain when argv[0] names a subcommand
-    and the rest is plain, else in one argparse pass, by that subcommand's
-    parser when argv[0] names one: the top-level parser would hand the
-    rest to it and refuse what it leaves over, as this does."""
+    and the rest is plain, else by argparse."""
     command = _COMMANDS.get(argv[0]) if argv else None
     args = None if command is None else _plain(command, argv[1:])
-    if args is not None:
-        return args
-    parser, commands = _build_parser()
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = commands[command.name].parse_known_args(argv[1:])
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return args if args is not None else _build_parser()[0].parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,7 @@ import math
 from ._memo import memo
 from ._record import Record, _set
 from .errors import InvalidDatumError
-from .polygon import _fraction, _int
+from .polygon import _fraction, _int, _is_numeral
 
 __all__ = [
     "MonodromyDatum",
@@ -145,7 +145,7 @@ def _decimal(text: str) -> int:
     the datum text, the CLI's int options and --step take none of them.
     """
     digits = text[1:] if text.startswith("-") else text
-    if not (digits.isascii() and digits.isdecimal()):
+    if not _is_numeral(digits):
         raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 

@@ -144,38 +144,42 @@ def reproduce_applications() -> dict:
             }
         )
 
+    def chain(table: str, t: int, key: int | None, classes: tuple, n_max: int, genus_form,
+              mu_form, payload_form=None, params=lambda c, n: {"p_class": c, "n": n},
+              datum_form=lambda n: None) -> None:
+        """Rows of pad_and_clutch(root, t, n) for n = 1..n_max in each class,
+        checked against closed forms in n.  The root is listed family key's
+        base, or the base on (1, 1, t - 2) mod t when key is None; with a
+        payload form, each row is followed by the row of key's payload chain."""
+        for c in classes:
+            if key is None:
+                base = base_case(MonodromyDatum(t, (1, 1, t - 2)), c)
+            else:
+                base = moonen_base(key, c)
+            roots = [("", base, mu_form, None)]
+            if payload_form is not None:
+                roots.append(("-payload", moonen_payload(key, c), payload_form, False))
+            for n in range(1, n_max + 1):
+                for suffix, root, form, mu_claim in roots:
+                    run(table + suffix, params(c, n), pad_and_clutch(root, t, n), form(n),
+                        genus_form(n), expected_datum=datum_form(n), expect_mu_claim=mu_claim)
+
     pair_13 = parse("(1/3,2/3)")
     pair_14 = parse("(1/4,3/4)")
-    pair_15 = parse("(1/5,4/5)")
-    pair_27_37 = parse("(2/7,5/7)") + parse("(3/7,4/7)")
 
     # Supersingular chains from three branch points.
     for m in (3, 5, 7, 11):
         h = (m - 1) // 2
-        for c in _classes_reaching_minus_one(m):
-            root = base_case(MonodromyDatum(m, (1, 1, m - 2)), c)
-            for n in range(1, ss_chain_n + 1):
-                fam = pad_and_clutch(root, m, n)
-                run(
-                    "ss-chain",
-                    {"m": m, "p_class": c, "n": n},
-                    fam,
-                    SS.power(h * n) + ORD.power(2 * h * (n - 1)),
-                    h * (3 * n - 2),
-                )
+        chain("ss-chain", m, None, _classes_reaching_minus_one(m), ss_chain_n,
+              lambda n: h * (3 * n - 2),
+              lambda n: SS.power(h * n) + ORD.power(2 * h * (n - 1)),
+              params=lambda c, n: {"m": m, "p_class": c, "n": n})
 
     # Chains of the five-branch-point m=5 family at class 4.
-    root = moonen_base(16, 4)
-    for n in range(1, chain_n + 1):
-        fam = pad_and_clutch(root, 5, n)
-        run(
-            "ss-chain-4-of-10",
-            {"n": n},
-            fam,
-            SS.power(4 * n) + ORD.power(6 * n - 4),
-            10 * n - 4,
-            expected_datum=MonodromyDatum(5, (2,) * (5 * n)),
-        )
+    chain("ss-chain-4-of-10", 5, 16, (4,), chain_n, lambda n: 10 * n - 4,
+          lambda n: SS.power(4 * n) + ORD.power(6 * n - 4),
+          params=lambda c, n: {"n": n},
+          datum_form=lambda n: MonodromyDatum(5, (2,) * (5 * n)))
 
     # Products of two listed families with one non-generic side.
     product_rows = [
@@ -199,53 +203,23 @@ def reproduce_applications() -> dict:
         )
 
     # Self-chains with slope 1/3, plain and with a payload.
-    third_rows = [
-        ("chain-7-3", None, (2, 4), 7,
-         lambda n: pair_13.power(n) + ORD.power(6 * n - 6),
-         lambda n: None,
-         lambda n: 9 * n - 6),
-        ("chain-m17", 17, (3, 5), 7,
-         lambda n: pair_13.power(2 * n) + ORD.power(6 * n - 6),
-         lambda n: pair_13.power(2 * n - 2) + SS.power(6) + ORD.power(6 * n - 6),
-         lambda n: 12 * n - 6),
-        ("chain-m19-lo", 19, (2, 5), 9,
-         lambda n: pair_13.power(2 * n) + SS.power(n) + ORD.power(8 * n - 8),
-         lambda n: pair_13.power(2 * n - 2) + SS.power(n + 6) + ORD.power(8 * n - 8),
-         lambda n: 15 * n - 8),
-        ("chain-m19-hi", 19, (4, 7), 9,
-         lambda n: pair_13.power(2 * n) + ORD.power(9 * n - 8),
-         lambda n: pair_13.power(2 * n - 2) + SS.power(6) + ORD.power(9 * n - 8),
-         lambda n: 15 * n - 8),
-        ("chain-m11", 11, (2, 3), 5,
-         lambda n: pair_14.power(n) + ORD.power(4 * n - 4),
-         lambda n: pair_14.power(n - 1) + SS.power(4) + ORD.power(4 * n - 4),
-         lambda n: 8 * n - 4),
-        ("chain-m18", 18, (3, 7), 10,
-         lambda n: pair_14.power(n) + SS.power(2 * n) + ORD.power(9 * n - 9),
-         lambda n: pair_14.power(n - 1) + SS.power(2 * n + 4) + ORD.power(9 * n - 9),
-         lambda n: 15 * n - 9),
-    ]
-    for table, key, cls, m, mu_form, payload_form, genus_form in third_rows:
-        for c in cls:
-            if key is None:
-                root = base_case(MonodromyDatum(7, (1, 1, 5)), c)
-                payload_root = None
-            else:
-                root = moonen_base(key, c)
-                payload_root = moonen_payload(key, c)
-            for n in range(1, chain_n + 1):
-                fam = pad_and_clutch(root, m, n)
-                run(table, {"p_class": c, "n": n}, fam, mu_form(n), genus_form(n))
-                if payload_root is not None:
-                    fam2 = pad_and_clutch(payload_root, m, n)
-                    run(
-                        table + "-payload",
-                        {"p_class": c, "n": n},
-                        fam2,
-                        payload_form(n),
-                        genus_form(n),
-                        expect_mu_claim=False,
-                    )
+    chain("chain-7-3", 7, None, (2, 4), chain_n, lambda n: 9 * n - 6,
+          lambda n: pair_13.power(n) + ORD.power(6 * n - 6))
+    chain("chain-m17", 7, 17, (3, 5), chain_n, lambda n: 12 * n - 6,
+          lambda n: pair_13.power(2 * n) + ORD.power(6 * n - 6),
+          lambda n: pair_13.power(2 * n - 2) + SS.power(6) + ORD.power(6 * n - 6))
+    chain("chain-m19-lo", 9, 19, (2, 5), chain_n, lambda n: 15 * n - 8,
+          lambda n: pair_13.power(2 * n) + SS.power(n) + ORD.power(8 * n - 8),
+          lambda n: pair_13.power(2 * n - 2) + SS.power(n + 6) + ORD.power(8 * n - 8))
+    chain("chain-m19-hi", 9, 19, (4, 7), chain_n, lambda n: 15 * n - 8,
+          lambda n: pair_13.power(2 * n) + ORD.power(9 * n - 8),
+          lambda n: pair_13.power(2 * n - 2) + SS.power(6) + ORD.power(9 * n - 8))
+    chain("chain-m11", 5, 11, (2, 3), chain_n, lambda n: 8 * n - 4,
+          lambda n: pair_14.power(n) + ORD.power(4 * n - 4),
+          lambda n: pair_14.power(n - 1) + SS.power(4) + ORD.power(4 * n - 4))
+    chain("chain-m18", 10, 18, (3, 7), chain_n, lambda n: 15 * n - 9,
+          lambda n: pair_14.power(n) + SS.power(2 * n) + ORD.power(9 * n - 9),
+          lambda n: pair_14.power(n - 1) + SS.power(2 * n + 4) + ORD.power(9 * n - 9))
 
     # Crossed chains of two different families; the joining step is
     # not balanced, so the product polygon is recorded as an assumed
@@ -269,28 +243,10 @@ def reproduce_applications() -> dict:
                 )
 
     # Large slope denominators from three branch points.
-    for c in (3, 4, 5, 9):
-        root = base_case(MonodromyDatum(11, (1, 1, 9)), c)
-        for n in range(1, example_n + 1):
-            fam = pad_and_clutch(root, 11, n)
-            run(
-                "slope-fifths",
-                {"p_class": c, "n": n},
-                fam,
-                pair_15.power(n) + ORD.power(10 * n - 10),
-                15 * n - 10,
-            )
-    for c in (7, 16, 20, 23, 24, 25):
-        root = base_case(MonodromyDatum(29, (1, 1, 27)), c)
-        for n in range(1, example_n + 1):
-            fam = pad_and_clutch(root, 29, n)
-            run(
-                "slope-sevenths",
-                {"p_class": c, "n": n},
-                fam,
-                pair_27_37.power(n) + ORD.power(28 * n - 28),
-                42 * n - 28,
-            )
+    chain("slope-fifths", 11, None, (3, 4, 5, 9), example_n, lambda n: 15 * n - 10,
+          lambda n: parse("(1/5,4/5)").power(n) + ORD.power(10 * n - 10))
+    chain("slope-sevenths", 29, None, (7, 16, 20, 23, 24, 25), example_n, lambda n: 42 * n - 28,
+          lambda n: parse("(2/7,5/7)+(3/7,4/7)").power(n) + ORD.power(28 * n - 28))
 
     return {"ok": all(c["ok"] for c in checks), "count": len(checks), "checks": checks}
 

@@ -1,5 +1,7 @@
 """Tests for the bundled family table and its reproduction routines."""
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -165,6 +167,15 @@ def test_reproduce_applications_tables_present():
     assert "ss-chain" in tables
     assert "crossed-chains" in tables
     assert any(t.startswith("chain-") for t in tables)
+
+
+def test_reproduce_applications_report_is_pinned():
+    # row order, params, closed forms and verdicts, byte for byte
+    text = json.dumps(reproduce_applications())
+    assert (len(text), hashlib.sha256(text.encode()).hexdigest()) == (
+        59733,
+        "62ba63240f52595c700f4ff3a969a50803ce3b8da786d71044166b29b72e7043",
+    )
 
 
 def test_worked_clutch_example():

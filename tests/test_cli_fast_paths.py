@@ -265,10 +265,10 @@ def test_a_plain_argv_makes_no_argparse_call(monkeypatch):
     outcome = _outcome(plain)
     assert outcome == (0, "1,1,1,0,0,0\n", "") and calls == []
     _outcome(["genus", "--dat", "3:3:1,1,1"])
-    assert calls == ["npcc genus"]
+    assert calls == ["npcc", "npcc genus"]
     monkeypatch.setattr(cli, "_plain", lambda command, words: None)
     assert _outcome(plain) == outcome
-    assert calls == ["npcc genus", "npcc signature"]
+    assert calls == ["npcc", "npcc genus", "npcc", "npcc signature"]
 
 
 def test_a_lone_dash_is_read_as_a_value_without_argparse(monkeypatch):

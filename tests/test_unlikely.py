@@ -8,6 +8,7 @@ the generators certify, not only on formula polygons.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -22,6 +23,8 @@ from npcc import (
     parse,
     replay,
     reproduce_applications,
+    threshold_half_slope_density,
+    threshold_repeated_summand,
     threshold_ss_chain,
     verify_family,
 )
@@ -122,3 +125,41 @@ def test_u_holds_on_every_ss_chain_row_past_the_threshold(application_rows):
         (11, n) for n in range(7, 11)
     }
     assert len(past) == 20 and all(u.holds for _, u in past)
+
+
+def test_the_half_slope_density_threshold_agrees_with_u_on_the_application_rows(
+    application_rows,
+):
+    # t = s/(2g) for slope-1/2 multiplicity s; the bound claims (U) on the
+    # same 20 rows as threshold_ss_chain, and (U) holds on each
+    applied, claimed = 0, set()
+    for row, u in application_rows:
+        nu = parse(row["generated"])
+        s = nu.multiplicity(Fraction(1, 2))
+        if s:
+            applied += 1
+            if threshold_half_slope_density(nu.genus, Fraction(s, 2 * nu.genus)):
+                assert u.holds, row
+                claimed.add(_key(row))
+    assert applied == 247
+    assert claimed == {("ss-chain", 11, c, n) for c in (2, 6, 7, 8, 10) for n in range(7, 11)}
+
+
+def test_the_repeated_summand_threshold_on_the_ss_chain_rows(application_rows):
+    # ss^(hn)+ord^(2h(n-1)) read as n copies of ss^h beside ord^(2h(n-1))
+    # needs n^2 h >= 162(n - 1) and claims nothing up to n = 10; read as
+    # n - 1 joints ss^h+ord^(2h) beside ss^h it claims (U) at m = 11, n = 10
+    claimed = set()
+    for row, u in application_rows:
+        if row["table"] != "ss-chain" or row["params"]["n"] == 1:
+            continue
+        m, n = row["params"]["m"], row["params"]["n"]
+        h = (m - 1) // 2
+        nu = parse(row["generated"])
+        assert nu == SS.power(h).power(n) + ORD.power(2 * h * (n - 1))
+        assert nu == (SS.power(h) + ORD.power(2 * h)).power(n - 1) + SS.power(h)
+        assert not threshold_repeated_summand(n, h, h, 2 * h * (n - 1)), row
+        if threshold_repeated_summand(n - 1, 3 * h, h, h):
+            assert u.holds, row
+            claimed.add(_key(row))
+    assert claimed == {("ss-chain", 11, c, 10) for c in (2, 6, 7, 8, 10)}
