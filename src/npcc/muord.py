@@ -38,10 +38,12 @@ class OrbitPolygon:
     Stored as (rise, width) int pairs with positive widths: a segment of
     slope s and width w rises by the integer s*w, so all vertices are
     lattice points, and slopes strictly increase in [0, |orbit|].  Values
-    on the integer grid, for the search's lower bound, the factor sort,
-    `lies_on_or_above` and the lattice count, are ints scaled by the lcm
-    of the slopes' denominators (1 for mu-ordinary ones, whose slopes are
-    integral).  Slopes and scaled grids compare by cross-multiplying.
+    on the integer grid, for `lies_on_or_above`, `height` and `degree`,
+    are ints scaled by the lcm of the slopes' denominators (1 for
+    mu-ordinary ones, whose slopes are integral).  Slopes and scaled
+    grids compare by cross-multiplying.  A Kottwitz factor is searched,
+    sorted, checked and counted from the pairs alone; a polygon, and its
+    grid, is built only where the public API hands one out.
     """
 
     __slots__ = ("orbit", "_pairs", "_grid", "_scale")

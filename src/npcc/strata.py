@@ -10,21 +10,23 @@ every factor is the unique bottom (the basic element).
 
 An element is an index into that product, decoded into its tuple of
 per-factor candidates only on demand, and all structure of the set
-comes from the small factors.  One fold over the factors maps each
-distinct total polygon (a stratum of the family) to the indices of the
-elements reaching it, ascending as the fold builds them.  The fold is
-integer arithmetic: each candidate's lambda-scaled int triples, duals
-included, are coded once as an int with one digit per slope, given out
-in slope order before the fold and wide enough for the height 2g of
-every total; a partial total is the sum of its candidates' codes, and
-each distinct total's polygon is built once and keys its row.  An
-element's length is the sum of its candidates' lengths, and the covers
-of the set are the factors' covers lifted by index arithmetic.
-The factors come from a lattice path search whose bounds are integer
-floor divisions, and a factor depends only on its orbit's shape, so
-the factors of recently seen shapes are kept, within a fixed bound, as
-int pairs: a candidate is built as a polygon when an element is first
-read, and totals, codimensions and counts build none.
+comes from the small factors.  Each factor comes from one pass of a
+lattice path search whose bounds are integer floor divisions: it gives
+each candidate as its (rise, width) int pairs, sorted by an exact int
+key per segment, with its chain length summed one segment at a time as
+the path is walked.  No grid and no polygon is built per candidate.  A
+factor depends only on its orbit's shape, so the factors of recently
+seen shapes are kept, within a fixed bound, as those pairs: a candidate
+is built as a polygon when an element is first read, and totals,
+codimensions and counts build none.  The strata come from flat
+per-element columns: each element's length is the sum of its
+candidates', and so is its code, an int with one digit per slope of the
+candidates' lambda-scaled int triples (duals included), given out in
+slope order and wide enough for the height 2g of every total.  One pass
+in index order groups the elements by code, each distinct total
+(a stratum of the family) is decoded once into its int triples, which
+key its row, and the covers of the set are the factors' covers lifted
+by index arithmetic.
 
 The second half of the module measures how special a polygon is inside
 the full Siegel moduli space: the stratum codimension as a lattice
@@ -32,6 +34,7 @@ point count, the comparison against dim M_g (condition (U)), and three
 closed-form sufficient bounds for that comparison.
 """
 
+import collections
 import functools
 import itertools
 import math
@@ -84,38 +87,69 @@ def enumerate_orbit_component(
     o) with strictly increasing slopes in [0, |o|], every vertex on the
     integer lattice, lying on or above the mu-ordinary orbit polygon,
     and (for self-dual orbits) symmetric under slope -> |o| - slope.
-    Vertex enumeration is exhaustive: between vertices the path is
-    linear and the mu-ordinary polygon convex, so their difference is
-    concave and endpoint checks imply pointwise domination.  The cap
-    counts the candidates.
-
-    The search is integer arithmetic: the last slope is carried as its
-    rise over its width, and each condition on the next vertex (x2, y2)
-    is a bound on y2.  The bounds are exact, so every vertex tried lies
-    on some path found: the straight segment on to (G, D) completes it.
-    On a self-dual orbit, mu and each candidate p satisfy p(G - x) =
-    D - |o|x + p(x), so only the part below slope |o|/2 is searched: the
-    slope-|o|/2 middle segment and its mirror image close it.
+    The cap counts the candidates.  The polygons are built from the
+    (rise, width) pairs of `_search`.
     """
     _check_cap(cap)
+    return tuple(OrbitPolygon._of_pairs(orbit, pairs) for pairs, _ in _search(orbit, f, cap))
+
+
+def _search(
+    orbit: Orbit, f: Signature, cap: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """The candidates of one orbit as (rise, width) pairs, lowest first,
+    each with its chain length up to the first, the mu-ordinary top.
+
+    Vertex enumeration is exhaustive: between vertices the path is
+    linear and the mu-ordinary polygon convex, so their difference is
+    concave and endpoint checks imply pointwise domination.  The search
+    is integer arithmetic: the last slope is carried as its rise over
+    its width, and each condition on the next vertex (x2, y2) is a bound
+    on y2.  The bounds are exact, so every vertex tried lies on some
+    path found: the straight segment on to (G, D) completes it.  On a
+    self-dual orbit, mu and each candidate p satisfy p(G - x) =
+    D - |o|x + p(x), so only the part below slope |o|/2 is searched: the
+    slope-|o|/2 middle segment and its mirror image close it.
+
+    The chain length is a lattice count (Chai, "Newton polygons as
+    lattice points", Amer. J. Math. 122, 2000): the sum of
+    ceil(c(x)) - ceil(top(x)) over x = 0..G, or over x = 0..G // 2 on a
+    self-dual orbit, whose polygons are symmetric.  The factor is ranked
+    by it (Hamacher, Duke Math. J. 164, 2015), the same count
+    `omega_count` takes for the Siegel case.  The search adds each
+    segment's share of the sum as it walks the path, the middle one up
+    to G // 2 included.
+
+    Two candidates part at their first unequal segment, and the one of
+    lesser slope there, or of equal slope and greater width, lies lower
+    just past it: lowest first is lexicographic on (slope, -width).
+    Widths are at most G, so unequal slopes differ by at least 1/G^2,
+    and (rise * G^2 // width, -width) is an exact int key.
+    """
     mu = mu_ordinary_orbit(orbit, f)
-    big_g, big_d = mu.height, mu.degree
-    lowest_y = mu._grid  # unscaled: the slopes of mu are integral
+    top = mu._pairs
     size, self_dual, found = orbit.size, orbit.is_self_dual, []
+    lowest_y = [0]  # the least int on or above mu at x = 0..G
+    for r, w in top:
+        y = lowest_y[-1]
+        lowest_y += [y - (-r * k // w) for k in range(1, w + 1)]
+    big_g, big_d = len(lowest_y) - 1, lowest_y[-1]
     end = big_g // 2 if self_dual else big_g
 
-    def rec(x: int, y: int, rise: int, run: int, segs: tuple) -> None:
+    def rec(x: int, y: int, rise: int, run: int, segs: tuple, count: int) -> None:
         if self_dual or x == big_g:
             if len(found) == cap:
                 raise EnumerationCapError(
                     f"more than {cap} candidates on orbit {orbit}; raise the cap"
                 )
             if not self_dual:
-                found.append(segs)
+                found.append((segs, count))
             else:  # |o| is odd only on the orbit {m/2}, where G is even
                 mid = big_g - 2 * x
                 middle = ((size * mid // 2, mid),) if mid else ()
-                found.append(segs + middle + tuple((size * w - r, w) for r, w in reversed(segs)))
+                mirror = tuple((size * w - r, w) for r, w in reversed(segs))
+                # The middle's slope is |o|/2; it counts on to x = G // 2.
+                found.append((segs + middle + mirror, count + _ceil_sum(mid // 2, 2, size, 2 * y)))
         left = big_g - x
         for x2 in range(x + 1, end + 1):
             width, rest_w = x2 - x, big_g - x2
@@ -132,21 +166,26 @@ def enumerate_orbit_component(
             else:
                 hi = (big_d * width + y * rest_w - 1) // left if rest_w else big_d
             for y2 in range(lo, hi + 1):
-                rec(x2, y2, y2 - y, width, segs + ((y2 - y, width),))
+                r = y2 - y
+                rec(x2, y2, r, width, segs + ((r, width),),
+                    count + _ceil_sum(width, width, r, y * width))
 
     try:
-        rec(0, 0, 0, 0, ())
+        rec(0, 0, 0, 0, (), 0)
     finally:
         # rec refers to itself through its closure cell; deleting the name
         # breaks that cycle, so what it holds is freed at once instead of
         # waiting for the cycle collector.
         del rec
-    polys = [OrbitPolygon._of_pairs(orbit, segs) for segs in found]
-    scale = math.lcm(*(q._scale for q in polys))  # grids on one scale sort by value
-    polys.sort(key=lambda q: tuple(v * (scale // q._scale) for v in q._grid))
-    if not polys or polys[0] != mu:
+    g2 = big_g * big_g
+    found.sort(key=lambda c: [(r * g2 // w, -w) for r, w in c[0]])
+    if not found or (found[0][0], orbit) != (top, mu.orbit):
         raise DomainError("mu-ordinary polygon must be the lowest candidate")
-    return tuple(polys)
+    base = found[0][1]
+    candidates = tuple((segs, count - base) for segs, count in found)
+    if any(n < 1 for _, n in candidates[1:]):
+        raise DomainError("every candidate must lie above the factor top")
+    return candidates
 
 
 class KottwitzSet:
@@ -159,30 +198,27 @@ class KottwitzSet:
     elements' candidate tuples in that order, and ``ks[i]`` decodes one
     index.  The length of an element is the longest strictly increasing
     chain from it up to the top; in a product poset that is the sum of
-    the per-factor lengths (see `_chain_lengths`), kept in ``lengths``;
-    ``len(ks)`` is the product of the factor sizes.
+    the per-factor lengths (the lattice counts of `_search`), kept in
+    ``lengths``; ``len(ks)`` is the product of the factor sizes.
 
-    No polygon is kept per element.  One fold over the factors, run when
-    the strata are first read, maps each distinct partial total to the
-    indices reaching it, last factor to first.  With ``place`` partial
-    elements folded, candidate k of the next factor meets every partial
-    once and gives the indices k * place + i, so the block of each k
-    lies above those of the smaller ones.  A total T meets at most one
-    partial per k, namely T minus the code of k, so every row comes out
-    ascending.  The blocks come in index order and the partials within
-    one block in theirs, so each total enters the dict at its least
-    index: the totals keep their first-appearance order.  A partial
-    total is an int: before the fold, the i-th smallest slope of the
-    candidates' lambda-scaled int triples (duals included; no polygon is
-    built per candidate) is given the i-th digit, wide enough for the
-    height 2g of every total, and adding two codes amalgamates their
-    polygons.  So the fold hashes and adds only ints, and each total's
-    polygon is decoded once and keys its row; `totals` hands out those
-    keys.  The set keeps each candidate as its (rise, width) pairs and
-    builds the candidates, as ``factors``, when an element is first
-    read.  The cap bounds the running product of the factor sizes,
-    checked before the next factor is enumerated; the constructor does
-    only that search, so a set that `hasse_edges` refuses folds nothing.
+    No polygon is kept per element.  The strata come from flat
+    per-element columns, built when first read: each element's length,
+    and each element's code, are the sums of its candidates' over the
+    product, in index order.  A code is an int: the i-th smallest slope
+    of the candidates' lambda-scaled int triples (duals included; no
+    polygon is built per candidate) is given the i-th digit, wide enough
+    for the height 2g of every total, so adding two codes amalgamates
+    their polygons.  One pass over the codes in index order groups the
+    indices by code, so every row comes out ascending and the totals
+    keep their order of first appearance.  Each distinct total is
+    decoded once into its int triples, which key its row, and its
+    polygon is built once; `totals` hands out those polygons, and a
+    polygon finds its row by its triples.  The set keeps each candidate
+    as its (rise, width) pairs and builds the candidates, as
+    ``factors``, when an element is first read.  The cap bounds the
+    running product of the factor sizes, checked before the next factor
+    is enumerated; the constructor does only that search, so a set that
+    `hasse_edges` refuses groups nothing.
     """
 
     def __init__(self, f: Signature, p: int, cap: int = DEFAULT_ENUM_CAP):
@@ -212,8 +248,8 @@ class KottwitzSet:
         self._pieces = tuple(pieces)
 
     @functools.cached_property
-    def _rows(self) -> dict[NewtonPolygon, tuple[int, ...]]:
-        """The fold: each distinct total mapped to its indices, run when first read."""
+    def _rows(self) -> dict[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+        """Each distinct total's int triples mapped to its indices, built when first read."""
         pieces = self._pieces
         distinct = {(num, den) for factor in pieces for piece in factor for num, den, _ in piece}
         slopes = sorted(distinct, key=_slope_order(distinct))
@@ -222,26 +258,23 @@ class KottwitzSet:
         height = 2 * self.signature.total
         bits = height.bit_length()
         digit = {slope: i * bits for i, slope in enumerate(slopes)}
-        by_code = {0: [0]}
-        place = 1  # elements of the later factors, already folded
-        for factor in reversed(pieces):
-            folded: dict[int, list[int]] = {}
-            for k, piece in enumerate(factor):
-                code = sum(mult << digit[num, den] for num, den, mult in piece)
-                offset = k * place
-                for partial, indices in by_code.items():
-                    folded.setdefault(partial + code, []).extend([offset + i for i in indices])
-            by_code = folded
-            place *= len(factor)
+        codes = [
+            [sum(mult << digit[num, den] for num, den, mult in piece) for piece in factor]
+            for factor in pieces
+        ]
+        by_code = collections.defaultdict(list)
+        for i, code in enumerate(_element_sums(codes)):
+            by_code[code].append(i)
         return _decode_totals(by_code, slopes, bits, height)
+
+    @functools.cached_property
+    def _totals(self) -> tuple[NewtonPolygon, ...]:
+        return tuple(NewtonPolygon._trusted(triples) for triples in self._rows)
 
     @functools.cached_property
     def lengths(self) -> tuple[int, ...]:
         """Each element's length, the sum of its candidates', built when first read."""
-        lengths = [0]
-        for steps in reversed(self._factor_lengths):
-            lengths = [s + n for s in steps for n in lengths]
-        return tuple(lengths)
+        return tuple(_element_sums(self._factor_lengths))
 
     @functools.cached_property
     def factors(self) -> tuple[tuple[OrbitPolygon, ...], ...]:
@@ -250,25 +283,6 @@ class KottwitzSet:
             tuple(OrbitPolygon._of_pairs(rep, pairs) for pairs in factor)
             for rep, factor in zip(self.reps, self._factor_pairs)
         )
-
-    @staticmethod
-    def _chain_lengths(candidates: tuple[OrbitPolygon, ...]) -> tuple[int, ...]:
-        """Longest chain up to the factor's top, per candidate.
-
-        That length is a lattice count (Chai, "Newton polygons as
-        lattice points", Amer. J. Math. 122, 2000): the sum of
-        ceil(c(x)) - ceil(top(x)) over x = 0..G, or over x = 0..G // 2
-        on a self-dual orbit, whose polygons are symmetric.  The factor
-        is ranked by it (Hamacher, Duke Math. J. 164, 2015), the same
-        count `omega_count` takes for the Siegel case.
-        """
-        top = candidates[0]
-        stop = (top.height // 2 if top.orbit.is_self_dual else top.height) + 1
-        base = _lattice_count(top, stop)
-        lengths = tuple(_lattice_count(c, stop) - base for c in candidates)
-        if any(n < 1 for n in lengths[1:]):
-            raise DomainError("every candidate must lie above the factor top")
-        return lengths
 
     def __len__(self) -> int:
         return self._size
@@ -295,13 +309,13 @@ class KottwitzSet:
 
     def totals(self) -> tuple[NewtonPolygon, ...]:
         """Distinct total polygons, in first-appearance order."""
-        return tuple(self._rows)
+        return self._totals
 
     def elements_with_total(self, nu: NewtonPolygon) -> tuple[int, ...]:
         """Indices of the elements whose total polygon is nu, ascending."""
         if not isinstance(nu, NewtonPolygon):
             return ()
-        return self._rows.get(nu, ())
+        return self._rows.get(nu._triples, ())
 
     def codim_of_polygon(self, nu: NewtonPolygon) -> int:
         """Smallest length among elements whose total polygon is nu."""
@@ -328,10 +342,10 @@ class KottwitzSet:
             )
         edges = []
         place = len(self)
-        for factor, steps in zip(self.factors, self._factor_lengths):
+        for factor, steps in zip(self._factor_pairs, self._factor_lengths):
             place //= len(factor)
             for up, lo in itertools.product(range(len(factor)), repeat=2):
-                if steps[lo] == steps[up] + 1 and factor[lo].lies_on_or_above(factor[up]):
+                if steps[lo] == steps[up] + 1 and _lies_on_or_above(factor[lo], factor[up]):
                     shift = (lo - up) * place
                     for start in range(up * place, len(self), len(factor) * place):
                         edges.extend((i + shift, i) for i in range(start, start + place))
@@ -341,7 +355,7 @@ class KottwitzSet:
         """Hasse diagram in DOT format, top element drawn at the top."""
         edges = self.hasse_edges()  # first, so a set too large is refused at once
         labels = {}
-        for total, indices in self._rows.items():
+        for total, indices in zip(self.totals(), self._rows.values()):
             labels.update(dict.fromkeys(indices, str(total)))
         lines = ["digraph kottwitz {", "  rankdir=BT;"]
         for i, n in enumerate(self.lengths):
@@ -352,21 +366,34 @@ class KottwitzSet:
         return "\n".join(lines)
 
 
+def _element_sums(columns) -> list[int]:
+    """Each element's sum of its candidates' values, in index order.
+
+    ``columns`` holds one value per candidate of each factor; the first
+    factor is outermost and the last varies fastest.
+    """
+    sums = [0]
+    for values in reversed(columns):
+        sums = [v + n for v in values for n in sums]
+    return sums
+
+
 def _decode_totals(
     by_code: dict[int, list[int]],
     slopes: list[tuple[int, int]],
     bits: int,
     height: int,
-) -> dict[NewtonPolygon, tuple[int, ...]]:
-    """Each distinct total's polygon, built once, mapped to its indices as folded.
+) -> dict[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """Each distinct total's (num, den, mult) triples, as a polygon holds
+    them, mapped to its indices as grouped.
 
-    The dict follows the order of ``by_code``, and the fold builds each
-    row ascending.  ``slopes`` lists each slope as its reduced
-    (num, den) pair, by increasing slope, and digit i, the ``bits`` bits
-    from bit i * bits up, holds the multiplicity of ``slopes[i]``; the
-    code is read by shifting it down one digit at a
-    time.  A digit that overflowed would carry into the next one or out
-    of the last and lose height, so every total must have the set's height.
+    The dict follows the order of ``by_code``, whose rows are ascending.
+    ``slopes`` lists each slope as its reduced (num, den) pair, by
+    increasing slope, and digit i, the ``bits`` bits from bit i * bits
+    up, holds the multiplicity of ``slopes[i]``; the code is read by
+    shifting it down one digit at a time.  A digit that overflowed would
+    carry into the next one or out of the last and lose height, so every
+    total must have the set's height.
     """
     mask = (1 << bits) - 1
     rows = {}
@@ -381,7 +408,7 @@ def _decode_totals(
                 decoded += k
         if decoded != height:
             raise DomainError(f"a total decoded to height {decoded}, not {height}")
-        rows[NewtonPolygon._trusted(tuple(triples))] = tuple(indices)
+        rows[tuple(triples)] = tuple(indices)
     return rows
 
 
@@ -392,12 +419,14 @@ def _decode_totals(
 # (rise, width) pairs, their chain lengths and lambda-scaled triples are
 # kept, without any Orbit, Signature or polygon, least recently used
 # shape evicted first, and a set reads a kept shape as it is.  On a
-# 2-core Xeon host, enumerating the 869 candidates of the orbit of 1 in
-# 23:10:1,1,1,1,1,1,1,1,1,14 at class 5 takes 6 ms.
+# 2-core Xeon host, building the factor of the 869 candidates of the
+# orbit of 1 in 23:10:1,1,1,1,1,1,1,1,1,14 at class 5 takes 7 ms, half
+# of it the search.
 # Bounded: at most MAX_MEMO_CANDIDATES candidates held in all, a larger
-# factor built every time.  A kept candidate takes 150 to 550 bytes
-# (tracemalloc, CPython 3.11), so the memo holds at most about 1.1 MiB;
-# those 111 operations leave 1,383 candidates in it.
+# factor built every time.  A kept candidate takes 110 to 550 bytes
+# (tracemalloc, CPython 3.11: what dropping each of the 65 shapes those
+# 111 operations keep frees, over its candidates), so the memo holds at
+# most about 1.1 MiB; those operations leave 1,383 candidates, 0.33 MiB.
 MAX_MEMO_CANDIDATES = 2048
 _FACTORS = WeighedMemo("npcc.strata._FACTORS", MAX_MEMO_CANDIDATES)
 
@@ -417,28 +446,53 @@ def _factor(
     key = (top, rep.size, rep.is_self_dual, cap)
     entry = _FACTORS.get(key)
     if entry is None:
-        factor = enumerate_orbit_component(rep, f, cap)
-        _check_factor_order(factor)
-        pairs = tuple(c._pairs for c in factor)
+        found = _search(rep, f, cap)
+        pairs = tuple(c for c, _ in found)
+        _check_factor_order(pairs)
         same: dict = {}  # equal triples of the factor's candidates, held once
         triples = (tuple(same.setdefault(t, t) for t in _lambda_triples(rep, c)) for c in pairs)
-        entry = pairs, KottwitzSet._chain_lengths(factor), tuple(triples)
-        _FACTORS.put(key, entry, len(factor))
+        entry = pairs, tuple(n for _, n in found), tuple(triples)
+        _FACTORS.put(key, entry, len(pairs))
     return entry
 
 
-def _check_factor_order(factor: tuple[OrbitPolygon, ...]) -> None:
+def _check_factor_order(factor: tuple[tuple[tuple[int, int], ...], ...]) -> None:
     """The first candidate is the factor's top and the last its bottom.
 
     The order on the product is componentwise, so this is what makes
     the first element of the Kottwitz set its maximum and the last its
-    minimum.
+    minimum.  Each candidate is given as its (rise, width) pairs.
     """
     top, bottom = factor[0], factor[-1]
-    if not all(c.lies_on_or_above(top) for c in factor):
+    if not all(_lies_on_or_above(c, top) for c in factor):
         raise DomainError("top must be maximum")
-    if not all(bottom.lies_on_or_above(c) for c in factor):
+    if not all(_lies_on_or_above(bottom, c) for c in factor):
         raise DomainError("bottom must be minimum")
+
+
+def _lies_on_or_above(upper: tuple[tuple[int, int], ...], lower: tuple[tuple[int, int], ...]) -> bool:
+    """Does the path of (rise, width) pairs ``upper`` lie on or above ``lower``?
+
+    Both run from (0, 0) to one end and are linear between their
+    vertices, so they are compared at the union of their vertices: each
+    vertex of ``lower`` inside a segment of ``upper`` against that
+    segment, and each vertex of ``upper`` against the segment of
+    ``lower`` it ends in, cross-multiplied by the segment's width.
+    """
+    rest = iter(lower)
+    lx = ly = ux = uy = 0
+    lr, lw = next(rest, (0, 1))
+    for ur, uw in upper:
+        end = ux + uw
+        while lx + lw < end:
+            lx, ly = lx + lw, ly + lr
+            if uy * uw + ur * (lx - ux) < ly * uw:
+                return False
+            lr, lw = next(rest)
+        ux, uy = end, uy + ur
+        if ly * lw + lr * (ux - lx) > uy * lw:
+            return False
+    return True
 
 
 def kottwitz_set(
@@ -456,16 +510,13 @@ def omega_count(nu: NewtonPolygon) -> int:
     return _lattice_count(nu, nu.genus + 1)
 
 
-def _lattice_count(poly: NewtonPolygon | OrbitPolygon, stop: int) -> int:
+def _lattice_count(poly: NewtonPolygon, stop: int) -> int:
     """Sum of ceil(poly(x)) over x = 0..stop-1, for stop <= height + 1.
 
     The polygon is 0 at x = 0.  Heights are counted in units of 1/L,
-    L the lcm of the slopes' denominators.  On a segment of slope a/L
-    starting at height y/L, ceil((y + a*k)/L) = floor((a*k + y + L - 1) / L),
-    so each segment's share is one floor sum.
+    L the lcm of the slopes' denominators, so each segment's share is
+    one `_ceil_sum`.
     """
-    if isinstance(poly, OrbitPolygon):  # its values are in its scaled int grid
-        return sum(-(-v // poly._scale) for v in poly._grid[:stop])
     scale = math.lcm(*(den for _, den, _ in poly._triples))
     total = run = y = 0
     for num, den, width in poly._triples:
@@ -473,10 +524,20 @@ def _lattice_count(poly: NewtonPolygon | OrbitPolygon, stop: int) -> int:
         if n <= 0:
             break
         a = num * (scale // den)
-        total += _floor_sum(n, scale, a, a + y + scale - 1)  # k = 1..n is i = 0..n-1 shifted
+        total += _ceil_sum(n, scale, a, y)
         run += width
         y += a * width
     return total
+
+
+def _ceil_sum(n: int, scale: int, a: int, y: int) -> int:
+    """Sum of ceil((y + a*k) / scale) over k = 1..n, for n, a, y >= 0: the
+    lattice count of n steps of slope a/scale from height y/scale.
+
+    ceil((y + a*k) / scale) = floor((a*k + y + scale - 1) / scale), and
+    k = 1..n is i = 0..n-1 shifted, so it is one floor sum.
+    """
+    return _floor_sum(n, scale, a, a + y + scale - 1)
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:

@@ -176,15 +176,16 @@ def test_a_mu_ordinary_polygon_that_is_not_the_lowest_candidate_is_refused(monke
 
 
 def test_chain_lengths_that_put_a_candidate_below_the_top_are_refused(monkeypatch):
-    real = strata._lattice_count
-    monkeypatch.setattr(strata, "_lattice_count", lambda poly, stop: -real(poly, stop))
+    # The search sums each candidate's lattice count one segment share at a time.
+    real = strata._ceil_sum
+    monkeypatch.setattr(strata, "_ceil_sum", lambda n, scale, a, y: -real(n, scale, a, y))
     with pytest.raises(DomainError, match="^every candidate must lie above the factor top$"):
         kottwitz_set(SIX, 2)
 
 
 def _reorder_factors(monkeypatch, order):
-    real = strata.enumerate_orbit_component
-    monkeypatch.setattr(strata, "enumerate_orbit_component", lambda *args: order(real(*args)))
+    real = strata._search
+    monkeypatch.setattr(strata, "_search", lambda *args: order(real(*args)))
 
 
 def test_a_factor_whose_first_candidate_is_not_its_top_is_refused(monkeypatch):

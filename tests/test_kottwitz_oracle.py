@@ -43,7 +43,7 @@ from npcc import (
     signature,
 )
 from npcc.monodromy import MAX_MODULUS
-from npcc.strata import KottwitzSet, _decode_totals, _lattice_count
+from npcc.strata import KottwitzSet, _ceil_sum, _decode_totals, _lattice_count, _search
 
 MAX_ELEMENTS = 300
 DOT_ELEMENTS = 40  # the oracle's Hasse diagram is cubic in the set size
@@ -241,7 +241,8 @@ def test_lattice_count_matches_longest_chain():
                 continue
             if len(factor) > 1 and factor not in checked:
                 checked.add(factor)
-                assert KottwitzSet._chain_lengths(factor) == tuple(chain_lengths(factor))
+                lengths = tuple(n for _, n in _search(orbit, f, 120))
+                assert lengths == tuple(chain_lengths(factor))
     self_dual = {factor[0].orbit.is_self_dual for factor in checked}
     assert self_dual == {True, False}
 
@@ -274,11 +275,23 @@ def test_lattice_count_matches_per_x_sum_on_seeded_polygons():
 
 
 def test_lattice_count_matches_per_x_sum_on_factor_candidates():
+    """Each segment share the search adds, at every prefix of the
+    segment, and each chain length it sums from them, against per-x
+    sums of ceilings."""
     for datum, p, _ in _sample(20181101, 30):
         ks = kottwitz_set(datum, p)
-        for factor in ks.factors:
+        for factor, lengths in zip(ks.factors, ks._factor_lengths):
             for c in factor:
-                _assert_lattice_counts_agree(c, range(c.height + 2))
+                x = y = 0
+                for r, w in c._pairs:
+                    for n in range(w + 1):
+                        expected = sum(math.ceil(y + Fraction(r * k, w)) for k in range(1, n + 1))
+                        assert _ceil_sum(n, w, r, y * w) == expected, (c, x, n)
+                    x, y = x + w, y + r
+            top = factor[0]
+            stop = (top.height // 2 if top.orbit.is_self_dual else top.height) + 1
+            counts = [lattice_prefix_counts(c)[stop] for c in factor]
+            assert lengths == tuple(n - counts[0] for n in counts)
 
 
 def polygon_fold(ks: KottwitzSet) -> tuple[dict, list[int]]:
@@ -355,7 +368,7 @@ def test_int_coded_fold_near_the_modulus_bound():
 def test_decode_refuses_a_total_that_lost_height():
     half = Fraction(1, 2)
     slopes = [(0, 1), (1, 2)]  # two bits per digit
-    assert _decode_totals({4: [0]}, slopes, 2, 1) == {NewtonPolygon([(half, 1)]): (0,)}
+    assert _decode_totals({4: [0]}, slopes, 2, 1) == {NewtonPolygon([(half, 1)])._triples: (0,)}
     # A multiplicity of 4 carries into the next digit, or out of the last.
     with pytest.raises(DomainError):
         _decode_totals({4: [0]}, slopes, 2, 4)
@@ -620,7 +633,7 @@ def test_integer_search_tries_no_dead_end():
     so the calls are exactly the candidates.
     """
     (rec,) = [
-        c for c in enumerate_orbit_component.__code__.co_consts
+        c for c in _search.__code__.co_consts
         if getattr(c, "co_name", None) == "rec"
     ]
     calls = 0

@@ -530,6 +530,36 @@ def test_argparse_internals_scan_flags_every_form(tmp_path):
     ]
 
 
+def _grid_reads(path):
+    """Where one module reads an orbit polygon's scaled grid or its scale."""
+    return [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in {"_grid", "_scale"}
+    ]
+
+
+def test_the_kottwitz_factor_path_reads_no_grid():
+    # A factor is searched, sorted, checked and counted from its (rise,
+    # width) pairs, so no grid of G + 1 values is built per candidate.
+    assert _grid_reads(SRC / "strata.py") == []
+    assert _grid_reads(SRC / "muord.py") != []  # the scan sees the grid where it is kept
+
+
+def test_grid_scan_flags_every_read(tmp_path):
+    path = tmp_path / "grids.py"
+    path.write_text(
+        "a = q._grid[0]\n"
+        "b = (q._scale, p._pairs)\n"
+        "self._grid, self._scale = grid, scale\n"
+        "c = q.grid; d = q._grids; e = _scale; f = q.scale\n",
+        encoding="utf-8",
+    )
+    assert sorted(_grid_reads(path)) == [
+        "grids.py:1 _grid", "grids.py:2 _scale", "grids.py:3 _grid", "grids.py:3 _scale",
+    ]
+
+
 @pytest.mark.parametrize("bound", [None, 0, 1.5, True])
 def test_a_memo_needs_a_positive_int_bound(bound):
     # A memo without a bound grows with every distinct input a long run

@@ -73,7 +73,7 @@ def test_enumerate_orbit_component_empty_orbit():
     o = decompose(2, 1).orbit_of(1)
     factor = enumerate_orbit_component(o, f)
     assert factor == (mu_ordinary_orbit(o, f),)
-    assert KottwitzSet._chain_lengths(factor) == (0,)
+    assert strata._search(o, f, DEFAULT_ENUM_CAP) == (((), 0),)  # one empty candidate, length 0
 
 
 def test_enumerate_orbit_component_respects_cap():
@@ -176,12 +176,13 @@ def test_kottwitz_cap_stops_enumeration(monkeypatch):
     # factor sizes 39, 14, 3: the product passes 100 at the second
     # factor, so the third is never enumerated
     enumerated = []
+    search = strata._search
 
     def counting(orbit, f, cap):
         enumerated.append(orbit)
-        return enumerate_orbit_component(orbit, f, cap)
+        return search(orbit, f, cap)
 
-    monkeypatch.setattr(strata, "enumerate_orbit_component", counting)
+    monkeypatch.setattr(strata, "_search", counting)
     _memo.clear()  # no factor kept by an earlier test
     datum = MonodromyDatum(21, (1, 1, 1, 1, 1, 1, 15))
     with pytest.raises(EnumerationCapError, match=r"sizes 39 x 14 = 546"):
@@ -212,12 +213,13 @@ def test_kept_factors_build_the_set_a_cold_build_does(monkeypatch):
         _memo.clear()
         cold[text, c] = _everything(kottwitz_set(MonodromyDatum.from_text(text), c))
     enumerated = []
+    search = strata._search
 
     def counting(orbit, f, cap):
         enumerated.append(orbit)
-        return enumerate_orbit_component(orbit, f, cap)
+        return search(orbit, f, cap)
 
-    monkeypatch.setattr(strata, "enumerate_orbit_component", counting)
+    monkeypatch.setattr(strata, "_search", counting)
     _memo.clear()
     kept = []  # factors per set built from a kept shape
     for text, c in KEPT_SHAPES:
@@ -270,6 +272,30 @@ def test_a_warm_report_builds_no_polygon(monkeypatch):
         del ks
 
 
+def test_a_cold_set_builds_each_candidate_once_when_its_elements_are_read(monkeypatch):
+    """A cold build searches each new shape from its (rise, width) pairs,
+    building only the mu-ordinary top that bounds the search: three
+    shapes among the four orbits mod 8 at class 7.  Reading an element
+    then builds each of the six candidates once."""
+    built = 0
+    fill = strata.OrbitPolygon._fill
+
+    def counting_fill(self, orbit, pairs):
+        nonlocal built
+        built += 1
+        return fill(self, orbit, pairs)
+
+    monkeypatch.setattr(strata.OrbitPolygon, "_fill", counting_fill)
+    _memo.clear()
+    ks = kottwitz_set(WORKED, 7)
+    for t in ks.totals():
+        ks.codim_of_polygon(t)
+    assert built == 3
+    ks[0]
+    assert [len(factor) for factor in ks.factors] == [2, 2, 1, 1]
+    assert built == 3 + 6
+
+
 def test_a_smaller_cap_on_a_kept_shape_names_the_callers_orbit():
     datum = MonodromyDatum.from_text("9:4:1,2,3,3")
 
@@ -314,7 +340,8 @@ import npcc.strata as strata
 from npcc import DomainError, MonodromyDatum, decompose, kottwitz_set, signature
 
 assert False, "assert statements run; the interpreter is not under -O"
-enumerate_orbit_component = strata.enumerate_orbit_component
+search = strata._search
+ceil_sum = strata._ceil_sum
 mu_ordinary_orbit = strata.mu_ordinary_orbit
 
 
@@ -327,22 +354,23 @@ def expect_domain_error(call):
         print("no error")
 
 
-strata.enumerate_orbit_component = lambda o, f, cap: enumerate_orbit_component(o, f, cap)[::-1]
+strata._search = lambda o, f, cap: search(o, f, cap)[::-1]
 expect_domain_error(lambda: kottwitz_set(MonodromyDatum(8, (2, 2, 2, 5, 5)), 7))
 
 
 def bottom_not_last(o, f, cap):  # the last two candidates swapped; the top stays first
-    c = enumerate_orbit_component(o, f, cap)
+    c = search(o, f, cap)
     return c[:-2] + c[-1:] + c[-2:-1]
 
 
-strata.enumerate_orbit_component = bottom_not_last  # the first factor at class 3 has three
+strata._search = bottom_not_last  # the first factor at class 3 has three
 expect_domain_error(lambda: kottwitz_set(MonodromyDatum(8, (2, 2, 2, 5, 5)), 3))
-strata.enumerate_orbit_component = enumerate_orbit_component
+strata._search = search
 f = signature(MonodromyDatum(8, (4, 2, 5, 5)))
 orbit = decompose(8, 3).orbit_of(1)
-factor = enumerate_orbit_component(orbit, f)
-expect_domain_error(lambda: strata.KottwitzSet._chain_lengths(factor[::-1]))
+strata._ceil_sum = lambda n, scale, a, y: -ceil_sum(n, scale, a, y)  # counts below the top's
+expect_domain_error(lambda: search(orbit, f, 100))
+strata._ceil_sum = ceil_sum
 
 
 def dual(q):  # q's polygon on the dual orbit, slopes s -> |o| - s

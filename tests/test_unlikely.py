@@ -45,6 +45,8 @@ U_ROWS = (
 
 # m: the least n from which (U) holds on ss^(hn)+ord^(2h(n-1)), h = (m - 1)/2
 LEAST_N = {3: 33, 5: 17, 7: 11, 11: 6, 13: 5}
+# h: the same on the polygon alone, for h = 1..7; 9 and 15 are not prime
+FORM_LEAST_N = {1: 33, 2: 17, 3: 11, 4: 8, 5: 6, 6: 5, 7: 4}
 
 
 def _ss_chain(m, c, n):
@@ -81,6 +83,15 @@ def test_the_threshold_is_sufficient_not_sharp(m):
     for n in range(least, bound + 1):
         assert condition_u(_ss_chain(m, c, n).claimed_np).holds, n
     assert all(condition_u(_ss_form(h, n)).holds for n in range(least, 4 * bound))
+
+
+def test_the_least_n_on_the_polygon_alone_for_h_up_to_7():
+    for h, least in FORM_LEAST_N.items():
+        bound = -(-34 // h)
+        assert least <= bound
+        assert not condition_u(_ss_form(h, least - 1)).holds, h
+        assert all(condition_u(_ss_form(h, n)).holds for n in range(least, 4 * bound)), h
+    assert {(m - 1) // 2: n for m, n in LEAST_N.items()}.items() <= FORM_LEAST_N.items()
 
 
 @pytest.mark.parametrize("c", [3, 5])
