@@ -82,6 +82,10 @@ class MoonenFamily(Record):
         return rest[0]
 
 
+# Every family lookup, the CLI's moonen commands and the reproduction
+# reports read the one bundled table, parsed once.
+# Bounded: one table, the twenty families of data/moonen.txt, about
+# 64 KiB (tracemalloc, CPython 3.11).
 @memo(1)
 def moonen_families() -> tuple[MoonenFamily, ...]:
     """Parse and validate the bundled family table."""

@@ -196,11 +196,16 @@ def _mu_pairs(orbit: Orbit, f: Signature) -> tuple[tuple[int, int], ...]:
 # reads them as its factors' tops.  Its readers need only the (rise,
 # width) pairs, so a table holds those and no polygon's grid of g(o) + 1
 # points.  Tuples are immutable, so sharing one is safe; an inconsistent
-# signature raises and is never cached.  Bounded: 8 tables, each of at
-# most (m + 1) / 2 representatives and, since a polygon on an orbit o
-# has at most |o| + 1 segments, fewer than 3 m / 2 pairs: about 14,000
-# pairs at MAX_MODULUS, whatever N.
-@memo(8)
+# signature raises and is never cached.  Seed-1 benchmark traffic, memos
+# cleared after input generation: 5,822 calls on 1,654 keys in cli-mix
+# miss 3,823 times at 8 entries and 1,919 at 256; chains misses 3,453
+# and 3,154.
+# Bounded: 256 tables, each of at most (m + 1) / 2 representatives and,
+# since a polygon on an orbit o has at most |o| + 1 segments, fewer than
+# 3 m / 2 pairs, whatever N.  The heaviest found holds about 1,790 pairs
+# at m = 1200, class 1199, N >= 600: about 120 KiB (tracemalloc, CPython
+# 3.11; the orbits are the decomposition's), so 256 hold about 30 MiB.
+@memo(256)
 def _orbit_table(f: Signature, p_class: int) -> dict[Orbit, tuple[tuple[int, int], ...]]:
     """Each orbit representative mod f.m at the class of p, in
     `representatives()` order, mapped to the (rise, width) pairs of its
@@ -218,9 +223,15 @@ def mu_ordinary_of_signature(f: Signature, p: int) -> NewtonPolygon:
 # certifies, and replay and verify_family recompute the same ones.
 # Signature and NewtonPolygon are immutable, so a cached polygon is
 # shared safely; an inconsistent signature raises and is never cached.
-# Bounded: at most 64 entries, each a key of up to MAX_MODULUS - 1
-# values and a polygon with fewer segments than its height.
-@memo(64)
+# Seed-1 benchmark traffic, memos cleared after input generation: 4,308
+# calls on 1,066 keys in cli-mix miss 2,122 times at 64 entries and
+# 1,127 at 256; chains misses 2,475 and 2,346.
+# Bounded: 256 entries, each a key of up to MAX_MODULUS - 1 values and a
+# polygon of at most two segments per pair of its orbit table.  The key
+# takes up to about 51 KiB (N = 1024, values past 256); the heaviest
+# polygon found, the 1,022 segments of 1193:1024:1×1023,170 at class 3,
+# takes 166 KiB (tracemalloc, CPython 3.11), so 256 hold about 55 MiB.
+@memo(256)
 def _assemble(f: Signature, p_class: int) -> NewtonPolygon:
     """mu_ordinary_of_signature for the class of p mod f.m."""
     table = _orbit_table(f, p_class).items()

@@ -78,10 +78,16 @@ def decompose(m: int, p: int) -> OrbitDecomposition:
     return _decompose(m, q)
 
 
-# Chain checks decompose the same few moduli over and over.  Keyed by
-# the residue, so a huge p costs no entry of its own; bounded because a
-# decomposition holds up to MAX_MODULUS - 1 members.
-@memo(16)
+# Chain checks decompose the same few moduli over and over, and
+# `npcc moonen --verify-all` the same 35 for its 56 (family, class)
+# sets.  Keyed by the residue, so a huge p costs no entry of its own.
+# Seed-1 benchmark traffic, memos cleared after input generation: 12,033
+# calls on 397 keys in cli-mix miss 2,637 times at 16 entries and 501 at
+# 256; 13,126 calls on 205 keys in chains miss 604 and 205.
+# Bounded: 256 decompositions, each of up to MAX_MODULUS - 1 members.
+# The worst is at class 1, where each residue is an orbit: m = 1198
+# holds 207 KiB (tracemalloc, CPython 3.11), so 256 hold about 52 MiB.
+@memo(256)
 def _decompose(m: int, q: int) -> OrbitDecomposition:
     """decompose for a unit q mod m, already reduced."""
     seen: set[int] = set()

@@ -70,6 +70,9 @@ DEFAULT_ENUM_CAP = 1_000_000
 # 1.9 GiB; one of 10,000 draws 65,003 lines in 0.1 s.
 MAX_DOT_ELEMENTS = 10_000
 
+# The most Kottwitz factor candidates kept between sets (see _FACTORS).
+MAX_MEMO_CANDIDATES = 2048
+
 
 def _check_cap(cap: int) -> None:
     # No factor is empty, so a cap below 1 never passes; a non-int such as
@@ -427,7 +430,6 @@ def _decode_totals(
 # (tracemalloc, CPython 3.11: what dropping each of the 65 shapes those
 # 111 operations keep frees, over its candidates), so the memo holds at
 # most about 1.1 MiB; those operations leave 1,383 candidates, 0.33 MiB.
-MAX_MEMO_CANDIDATES = 2048
 _FACTORS = WeighedMemo("npcc.strata._FACTORS", MAX_MEMO_CANDIDATES)
 
 

@@ -1157,6 +1157,7 @@ def test_codim_ag_refuses_a_pair_out_of_order(capsys):
 
 def test_a_failed_clutch_demo_check_is_shown_and_exits_1(capsys, monkeypatch):
     # one ord too many in every mu-ordinary polygon the example recomputes
+    _memo.clear()  # no answer kept by an earlier test stands in for the faulty one
     real = reproduce.mu_ordinary
     monkeypatch.setattr(reproduce, "mu_ordinary", lambda datum, p: real(datum, p) + ORD)
     code, out, err = run(capsys, ["clutch-demo"])

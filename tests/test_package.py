@@ -3,7 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import itertools
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -560,6 +564,58 @@ def test_grid_scan_flags_every_read(tmp_path):
     ]
 
 
+_WEIGHT = re.compile(r"\d[\d,.]* [KM]iB")
+
+
+def _memo_comments(path):
+    """(where, the comment directly above it) of each `@memo(` and
+    `WeighedMemo(` line of one module."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for number, line in enumerate(lines, 1):
+        if "@memo(" in line or "WeighedMemo(" in line:
+            above = reversed(lines[: number - 1])
+            comment = reversed(list(itertools.takewhile(lambda text: text.startswith("#"), above)))
+            yield f"{path.name}:{number}", " ".join(comment)
+
+
+def _unbounded_memos(path):
+    """Where one module declares a memo not directly under a comment that
+    says `Bounded:` and then names the weight of its worst case in KiB or
+    MiB: a bound no one sized bounds nothing known."""
+    return [
+        where
+        for where, comment in _memo_comments(path)
+        if not _WEIGHT.search(comment.partition("Bounded:")[2])
+    ]
+
+
+def test_every_memo_names_its_bound_and_worst_case():
+    paths = sorted(SRC.glob("*.py"))
+    assert [problem for path in paths for problem in _unbounded_memos(path)] == []
+    # the scan reads every declaration
+    assert len([where for path in paths for where, _ in _memo_comments(path)]) == len(MEMOS)
+
+
+def test_memo_comment_scan_flags_a_bound_without_its_worst_case(tmp_path):
+    path = tmp_path / "memos.py"
+    path.write_text(
+        "# Bounded: 8 entries, each about 2 KiB.\n"
+        "@memo(8)\ndef a(x): return x\n"
+        "# Bounded: 8 entries.\n"
+        "@memo(8)\ndef b(x): return x\n"
+        "@memo(8)\ndef c(x): return x\n"
+        "# Bounded: 4 entries, 1.5 MiB in all.\n"
+        "\n"
+        "@memo(4)\ndef d(x): return x\n"
+        "# Bounded: 2048 candidates, at most 1.1 MiB.\n"
+        "E = WeighedMemo('e', 2048)\n"
+        "# Kept: 3 KiB.\n"
+        "F = WeighedMemo('f', 8)\n",
+        encoding="utf-8",
+    )
+    assert _unbounded_memos(path) == ["memos.py:5", "memos.py:7", "memos.py:11", "memos.py:16"]
+
+
 @pytest.mark.parametrize("bound", [None, 0, 1.5, True])
 def test_a_memo_needs_a_positive_int_bound(bound):
     # A memo without a bound grows with every distinct input a long run
@@ -597,6 +653,36 @@ def test_the_registry_holds_every_memo_and_clear_empties_them():
         assert getattr(importlib.import_module(module), attribute) is kept, name
     _memo.clear()
     assert all(kept[:2] == (0, 0) and kept.currsize == 0 for kept in _memo.info().values())
+
+
+REBUILT = ("npcc.orbits._decompose", "npcc.muord._orbit_table", "npcc.muord._assemble")
+
+
+def test_verify_all_keeps_its_sets_across_a_run_of_other_polygons(capsys):
+    # `moonen --verify-all` reads 56 (family, class) sets; the orbit and
+    # mu-ordinary memos keep all of them while 150 other muord calls pass,
+    # so asking again rebuilds none.
+    rng = random.Random(20261022)
+    argvs = set()
+    while len(argvs) < 150:
+        m = rng.randrange(5, 41)
+        a = [rng.randrange(1, m) for _ in range(3)]
+        if sum(a) % m == 0:
+            continue
+        a.append(m - sum(a) % m)
+        p_class = rng.choice([c for c in range(1, m) if math.gcd(c, m) == 1])
+        datum = f"{m}:4:{','.join(map(str, a))}"
+        argvs.add(("muord", "--datum", datum, "--p-class", str(p_class)))
+    _memo.clear()
+    assert npcc.cli.main(["moonen", "--verify-all"]) == 0
+    first = capsys.readouterr()
+    for argv in sorted(argvs):
+        assert npcc.cli.main(list(argv)) == 0
+    capsys.readouterr()
+    misses = {name: _memo.info()[name].misses for name in REBUILT}
+    assert npcc.cli.main(["moonen", "--verify-all"]) == 0
+    assert capsys.readouterr() == first
+    assert {name: _memo.info()[name].misses for name in REBUILT} == misses
 
 
 @pytest.mark.parametrize(
