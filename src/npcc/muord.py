@@ -20,7 +20,7 @@ from ._memo import memo
 from .errors import EndpointMismatchError, PolygonSyntaxError
 from .monodromy import MonodromyDatum, Signature, signature
 from .orbits import Orbit, decompose, g_of_orbit
-from .polygon import NewtonPolygon, _canonical, _fraction, _int, _ratio, _slope_text
+from .polygon import NewtonPolygon, _canonical, _fraction, _int, _lies_on_or_above, _ratio, _slope_text
 
 __all__ = [
     "OrbitPolygon",
@@ -37,16 +37,15 @@ class OrbitPolygon:
 
     Stored as (rise, width) int pairs with positive widths: a segment of
     slope s and width w rises by the integer s*w, so all vertices are
-    lattice points, and slopes strictly increase in [0, |orbit|].  Values
-    on the integer grid, for `lies_on_or_above`, `height` and `degree`,
-    are ints scaled by the lcm of the slopes' denominators (1 for
-    mu-ordinary ones, whose slopes are integral).  Slopes and scaled
-    grids compare by cross-multiplying.  A Kottwitz factor is searched,
-    sorted, checked and counted from the pairs alone; a polygon, and its
-    grid, is built only where the public API hands one out.
+    lattice points, and slopes strictly increase in [0, |orbit|].  The
+    height and degree are the sums of the widths and of the rises, and
+    two polygons compare by the one sweep over (rise, width) pairs that
+    Newton and Kottwitz factor polygons use.  A Kottwitz factor is
+    searched, sorted, checked and counted from the pairs alone; a
+    polygon is built only where the public API hands one out.
     """
 
-    __slots__ = ("orbit", "_pairs", "_grid", "_scale")
+    __slots__ = ("orbit", "_pairs")
 
     def __init__(self, orbit: Orbit, segments: Iterable[tuple[object, int]]):
         """The polygon of (slope, width) pairs; a slope is read as
@@ -76,12 +75,7 @@ class OrbitPolygon:
                 raise PolygonSyntaxError(f"orbit slope {_fraction(r, w)} outside [0, {size}]")
             if r * prev_w <= prev_r * w:
                 raise PolygonSyntaxError("orbit slopes must strictly increase")
-        scale = math.lcm(*(w // math.gcd(r, w) for r, w in pairs))
-        grid = [0]
-        for r, w in pairs:
-            y, step = grid[-1], r * scale // w
-            grid.extend(range(y + step, y + step * w + 1, step) if step else [y] * w)
-        self.orbit, self._pairs, self._grid, self._scale = orbit, pairs, tuple(grid), scale
+        self.orbit, self._pairs = orbit, pairs
         return self
 
     @property
@@ -91,26 +85,24 @@ class OrbitPolygon:
 
     @property
     def height(self) -> int:
-        return len(self._grid) - 1
+        return sum(w for _, w in self._pairs)
 
     @property
     def degree(self) -> int:
-        return self._grid[-1] // self._scale
+        return sum(r for r, _ in self._pairs)
 
     @property
     def is_empty(self) -> bool:
         return not self._pairs
 
     def lies_on_or_above(self, other: "OrbitPolygon") -> bool:
-        """Pointwise comparison; integer grid points suffice since all
-        vertices of both polygons are lattice points."""
+        """Pointwise comparison of the two paths, which must share endpoints."""
         if self.height != other.height or self.degree != other.degree:
             raise EndpointMismatchError(
                 f"orbit polygon endpoints differ: ({self.height}, {self.degree})"
                 f" vs ({other.height}, {other.degree})"
             )
-        a, b = self._scale, other._scale
-        return all(u * b >= v * a for u, v in zip(self._grid, other._grid))
+        return _lies_on_or_above(self._pairs, other._pairs)
 
     @property
     def is_self_symmetric(self) -> bool:
@@ -175,7 +167,7 @@ def mu_ordinary_orbit(orbit: Orbit, f: Signature) -> OrbitPolygon:
 
 def _mu_pairs(orbit: Orbit, f: Signature) -> tuple[tuple[int, int], ...]:
     """The (rise, width) pairs of mu_ordinary_orbit(orbit, f), built
-    without the polygon's checks and grid."""
+    without the polygon's checks."""
     g_o = g_of_orbit(orbit, f)
     if g_o == 0:
         return ()
@@ -194,12 +186,11 @@ def _mu_pairs(orbit: Orbit, f: Signature) -> tuple[tuple[int, int], ...]:
 # (both sides of the slope-span check, then the glued datum's mu-ordinary
 # polygon), replay and verify_family read them again, and a Kottwitz set
 # reads them as its factors' tops.  Its readers need only the (rise,
-# width) pairs, so a table holds those and no polygon's grid of g(o) + 1
-# points.  Tuples are immutable, so sharing one is safe; an inconsistent
-# signature raises and is never cached.  Seed-1 benchmark traffic, memos
-# cleared after input generation: 5,822 calls on 1,654 keys in cli-mix
-# miss 3,823 times at 8 entries and 1,919 at 256; chains misses 3,453
-# and 3,154.
+# width) pairs, so a table holds those and no polygon.  Tuples are
+# immutable, so sharing one is safe; an inconsistent signature raises
+# and is never cached.  Seed-1 benchmark traffic, memos cleared after
+# input generation: 5,822 calls on 1,654 keys in cli-mix miss 3,823
+# times at 8 entries and 1,919 at 256; chains misses 3,453 and 3,154.
 # Bounded: 256 tables, each of at most (m + 1) / 2 representatives and,
 # since a polygon on an orbit o has at most |o| + 1 segments, fewer than
 # 3 m / 2 pairs, whatever N.  The heaviest found holds about 1,790 pairs

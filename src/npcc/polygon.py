@@ -203,38 +203,22 @@ class NewtonPolygon:
         mu-ordinary one lowest, so "a lies on or above b" means a is
         closer to supersingular than b.
         """
-        # Slopes and heights are counted in units of 1/scale, as ints.
+        # Slopes and heights are counted in units of 1/scale, as ints: a
+        # slope of multiplicity m rises scale * slope * m over the width m.
         a, b = self._triples, other._triples
         scale = math.lcm(*(den for _, den, _ in a), *(den for _, den, _ in b))
-        mine = [(num * (scale // den), m) for num, den, m in a]
-        theirs = [(num * (scale // den), m) for num, den, m in b]
+        mine = [(num * (scale // den) * m, m) for num, den, m in a]
+        theirs = [(num * (scale // den) * m, m) for num, den, m in b]
 
-        def end(scaled):  # (height, scale * degree)
-            return sum(m for _, m in scaled), sum(s * m for s, m in scaled)
+        def end(pairs):  # (height, scale * degree)
+            return sum(w for _, w in pairs), sum(r for r, _ in pairs)
 
         if end(mine) != end(theirs):
             raise EndpointMismatchError(
                 f"endpoints differ: ({self.height}, {self.degree}) vs "
                 f"({other.height}, {other.degree})"
             )
-        # One sweep over both segment lists: between consecutive
-        # breakpoints of either graph both are linear, so the gap (self
-        # minus other) only needs checking at those breakpoints.
-        left, right = iter(mine), iter(theirs)
-        (s, k), (t, n) = next(left, (0, 0)), next(right, (0, 0))
-        gap = 0
-        while k:
-            step = min(k, n)
-            gap += (s - t) * step
-            if gap < 0:
-                return False
-            k -= step
-            n -= step
-            if not k:
-                s, k = next(left, (0, 0))
-            if not n:
-                t, n = next(right, (0, 0))
-        return True
+        return _lies_on_or_above(mine, theirs)
 
     @property
     def is_symmetric(self) -> bool:
@@ -327,6 +311,32 @@ class NewtonPolygon:
 
     def __repr__(self) -> str:
         return f"NewtonPolygon({list(self.segments)!r})"
+
+
+def _lies_on_or_above(upper: Iterable[tuple[int, int]], lower: Iterable[tuple[int, int]]) -> bool:
+    """Does the path of (rise, width) int pairs ``upper`` lie on or above ``lower``?
+
+    Both run from (0, 0) to one end and are linear between their
+    vertices, so they are compared at the union of their vertices: each
+    vertex of ``lower`` inside a segment of ``upper`` against that
+    segment, and each vertex of ``upper`` against the segment of
+    ``lower`` it ends in, cross-multiplied by the segment's width.
+    Newton, orbit and Kottwitz factor polygons are all compared here.
+    """
+    rest = iter(lower)
+    lx = ly = ux = uy = 0
+    lr, lw = next(rest, (0, 1))
+    for ur, uw in upper:
+        end = ux + uw
+        while lx + lw < end:
+            lx, ly = lx + lw, ly + lr
+            if uy * uw + ur * (lx - ux) < ly * uw:
+                return False
+            lr, lw = next(rest)
+        ux, uy = end, uy + ur
+        if ly * lw + lr * (ux - lx) > uy * lw:
+            return False
+    return True
 
 
 def _lowest_terms(num: int, den: int) -> tuple[int, int]:

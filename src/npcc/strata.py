@@ -43,9 +43,9 @@ from ._memo import WeighedMemo
 from ._record import Record
 from .errors import DomainError, EnumerationCapError
 from .monodromy import MonodromyDatum, Signature, signature
-from .muord import OrbitPolygon, _lambda_triples, _orbit_table, mu_ordinary_orbit
+from .muord import OrbitPolygon, _lambda_triples, _mu_pairs, _orbit_table
 from .orbits import Orbit, decompose
-from .polygon import _UNREADABLE, NewtonPolygon, _fraction, _int, _slope_order
+from .polygon import _UNREADABLE, NewtonPolygon, _fraction, _int, _lies_on_or_above, _slope_order
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -65,9 +65,11 @@ DEFAULT_ENUM_CAP = 1_000_000
 
 # The most elements a Hasse diagram is drawn for.  Its DOT text has a
 # line per element and per cover, so it grows with the set where the
-# cap bounds only the work of building it.  On a 2-core Xeon host, a
-# set of 960,000 elements builds in 0.2 s, but drawing it took 10 s and
-# 1.9 GiB; one of 10,000 draws 65,003 lines in 0.1 s.
+# cap bounds only the work of building it.  On a 2-core Xeon host, the
+# 960,000-element set of 20:6:14,9,19,19,8,11 at class 1, memos cold,
+# builds in under 1 ms, its 590 totals take 0.2-0.35 s and their
+# codimensions 0.13-0.22 s more (three runs in one process), but drawing
+# it took 10 s and 1.9 GiB; one of 10,000 draws 65,003 lines in 0.1 s.
 MAX_DOT_ELEMENTS = 10_000
 
 # The most Kottwitz factor candidates kept between sets (see _FACTORS).
@@ -94,14 +96,18 @@ def enumerate_orbit_component(
     (rise, width) pairs of `_search`.
     """
     _check_cap(cap)
-    return tuple(OrbitPolygon._of_pairs(orbit, pairs) for pairs, _ in _search(orbit, f, cap))
+    found = _search(orbit, _mu_pairs(orbit, f), cap)
+    return tuple(OrbitPolygon._of_pairs(orbit, pairs) for pairs, _ in found)
 
 
 def _search(
-    orbit: Orbit, f: Signature, cap: int
+    orbit: Orbit, top: tuple[tuple[int, int], ...], cap: int
 ) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
     """The candidates of one orbit as (rise, width) pairs, lowest first,
-    each with its chain length up to the first, the mu-ordinary top.
+    each with its chain length up to the first, the factor's top.
+
+    top holds the (rise, width) pairs of the mu-ordinary orbit polygon
+    of ``orbit``, the lowest candidate.
 
     Vertex enumeration is exhaustive: between vertices the path is
     linear and the mu-ordinary polygon convex, so their difference is
@@ -129,8 +135,6 @@ def _search(
     Widths are at most G, so unequal slopes differ by at least 1/G^2,
     and (rise * G^2 // width, -width) is an exact int key.
     """
-    mu = mu_ordinary_orbit(orbit, f)
-    top = mu._pairs
     size, self_dual, found = orbit.size, orbit.is_self_dual, []
     lowest_y = [0]  # the least int on or above mu at x = 0..G
     for r, w in top:
@@ -182,7 +186,7 @@ def _search(
         del rec
     g2 = big_g * big_g
     found.sort(key=lambda c: [(r * g2 // w, -w) for r, w in c[0]])
-    if not found or (found[0][0], orbit) != (top, mu.orbit):
+    if not found or found[0][0] != top:
         raise DomainError("mu-ordinary polygon must be the lowest candidate")
     base = found[0][1]
     candidates = tuple((segs, count - base) for segs, count in found)
@@ -233,7 +237,7 @@ class KottwitzSet:
         factors, factor_lengths, pieces = [], [], []
         count = 1
         for rep, top in tops.items():
-            factor, steps, triples = _factor(rep, f, top, cap)
+            factor, steps, triples = _factor(rep, top, cap)
             factors.append(factor)
             factor_lengths.append(steps)
             pieces.append(triples)
@@ -434,12 +438,12 @@ _FACTORS = WeighedMemo("npcc.strata._FACTORS", MAX_MEMO_CANDIDATES)
 
 
 def _factor(
-    rep: Orbit, f: Signature, top: tuple[tuple[int, int], ...], cap: int
+    rep: Orbit, top: tuple[tuple[int, int], ...], cap: int
 ) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], tuple[tuple, ...]]:
     """One factor of a Kottwitz set: its candidates' pairs, chain lengths and triples.
 
     top holds the (rise, width) pairs of the mu-ordinary orbit polygon of
-    ``rep`` under f, the factor's top.  Each candidate is given as its
+    ``rep``, the factor's top.  Each candidate is given as its
     (rise, width) pairs, and its triples are the `muord._lambda_triples`
     of those.  All three read only the pairs, |o| and self-duality, so a
     shape seen before gives its entry as it was kept.
@@ -448,7 +452,7 @@ def _factor(
     key = (top, rep.size, rep.is_self_dual, cap)
     entry = _FACTORS.get(key)
     if entry is None:
-        found = _search(rep, f, cap)
+        found = _search(rep, top, cap)
         pairs = tuple(c for c, _ in found)
         _check_factor_order(pairs)
         same: dict = {}  # equal triples of the factor's candidates, held once
@@ -470,31 +474,6 @@ def _check_factor_order(factor: tuple[tuple[tuple[int, int], ...], ...]) -> None
         raise DomainError("top must be maximum")
     if not all(_lies_on_or_above(bottom, c) for c in factor):
         raise DomainError("bottom must be minimum")
-
-
-def _lies_on_or_above(upper: tuple[tuple[int, int], ...], lower: tuple[tuple[int, int], ...]) -> bool:
-    """Does the path of (rise, width) pairs ``upper`` lie on or above ``lower``?
-
-    Both run from (0, 0) to one end and are linear between their
-    vertices, so they are compared at the union of their vertices: each
-    vertex of ``lower`` inside a segment of ``upper`` against that
-    segment, and each vertex of ``upper`` against the segment of
-    ``lower`` it ends in, cross-multiplied by the segment's width.
-    """
-    rest = iter(lower)
-    lx = ly = ux = uy = 0
-    lr, lw = next(rest, (0, 1))
-    for ur, uw in upper:
-        end = ux + uw
-        while lx + lw < end:
-            lx, ly = lx + lw, ly + lr
-            if uy * uw + ur * (lx - ux) < ly * uw:
-                return False
-            lr, lw = next(rest)
-        ux, uy = end, uy + ur
-        if ly * lw + lr * (ux - lx) > uy * lw:
-            return False
-    return True
 
 
 def kottwitz_set(

@@ -1,12 +1,14 @@
 """A Kottwitz factor from its pairs against the grid path it replaced.
 
-The factor path used to build every candidate as an `OrbitPolygon`,
-whose int grid of G + 1 values, scaled by the lcm of its slopes'
-denominators, sorted the factor, checked its order and gave each chain
-length as a per-x lattice count.  The search now does all three from the
-(rise, width) pairs: an exact int key per segment, a comparison at the
-union of two candidates' vertices, and one floor sum per segment as the
-path is walked.  The grid path is kept here as the oracle.  On seeded
+The factor path used to build every candidate as an `OrbitPolygon`
+with an int grid of G + 1 values, scaled by the lcm of its slopes'
+denominators, which sorted the factor, checked its order and gave each
+chain length as a per-x lattice count.  The search now does all three
+from the (rise, width) pairs: an exact int key per segment, a
+comparison at the union of two candidates' vertices, and one floor sum
+per segment as the path is walked.  Orbit polygons keep no grid now, so
+the grid path is kept here as the oracle, each grid built from a
+candidate's pairs.  On seeded
 factors, and on orbits {m/2}, whose self-dual middle segment has slope
 1/2 and is counted only up to half the height, it must give the same
 order, the same chain lengths and the same order-check verdicts.
@@ -27,15 +29,44 @@ from npcc import (
     decompose,
     signature,
 )
+from npcc.muord import _mu_pairs
+from npcc.polygon import _lies_on_or_above
 
 CAP = 300
+
+
+def search(orbit, f):
+    """The factor of orbit under f, as `_search` gives it, capped at CAP."""
+    return strata._search(orbit, _mu_pairs(orbit, f), CAP)
+
+
+def grid(q) -> tuple[list[int], int]:
+    """q's values at x = 0..G as ints, and their scale: the lcm of its
+    slopes' denominators, read from its (rise, width) pairs."""
+    scale = math.lcm(*(w // math.gcd(r, w) for r, w in q._pairs))
+    values = [0]
+    for r, w in q._pairs:
+        values += [values[-1] + r * scale // w * k for k in range(1, w + 1)]
+    return values, scale
+
+
+def grid_lies_on_or_above(a, b) -> bool:
+    """a's grid on or above b's at every x, the scales cross-multiplied."""
+    (u, s), (v, t) = grid(a), grid(b)
+    return all(x * t >= y * s for x, y in zip(u, v))
 
 
 def grid_sorted(orbit, candidates) -> list[OrbitPolygon]:
     """The candidates as polygons, lowest first by their grids on one scale."""
     polys = [OrbitPolygon._of_pairs(orbit, pairs) for pairs in candidates]
-    scale = math.lcm(*(q._scale for q in polys))
-    return sorted(polys, key=lambda q: tuple(v * (scale // q._scale) for v in q._grid))
+    grids = {q: grid(q) for q in polys}
+    scale = math.lcm(*(s for _, s in grids.values()))
+
+    def key(q):
+        values, s = grids[q]
+        return tuple(v * (scale // s) for v in values)
+
+    return sorted(polys, key=key)
 
 
 def grid_chain_lengths(factor) -> tuple[int, ...]:
@@ -44,7 +75,8 @@ def grid_chain_lengths(factor) -> tuple[int, ...]:
     stop = (top.height // 2 if top.orbit.is_self_dual else top.height) + 1
 
     def count(q):
-        return sum(-(-v // q._scale) for v in q._grid[:stop])
+        values, scale = grid(q)
+        return sum(-(-v // scale) for v in values[:stop])
 
     return tuple(count(q) - count(top) for q in factor)
 
@@ -52,9 +84,9 @@ def grid_chain_lengths(factor) -> tuple[int, ...]:
 def grid_order_verdict(factor) -> str | None:
     """The order check on polygons, comparing their grids."""
     top, bottom = factor[0], factor[-1]
-    if not all(q.lies_on_or_above(top) for q in factor):
+    if not all(grid_lies_on_or_above(q, top) for q in factor):
         return "top must be maximum"
-    if not all(bottom.lies_on_or_above(q) for q in factor):
+    if not all(grid_lies_on_or_above(bottom, q) for q in factor):
         return "bottom must be minimum"
     return None
 
@@ -94,13 +126,13 @@ def _factors(seed: int, count: int) -> list:
         p = rng.choice([c for c in range(1, m) if math.gcd(c, m) == 1])
         for orbit in decompose(m, p).representatives():
             try:
-                found = strata._search(orbit, f, CAP)
+                found = search(orbit, f)
             except EnumerationCapError:
                 continue
             if len(found) > 1:
                 cases[orbit, f] = found
     for orbit, f in _half_orbits():
-        cases[orbit, f] = strata._search(orbit, f, CAP)
+        cases[orbit, f] = search(orbit, f)
     return [(orbit, f, found) for (orbit, f), found in cases.items()]
 
 
@@ -121,7 +153,7 @@ def test_the_search_orders_and_counts_as_the_grids_did(factors):
         assert lengths == grid_chain_lengths(factor), (orbit, f)
         if len(factor) <= 120:  # the longest-chain search is quadratic
             assert lengths == tuple(chain_lengths(factor)), (orbit, f)
-        kinds.add((orbit.is_self_dual, len({q._scale for q in factor}) > 1))
+        kinds.add((orbit.is_self_dual, len({grid(q)[1] for q in factor}) > 1))
     # Self-dual and other orbits with grids on several scales, and
     # self-dual ones on one.
     assert {(True, True), (True, False), (False, True)} <= kinds
@@ -150,8 +182,8 @@ def test_pairs_compare_as_grids_do(factors):
         polys = [OrbitPolygon._of_pairs(orbit, pairs) for pairs, _ in found]
         for a in polys:
             for b in polys:
-                above = strata._lies_on_or_above(a._pairs, b._pairs)
-                assert above == a.lies_on_or_above(b), (a, b)
+                above = _lies_on_or_above(a._pairs, b._pairs)
+                assert above == grid_lies_on_or_above(a, b) == a.lies_on_or_above(b), (a, b)
                 outcomes.add(above)
     assert outcomes == {True, False}
 
@@ -164,7 +196,7 @@ def test_the_middle_of_the_orbit_of_m_over_2_counts_to_half_the_height():
     datum = MonodromyDatum.from_text("2:8:1,1,1,1,1,1,1,1")
     orbit = decompose(2, 1).orbit_of(1)
     assert orbit.size == 1 and orbit.is_self_dual
-    found = strata._search(orbit, signature(datum), CAP)
+    found = search(orbit, signature(datum))
     assert found == (
         (((0, 3), (3, 3)), 0),
         (((0, 2), (1, 2), (2, 2)), 1),
@@ -174,7 +206,7 @@ def test_the_middle_of_the_orbit_of_m_over_2_counts_to_half_the_height():
     )
     middles = 0
     for orbit, f in _half_orbits():
-        found = strata._search(orbit, f, CAP)
+        found = search(orbit, f)
         factor = grid_sorted(orbit, [pairs for pairs, _ in found])
         assert tuple(n for _, n in found) == grid_chain_lengths(factor) == tuple(chain_lengths(factor))
         middles += sum(2 * r == w for pairs, _ in found for r, w in pairs)

@@ -241,7 +241,7 @@ def test_lattice_count_matches_longest_chain():
                 continue
             if len(factor) > 1 and factor not in checked:
                 checked.add(factor)
-                lengths = tuple(n for _, n in _search(orbit, f, 120))
+                lengths = tuple(n for _, n in _search(orbit, factor[0]._pairs, 120))
                 assert lengths == tuple(chain_lengths(factor))
     self_dual = {factor[0].orbit.is_self_dual for factor in checked}
     assert self_dual == {True, False}
@@ -571,8 +571,8 @@ def test_integer_search_matches_fraction_search_and_keeps_the_cap():
 
 def test_only_candidates_become_polygons(monkeypatch):
     """A self-dual search walks only its candidates, so it builds one
-    polygon per candidate and one for its mu-ordinary bound, and a
-    refused search builds only the bound."""
+    polygon per candidate, its mu-ordinary bound read as (rise, width)
+    pairs, and a refused search builds none."""
     built = 0
     fill = OrbitPolygon._fill
 
@@ -587,11 +587,11 @@ def test_only_candidates_become_polygons(monkeypatch):
         assert orbit.is_self_dual
         built = 0
         assert enumerate_orbit_component(orbit, f, cap=len(expected)) == expected
-        assert built == len(expected) + 1
+        assert built == len(expected)
         built = 0
         with pytest.raises(EnumerationCapError, match=f"more than {len(expected) - 1} candidates"):
             enumerate_orbit_component(orbit, f, cap=len(expected) - 1)
-        assert built == 1
+        assert built == 0
     assert len(cases) >= 40
 
 

@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from test_factor_grid_oracle import grid
 
 from npcc import (
     BadResidueError,
@@ -36,8 +37,9 @@ def _orbit(m, p, n):
 
 
 def _values(poly):
-    """Values on the integer grid, read from the scaled int grid."""
-    return [F(v, poly._scale) for v in poly._grid]
+    """Values on the integer grid, read from the scaled int grid of its pairs."""
+    values, scale = grid(poly)
+    return [F(v, scale) for v in values]
 
 
 def test_orbit_polygon_lattice_constraints():
@@ -300,13 +302,15 @@ def test_orbit_polygon_grid_matches_the_fraction_sum():
     polys += [OrbitPolygon(o, [(F(1, 2), 2), (F(3, 2), 2)]), OrbitPolygon(o, [(F(2, 3), 3)])]
     for poly in polys:
         assert _values(poly) == _fraction_grid(poly), poly
+        values, scale = grid(poly)
+        assert (poly.height, poly.degree) == (len(values) - 1, values[-1] // scale)
         # every vertex is a lattice point, and integral slopes stay integral
         x = 0
         for s, w in poly.segments:
             x += w
-            assert poly._grid[x] % poly._scale == 0
+            assert values[x] % scale == 0
             if s.denominator == 1:
-                assert all(poly._grid[x - k] % poly._scale == 0 for k in range(w))
+                assert all(values[x - k] % scale == 0 for k in range(w))
 
 
 def test_mu_ordinary_cache_matches_a_fresh_assembly():

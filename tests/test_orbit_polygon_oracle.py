@@ -1,12 +1,13 @@
 """The integer orbit polygon against the Fraction one it replaced.
 
-`OrbitPolygon` keeps (rise, width) int pairs and an int grid scaled by
-the lcm of its slopes' denominators, and compares slopes and scaled
-grids by cross-multiplying.  The oracle below is the Fraction-slope
-class it replaced, trimmed: every slope a Fraction, every grid value a
-running Fraction sum.  They are compared on seeded polygons, with
-non-integral slopes of several denominators, and on the candidates of
-two Kottwitz sets whose factors mix integral and non-integral slopes.
+`OrbitPolygon` keeps (rise, width) int pairs and compares two polygons
+by one sweep over their vertices, cross-multiplying.  The oracle below
+is the Fraction-slope class it replaced, trimmed: every slope a
+Fraction, every grid value a running Fraction sum.  They are compared
+on seeded polygons, with non-integral slopes of several denominators,
+and on the candidates of two Kottwitz sets whose factors mix integral
+and non-integral slopes.  A polygon's values and scale are read from
+its pairs by the grid of `test_factor_grid_oracle`.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_factor_grid_oracle import grid
 
 from npcc import (
     EnumerationCapError,
@@ -24,7 +26,9 @@ from npcc import (
     OrbitPolygon,
     PolygonSyntaxError,
     decompose,
+    enumerate_orbit_component,
     kottwitz_set,
+    signature,
 )
 from npcc.muord import _lambda_triples
 from npcc.polygon import _canonical
@@ -106,8 +110,13 @@ def _seeded_pairs(seed, count):
     return pairs
 
 
+def _scale(q):
+    return grid(q)[1]
+
+
 def _values(q):
-    return [Fraction(v, q._scale) for v in q._grid]
+    values, scale = grid(q)
+    return [Fraction(v, scale) for v in values]
 
 
 def _assert_agrees(q, oracle):
@@ -129,7 +138,7 @@ def test_seeded_polygons_match_the_fraction_oracle():
     pairs = _seeded_pairs(20261018, 1500)
     for q, oracle in pairs:
         _assert_agrees(q, oracle)
-    scales = {q._scale for q, _ in pairs}
+    scales = {_scale(q) for q, _ in pairs}
     assert {1, 2, 3, 4, 5, 6} <= scales and max(scales) > 6  # lcm of several denominators
     assert sum(q.is_self_symmetric and not q.is_empty for q, _ in pairs) > 10
 
@@ -164,9 +173,38 @@ def test_comparison_matches_the_fraction_oracle_both_ways():
         for (a, oa), (b, ob) in itertools.combinations(group[:10], 2):
             assert a.lies_on_or_above(b) == oa.lies_on_or_above(ob), (a, b)
             assert b.lies_on_or_above(a) == ob.lies_on_or_above(oa), (a, b)
-            outcomes.add((a._scale == b._scale, a.lies_on_or_above(b)))
+            outcomes.add((_scale(a) == _scale(b), a.lies_on_or_above(b)))
     # Both answers occur on equal scales and on scales that differ.
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_lambda_scaling_keeps_the_order_of_factor_candidates():
+    """The lambda scale takes each point (x, y) of a candidate to (|o| x, y),
+    a linear map, so the Newton polygons of two candidates compare as the
+    candidates do."""
+    rng = random.Random(20261022)
+    outcomes = set()
+    data = 0
+    while data < 60:
+        m = rng.randint(5, 21)
+        a = [rng.randint(1, m - 1) for _ in range(rng.randint(3, 6))]
+        a.append(-sum(a) % m)
+        if a[-1] == 0 or math.gcd(m, *a) != 1:
+            continue
+        data += 1
+        f = signature(MonodromyDatum(m, tuple(a)))
+        p = rng.choice([c for c in range(1, m) if math.gcd(c, m) == 1])
+        for orbit in decompose(m, p).representatives():
+            try:
+                factor = enumerate_orbit_component(orbit, f, cap=40)
+            except EnumerationCapError:
+                continue
+            for x, y in itertools.product(factor, repeat=2):
+                verdict = x.lies_on_or_above(y)
+                assert verdict == x.lambda_scale().lies_on_or_above(y.lambda_scale()), (x, y)
+                outcomes.add((orbit.is_self_dual, verdict))
+    # Both verdicts, on self-dual orbits and on others.
+    assert outcomes == set(itertools.product((True, False), repeat=2))
 
 
 @pytest.mark.parametrize(
@@ -175,7 +213,7 @@ def test_comparison_matches_the_fraction_oracle_both_ways():
 )
 def test_kottwitz_candidates_match_the_fraction_oracle(text, p_class, non_integral):
     ks = kottwitz_set(MonodromyDatum.from_text(text), p_class)
-    assert sum(q._scale > 1 for factor in ks.factors for q in factor) == non_integral
+    assert sum(_scale(q) > 1 for factor in ks.factors for q in factor) == non_integral
     for factor in ks.factors:
         oracles = [FractionOrbitPolygon(q.orbit, q.segments) for q in factor]
         for q, oracle in zip(factor, oracles):
@@ -207,6 +245,6 @@ def test_candidate_order_matches_the_fraction_oracle_on_seeded_sets():
         for factor in ks.factors:
             grids = [FractionOrbitPolygon(q.orbit, q.segments).grid for q in factor]
             assert grids == sorted(grids)
-            mixed += len({q._scale for q in factor}) > 1
+            mixed += len({_scale(q) for q in factor}) > 1
     assert mixed > 10
 

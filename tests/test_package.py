@@ -188,6 +188,14 @@ ROOT = Path(__file__).resolve().parents[1]
 FLOOR = (3, 10)
 
 
+def test_readme_counts_the_lines_of_the_six_lazy_modules():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    figures = re.findall(r"other six\s+modules\s+\(([\d,]+)\s+lines\)", readme)
+    sources = [(SRC / f"{name}.py").read_text(encoding="utf-8") for name in npcc._LAZY_MODULES]
+    assert len(sources) == 6
+    assert figures == [f"{sum(len(text.splitlines()) for text in sources):,}"]
+
+
 def test_every_source_file_parses_at_the_declared_python_floor():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert 'requires-python = ">=%d.%d"' % FLOOR in pyproject
@@ -544,10 +552,12 @@ def _grid_reads(path):
 
 
 def test_the_kottwitz_factor_path_reads_no_grid():
-    # A factor is searched, sorted, checked and counted from its (rise,
-    # width) pairs, so no grid of G + 1 values is built per candidate.
-    assert _grid_reads(SRC / "strata.py") == []
-    assert _grid_reads(SRC / "muord.py") != []  # the scan sees the grid where it is kept
+    # Orbit polygons, and a Kottwitz factor's candidates, are compared,
+    # sorted, checked and counted from their (rise, width) pairs, so no
+    # grid of G + 1 values is built for any of them.
+    paths = sorted(SRC.rglob("*.py"))
+    assert len(paths) > 10
+    assert [read for path in paths for read in _grid_reads(path)] == []
 
 
 def test_grid_scan_flags_every_read(tmp_path):
